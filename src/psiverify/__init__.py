@@ -58,6 +58,6 @@ from .numerics import (
     compare,
 )
 from .primes import PrimeTable, build_table
-from .series import PrimorialPoint, criterion_f, criterion_g, make_checkpoint, stream_points
+from .series import PrimorialPoint, criterion_f, criterion_g, stream_points
 
 __version__ = "0.1.0"

@@ -1,8 +1,11 @@
 """Checkable analytic bounds on Euler products over primes.
 
-Each bound is exposed two ways: a point evaluator returning a
-:class:`BoundReport`, and a streaming range scanner that shares one pass of
-compensated prefix sums across all evaluation points.  The bounds:
+Each bound is one :class:`Bound` entry in :data:`BOUNDS`: its orientation,
+the smallest primorial index it is evaluated at, the prefix-sum kinds it
+needs from :func:`series.prefix_sums`, and one sides formula that serves
+both ball arithmetic and the interval path.  A point evaluator returns a
+:class:`BoundReport` from one prefix pass that stops at the point; a range
+scan shares one pass across all of its evaluation points.  The bounds:
 
 * ``rs-product``     prod_{p<=x} (1-1/p)^(-1)  <=  e^gamma (log x + 1/log x)   (x >= 2)
 * ``zeta-tail``      zeta(2) prod_{p<=p_n} (1-1/p^2)  <=  exp(2/p_n)           (n >= 2)
@@ -15,13 +18,15 @@ compensated prefix sums across all evaluation points.  The bounds:
 
 A scan that meets an INCONCLUSIVE verdict retries the point on an interval
 arithmetic path at 113-bit precision (about 34 digits) before reporting.
+The same path, :func:`_interval_sides`, also re-decides the RH criterion
+R(N_n) > e^gamma/zeta(2) for the ``lower`` claim.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from mpmath.ctx_iv import MPIntervalContext
@@ -32,27 +37,24 @@ from .numerics import (
     E_GAMMA_OVER_ZETA2,
     EULER_GAMMA,
     ZETA2,
-    CertifiedAccumulator,
     CertifiedValue,
     Verdict,
     VerdictStatus,
-    certified,
     compare,
-    cv_add,
-    cv_div,
     cv_exp,
     cv_from_int,
     cv_from_ratio,
     cv_log,
-    cv_log1p,
-    cv_mul,
-    cv_neg,
     from_mp_interval,
 )
 from .primes import PrimeTable
+from .series import TERMS, prefix_sums
 
 __all__ = [
+    "BOUNDS",
     "BOUND_NAMES",
+    "LOWER",
+    "Bound",
     "BoundReport",
     "BoundScan",
     "StridePolicy",
@@ -67,10 +69,9 @@ __all__ = [
     "stride_indices",
 ]
 
-ONE_EIGHTH = certified(0.125)  # both constants are exact in binary64
-NINE_EIGHTHS = certified(1.125)
-
 ESCALATION_PREC_BITS = 113
+
+FIRST_INDEX_AT_20000 = 2263  # p_2263 is the first prime >= 20000
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,8 +88,7 @@ class BoundReport:
     @property
     def slack(self) -> float:
         """Conservative distance from violating the claim (positive = safe)."""
-        claim = _CLAIMS[self.bound]
-        if claim in ("<", "<="):
+        if BOUNDS[self.bound].claim in ("<", "<="):
             return -self.verdict.margin.hi
         return self.verdict.margin.lo
 
@@ -154,100 +154,138 @@ class BoundScan:
         }
 
 
-_CLAIMS = {
-    "rs-product": "<=",
-    "zeta-tail": "<=",
-    "psi-bound": "<=",
-    "threshold": "<=",
-    "robin-log": "<",
-    "criterion-gap": ">=",
-}
-
-# Smallest primorial index a scan may evaluate at.
-_DOMAIN_START = {
-    "rs-product": 1,
-    "zeta-tail": 2,
-    "psi-bound": 2263,
-    "threshold": 2263,
-    "robin-log": 3,
-    "criterion-gap": 3,
-}
-
-BOUND_NAMES = tuple(_CLAIMS)
-
-FIRST_INDEX_AT_20000 = 2263  # p_2263 is the first prime >= 20000
+# ---------------------------------------------------------------------------
+# sides: (A, x, theta, *prefix sums) -> (lhs, rhs), written once for both
+# arithmetics.  A is _BALL or _interval_arithmetic(); x = p_n for the index
+# bounds; theta = theta(p_n) = log N_n.  Plain number literals are exact in
+# binary64.
+# ---------------------------------------------------------------------------
 
 
-def _require_index(table: PrimeTable, n: int, minimum: int, what: str) -> int:
-    if n < minimum:
-        raise DomainError(f"{what}: needs n >= {minimum}, got n={n}")
-    if n > table.count:
-        raise RangeError(f"{what}: n={n} beyond table ({table.count} primes)")
-    return table.nth_prime(n)
+def _rs_sides(A, x, theta, s_phi):
+    logx = A.log(A.integer(x))
+    return A.exp(-s_phi), A.e_gamma * (logx + 1 / logx)
 
 
-def _sum_over_primes(table: PrimeTable, k: int, term: Callable[[int], CertifiedValue]) -> CertifiedValue:
-    acc = CertifiedAccumulator()
-    for p in table.primes[:k]:
-        t = term(p)
-        acc.add(t.value, t.radius)
-    return acc.total()
+def _zeta_tail_sides(A, p, theta, s_sq):
+    return A.zeta2 * A.exp(s_sq), A.exp(A.ratio(2, p))
 
 
-def _term_phi(p: int) -> CertifiedValue:
-    return cv_log1p(cv_from_ratio(-1, p))
+def _psi_bound_sides(A, p, theta, s_plus):
+    inner = A.log(theta) + 1.125 / A.log(A.integer(p))
+    return A.exp(s_plus), A.exp(A.gamma + A.ratio(2, p)) / A.zeta2 * inner
 
 
-def _term_plus(p: int) -> CertifiedValue:
-    return cv_log1p(cv_from_ratio(1, p))
+def _threshold_sides(A, p, theta):
+    bump = 1.125 / (A.log(A.integer(p)) * A.log(theta))
+    return A.exp(A.ratio(2, p)) * (1 + bump), A.zeta2
 
 
-def _term_inv(p: int) -> CertifiedValue:
-    return cv_log1p(cv_from_ratio(-1, p + 1))
+def _robin_sides(A, p, theta):
+    logp = A.log(A.integer(p))
+    return logp, A.log(theta) + 0.125 / logp
 
 
-def _term_sq(p: int) -> CertifiedValue:
-    return cv_log1p(cv_from_ratio(-1, p * p))
-
-
-def _rs_sides(table: PrimeTable, x: int, s_phi: CertifiedValue) -> tuple[CertifiedValue, CertifiedValue]:
-    lhs = cv_exp(cv_neg(s_phi))
-    logx = cv_log(cv_from_int(x))
-    rhs = cv_mul(E_GAMMA, cv_add(logx, cv_div(certified(1.0), logx)))
+def _gap_sides(A, x, theta, s_inv, s_phi):
+    log_loglog = A.log(A.log(theta))
+    lhs = A.log(A.e_gamma_over_zeta2) + log_loglog + s_inv
+    rhs = A.log(A.e_gamma) + log_loglog + s_phi + A.ratio(-2, x)
     return lhs, rhs
+
+
+def _lower_sides(A, p, theta, s_plus):
+    return A.exp(s_plus) / A.log(theta), A.e_gamma_over_zeta2
+
+
+_BALL = SimpleNamespace(
+    exp=cv_exp,
+    log=cv_log,
+    integer=cv_from_int,
+    ratio=cv_from_ratio,
+    gamma=EULER_GAMMA,
+    e_gamma=E_GAMMA,
+    zeta2=ZETA2,
+    e_gamma_over_zeta2=E_GAMMA_OVER_ZETA2,
+)
+
+
+def _interval_arithmetic(prec: int) -> SimpleNamespace:
+    """Outward-rounded mpmath intervals at ``prec`` bits, shaped like _BALL."""
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    gamma = +ctx.euler
+    zeta2 = ctx.pi**2 / 6
+    return SimpleNamespace(
+        exp=ctx.exp,
+        log=ctx.log,
+        integer=ctx.mpf,
+        ratio=lambda num, den: ctx.mpf(num) / den,
+        gamma=gamma,
+        e_gamma=ctx.exp(gamma),
+        zeta2=zeta2,
+        e_gamma_over_zeta2=ctx.exp(gamma) / zeta2,
+    )
+
+
+@dataclass(frozen=True)
+class Bound:
+    """How one bound is evaluated: ``lhs claim rhs`` at index n >= start."""
+
+    claim: str  # orientation, read as lhs CLAIM rhs
+    start: int  # smallest primorial index the bound is evaluated at
+    sums: tuple[str, ...]  # prefix-sum kinds passed to ``sides`` after (A, x, theta)
+    at_x: bool  # parameterized by x (reported at x = p_n) rather than by n
+    sides: Callable
+
+
+BOUNDS: dict[str, Bound] = {
+    "rs-product": Bound("<=", 1, ("phi",), True, _rs_sides),
+    "zeta-tail": Bound("<=", 2, ("sq",), False, _zeta_tail_sides),
+    "psi-bound": Bound("<=", FIRST_INDEX_AT_20000, ("plus",), False, _psi_bound_sides),
+    "threshold": Bound("<=", FIRST_INDEX_AT_20000, (), False, _threshold_sides),
+    "robin-log": Bound("<", 3, (), False, _robin_sides),
+    "criterion-gap": Bound(">=", 3, ("inv", "phi"), True, _gap_sides),
+}
+
+BOUND_NAMES = tuple(BOUNDS)
+
+# The RH criterion R(N_n) > e^gamma/zeta(2) of the lower claim, which
+# _interval_sides also re-decides; it is not a scannable bound.
+LOWER = Bound(">", 3, ("plus",), False, _lower_sides)
+
+
+def _evaluate(table: PrimeTable, name: str, n: int, x: int, sums) -> BoundReport:
+    bound = BOUNDS[name]
+    lhs, rhs = bound.sides(_BALL, x, table.theta_at_index(n), *sums)
+    return BoundReport(name, x if bound.at_x else n, lhs, rhs, compare(lhs, rhs, bound.claim))
+
+
+def _point(table: PrimeTable, name: str, at: int) -> BoundReport:
+    """Evaluate one bound at x (x-parameterized, x need not be prime) or at index n."""
+    bound = BOUNDS[name]
+    if bound.at_x:
+        n, x = table.prime_count(at), at
+        if n < bound.start:
+            raise DomainError(f"{name}: needs x >= p_{bound.start}, got {at}")
+    else:
+        n = at
+        if n < bound.start:
+            raise DomainError(f"{name}: needs n >= {bound.start}, got n={n}")
+        if n > table.count:
+            raise RangeError(f"{name}: n={n} beyond table ({table.count} primes)")
+        x = table.nth_prime(n)
+    _, sums = next(prefix_sums(table, bound.sums, (n,)))
+    return _evaluate(table, name, n, x, sums)
 
 
 def rosser_schoenfeld_bound(table: PrimeTable, x: int) -> BoundReport:
     """Partial Euler product against e^gamma (log x + 1/log x), for x >= 2."""
-    if x < 2:
-        raise DomainError(f"rs-product: needs x >= 2, got {x}")
-    if x > table.limit:
-        raise RangeError(f"rs-product: x={x} beyond table limit {table.limit}")
-    k = bisect_right(table.primes, x)
-    lhs, rhs = _rs_sides(table, x, _sum_over_primes(table, k, _term_phi))
-    return BoundReport("rs-product", x, lhs, rhs, compare(lhs, rhs, "<="))
-
-
-def _zeta_tail_sides(table: PrimeTable, n: int, s_sq: CertifiedValue) -> tuple[CertifiedValue, CertifiedValue]:
-    lhs = cv_mul(ZETA2, cv_exp(s_sq))
-    rhs = cv_exp(cv_from_ratio(2, table.nth_prime(n)))
-    return lhs, rhs
+    return _point(table, "rs-product", x)
 
 
 def zeta_tail_bound(table: PrimeTable, n: int) -> BoundReport:
     """zeta(2) prod_{p<=p_n} (1-1/p^2) against exp(2/p_n), for n >= 2."""
-    _require_index(table, n, 2, "zeta-tail")
-    lhs, rhs = _zeta_tail_sides(table, n, _sum_over_primes(table, n, _term_sq))
-    return BoundReport("zeta-tail", n, lhs, rhs, compare(lhs, rhs, "<="))
-
-
-def _psi_bound_sides(table: PrimeTable, n: int, s_plus: CertifiedValue) -> tuple[CertifiedValue, CertifiedValue]:
-    p = table.nth_prime(n)
-    lhs = cv_exp(s_plus)
-    scale = cv_div(cv_exp(cv_add(EULER_GAMMA, cv_from_ratio(2, p))), ZETA2)
-    logp = cv_log(cv_from_int(p))
-    inner = cv_add(cv_log(table.theta_at_index(n)), cv_div(NINE_EIGHTHS, logp))
-    return lhs, cv_mul(scale, inner)
+    return _point(table, "zeta-tail", n)
 
 
 def primorial_psi_bound(table: PrimeTable, n: int) -> BoundReport:
@@ -255,37 +293,18 @@ def primorial_psi_bound(table: PrimeTable, n: int) -> BoundReport:
 
     The hypothesis is p_n >= 20000, which starts at index 2263.
     """
-    _require_index(table, n, FIRST_INDEX_AT_20000, "psi-bound")
-    lhs, rhs = _psi_bound_sides(table, n, _sum_over_primes(table, n, _term_plus))
-    return BoundReport("psi-bound", n, lhs, rhs, compare(lhs, rhs, "<="))
-
-
-def _threshold_lhs(table: PrimeTable, n: int) -> CertifiedValue:
-    p = table.nth_prime(n)
-    logp = cv_log(cv_from_int(p))
-    loglog = cv_log(table.theta_at_index(n))
-    bump = cv_div(NINE_EIGHTHS, cv_mul(logp, loglog))
-    return cv_mul(cv_exp(cv_from_ratio(2, p)), cv_add(certified(1.0), bump))
+    return _point(table, "psi-bound", n)
 
 
 def threshold_condition(table: PrimeTable, n: int) -> BoundReport:
     """exp(2/p_n)(1 + 1.125/(log p_n log log N_n)) against zeta(2), n >= 2263."""
-    _require_index(table, n, FIRST_INDEX_AT_20000, "threshold")
-    lhs = _threshold_lhs(table, n)
-    return BoundReport("threshold", n, lhs, ZETA2, compare(lhs, ZETA2, "<="))
+    return _point(table, "threshold", n)
 
 
 def threshold_monotone_step(table: PrimeTable, n: int) -> Verdict:
     """Certified check that the threshold LHS decreases from n to n+1."""
-    _require_index(table, n + 1, FIRST_INDEX_AT_20000 + 1, "threshold-monotone")
-    return compare(_threshold_lhs(table, n + 1), _threshold_lhs(table, n), "<")
-
-
-def _robin_sides(table: PrimeTable, n: int) -> tuple[CertifiedValue, CertifiedValue]:
-    p = table.nth_prime(n)
-    logp = cv_log(cv_from_int(p))
-    rhs = cv_add(cv_log(table.theta_at_index(n)), cv_div(ONE_EIGHTH, logp))
-    return logp, rhs
+    now = threshold_condition(table, n)
+    return compare(threshold_condition(table, n + 1).lhs, now.lhs, "<")
 
 
 def robin_log_bound(table: PrimeTable, n: int) -> BoundReport:
@@ -294,36 +313,12 @@ def robin_log_bound(table: PrimeTable, n: int) -> BoundReport:
     Holds for large n; where it begins to hold is reported by scans, not
     assumed.
     """
-    _require_index(table, n, 3, "robin-log")
-    lhs, rhs = _robin_sides(table, n)
-    return BoundReport("robin-log", n, lhs, rhs, compare(lhs, rhs, "<"))
-
-
-def _gap_sides(
-    table: PrimeTable, n: int, x: int, s_inv: CertifiedValue, s_phi: CertifiedValue
-) -> tuple[CertifiedValue, CertifiedValue]:
-    log_loglog = cv_log(cv_log(table.theta_at_index(n)))
-    lhs = cv_add(cv_add(cv_log(E_GAMMA_OVER_ZETA2), log_loglog), s_inv)
-    rhs_f = cv_add(cv_add(cv_log(E_GAMMA), log_loglog), s_phi)
-    rhs = cv_add(rhs_f, cv_from_ratio(-2, x))
-    return lhs, rhs
+    return _point(table, "robin-log", n)
 
 
 def criterion_gap_bound(table: PrimeTable, x: int) -> BoundReport:
     """log g(x) against log f(x) - 2/x, for x >= 5 (x need not be prime)."""
-    if x < 5:
-        raise DomainError(f"criterion-gap: needs x >= 5, got {x}")
-    if x > table.limit:
-        raise RangeError(f"criterion-gap: x={x} beyond table limit {table.limit}")
-    n = bisect_right(table.primes, x)
-    lhs, rhs = _gap_sides(
-        table,
-        n,
-        x,
-        _sum_over_primes(table, n, _term_inv),
-        _sum_over_primes(table, n, _term_phi),
-    )
-    return BoundReport("criterion-gap", x, lhs, rhs, compare(lhs, rhs, ">="))
+    return _point(table, "criterion-gap", x)
 
 
 def stride_indices(start: int, stop: int, policy: StridePolicy) -> Iterable[int]:
@@ -354,114 +349,39 @@ def scan_bound(
     are evaluated at x = p_n).  INCONCLUSIVE points are retried on the
     113-bit interval path when ``escalate`` is set.
     """
-    if name not in _CLAIMS:
+    if name not in BOUNDS:
         raise ValueError(f"unknown bound {name!r}; known: {', '.join(BOUND_NAMES)}")
-    if start < _DOMAIN_START[name]:
-        raise DomainError(f"{name}: scan must start at n >= {_DOMAIN_START[name]}, got {start}")
+    bound = BOUNDS[name]
+    if start < bound.start:
+        raise DomainError(f"{name}: scan must start at n >= {bound.start}, got {start}")
     if stop < start:
         raise RangeError(f"scan_bound: empty range [{start}, {stop}]")
     if stop > table.count:
         raise RangeError(f"scan_bound: stop={stop} beyond table ({table.count} primes)")
     policy = policy or StridePolicy()
-    selected = set(stride_indices(start, stop, policy))
     scan = BoundScan(bound=name, start=start, stop=stop, policy=policy)
-
-    acc_phi = CertifiedAccumulator()
-    acc_plus = CertifiedAccumulator()
-    acc_inv = CertifiedAccumulator()
-    acc_sq = CertifiedAccumulator()
-    need_phi = name in ("rs-product", "criterion-gap")
-    need_plus = name == "psi-bound"
-    need_inv = name == "criterion-gap"
-    need_sq = name == "zeta-tail"
-
-    for n in range(1, stop + 1):
-        p = table.nth_prime(n)
-        if need_phi:
-            t = _term_phi(p)
-            acc_phi.add(t.value, t.radius)
-        if need_plus:
-            t = _term_plus(p)
-            acc_plus.add(t.value, t.radius)
-        if need_inv:
-            t = _term_inv(p)
-            acc_inv.add(t.value, t.radius)
-        if need_sq:
-            t = _term_sq(p)
-            acc_sq.add(t.value, t.radius)
-        if n < start or n not in selected:
-            continue
-        if name == "rs-product":
-            lhs, rhs = _rs_sides(table, p, acc_phi.total())
-            at = p
-        elif name == "zeta-tail":
-            lhs, rhs = _zeta_tail_sides(table, n, acc_sq.total())
-            at = n
-        elif name == "psi-bound":
-            lhs, rhs = _psi_bound_sides(table, n, acc_plus.total())
-            at = n
-        elif name == "threshold":
-            lhs, rhs = _threshold_lhs(table, n), ZETA2
-            at = n
-        elif name == "robin-log":
-            lhs, rhs = _robin_sides(table, n)
-            at = n
-        else:
-            lhs, rhs = _gap_sides(table, n, p, acc_inv.total(), acc_phi.total())
-            at = p
-        verdict = compare(lhs, rhs, _CLAIMS[name])
-        escalated = False
-        if verdict.status is VerdictStatus.INCONCLUSIVE and escalate:
+    for n, sums in prefix_sums(table, bound.sums, stride_indices(start, stop, policy)):
+        report = _evaluate(table, name, n, table.nth_prime(n), sums)
+        if report.verdict.status is VerdictStatus.INCONCLUSIVE and escalate:
             lhs, rhs = _interval_sides(table, name, n)
-            verdict = compare(lhs, rhs, _CLAIMS[name])
-            escalated = True
-        scan.record(BoundReport(name, at, lhs, rhs, verdict, escalated))
+            report = BoundReport(name, report.at, lhs, rhs, compare(lhs, rhs, bound.claim), True)
+        scan.record(report)
     return scan
 
 
 def _interval_sides(table: PrimeTable, name: str, n: int, prec: int = ESCALATION_PREC_BITS):
-    """Recompute one bound point with outward-rounded interval arithmetic."""
-    ctx = MPIntervalContext()
-    ctx.prec = prec
-    one = ctx.mpf(1)
-    p_n = table.nth_prime(n)
-    gamma = +ctx.euler
-    zeta2 = ctx.pi**2 / 6
+    """Recompute one point with outward-rounded interval arithmetic.
 
-    def prod_sum(term):
-        s = ctx.mpf(0)
-        for k in range(1, n + 1):
-            s += term(ctx.mpf(table.nth_prime(k)))
-        return s
-
-    def theta():
-        s = ctx.mpf(0)
-        for k in range(1, n + 1):
-            s += ctx.log(ctx.mpf(table.nth_prime(k)))
-        return s
-
-    if name == "rs-product":
-        lhs = ctx.exp(-prod_sum(lambda q: ctx.log(1 - one / q)))
-        logx = ctx.log(ctx.mpf(p_n))
-        rhs = ctx.exp(gamma) * (logx + one / logx)
-    elif name == "zeta-tail":
-        lhs = zeta2 * ctx.exp(prod_sum(lambda q: ctx.log(1 - one / q**2)))
-        rhs = ctx.exp(ctx.mpf(2) / p_n)
-    elif name == "psi-bound":
-        lhs = ctx.exp(prod_sum(lambda q: ctx.log(1 + one / q)))
-        logp = ctx.log(ctx.mpf(p_n))
-        rhs = ctx.exp(gamma + ctx.mpf(2) / p_n) / zeta2 * (ctx.log(theta()) + ctx.mpf("1.125") / logp)
-    elif name == "threshold":
-        logp = ctx.log(ctx.mpf(p_n))
-        lhs = ctx.exp(ctx.mpf(2) / p_n) * (1 + ctx.mpf("1.125") / (logp * ctx.log(theta())))
-        rhs = zeta2
-    elif name == "robin-log":
-        lhs = ctx.log(ctx.mpf(p_n))
-        rhs = ctx.log(theta()) + ctx.mpf("0.125") / ctx.log(ctx.mpf(p_n))
-    elif name == "criterion-gap":
-        loglog2 = ctx.log(ctx.log(theta()))
-        lhs = ctx.log(ctx.exp(gamma) / zeta2) + loglog2 + prod_sum(lambda q: ctx.log(1 - one / (q + 1)))
-        rhs = ctx.log(ctx.exp(gamma)) + loglog2 + prod_sum(lambda q: ctx.log(1 - one / q)) - ctx.mpf(2) / p_n
-    else:
-        raise ValueError(f"unknown bound {name!r}")
+    ``name`` is a bound, or ``"lower"`` for the :data:`LOWER` criterion.
+    theta and the prefix sums are summed again from p_1 in intervals.
+    """
+    bound = LOWER if name == "lower" else BOUNDS[name]
+    A = _interval_arithmetic(prec)
+    primes = table.primes[:n]
+    theta = sum((A.log(A.integer(p)) for p in primes), A.integer(0))
+    sums = []
+    for kind in bound.sums:
+        num, den = TERMS[kind]
+        sums.append(sum((A.log(1 + A.ratio(num, den(p))) for p in primes), A.integer(0)))
+    lhs, rhs = bound.sides(A, table.nth_prime(n), theta, *sums)
     return from_mp_interval(lhs), from_mp_interval(rhs)

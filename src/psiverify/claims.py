@@ -6,7 +6,8 @@ pure function of (table, config): sampling is seeded, scan strides are fixed
 by configuration, and floats serialize as shortest round-trip decimals, so
 reports are byte-identical regardless of how many workers run the claims.
 
-The registry ids:
+One table maps each claim id to its description and runner; ``run_claims``
+and the CLI take ids, descriptions and report order from it.  The ids:
 
     champions       primorials are exactly the champions of psi(m)/m (exact ints)
     reduction       R(m) <= R(N_n) on [N_n, N_{n+1}) (exact ints + log log monotonicity)
@@ -14,7 +15,12 @@ The registry ids:
     lower           R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)
     mertens-trend   margin R(N_n) - e^gamma/zeta(2) positive and decreasing
     rs-product, zeta-tail, psi-bound, threshold, robin-log, criterion-gap
-                    the analytic bound scans (see bounds module)
+                    the analytic bound scans, each from the domain start in
+                    ``bounds.BOUNDS``
+
+``lower`` and ``mertens-trend`` read their primorial points from the one
+prefix pass in ``series``; ``mertens-trend`` evaluates only its checkpoints.
+Both report checkpoint margins and their trend through one helper.
 """
 
 from __future__ import annotations
@@ -23,15 +29,18 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
-from mpmath.ctx_iv import MPIntervalContext
 
 from .arith import factorize, primorials_up_to, psi_from_factors, psi_ratio_tables, robin_ratio
 from .bounds import (
-    ESCALATION_PREC_BITS,
+    BOUNDS,
     FIRST_INDEX_AT_20000,
+    LOWER,
     StridePolicy,
+    _interval_sides,
     scan_bound,
     threshold_condition,
     threshold_monotone_step,
@@ -44,10 +53,10 @@ from .numerics import (
     VerdictStatus,
     certified,
     compare,
-    from_mp_interval,
+    cv_div,
 )
 from .primes import PrimeTable, build_table
-from .series import stream_points
+from .series import points_at
 
 __all__ = [
     "ClaimResult",
@@ -131,15 +140,15 @@ def _cv_pair(cv: CertifiedValue) -> list[float]:
     return [cv.value, cv.radius]
 
 
-def required_table_limit(config: VerifyConfig) -> int:
+def required_table_limit(n_max: int) -> int:
     """Sieve bound covering p_{n_max} (Rosser-style upper estimate) and 20000."""
-    n = max(config.n_max, FIRST_INDEX_AT_20000 + 2, 6)
+    n = max(n_max, FIRST_INDEX_AT_20000 + 2, 6)
     estimate = int(n * (math.log(n) + math.log(math.log(n)))) + 10
     return max(estimate, 20011 + 2)
 
 
 def build_default_table(config: VerifyConfig, cache_dir=None) -> PrimeTable:
-    table = build_table(required_table_limit(config), cache_dir=cache_dir)
+    table = build_table(required_table_limit(config.n_max), cache_dir=cache_dir)
     if table.count < config.n_max:
         raise RangeError(
             f"table holds {table.count} primes but n_max={config.n_max}; "
@@ -296,9 +305,7 @@ def verify_upper(table: PrimeTable, config: VerifyConfig | None = None) -> Claim
     b_bad: list[int] = []
     worst_slack = math.inf
     worst_at = None
-    for point in stream_points(table, config.upper_primorial_stop):
-        if point.n < 4:
-            continue
+    for point in points_at(table, range(4, config.upper_primorial_stop + 1)):
         verdict = compare(point.ratio, E_GAMMA, "<")
         if verdict.status is not VerdictStatus.HOLDS:
             b_bad.append(point.n)
@@ -345,28 +352,19 @@ def verify_upper(table: PrimeTable, config: VerifyConfig | None = None) -> Claim
 
 
 # ---------------------------------------------------------------------------
-# lower bound: the RH-criterion scan
+# lower bound: the RH-criterion scan, and the margin trend at checkpoints
 # ---------------------------------------------------------------------------
 
 
-def _interval_lower_point(
-    table: PrimeTable, n: int
-) -> tuple[CertifiedValue, CertifiedValue, CertifiedValue]:
-    """113-bit interval recomputation of (R(N_n), e^gamma/zeta(2), g(p_n))."""
-    ctx = MPIntervalContext()
-    ctx.prec = ESCALATION_PREC_BITS
-    one = ctx.mpf(1)
-    s_plus = ctx.mpf(0)
-    theta = ctx.mpf(0)
-    for k in range(1, n + 1):
-        p = ctx.mpf(table.nth_prime(k))
-        s_plus += ctx.log(1 + one / p)
-        theta += ctx.log(p)
-    loglog = ctx.log(theta)
-    ratio = ctx.exp(s_plus) / loglog
-    limit = ctx.exp(+ctx.euler) / (ctx.pi**2 / 6)
-    g = limit * loglog * ctx.exp(-s_plus)
-    return from_mp_interval(ratio), from_mp_interval(limit), from_mp_interval(g)
+def _checkpoint_trend(margins: dict[int, CertifiedValue]) -> tuple[dict[str, list[float]], list[int]]:
+    """Margins as JSON pairs, and the checkpoints where the margin fails to decrease.
+
+    ``margins`` maps ascending checkpoints to R(N_n) - e^gamma/zeta(2); each
+    one must be certified below the one before.
+    """
+    at = list(margins)
+    not_decreasing = [b for a, b in zip(at, at[1:]) if not compare(margins[b], margins[a], "<").holds]
+    return {str(n): _cv_pair(m) for n, m in margins.items()}, not_decreasing
 
 
 def verify_lower(
@@ -383,28 +381,25 @@ def verify_lower(
     surfaced loudly rather than swallowed.  The equivalent criterion
     g(p_n) < 1 is checked at every n as a dual consistency condition.
     """
-    if n_max < 3:
-        raise RangeError(f"verify_lower: n_max must be >= 3, got {n_max}")
+    if n_max < LOWER.start:
+        raise RangeError(f"verify_lower: n_max must be >= {LOWER.start}, got {n_max}")
     live = tuple(c for c in checkpoints if c <= n_max)
     bad: list[int] = []
     escalated: list[int] = []
     dual_mismatch: list[int] = []
-    margin_at: dict[int, list[float]] = {}
+    margins: dict[int, CertifiedValue] = {}
     min_margin = math.inf
     min_at = None
     one = certified(1.0)
-    for point in stream_points(table, n_max):
-        if point.n < 3:
-            continue
+    for point in points_at(table, range(LOWER.start, n_max + 1)):
         verdict = compare(point.ratio, E_GAMMA_OVER_ZETA2, ">")
         dual = compare(point.g, one, "<")
-        if escalate and (
-            verdict.status is not VerdictStatus.HOLDS or dual.status is not VerdictStatus.HOLDS
-        ):
+        if escalate and not (verdict.holds and dual.holds):
             escalated.append(point.n)
-            lhs, rhs, g_iv = _interval_lower_point(table, point.n)
-            verdict = compare(lhs, rhs, ">")
-            dual = compare(g_iv, one, "<")
+            ratio, limit = _interval_sides(table, "lower", point.n)
+            verdict = compare(ratio, limit, ">")
+            # g(p_n) = (e^gamma/zeta(2)) / R(N_n) exactly
+            dual = compare(cv_div(limit, ratio), one, "<")
         if verdict.status is not VerdictStatus.HOLDS:
             bad.append(point.n)
         if dual.status is not verdict.status:
@@ -414,19 +409,14 @@ def verify_lower(
             min_margin = slack
             min_at = point.n
         if point.n in live:
-            margin_at[point.n] = _cv_pair(verdict.margin)
-    trend_bad: list[int] = []
-    for a, b in zip(live, live[1:]):
-        va, ra = margin_at[a]
-        vb, rb = margin_at[b]
-        if not (vb + rb < va - ra):
-            trend_bad.append(b)
+            margins[point.n] = verdict.margin
+    margin_pairs, trend_bad = _checkpoint_trend(margins)
     return ClaimResult(
         claim_id="lower",
-        covered={"n": [3, n_max]},
+        covered={"n": [LOWER.start, n_max]},
         counterexamples=bad + trend_bad + dual_mismatch,
         details={
-            "checkpoint_margins": {str(k): margin_at[k] for k in live},
+            "checkpoint_margins": margin_pairs,
             "margins_decreasing": not trend_bad,
             "min_margin": min_margin,
             "min_at": min_at,
@@ -440,40 +430,38 @@ def mertens_limit_trend(
     table: PrimeTable,
     checkpoints: tuple[int, ...] = (10, 100, 1000, 10**4, 10**5),
 ) -> ClaimResult:
-    """Margins R(N_n) - e^gamma/zeta(2) at geometric checkpoints.
+    """Margins R(N_n) - e^gamma/zeta(2) at ascending geometric checkpoints.
 
     Asserts each margin is certified positive and the sequence strictly
-    decreases; a trend consistent with the limit, not a proof of it.
+    decreases; a trend consistent with the limit, not a proof of it.  Only
+    the checkpoints are evaluated.
     """
     live = tuple(c for c in checkpoints if c <= table.count)
     if not live:
         raise RangeError("mertens_limit_trend: no checkpoint within table range")
-    margins: list[CertifiedValue] = []
+    margins: dict[int, CertifiedValue] = {}
     bad: list[int] = []
-    it = iter(stream_points(table, max(live)))
-    want = set(live)
-    for point in it:
-        if point.n in want:
-            margins.append(point.margin_lower)
-            if compare(point.ratio, E_GAMMA_OVER_ZETA2, ">").status is not VerdictStatus.HOLDS:
-                bad.append(point.n)
-    for i, (a, b) in enumerate(zip(margins, margins[1:])):
-        if compare(b, a, "<").status is not VerdictStatus.HOLDS:
-            bad.append(live[i + 1])
+    for point in points_at(table, live):
+        verdict = compare(point.ratio, E_GAMMA_OVER_ZETA2, ">")
+        margins[point.n] = verdict.margin
+        if verdict.status is not VerdictStatus.HOLDS:
+            bad.append(point.n)
+    margin_pairs, trend_bad = _checkpoint_trend(margins)
     return ClaimResult(
         claim_id="mertens-trend",
         covered={"checkpoints": list(live)},
-        counterexamples=sorted(set(bad)),
-        details={"margins": {str(n): _cv_pair(m) for n, m in zip(live, margins)}},
+        counterexamples=sorted(set(bad + trend_bad)),
+        details={"margins": margin_pairs},
     )
 
 
 # ---------------------------------------------------------------------------
-# bound-scan claims and the registry
+# bound-scan claims and the claim table
 # ---------------------------------------------------------------------------
 
 
-def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str, start: int) -> ClaimResult:
+def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str) -> ClaimResult:
+    start = BOUNDS[name].start
     stop = min(config.n_max, table.count)
     scan = scan_bound(table, name, start, stop, policy=config.stride(), escalate=config.escalate)
     return ClaimResult(
@@ -485,67 +473,58 @@ def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str, start: int)
 
 
 def _robin_claim(table: PrimeTable, config: VerifyConfig) -> ClaimResult:
-    stop = min(config.n_max, table.count)
-    scan = scan_bound(table, "robin-log", 3, stop, policy=config.stride(), escalate=config.escalate)
-    below = list(scan.failed_at)
-    holds_from = (max(below) + 1) if below else 3
+    """The robin-log scan may fail at small n; the claim is where it settles."""
+    result = _bound_claim(table, config, "robin-log")
+    below = result.counterexamples
+    holds_from = (max(below) + 1) if below else BOUNDS["robin-log"].start
     # the bound must have settled before the index the composite bound relies on
-    bad = [] if holds_from <= FIRST_INDEX_AT_20000 else [holds_from]
-    return ClaimResult(
-        claim_id="robin-log",
-        covered={"n": [3, stop], "points_checked": scan.points_checked},
-        counterexamples=bad,
-        details={
-            "holds_from_index": holds_from,
-            "below_validity": below,
-            "scan": scan.to_dict(),
-        },
-    )
+    result.counterexamples = [] if holds_from <= FIRST_INDEX_AT_20000 else [holds_from]
+    result.details = {"holds_from_index": holds_from, "below_validity": below, "scan": result.details}
+    return result
 
 
-_REGISTRY: dict[str, str] = {
-    "champions": "primorials are exactly the champions of psi(m)/m (exact)",
-    "reduction": "R(m) <= R(N_n) for N_n <= m < N_{n+1} (exact)",
-    "upper": "R(n) < e^gamma for n > 30 (three-part certified argument)",
-    "lower": "R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)",
-    "mertens-trend": "margin to e^gamma/zeta(2) positive and decreasing at checkpoints",
-    "rs-product": "partial Euler product bound e^gamma(log x + 1/log x)",
-    "zeta-tail": "tail bound zeta(2) prod(1-1/p^2) <= exp(2/p_n)",
-    "psi-bound": "psi(N_n)/N_n composite bound for p_n >= 20000",
-    "threshold": "exp(2/p_n)(1 + 1.125/(log p_n log log N_n)) <= zeta(2)",
-    "robin-log": "log p_n < log log N_n + 0.125/log p_n (validity start reported)",
-    "criterion-gap": "log g(x) >= log f(x) - 2/x at x = p_n",
+# id -> (description, runner), in report order.  The public claim functions
+# are looked up by name when a runner is called, so wrappers installed on
+# this module (tracing, monkeypatching) see every call.
+_CLAIMS: dict[str, tuple[str, Callable[[PrimeTable, VerifyConfig], ClaimResult]]] = {
+    "champions": (
+        "primorials are exactly the champions of psi(m)/m (exact)",
+        lambda table, config: champion_scan(config.champion_limit, table),
+    ),
+    "reduction": ("R(m) <= R(N_n) for N_n <= m < N_{n+1} (exact)", _reduction_claim),
+    "upper": (
+        "R(n) < e^gamma for n > 30 (three-part certified argument)",
+        lambda table, config: verify_upper(table, config),
+    ),
+    "lower": (
+        "R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)",
+        lambda table, config: verify_lower(
+            table, min(config.n_max, table.count), checkpoints=config.checkpoints, escalate=config.escalate
+        ),
+    ),
+    "mertens-trend": (
+        "margin to e^gamma/zeta(2) positive and decreasing at checkpoints",
+        lambda table, config: mertens_limit_trend(table, config.live_checkpoints()),
+    ),
+    "rs-product": (
+        "partial Euler product bound e^gamma(log x + 1/log x)",
+        partial(_bound_claim, name="rs-product"),
+    ),
+    "zeta-tail": ("tail bound zeta(2) prod(1-1/p^2) <= exp(2/p_n)", partial(_bound_claim, name="zeta-tail")),
+    "psi-bound": ("psi(N_n)/N_n composite bound for p_n >= 20000", partial(_bound_claim, name="psi-bound")),
+    "threshold": (
+        "exp(2/p_n)(1 + 1.125/(log p_n log log N_n)) <= zeta(2)",
+        partial(_bound_claim, name="threshold"),
+    ),
+    "robin-log": ("log p_n < log log N_n + 0.125/log p_n (validity start reported)", _robin_claim),
+    "criterion-gap": ("log g(x) >= log f(x) - 2/x at x = p_n", partial(_bound_claim, name="criterion-gap")),
 }
 
-CLAIM_IDS = tuple(_REGISTRY)
+CLAIM_IDS = tuple(_CLAIMS)
 
 
 def claim_description(claim_id: str) -> str:
-    return _REGISTRY[claim_id]
-
-
-def _run_one(claim_id: str, table: PrimeTable, config: VerifyConfig) -> ClaimResult:
-    if claim_id == "champions":
-        return champion_scan(config.champion_limit, table)
-    if claim_id == "reduction":
-        return _reduction_claim(table, config)
-    if claim_id == "upper":
-        return verify_upper(table, config)
-    if claim_id == "lower":
-        return verify_lower(
-            table,
-            min(config.n_max, table.count),
-            checkpoints=config.checkpoints,
-            escalate=config.escalate,
-        )
-    if claim_id == "mertens-trend":
-        return mertens_limit_trend(table, config.live_checkpoints())
-    if claim_id == "robin-log":
-        return _robin_claim(table, config)
-    if claim_id in ("rs-product", "zeta-tail", "psi-bound", "threshold", "criterion-gap"):
-        starts = {"rs-product": 1, "zeta-tail": 2, "psi-bound": 2263, "threshold": 2263, "criterion-gap": 3}
-        return _bound_claim(table, config, claim_id, starts[claim_id])
-    raise UnknownClaimError(f"unknown claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
+    return _CLAIMS[claim_id][0]
 
 
 def run_claims(
@@ -558,18 +537,22 @@ def run_claims(
     """Run claims (default: all) and assemble the deterministic report.
 
     Claims are independent jobs; worker count affects wall time only, never
-    the report bytes.  Results are keyed in registry order.
+    the report bytes.  Results are keyed in claim-table order.
     """
     config = config or VerifyConfig()
     ids = list(CLAIM_IDS) if claim_ids is None else list(claim_ids)
     for cid in ids:
-        if cid not in _REGISTRY:
+        if cid not in _CLAIMS:
             raise UnknownClaimError(f"unknown claim {cid!r}; known: {', '.join(CLAIM_IDS)}")
+
+    def run(cid: str) -> ClaimResult:
+        return _CLAIMS[cid][1](table, config)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda cid: _run_one(cid, table, config), ids))
+            results = list(pool.map(run, ids))
     else:
-        results = [_run_one(cid, table, config) for cid in ids]
+        results = [run(cid) for cid in ids]
     by_id = dict(zip(ids, results))
     ordered = [cid for cid in CLAIM_IDS if cid in by_id]
     return {

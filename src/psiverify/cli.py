@@ -18,18 +18,24 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from typing import Sequence
 
 from .arith import factorize, phi_from_factors, psi_from_factors, robin_ratio_from_factors, sigma_from_factors
 from .bounds import BOUND_NAMES, StridePolicy, scan_bound
-from .claims import CLAIM_IDS, VerifyConfig, build_default_table, claim_description, run_claims
+from .claims import (
+    CLAIM_IDS,
+    VerifyConfig,
+    build_default_table,
+    claim_description,
+    required_table_limit,
+    run_claims,
+)
 from .errors import PsiverifyError, UnknownClaimError
 from .numerics import E_GAMMA_OVER_ZETA2, compare, cv_log
 from .primes import CACHE_FILENAME, build_table, inspect_cache
-from .series import stream_points
+from .series import points_at
 
 __all__ = ["main"]
 
@@ -73,11 +79,6 @@ def _setting(flag_value, file_cfg: dict, key: str, env_key: str | None, default)
 
 def _cache_dir(args, file_cfg: dict) -> str | None:
     return _setting(getattr(args, "cache_dir", None), file_cfg, "cache_dir", _ENV_CACHE, None)
-
-
-def _table_limit_for_index(n_max: int) -> int:
-    n = max(n_max, 6)
-    return max(int(n * (math.log(n) + math.log(math.log(n)))) + 10, 30)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -138,9 +139,7 @@ def _cmd_compute(args, file_cfg: dict) -> int:
 
 
 def _point_rows(table, n_start: int, n_max: int):
-    for point in stream_points(table, n_max):
-        if point.n < n_start:
-            continue
+    for point in points_at(table, range(n_start, n_max + 1)):
         log_theta = cv_log(point.theta)
         verdict = ""
         if point.n >= 3:
@@ -166,7 +165,7 @@ def _cmd_scan(args, file_cfg: dict) -> int:
         n_start = 3 if args.kind == "lower" else 2
         if n_max < n_start:
             raise PsiverifyError(f"scan {args.kind}: n-max must be >= {n_start} (n starts at {n_start})")
-        table = build_table(_table_limit_for_index(n_max), cache_dir=cache)
+        table = build_table(required_table_limit(n_max), cache_dir=cache)
         rows = list(_point_rows(table, n_start, n_max))
         fmt = _setting(args.format, file_cfg, "format", None, "csv")
         if fmt == "json":
@@ -175,21 +174,8 @@ def _cmd_scan(args, file_cfg: dict) -> int:
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["n"],
-                        row["p_n"],
-                        repr(row["theta"]),
-                        repr(row["log_theta"]),
-                        repr(row["R_value"]),
-                        repr(row["R_radius"]),
-                        "" if row["g_value"] is None else repr(row["g_value"]),
-                        "" if row["g_radius"] is None else repr(row["g_radius"]),
-                        repr(row["margin_lower"]),
-                        row["verdict"],
-                    ]
-                )
+            # csv writes floats as repr() and None as an empty cell
+            writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
             _emit(buf.getvalue(), args.output)
         bad = [r for r in rows if r["verdict"] not in ("", "holds")]
         return 1 if bad else 0
@@ -200,7 +186,7 @@ def _cmd_scan(args, file_cfg: dict) -> int:
         raise UnknownClaimError(f"unknown bound {name!r}; known: {', '.join(BOUND_NAMES)}")
     start = args.start
     stop = args.stop
-    table = build_table(_table_limit_for_index(stop), cache_dir=cache)
+    table = build_table(required_table_limit(stop), cache_dir=cache)
     policy = StridePolicy(args.dense_until, args.ratio)
     scan = scan_bound(table, name, start, stop, policy=policy, escalate=not args.no_escalate)
     _emit(_json_dumps(scan.to_dict()), args.output)

@@ -40,9 +40,9 @@ __all__ = [
     "cv_div",
     "cv_log",
     "cv_log1p",
+    "log1p_ball",
     "cv_exp",
     "cv_log_int",
-    "cv_abs_ulps",
     "compare",
     "from_mp_interval",
     "EULER_GAMMA",
@@ -91,6 +91,36 @@ class CertifiedValue:
 
     def __repr__(self) -> str:  # keep reports readable
         return f"CertifiedValue({self.value!r}, r={self.radius:.3e})"
+
+    # Operators are the cv_* functions, so a formula written with them gives
+    # the same balls, bit for bit, as the nested calls; the bounds write each
+    # formula once for balls and for mpmath intervals this way.
+    def __add__(self, other) -> CertifiedValue:
+        return cv_add(self, _as_ball(other))
+
+    def __radd__(self, other) -> CertifiedValue:
+        return cv_add(_as_ball(other), self)
+
+    def __mul__(self, other) -> CertifiedValue:
+        return cv_mul(self, _as_ball(other))
+
+    def __truediv__(self, other) -> CertifiedValue:
+        return cv_div(self, _as_ball(other))
+
+    def __rtruediv__(self, other) -> CertifiedValue:
+        return cv_div(_as_ball(other), self)
+
+    def __neg__(self) -> CertifiedValue:
+        return cv_neg(self)
+
+
+def _as_ball(x) -> CertifiedValue:
+    """A ball operand; a plain int or float must be exact in binary64."""
+    if isinstance(x, CertifiedValue):
+        return x
+    if float(x) != x:
+        raise DomainError(f"operand {x!r} is not exact in binary64")
+    return CertifiedValue(float(x), 0.0)
 
 
 class VerdictStatus(Enum):
@@ -144,10 +174,6 @@ def _parse_constant(literal: str) -> CertifiedValue:
     # float() parses correctly rounded; charge 1 ulp.
     v = float(literal)
     return CertifiedValue(v, math.ulp(v))
-
-
-def cv_abs_ulps(x: float, n: int) -> float:
-    return n * math.ulp(x)
 
 
 def cv_add(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
@@ -209,13 +235,21 @@ def cv_log(a: CertifiedValue) -> CertifiedValue:
     return CertifiedValue(v, r)
 
 
-def cv_log1p(a: CertifiedValue) -> CertifiedValue:
-    lo = a.value - a.radius
+def log1p_ball(value: float, radius: float) -> tuple[float, float]:
+    """``(value, radius)`` of log1p over the ball, as plain floats.
+
+    The float-level core of :func:`cv_log1p`, for hot loops that feed an
+    accumulator and never need the intermediate :class:`CertifiedValue`.
+    """
+    lo = value - radius
     if lo <= -1.0:
         raise DomainError("cv_log1p: interval must stay above -1")
-    v = math.log1p(a.value)
-    r = (a.radius / (1.0 + lo) + 2.0 * math.ulp(v)) * _INFLATE
-    return CertifiedValue(v, r)
+    v = math.log1p(value)
+    return v, (radius / (1.0 + lo) + 2.0 * math.ulp(v)) * _INFLATE
+
+
+def cv_log1p(a: CertifiedValue) -> CertifiedValue:
+    return CertifiedValue(*log1p_ball(a.value, a.radius))
 
 
 def cv_exp(a: CertifiedValue) -> CertifiedValue:

@@ -234,18 +234,23 @@ def load_table(path: str | os.PathLike) -> PrimeTable:
     primes = array("q")
     pos = 0
     prev = 0
-    for _ in range(count):
-        shift = 0
-        gap = 0
-        while True:
-            b = body[pos]
-            pos += 1
-            gap |= (b & 0x7F) << shift
-            if b < 0x80:
-                break
-            shift += 7
-        prev += gap
-        primes.append(prev)
+    try:
+        for _ in range(count):
+            shift = 0
+            gap = 0
+            while True:
+                b = body[pos]
+                pos += 1
+                gap |= (b & 0x7F) << shift
+                if b < 0x80:
+                    break
+                shift += 7
+            prev += gap
+            primes.append(prev)
+    except IndexError:
+        raise ValueError("prime cache gap block truncated") from None
+    if prev > limit:
+        raise ValueError(f"prime cache holds prime {prev} above its limit {limit}")
     floats = body[pos:]
     if len(floats) != 16 * count:
         raise ValueError("prime cache theta block has wrong size")

@@ -1,33 +1,39 @@
-"""Per-index primorial data streamed without materializing the primorials.
+"""Prefix sums over the primes, and the per-primorial data built on them.
 
-For N_n = p_1 ... p_n the interesting quantities only need log-space prefix
-sums over the primes:
+Every real-valued quantity the package checks at a primorial
+N_n = p_1 ... p_n is a function of theta(p_n) = log N_n (from the prime
+table) and of a few prefix sums, each a compensated sum of the terms
+log1p(num/den(p)) named in :data:`TERMS`:
 
-    log N_n            = theta(p_n)              (from the prime table)
-    psi(N_n)/N_n       = exp( sum log(1 + 1/p_k) )
+    plus = sum log1p( 1/p )          psi(N_n)/N_n and R
+    inv  = sum log1p(-1/(p+1))       g  (1/(1+1/p) = 1 - 1/(p+1))
+    phi  = sum log1p(-1/p)           f and the Rosser-Schoenfeld product
+    sq   = sum log1p(-1/p^2)         the zeta(2) tail
+
+:func:`prefix_sums` is the one pass that computes them: it runs one
+accumulator per requested kind over p_1, p_2, ... and yields certified
+totals only at the indices it is asked for.  The primorial points below and
+the bounds module consume it:
+
+    psi(N_n)/N_n       = exp(plus)
     R(N_n)             = psi(N_n)/N_n / log log N_n
-    g(x) = (e^g / zeta(2)) * log theta(x) * prod_{p <= x} (1 + 1/p)^(-1)
-    f(x) =  e^g          * log theta(x) * prod_{p <= x} (1 - 1/p)
+    g(x) = (e^g / zeta(2)) * log theta(x) * exp(inv)
+    f(x) =  e^g          * log theta(x) * exp(phi)
 
-Three compensated accumulators run side by side:
-
-    S_plus = sum log1p( 1/p )          for psi(N_n)/N_n and R
-    S_inv  = sum log1p(-1/(p+1))       for g  (1/(1+1/p) = 1 - 1/(p+1))
-    S_phi  = sum log1p(-1/p)           for f
-
-S_inv equals -S_plus as a real number but is accumulated from differently
+inv equals -plus as a real number but is accumulated from differently
 rounded terms, so the identity g(p_n) * R(N_n) = e^g/zeta(2) exercises two
 genuinely independent floating-point paths.
 
 g and f need log theta(x) > 0; theta(x) > 1 certainly holds from x = 5 on,
-so both are restricted to x >= 5 and the stream leaves them unset at n = 2.
+so both are restricted to x >= 5 and points leave g unset at n = 2.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from math import ulp
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, RangeError
 from .numerics import (
@@ -37,33 +43,66 @@ from .numerics import (
     CertifiedValue,
     cv_div,
     cv_exp,
-    cv_from_ratio,
     cv_log,
-    cv_log1p,
     cv_mul,
     cv_sub,
+    log1p_ball,
 )
 from .primes import PrimeTable
 
 __all__ = [
     "MIN_CRITERION_X",
+    "TERMS",
     "PrimorialPoint",
-    "StreamCheckpoint",
+    "prefix_sums",
+    "points_at",
     "stream_points",
-    "make_checkpoint",
     "criterion_g",
     "criterion_f",
 ]
 
 MIN_CRITERION_X = 5
 
+# kind -> (num, den): the term for prime p is log1p(num / den(p))
+TERMS: dict[str, tuple[int, Callable[[int], int]]] = {
+    "plus": (1, lambda p: p),
+    "inv": (-1, lambda p: p + 1),
+    "phi": (-1, lambda p: p),
+    "sq": (-1, lambda p: p * p),
+}
+
+
+def prefix_sums(
+    table: PrimeTable, kinds: Sequence[str], at: Iterable[int]
+) -> Iterator[tuple[int, list[CertifiedValue]]]:
+    """Yield ``(n, totals)`` at each index n of the ascending ``at``.
+
+    ``totals[i]`` encloses the sum over p_1 .. p_n of the ``kinds[i]`` term.
+    A term is the ball of log1p over num/den(p) with 1 ulp charged for the
+    correctly rounded division, the same value and radius as
+    ``cv_log1p(cv_from_ratio(num, den(p)))``, so totals do not depend on
+    which kinds share the pass or at which indices it stops.
+    """
+    work = [(CertifiedAccumulator(), *TERMS[kind]) for kind in kinds]
+    primes = iter(table.primes)
+    done = 0
+    for n in at:
+        if not done <= n <= table.count:
+            raise RangeError(f"prefix_sums: index {n} outside [{done}, {table.count}]")
+        for p in islice(primes, n - done):
+            for acc, num, den in work:
+                x = num / den(p)
+                acc.add(*log1p_ball(x, ulp(x)))
+        done = n
+        yield n, [acc.total() for acc, _, _ in work]
+
 
 @dataclass(frozen=True, slots=True)
 class PrimorialPoint:
     """Certified snapshot of the primorial of index n (n >= 2).
 
-    ``g`` and ``f`` are None at n = 2 where p_n < 5 puts them outside the
-    criterion functions' domain.
+    ``g`` is None at n = 2 where p_n < 5 puts it outside the criterion
+    function's domain.
     """
 
     n: int
@@ -72,122 +111,50 @@ class PrimorialPoint:
     psi_over_n: CertifiedValue
     ratio: CertifiedValue
     g: CertifiedValue | None
-    f: CertifiedValue | None
     margin_lower: CertifiedValue
-    margin_upper: CertifiedValue
 
 
-@dataclass(frozen=True)
-class StreamCheckpoint:
-    """Exact accumulator state after absorbing p_1 .. p_n.
-
-    Resuming from a checkpoint reproduces the sequential stream bit for bit,
-    which is what lets scans be partitioned into deterministic blocks.
-    """
-
-    n: int
-    plus_state: tuple[float, float, float, int]
-    inv_state: tuple[float, float, float, int]
-    phi_state: tuple[float, float, float, int]
+def _criterion(scale: CertifiedValue, loglog: CertifiedValue, log_product: CertifiedValue) -> CertifiedValue:
+    return cv_mul(cv_mul(scale, loglog), cv_exp(log_product))
 
 
-def _absorb(
-    p: int,
-    plus: CertifiedAccumulator,
-    inv: CertifiedAccumulator,
-    phi: CertifiedAccumulator,
-) -> None:
-    t = cv_log1p(cv_from_ratio(1, p))
-    plus.add(t.value, t.radius)
-    t = cv_log1p(cv_from_ratio(-1, p + 1))
-    inv.add(t.value, t.radius)
-    t = cv_log1p(cv_from_ratio(-1, p))
-    phi.add(t.value, t.radius)
+def points_at(table: PrimeTable, indices: Iterable[int]) -> Iterator[PrimorialPoint]:
+    """Yield PrimorialPoints at the ascending ``indices`` (each >= 2)."""
+    for n, (plus, inv) in prefix_sums(table, ("plus", "inv"), indices):
+        if n < 2:
+            raise RangeError(f"points_at: primorial points start at n = 2, got {n}")
+        p = table.nth_prime(n)
+        theta = table.theta_at_index(n)
+        psi_over_n = cv_exp(plus)
+        loglog = cv_log(theta)
+        ratio = cv_div(psi_over_n, loglog)
+        yield PrimorialPoint(
+            n=n,
+            p=p,
+            theta=theta,
+            psi_over_n=psi_over_n,
+            ratio=ratio,
+            g=_criterion(E_GAMMA_OVER_ZETA2, loglog, inv) if p >= MIN_CRITERION_X else None,
+            margin_lower=cv_sub(ratio, E_GAMMA_OVER_ZETA2),
+        )
 
 
-def _point(
-    table: PrimeTable,
-    n: int,
-    plus: CertifiedAccumulator,
-    inv: CertifiedAccumulator,
-    phi: CertifiedAccumulator,
-) -> PrimorialPoint:
-    p = table.nth_prime(n)
-    theta = table.theta_at_index(n)
-    psi_over_n = cv_exp(plus.total())
-    loglog = cv_log(theta)
-    ratio = cv_div(psi_over_n, loglog)
-    g = f = None
-    if p >= MIN_CRITERION_X:
-        g = cv_mul(cv_mul(E_GAMMA_OVER_ZETA2, loglog), cv_exp(inv.total()))
-        f = cv_mul(cv_mul(E_GAMMA, loglog), cv_exp(phi.total()))
-    return PrimorialPoint(
-        n=n,
-        p=p,
-        theta=theta,
-        psi_over_n=psi_over_n,
-        ratio=ratio,
-        g=g,
-        f=f,
-        margin_lower=cv_sub(ratio, E_GAMMA_OVER_ZETA2),
-        margin_upper=cv_sub(E_GAMMA, ratio),
-    )
-
-
-def _restore(start: StreamCheckpoint | None):
-    if start is None:
-        return 0, CertifiedAccumulator(), CertifiedAccumulator(), CertifiedAccumulator()
-    return (
-        start.n,
-        CertifiedAccumulator.restore(start.plus_state),
-        CertifiedAccumulator.restore(start.inv_state),
-        CertifiedAccumulator.restore(start.phi_state),
-    )
-
-
-def stream_points(
-    table: PrimeTable,
-    n_max: int,
-    *,
-    start: StreamCheckpoint | None = None,
-) -> Iterator[PrimorialPoint]:
-    """Yield PrimorialPoints for n = 2 .. n_max (or from a checkpoint).
-
-    O(1) work per step beyond the table; with ``start`` the first yielded
-    index is ``start.n + 1`` (which must be >= 2).
-    """
+def stream_points(table: PrimeTable, n_max: int) -> Iterator[PrimorialPoint]:
+    """Yield PrimorialPoints for n = 2 .. n_max, O(1) work per step."""
     if n_max > table.count:
         raise RangeError(f"stream_points: n_max={n_max} beyond table ({table.count} primes)")
-    n0, plus, inv, phi = _restore(start)
-    if n_max < max(n0 + 1, 2):
-        raise RangeError(f"stream_points: n_max={n_max} below stream start {max(n0 + 1, 2)}")
-    for n in range(n0 + 1, n_max + 1):
-        _absorb(table.nth_prime(n), plus, inv, phi)
-        if n >= 2:
-            yield _point(table, n, plus, inv, phi)
+    if n_max < 2:
+        raise RangeError(f"stream_points: n_max={n_max} below stream start 2")
+    yield from points_at(table, range(2, n_max + 1))
 
 
-def make_checkpoint(table: PrimeTable, n: int, *, start: StreamCheckpoint | None = None) -> StreamCheckpoint:
-    """Accumulator state after index n, for deterministic block resumes."""
-    if not 1 <= n <= table.count:
-        raise RangeError(f"make_checkpoint: n={n} outside [1, {table.count}]")
-    n0, plus, inv, phi = _restore(start)
-    if n < n0:
-        raise RangeError(f"make_checkpoint: n={n} precedes checkpoint at {n0}")
-    for k in range(n0 + 1, n + 1):
-        _absorb(table.nth_prime(k), plus, inv, phi)
-    return StreamCheckpoint(n=n, plus_state=plus.state(), inv_state=inv.state(), phi_state=phi.state())
-
-
-def _criterion_common(table: PrimeTable, x: int) -> tuple[int, CertifiedValue]:
+def _criterion_at(table: PrimeTable, x: int, kind: str, scale: CertifiedValue) -> CertifiedValue:
     if x < MIN_CRITERION_X:
         raise DomainError(
             f"criterion functions need x >= {MIN_CRITERION_X} so that log theta(x) > 0, got x={x}"
         )
-    if x > table.limit:
-        raise RangeError(f"criterion: x={x} beyond table limit {table.limit}")
-    k = bisect_right(table.primes, x)
-    return k, cv_log(table.theta(x))
+    _, (log_product,) = next(prefix_sums(table, (kind,), (table.prime_count(x),)))
+    return _criterion(scale, cv_log(table.theta(x)), log_product)
 
 
 def criterion_g(table: PrimeTable, x: int) -> CertifiedValue:
@@ -196,19 +163,9 @@ def criterion_g(table: PrimeTable, x: int) -> CertifiedValue:
     g(p_n) < 1 is equivalent to R(N_n) > e^gamma/zeta(2).  Cost is one pass
     over the primes up to x; use the stream for dense evaluation.
     """
-    k, loglog = _criterion_common(table, x)
-    inv = CertifiedAccumulator()
-    for p in table.primes[:k]:
-        t = cv_log1p(cv_from_ratio(-1, p + 1))
-        inv.add(t.value, t.radius)
-    return cv_mul(cv_mul(E_GAMMA_OVER_ZETA2, loglog), cv_exp(inv.total()))
+    return _criterion_at(table, x, "inv", E_GAMMA_OVER_ZETA2)
 
 
 def criterion_f(table: PrimeTable, x: int) -> CertifiedValue:
     """f(x) = e^gamma log theta(x) prod_{p<=x} (1-1/p), certified (Nicolas)."""
-    k, loglog = _criterion_common(table, x)
-    phi = CertifiedAccumulator()
-    for p in table.primes[:k]:
-        t = cv_log1p(cv_from_ratio(-1, p))
-        phi.add(t.value, t.radius)
-    return cv_mul(cv_mul(E_GAMMA, loglog), cv_exp(phi.total()))
+    return _criterion_at(table, x, "phi", E_GAMMA)

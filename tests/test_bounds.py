@@ -205,7 +205,7 @@ def test_scan_validation(table):
 )
 def test_escalation_agrees_with_fast_path(table, name, n):
     """The 113-bit interval path must enclose the same reals, much tighter."""
-    from psiverify.bounds import _CLAIMS, robin_log_bound
+    from psiverify.bounds import BOUNDS, robin_log_bound
 
     fast = {
         "rs-product": lambda: rosser_schoenfeld_bound(table, table.nth_prime(n)),
@@ -221,7 +221,7 @@ def test_escalation_agrees_with_fast_path(table, name, n):
     assert lhs.radius <= fast.lhs.radius
     from psiverify.numerics import compare
 
-    assert compare(lhs, rhs, _CLAIMS[name]).status is fast.verdict.status
+    assert compare(lhs, rhs, BOUNDS[name].claim).status is fast.verdict.status
 
 
 def test_scan_escalation_branch_on_forced_inconclusive(table, monkeypatch):

@@ -129,6 +129,35 @@ def test_verify_lower_shallow(table):
     assert margins["10"][0] > margins["100"][0] > margins["1000"][0] > 0
 
 
+def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
+    """Force one INCONCLUSIVE so the 113-bit recompute must decide n = 3."""
+    import psiverify.claims as claims_mod
+    from psiverify.bounds import _interval_sides
+    from psiverify.numerics import Verdict, VerdictStatus
+    from psiverify.series import stream_points
+
+    point = next(p for p in stream_points(table, 25) if p.n == 25)
+    ratio, limit = _interval_sides(table, "lower", 25)
+    assert abs(ratio.value - point.ratio.value) <= ratio.radius + point.ratio.radius
+    assert ratio.radius <= point.ratio.radius
+
+    real_compare = claims_mod.compare
+    state = {"first": True}
+
+    def flaky_compare(lhs, rhs, claim):
+        v = real_compare(lhs, rhs, claim)
+        if state["first"]:
+            state["first"] = False
+            return Verdict(VerdictStatus.INCONCLUSIVE, v.margin)
+        return v
+
+    monkeypatch.setattr(claims_mod, "compare", flaky_compare)
+    res = verify_lower(table, 50, checkpoints=(10,))
+    assert res.details["escalated_at"] == [3]
+    assert res.details["dual_mismatch"] == []
+    assert res.holds
+
+
 def test_verify_lower_validation(table):
     with pytest.raises(RangeError):
         verify_lower(table, 2)
@@ -188,6 +217,5 @@ def test_run_claims_worker_count_invariance(table):
 
 def test_required_table_limit_covers_nth_prime(table):
     # Rosser-style estimate must cover p_{n_max}
-    config = VerifyConfig(n_max=10**5)
-    assert required_table_limit(config) >= 1299709
-    assert math.isqrt(required_table_limit(config)) < table.limit
+    assert required_table_limit(10**5) >= 1299709
+    assert math.isqrt(required_table_limit(10**5)) < table.limit

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import struct
+import zlib
 
 from psiverify.cli import CSV_COLUMNS, main
 
@@ -167,6 +169,23 @@ def test_cache_commands(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["removed"] is not None
     code, _, err = run_cli(capsys, "cache", "inspect")
     assert code == 2
+
+
+def test_cache_with_truncated_gaps_rebuilds_or_exits_2(capsys, tmp_path):
+    # valid header and CRC, but the body ends inside the first prime gap
+    body = b"\x82" * 5
+    blob = struct.pack("<4sHHQQ", b"PSIV", 1, 0, 10**6, 168) + body + struct.pack("<I", zlib.crc32(body))
+    cache = tmp_path / "primes.ptab"
+    cache.write_bytes(blob)
+    code, _, err = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "truncated" in err
+    code, out, _ = run_cli(capsys, "scan", "lower", "--n-max", "10", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 8
+    code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+    assert code == 0  # the scan rebuilt the cache
+    assert json.loads(out)["largest_prime"] > 29
 
 
 def test_cache_requires_directory(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import mpmath as mp
 import pytest
@@ -200,3 +201,23 @@ def test_cache_file_is_little_endian_layout(tmp_path):
     assert limit == 100 and count == 25
     # first varint gap is 2 (0 -> 2), second is 1 (2 -> 3)
     assert blob[24] == 2 and blob[25] == 1
+
+
+def _cache_blob(limit: int, count: int, body: bytes) -> bytes:
+    """A cache file with a well-formed header and a valid CRC over ``body``."""
+    header = struct.pack("<4sHHQQ", b"PSIV", 1, 0, limit, count)
+    return header + body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_cache_rejects_truncated_gaps_and_primes_above_limit(tmp_path):
+    path = tmp_path / "primes.ptab"
+    # 168 primes announced, but the body ends inside the first varint
+    path.write_bytes(_cache_blob(1000, 168, b"\x82" * 5))
+    with pytest.raises(ValueError, match="truncated"):
+        load_table(path)
+    # a well-formed table of the primes to 1000 whose header claims limit 100
+    save_table(build_table(1000), path)
+    blob = path.read_bytes()
+    path.write_bytes(_cache_blob(100, 168, blob[struct.calcsize("<4sHHQQ") : -4]))
+    with pytest.raises(ValueError, match="above its limit"):
+        load_table(path)
