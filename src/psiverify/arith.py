@@ -219,15 +219,9 @@ def psi_ratio_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if limit < 1:
         raise DomainError("psi_ratio_tables: limit must be >= 1")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
     num = np.ones(limit + 1, dtype=np.int64)
     den = np.ones(limit + 1, dtype=np.int64)
-    for p in np.nonzero(flags)[0]:
-        p = int(p)
+    for p in build_table(max(limit, 2)).primes:
         num[p::p] *= p + 1
         den[p::p] *= p
     if int(num.max()) >= (1 << 62):

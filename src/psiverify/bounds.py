@@ -254,9 +254,9 @@ BOUND_NAMES = tuple(BOUNDS)
 LOWER = Bound(">", 3, ("plus",), False, _lower_sides)
 
 
-def _evaluate(table: PrimeTable, name: str, n: int, x: int, sums) -> BoundReport:
+def _evaluate(name: str, n: int, x: int, theta: CertifiedValue, sums) -> BoundReport:
     bound = BOUNDS[name]
-    lhs, rhs = bound.sides(_BALL, x, table.theta_at_index(n), *sums)
+    lhs, rhs = bound.sides(_BALL, x, theta, *sums)
     return BoundReport(name, x if bound.at_x else n, lhs, rhs, compare(lhs, rhs, bound.claim))
 
 
@@ -274,8 +274,8 @@ def _point(table: PrimeTable, name: str, at: int) -> BoundReport:
         if n > table.count:
             raise RangeError(f"{name}: n={n} beyond table ({table.count} primes)")
         x = table.nth_prime(n)
-    _, sums = next(prefix_sums(table, bound.sums, (n,)))
-    return _evaluate(table, name, n, x, sums)
+    _, theta, sums = next(prefix_sums(table, bound.sums, (n,)))
+    return _evaluate(name, n, x, theta, sums)
 
 
 def rosser_schoenfeld_bound(table: PrimeTable, x: int) -> BoundReport:
@@ -360,8 +360,8 @@ def scan_bound(
         raise RangeError(f"scan_bound: stop={stop} beyond table ({table.count} primes)")
     policy = policy or StridePolicy()
     scan = BoundScan(bound=name, start=start, stop=stop, policy=policy)
-    for n, sums in prefix_sums(table, bound.sums, stride_indices(start, stop, policy)):
-        report = _evaluate(table, name, n, table.nth_prime(n), sums)
+    for n, theta, sums in prefix_sums(table, bound.sums, stride_indices(start, stop, policy)):
+        report = _evaluate(name, n, table.nth_prime(n), theta, sums)
         if report.verdict.status is VerdictStatus.INCONCLUSIVE and escalate:
             lhs, rhs = _interval_sides(table, name, n)
             report = BoundReport(name, report.at, lhs, rhs, compare(lhs, rhs, bound.claim), True)

@@ -9,7 +9,10 @@ Exit codes are a stable contract for CI:
 Settings resolve as flags > environment > config file > defaults.  The
 environment knows ``PSIVERIFY_CACHE_DIR`` (prime-table cache directory) and
 ``PSIVERIFY_CONFIG`` (path to a JSON config file with keys ``cache_dir``,
-``n_max``, ``champion_limit``, ``format``).
+``n_max``, ``champion_limit``, ``format``).  Malformed numbers are usage
+errors: a ``--ratio`` that is not a finite number > 0, a ``--workers``
+below 1, or a config value of the wrong type exits 2 with a
+``psiverify: error:`` message.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arith import factorize, phi_from_factors, psi_from_factors, robin_ratio_from_factors, sigma_from_factors
 from .bounds import BOUND_NAMES, StridePolicy, scan_bound
@@ -67,14 +71,16 @@ def _load_file_config(path: str | None) -> dict:
     return cfg
 
 
-def _setting(flag_value, file_cfg: dict, key: str, env_key: str | None, default):
+def _setting(flag_value, file_cfg: dict, key: str, env_key: str | None, default, kind: type = str):
     if flag_value is not None:
         return flag_value
     if env_key and os.environ.get(env_key):
         return os.environ[env_key]
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+    if key not in file_cfg:
+        return default
+    if type(file_cfg[key]) is not kind:
+        raise PsiverifyError(f"config key {key!r} must be of type {kind.__name__}, got {file_cfg[key]!r}")
+    return file_cfg[key]
 
 
 def _cache_dir(args, file_cfg: dict) -> str | None:
@@ -161,7 +167,7 @@ def _point_rows(table, n_start: int, n_max: int):
 def _cmd_scan(args, file_cfg: dict) -> int:
     cache = _cache_dir(args, file_cfg)
     if args.kind in ("points", "lower"):
-        n_max = int(_setting(args.n_max, file_cfg, "n_max", None, 10**5))
+        n_max = _setting(args.n_max, file_cfg, "n_max", None, 10**5, int)
         n_start = 3 if args.kind == "lower" else 2
         if n_max < n_start:
             raise PsiverifyError(f"scan {args.kind}: n-max must be >= {n_start} (n starts at {n_start})")
@@ -207,8 +213,8 @@ def _cmd_verify(args, file_cfg: dict) -> int:
                 f"unknown claim(s) {', '.join(unknown)}; registry: {', '.join(CLAIM_IDS)}"
             )
     config = VerifyConfig(
-        champion_limit=int(_setting(args.champion_limit, file_cfg, "champion_limit", None, 10**6)),
-        n_max=int(_setting(args.n_max, file_cfg, "n_max", None, 10**5)),
+        champion_limit=_setting(args.champion_limit, file_cfg, "champion_limit", None, 10**6, int),
+        n_max=_setting(args.n_max, file_cfg, "n_max", None, 10**5, int),
         reduction_samples=args.samples,
         seed=args.seed,
         escalate=not args.no_escalate,
@@ -265,8 +271,31 @@ def _cmd_cache(args, file_cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, in subcommands too, read ``psiverify: error: ...`` and exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"psiverify: error: {message}\n")
+
+
+def _number(kind: type, valid: Callable, requirement: str) -> Callable[[str], int | float]:
+    """An argparse type: ``kind(text)``, rejected unless ``valid`` accepts it."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="psiverify",
         description="Dedekind psi computations and certified inequality verification",
     )
@@ -293,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--from", dest="start", type=int, required=True)
     q.add_argument("--to", dest="stop", type=int, required=True)
     q.add_argument("--dense-until", dest="dense_until", type=int, default=10**4)
-    q.add_argument("--ratio", type=float, default=1.01)
+    positive_ratio = _number(float, lambda r: math.isfinite(r) and r > 0, "a finite number > 0")
+    q.add_argument("--ratio", type=positive_ratio, default=1.01)
     q.add_argument("--no-escalate", action="store_true")
     q.add_argument("--output")
     q.add_argument("--cache-dir", dest="cache_dir")
@@ -304,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--champion-limit", dest="champion_limit", type=int, default=None)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=1018)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_number(int, lambda w: w >= 1, "an integer >= 1"), default=1)
     p.add_argument("--no-escalate", action="store_true")
     p.add_argument("--json", help="write the full JSON report here")
     p.add_argument("--output")

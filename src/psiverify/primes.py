@@ -1,33 +1,30 @@
-"""Segmented prime sieve with certified Chebyshev theta prefix sums.
+"""Segmented prime sieve, a primes-only table, and its binary disk cache.
 
 The sieve produces every prime up to a limit in bounded memory (one segment
-of flags at a time) and, in the same ascending pass, accumulates
-
-    theta(p_k) = log p_1 + ... + log p_k
-
-with a Neumaier-compensated sum whose error radius is tracked explicitly
-(2 ulp per log for the libm call, plus the compensation rounding).  The
-prefix is stored per prime index, so memory is proportional to pi(limit)
-and theta(x) is answered by binary search.
-
-Segment order is fixed ascending, so the theta prefix is bit-identical for
-any segment size.  After construction the table is immutable and safe to
-share across threads.
+of flags at a time) and appends each segment's primes in ascending order,
+so the table is identical for any segment size.  The table holds only the
+limit and the primes; every sum over them, theta(p_n) = log N_n included,
+is accumulated by the one prefix pass in :mod:`psiverify.series`.  After
+construction the table is immutable and safe to share across threads.
 
 Cache file layout (little-endian throughout)::
 
     magic   4s   b"PSIV"
-    version u16  1
+    version u16  2
     flags   u16  0 (reserved)
     limit   u64  sieve upper bound
     count   u64  number of primes
-    gaps    LEB128 varints, prime deltas (first delta counted from 0)
-    theta   count * f64  prefix values
-    radii   count * f64  prefix error radii
+    primes  count * i64  the primes, ascending
     crc     u32  CRC-32 of everything after the header
 
+The loader checks the structure as well as the CRC: the body is exactly
+``8 * count`` bytes, the first prime is 2, the primes strictly increase and
+the last one is at most ``limit``.  A file that fails a check, or that has
+another version, raises ``ValueError``, and :func:`build_table` rebuilds it.
 A cache is reused only when its limit covers the request; a larger request
-rebuilds and overwrites it.
+rebuilds and overwrites it.  The file is written to a unique temporary file
+in the cache directory and renamed over the old one, so concurrent builders
+never share a temporary file.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import tempfile
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
@@ -43,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError, ResourceError
-from .numerics import CertifiedAccumulator, CertifiedValue
 
 __all__ = ["PrimeTable", "build_table", "save_table", "load_table", "inspect_cache"]
 
@@ -52,21 +49,19 @@ DEFAULT_MAX_LIMIT = 1 << 31
 CACHE_FILENAME = "primes.ptab"
 
 _MAGIC = b"PSIV"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sHHQQ")
 
 
 @dataclass
 class PrimeTable:
-    """All primes up to ``limit`` plus the certified theta prefix.
+    """All primes up to ``limit``, ascending.
 
     Treat as immutable once built.
     """
 
     limit: int
     primes: array = field(repr=False)
-    theta_values: array = field(repr=False)
-    theta_radii: array = field(repr=False)
 
     @property
     def count(self) -> int:
@@ -90,19 +85,6 @@ class PrimeTable:
         i = bisect_left(self.primes, x)
         return i < self.count and self.primes[i] == x
 
-    def theta(self, x: int) -> CertifiedValue:
-        """Certified enclosure of theta(x) = sum of log p over primes p <= x."""
-        if not 2 <= x <= self.limit:
-            raise RangeError(f"theta: x={x} outside [2, {self.limit}]")
-        k = bisect_right(self.primes, x)
-        return CertifiedValue(self.theta_values[k - 1], self.theta_radii[k - 1])
-
-    def theta_at_index(self, n: int) -> CertifiedValue:
-        """Certified theta(p_n) = log of the n-th primorial, 1-indexed."""
-        if not 1 <= n <= self.count:
-            raise RangeError(f"theta_at_index: n={n} outside [1, {self.count}]")
-        return CertifiedValue(self.theta_values[n - 1], self.theta_radii[n - 1])
-
 
 def _simple_sieve(limit: int) -> np.ndarray:
     flags = np.ones(limit + 1, dtype=bool)
@@ -120,7 +102,7 @@ def build_table(
     max_limit: int = DEFAULT_MAX_LIMIT,
     cache_dir: str | os.PathLike | None = None,
 ) -> PrimeTable:
-    """Sieve all primes up to ``limit`` and accumulate the theta prefix.
+    """Sieve all primes up to ``limit``.
 
     With ``cache_dir`` set, a cached table whose limit covers the request is
     loaded instead of sieving; otherwise the new table is written back.
@@ -138,82 +120,49 @@ def build_table(
     cache_file = None
     if cache_dir is not None:
         cache_file = os.path.join(os.fspath(cache_dir), CACHE_FILENAME)
-        if os.path.exists(cache_file):
-            try:
-                cached = load_table(cache_file)
-            except (OSError, ValueError):
-                cached = None
-            if cached is not None and cached.limit >= limit:
-                return cached
+        try:
+            cached = load_table(cache_file)
+        except (OSError, ValueError):  # missing, unreadable, malformed or another version
+            cached = None
+        if cached is not None and cached.limit >= limit:
+            return cached
 
-    base = _simple_sieve(math.isqrt(limit))
-    primes = array("q")
-    theta_values = array("d")
-    theta_radii = array("d")
-    acc = CertifiedAccumulator()
-
-    def take(p: int) -> None:
-        lp = math.log(p)
-        acc.add(lp, 2.0 * math.ulp(lp))
-        primes.append(p)
-        t = acc.total()
-        theta_values.append(t.value)
-        theta_radii.append(t.radius)
-
-    for p in base:
-        if p <= limit:
-            take(int(p))
-    start = max(int(base[-1]) + 1 if len(base) else 2, 2)
-    lo = start
+    # the base primes are all primes <= isqrt(limit); the segments cover the rest
+    root = math.isqrt(limit)
+    base = _simple_sieve(root).tolist()
+    primes = array("q", base)
+    lo = root + 1
     while lo <= limit:
         hi = min(lo + segment_size, limit + 1)
         flags = np.ones(hi - lo, dtype=bool)
         for p in base:
-            p = int(p)
             first = max(p * p, ((lo + p - 1) // p) * p)
             if first < hi:
                 flags[first - lo :: p] = False
-        if lo <= 1:
-            flags[: 2 - lo] = False
-        for q in np.nonzero(flags)[0]:
-            take(lo + int(q))
+        primes.extend((np.nonzero(flags)[0] + lo).tolist())
         lo = hi
 
-    table = PrimeTable(limit=limit, primes=primes, theta_values=theta_values, theta_radii=theta_radii)
+    table = PrimeTable(limit=limit, primes=primes)
     if cache_file is not None:
         os.makedirs(os.fspath(cache_dir), exist_ok=True)
         save_table(table, cache_file)
     return table
 
 
-def _encode_varint(out: bytearray, value: int) -> None:
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
 def save_table(table: PrimeTable, path: str | os.PathLike) -> None:
-    gaps = bytearray()
-    prev = 0
-    for p in table.primes:
-        _encode_varint(gaps, p - prev)
-        prev = p
-    values = table.theta_values
-    radii = table.theta_radii
-    if hasattr(values, "byteswap") and struct.pack("<H", 1) != struct.pack("=H", 1):
-        values = array("d", values)
-        radii = array("d", radii)
-        values.byteswap()
-        radii.byteswap()
-    body = bytes(gaps) + values.tobytes() + radii.tobytes()
+    path = os.fspath(path)
+    body = np.asarray(table.primes, dtype="<i8").tobytes()
     header = _HEADER.pack(_MAGIC, _VERSION, 0, table.limit, table.count)
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(body)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path: str | os.PathLike) -> PrimeTable:
@@ -230,47 +179,28 @@ def load_table(path: str | os.PathLike) -> PrimeTable:
     (crc,) = struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != crc:
         raise ValueError("prime cache checksum mismatch")
-
-    primes = array("q")
-    pos = 0
-    prev = 0
-    try:
-        for _ in range(count):
-            shift = 0
-            gap = 0
-            while True:
-                b = body[pos]
-                pos += 1
-                gap |= (b & 0x7F) << shift
-                if b < 0x80:
-                    break
-                shift += 7
-            prev += gap
-            primes.append(prev)
-    except IndexError:
-        raise ValueError("prime cache gap block truncated") from None
-    if prev > limit:
-        raise ValueError(f"prime cache holds prime {prev} above its limit {limit}")
-    floats = body[pos:]
-    if len(floats) != 16 * count:
-        raise ValueError("prime cache theta block has wrong size")
-    theta_values = array("d")
-    theta_values.frombytes(floats[: 8 * count])
-    theta_radii = array("d")
-    theta_radii.frombytes(floats[8 * count :])
-    if struct.pack("<H", 1) != struct.pack("=H", 1):
-        theta_values.byteswap()
-        theta_radii.byteswap()
-    return PrimeTable(limit=limit, primes=primes, theta_values=theta_values, theta_radii=theta_radii)
+    if len(body) != 8 * count:
+        raise ValueError(f"prime cache body holds {len(body)} bytes; {count} primes need {8 * count}")
+    primes = np.frombuffer(body, dtype="<i8")
+    if count == 0 or primes[0] != 2:
+        raise ValueError("prime cache does not start at the prime 2")
+    if not np.all(primes[1:] > primes[:-1]):
+        raise ValueError("prime cache primes do not strictly increase")
+    if int(primes[-1]) > limit:
+        raise ValueError(f"prime cache holds prime {primes[-1]} above its limit {limit}")
+    return PrimeTable(limit=limit, primes=array("q", primes.astype(np.int64).tobytes()))
 
 
 def inspect_cache(path: str | os.PathLike) -> dict:
+    from .series import prefix_sums  # series builds on this module
+
     table = load_table(path)
+    _, theta, _ = next(prefix_sums(table, (), (table.count,)))
     return {
         "path": os.fspath(path),
         "limit": table.limit,
         "count": table.count,
-        "largest_prime": table.primes[-1] if table.count else None,
-        "theta_at_limit": table.theta_values[-1] if table.count else None,
-        "theta_radius_at_limit": table.theta_radii[-1] if table.count else None,
+        "largest_prime": table.primes[-1],
+        "theta_at_limit": theta.value,
+        "theta_radius_at_limit": theta.radius,
     }

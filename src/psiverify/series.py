@@ -1,9 +1,9 @@
 """Prefix sums over the primes, and the per-primorial data built on them.
 
 Every real-valued quantity the package checks at a primorial
-N_n = p_1 ... p_n is a function of theta(p_n) = log N_n (from the prime
-table) and of a few prefix sums, each a compensated sum of the terms
-log1p(num/den(p)) named in :data:`TERMS`:
+N_n = p_1 ... p_n is a function of theta(p_n) = log N_n and of a few prefix
+sums, each a compensated sum of the terms log1p(num/den(p)) named in
+:data:`TERMS`:
 
     plus = sum log1p( 1/p )          psi(N_n)/N_n and R
     inv  = sum log1p(-1/(p+1))       g  (1/(1+1/p) = 1 - 1/(p+1))
@@ -11,9 +11,11 @@ log1p(num/den(p)) named in :data:`TERMS`:
     sq   = sum log1p(-1/p^2)         the zeta(2) tail
 
 :func:`prefix_sums` is the one pass that computes them: it runs one
-accumulator per requested kind over p_1, p_2, ... and yields certified
-totals only at the indices it is asked for.  The primorial points below and
-the bounds module consume it:
+accumulator for theta, whose term is log p charged 2 ulp, and one per
+requested kind over p_1, p_2, ... and yields certified totals only at the
+indices it is asked for.  The prime table holds primes only, so theta has
+no other source.  The primorial points below and the bounds module consume
+the pass:
 
     psi(N_n)/N_n       = exp(plus)
     R(N_n)             = psi(N_n)/N_n / log log N_n
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import ulp
+from math import log, ulp
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, RangeError
@@ -74,15 +76,18 @@ TERMS: dict[str, tuple[int, Callable[[int], int]]] = {
 
 def prefix_sums(
     table: PrimeTable, kinds: Sequence[str], at: Iterable[int]
-) -> Iterator[tuple[int, list[CertifiedValue]]]:
-    """Yield ``(n, totals)`` at each index n of the ascending ``at``.
+) -> Iterator[tuple[int, CertifiedValue, list[CertifiedValue]]]:
+    """Yield ``(n, theta, totals)`` at each index n of the ascending ``at``.
 
-    ``totals[i]`` encloses the sum over p_1 .. p_n of the ``kinds[i]`` term.
+    ``theta`` encloses theta(p_n) = log p_1 + ... + log p_n, each log charged
+    2 ulp for the libm call.  ``totals[i]`` encloses the sum over
+    p_1 .. p_n of the ``kinds[i]`` term.
     A term is the ball of log1p over num/den(p) with 1 ulp charged for the
     correctly rounded division, the same value and radius as
     ``cv_log1p(cv_from_ratio(num, den(p)))``, so totals do not depend on
     which kinds share the pass or at which indices it stops.
     """
+    theta = CertifiedAccumulator()
     work = [(CertifiedAccumulator(), *TERMS[kind]) for kind in kinds]
     primes = iter(table.primes)
     done = 0
@@ -90,11 +95,13 @@ def prefix_sums(
         if not done <= n <= table.count:
             raise RangeError(f"prefix_sums: index {n} outside [{done}, {table.count}]")
         for p in islice(primes, n - done):
+            lp = log(p)
+            theta.add(lp, 2.0 * ulp(lp))
             for acc, num, den in work:
                 x = num / den(p)
                 acc.add(*log1p_ball(x, ulp(x)))
         done = n
-        yield n, [acc.total() for acc, _, _ in work]
+        yield n, theta.total(), [acc.total() for acc, _, _ in work]
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,11 +127,10 @@ def _criterion(scale: CertifiedValue, loglog: CertifiedValue, log_product: Certi
 
 def points_at(table: PrimeTable, indices: Iterable[int]) -> Iterator[PrimorialPoint]:
     """Yield PrimorialPoints at the ascending ``indices`` (each >= 2)."""
-    for n, (plus, inv) in prefix_sums(table, ("plus", "inv"), indices):
+    for n, theta, (plus, inv) in prefix_sums(table, ("plus", "inv"), indices):
         if n < 2:
             raise RangeError(f"points_at: primorial points start at n = 2, got {n}")
         p = table.nth_prime(n)
-        theta = table.theta_at_index(n)
         psi_over_n = cv_exp(plus)
         loglog = cv_log(theta)
         ratio = cv_div(psi_over_n, loglog)
@@ -153,8 +159,8 @@ def _criterion_at(table: PrimeTable, x: int, kind: str, scale: CertifiedValue) -
         raise DomainError(
             f"criterion functions need x >= {MIN_CRITERION_X} so that log theta(x) > 0, got x={x}"
         )
-    _, (log_product,) = next(prefix_sums(table, (kind,), (table.prime_count(x),)))
-    return _criterion(scale, cv_log(table.theta(x)), log_product)
+    _, theta, (log_product,) = next(prefix_sums(table, (kind,), (table.prime_count(x),)))
+    return _criterion(scale, cv_log(theta), log_product)
 
 
 def criterion_g(table: PrimeTable, x: int) -> CertifiedValue:

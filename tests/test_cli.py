@@ -8,6 +8,8 @@ import json
 import struct
 import zlib
 
+import pytest
+
 from psiverify.cli import CSV_COLUMNS, main
 
 
@@ -171,21 +173,86 @@ def test_cache_commands(capsys, tmp_path, monkeypatch):
     assert code == 2
 
 
+def _cache_blob(version: int, limit: int, count: int, body: bytes) -> bytes:
+    header = struct.pack("<4sHHQQ", b"PSIV", version, 0, limit, count)
+    return header + body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_cache_with_truncated_gaps_rebuilds_or_exits_2(capsys, tmp_path):
-    # valid header and CRC, but the body ends inside the first prime gap
-    body = b"\x82" * 5
-    blob = struct.pack("<4sHHQQ", b"PSIV", 1, 0, 10**6, 168) + body + struct.pack("<I", zlib.crc32(body))
+    # valid header and CRC, but the body ends inside the first prime
     cache = tmp_path / "primes.ptab"
-    cache.write_bytes(blob)
+    cache.write_bytes(_cache_blob(2, 10**6, 168, b"\x02" * 5))
     code, _, err = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
     assert code == 2
-    assert "truncated" in err
+    assert "168 primes need 1344" in err
     code, out, _ = run_cli(capsys, "scan", "lower", "--n-max", "10", "--cache-dir", str(tmp_path))
     assert code == 0
     assert len(list(csv.DictReader(io.StringIO(out)))) == 8
     code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
     assert code == 0  # the scan rebuilt the cache
     assert json.loads(out)["largest_prime"] > 29
+
+
+def test_cache_version_1_rebuilds_or_exits_2(capsys, tmp_path):
+    # the previous format: varint gaps of the primes to 10, then theta floats
+    (tmp_path / "primes.ptab").write_bytes(_cache_blob(1, 10, 4, bytes([2, 1, 2, 2]) + bytes(64)))
+    code, _, err = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "psiverify: error: unsupported prime cache version 1" in err
+    code, out, _ = run_cli(capsys, "scan", "lower", "--n-max", "10", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 8
+    code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["limit"] >= 20011
+
+
+def test_stale_temp_directory_does_not_block_the_cache(capsys, tmp_path):
+    # a directory where an older writer put its fixed temporary file
+    (tmp_path / "primes.ptab.tmp").mkdir()
+    code, out, err = run_cli(capsys, "scan", "lower", "--n-max", "50", "--cache-dir", str(tmp_path))
+    assert code == 0, err
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 48
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["primes.ptab", "primes.ptab.tmp"]
+    code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "20000",
+          "--dense-until", "10", "--ratio", "inf"], None),
+        (["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "200", "--ratio", "nan"], None),
+        (["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "200", "--ratio", "0"], None),
+        (["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "200", "--ratio", "-1.5"], None),
+        (["verify", "champions", "--workers", "0"], None),
+        (["verify", "champions", "--workers", "-2"], None),
+        (["verify", "champions"], {"n_max": [1]}),
+        (["verify", "champions"], {"champion_limit": 1000.5}),
+        (["scan", "lower"], {"n_max": "200"}),
+        (["scan", "lower", "--n-max", "10"], {"cache_dir": 5}),
+    ],
+    ids=[
+        "ratio-inf", "ratio-nan", "ratio-zero", "ratio-negative", "workers-0", "workers-negative",
+        "config-n_max-list", "config-champion_limit-float", "config-n_max-string", "config-cache_dir-int",
+    ],
+)
+def test_malformed_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, config):
+    monkeypatch.delenv("PSIVERIFY_CONFIG", raising=False)
+    monkeypatch.delenv("PSIVERIFY_CACHE_DIR", raising=False)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag at parse time
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "psiverify: error:" in err
+    assert "Traceback" not in err
 
 
 def test_cache_requires_directory(capsys, monkeypatch):

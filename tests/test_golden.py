@@ -2,7 +2,11 @@
 
 Each case in ``golden/manifest.json`` is one CLI command; ``OUT`` in its
 argv is replaced by a temporary path whose contents must equal the golden
-file byte for byte.  The goldens were written before the prime-sum pass was
+file byte for byte.  ``CACHE`` is replaced by an empty per-case cache
+directory, and such a case runs twice: cold, when the command sieves and
+writes the cache, then warm, when it loads it.  Both runs must produce the
+golden bytes, which were written without a cache.  A case's ``id`` names it
+when its golden file is shared with another case.  The goldens were written before the prime-sum pass was
 unified, so any refactor of the numeric paths must keep every byte.  Floats
 go through the platform libm, so the files pin binary64 behaviour of the
 machine they were made on (x86-64 Linux, CPython 3.11).
@@ -16,17 +20,25 @@ from pathlib import Path
 import pytest
 
 from psiverify.cli import main
+from psiverify.primes import CACHE_FILENAME
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["golden"] for c in CASES])
+@pytest.mark.parametrize("case", CASES, ids=[c.get("id", c["golden"]) for c in CASES])
 def test_golden_bytes(case, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("PSIVERIFY_CACHE_DIR", raising=False)
     monkeypatch.delenv("PSIVERIFY_CONFIG", raising=False)
     out = tmp_path / case["golden"]
-    code = main([str(out) if a == "OUT" else a for a in case["argv"]])
-    capsys.readouterr()
-    assert code == case["exit"]
-    assert out.read_bytes() == (GOLDEN / case["golden"]).read_bytes()
+    cache = tmp_path / "cache"
+    places = {"OUT": str(out), "CACHE": str(cache)}
+    argv = [places.get(a, a) for a in case["argv"]]
+    for run in ("cold", "warm") if "CACHE" in case["argv"] else ("uncached",):
+        if run == "warm":
+            assert (cache / CACHE_FILENAME).is_file()
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        capsys.readouterr()
+        assert code == case["exit"], run
+        assert out.read_bytes() == (GOLDEN / case["golden"]).read_bytes(), run

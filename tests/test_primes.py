@@ -1,8 +1,9 @@
-"""Sieve correctness, theta certification, and the cache format."""
+"""Sieve correctness, theta from the prefix pass, and the cache format."""
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 
@@ -13,6 +14,7 @@ from psiverify.arith import primorial
 from psiverify.errors import RangeError, ResourceError
 from psiverify.numerics import cv_log_int
 from psiverify.primes import build_table, inspect_cache, load_table, save_table
+from psiverify.series import prefix_sums
 
 
 def trial_is_prime(n: int) -> bool:
@@ -54,20 +56,26 @@ def test_nth_prime_2263_is_first_at_20000(table):
         assert not trial_is_prime(m)
 
 
+def theta_at(table, x: int):
+    """Certified theta(x), the sum of log p over primes p <= x, from the prefix pass."""
+    _, theta, _ = next(prefix_sums(table, (), (table.prime_count(x),)))
+    return theta
+
+
 def test_theta_examples():
     t = build_table(30)
-    th2 = t.theta(2)
+    th2 = theta_at(t, 2)
     assert abs(th2.value - math.log(2)) <= th2.radius + 1e-15
-    th7 = t.theta(7)
+    th7 = theta_at(t, 7)
     # log(210) = 5.34710753..., oracle: sum of four logs at 100 digits
     with mp.workdps(100):
         oracle = mp.fsum(mp.log(p) for p in (2, 3, 5, 7))
         assert mp.mpf(th7.value) - th7.radius <= oracle <= mp.mpf(th7.value) + th7.radius
     assert abs(th7.value - 5.347107530717469) < 1e-12
     # no prime in (7, 10]
-    assert t.theta(10).value == th7.value
+    assert theta_at(t, 10).value == th7.value
     # ten logs: 22.59039453011566 (high-precision summation oracle)
-    th30 = t.theta(30)
+    th30 = theta_at(t, 30)
     with mp.workdps(100):
         oracle = mp.fsum(mp.log(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
         assert mp.mpf(th30.value) - th30.radius <= oracle <= mp.mpf(th30.value) + th30.radius
@@ -76,17 +84,21 @@ def test_theta_examples():
 
 def test_theta_range_errors():
     t = build_table(100)
+    # a pass past the last prime, a point beyond the limit, a descending index
     with pytest.raises(RangeError):
-        t.theta(1)
+        next(prefix_sums(t, (), (t.count + 1,)))
     with pytest.raises(RangeError):
-        t.theta(101)
+        theta_at(t, 101)
+    with pytest.raises(RangeError):
+        list(prefix_sums(t, (), (5, 4)))
 
 
 def test_theta_recurrence():
     t = build_table(2000)
-    prev = t.theta(2)
+    thetas = [theta for _, theta, _ in prefix_sums(t, (), range(1, t.count + 1))]
+    prev = thetas[0]
     for x in range(3, 2001):
-        cur = t.theta(x)
+        cur = thetas[t.prime_count(x) - 1]
         if t.is_prime(x):
             expected = prev.value + math.log(x)
             assert abs(cur.value - expected) <= prev.radius + cur.radius + 4 * math.ulp(expected)
@@ -96,14 +108,14 @@ def test_theta_recurrence():
 
 
 def test_theta_prefix_strictly_increasing(table):
-    vals = table.theta_values
+    vals = [theta.value for _, theta, _ in prefix_sums(table, (), range(1, table.count + 1))]
+    assert len(vals) == table.count
     assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
 
 
 def test_theta_matches_exact_primorial_logs(table):
     # theta(p_n) = log N_n as real numbers; exact-integer logs for n <= 15
-    for n in range(1, 16):
-        th = table.theta_at_index(n)
+    for n, th, _ in prefix_sums(table, (), range(1, 16)):
         ln = cv_log_int(primorial(n, table))
         assert abs(th.value - ln.value) <= th.radius + ln.radius
 
@@ -120,8 +132,6 @@ def test_segment_size_does_not_change_anything():
     for seg in (1 << 12, 1 << 14, 1 << 18):
         other = build_table(50000, segment_size=seg)
         assert other.primes == base.primes
-        assert other.theta_values == base.theta_values
-        assert other.theta_radii == base.theta_radii
 
 
 def test_build_guards():
@@ -143,11 +153,11 @@ def test_cache_roundtrip(tmp_path):
     loaded = load_table(path)
     assert loaded.limit == t.limit
     assert loaded.primes == t.primes
-    assert loaded.theta_values == t.theta_values
-    assert loaded.theta_radii == t.theta_radii
     info = inspect_cache(path)
     assert info["count"] == t.count
     assert info["largest_prime"] == t.primes[-1]
+    theta = theta_at(t, t.limit)
+    assert (info["theta_at_limit"], info["theta_radius_at_limit"]) == (theta.value, theta.radius)
 
 
 def test_cache_reuse_and_invalidation(tmp_path):
@@ -197,23 +207,29 @@ def test_cache_file_is_little_endian_layout(tmp_path):
     save_table(t, path)
     blob = path.read_bytes()
     magic, version, _, limit, count = struct.unpack_from("<4sHHQQ", blob, 0)
-    assert magic == b"PSIV" and version == 1
+    assert magic == b"PSIV" and version == 2
     assert limit == 100 and count == 25
-    # first varint gap is 2 (0 -> 2), second is 1 (2 -> 3)
-    assert blob[24] == 2 and blob[25] == 1
+    # the primes follow the 24-byte header as int64, then the 4-byte CRC
+    assert len(blob) == 24 + 8 * 25 + 4
+    assert struct.unpack_from("<qq", blob, 24) == (2, 3)
+    assert struct.unpack_from("<q", blob, 24 + 8 * 24) == (97,)
 
 
 def _cache_blob(limit: int, count: int, body: bytes) -> bytes:
     """A cache file with a well-formed header and a valid CRC over ``body``."""
-    header = struct.pack("<4sHHQQ", b"PSIV", 1, 0, limit, count)
+    header = struct.pack("<4sHHQQ", b"PSIV", 2, 0, limit, count)
     return header + body + struct.pack("<I", zlib.crc32(body))
+
+
+def _primes_body(*primes: int) -> bytes:
+    return struct.pack(f"<{len(primes)}q", *primes)
 
 
 def test_cache_rejects_truncated_gaps_and_primes_above_limit(tmp_path):
     path = tmp_path / "primes.ptab"
-    # 168 primes announced, but the body ends inside the first varint
-    path.write_bytes(_cache_blob(1000, 168, b"\x82" * 5))
-    with pytest.raises(ValueError, match="truncated"):
+    # 168 primes announced, but the body ends inside the first prime
+    path.write_bytes(_cache_blob(1000, 168, b"\x02" * 5))
+    with pytest.raises(ValueError, match="168 primes need 1344"):
         load_table(path)
     # a well-formed table of the primes to 1000 whose header claims limit 100
     save_table(build_table(1000), path)
@@ -221,3 +237,34 @@ def test_cache_rejects_truncated_gaps_and_primes_above_limit(tmp_path):
     path.write_bytes(_cache_blob(100, 168, blob[struct.calcsize("<4sHHQQ") : -4]))
     with pytest.raises(ValueError, match="above its limit"):
         load_table(path)
+
+
+@pytest.mark.parametrize(
+    "count,body,message",
+    [
+        (4, _primes_body(2, 3, 5, 7) + b"\0", "primes need 32"),
+        (5, _primes_body(2, 3, 5, 7), "primes need 40"),
+        (0, b"", "start at the prime 2"),
+        (3, _primes_body(3, 5, 7), "start at the prime 2"),
+        (5, _primes_body(2, 3, 5, 5, 7), "strictly increase"),
+        (4, _primes_body(2, 5, 3, 7), "strictly increase"),
+        (4, _primes_body(2, 3, 5, 31), "above its limit"),
+    ],
+    ids=["padded", "short", "empty", "no-2", "repeated", "descending", "above-limit"],
+)
+def test_cache_rejects_malformed_prime_blocks(tmp_path, count, body, message):
+    # every file here has a valid CRC and limit 30, so only the structure checks can catch it
+    path = tmp_path / "primes.ptab"
+    path.write_bytes(_cache_blob(30, count, body))
+    with pytest.raises(ValueError, match=message):
+        load_table(path)
+
+
+def test_save_table_leaves_no_temp_file_when_the_write_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_table(build_table(100), tmp_path / "primes.ptab")
+    assert list(tmp_path.iterdir()) == []

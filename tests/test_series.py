@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import pytest
 
@@ -30,19 +32,27 @@ from psiverify.series import criterion_f, criterion_g, prefix_sums, stream_point
     ],
 )
 def test_prefix_pass_bit_identical_to_certified_value_chain(table, kind, num, den):
-    # reference: each term built as CertifiedValues and fed to an accumulator
+    # reference: each term built as CertifiedValues and fed to an accumulator;
+    # theta's term is log p charged 2 ulp, as the prime table once stored it
     count = 10**4
     acc = CertifiedAccumulator()
+    theta_acc = CertifiedAccumulator()
     expected = []
+    expected_theta = []
     for p in table.primes[:count]:
         t = cv_log1p(cv_from_ratio(num, den(p)))
         acc.add(t.value, t.radius)
         expected.append(acc.total())
-    got = [sums[0] for _, sums in prefix_sums(table, (kind,), range(1, count + 1))]
-    assert [(t.value, t.radius) for t in got] == [(t.value, t.radius) for t in expected]
+        lp = math.log(p)
+        theta_acc.add(lp, 2.0 * math.ulp(lp))
+        expected_theta.append(theta_acc.total())
+    got = list(prefix_sums(table, (kind,), range(1, count + 1)))
+    assert [(s[0].value, s[0].radius) for _, _, s in got] == [(t.value, t.radius) for t in expected]
+    assert [(th.value, th.radius) for _, th, _ in got] == [(t.value, t.radius) for t in expected_theta]
     # sharing the pass with other kinds, or stopping sparsely, changes nothing
-    (_, shared), = prefix_sums(table, ("sq", kind, "plus"), (count,))
+    (_, theta, shared), = prefix_sums(table, ("sq", kind, "plus"), (count,))
     assert (shared[1].value, shared[1].radius) == (expected[-1].value, expected[-1].radius)
+    assert (theta.value, theta.radius) == (expected_theta[-1].value, expected_theta[-1].radius)
 
 
 def test_point_n2():
@@ -159,6 +169,8 @@ def test_stream_range_errors(table):
 
 
 def test_theta_field_matches_table(table):
+    # a point's theta is the pass's theta at n, whichever kinds share the pass
+    thetas = {n: th for n, th, _ in prefix_sums(table, (), range(2, 21))}
     for point in stream_points(table, 20):
-        th = table.theta_at_index(point.n)
+        th = thetas[point.n]
         assert point.theta.value == th.value and point.theta.radius == th.radius
