@@ -2,9 +2,10 @@
 
 Each claim runs as an independent job against a shared immutable prime table
 and returns a :class:`ClaimResult` that serializes to JSON.  Results are a
-pure function of (table, config): sampling is seeded, scan strides are fixed
-by configuration, and floats serialize as shortest round-trip decimals, so
-reports are byte-identical regardless of how many workers run the claims.
+pure function of (table, config): sampling is seeded, the proof's seams, the
+checkpoints and the scan strides are module constants, and floats serialize
+as shortest round-trip decimals, so reports are byte-identical from run to
+run.  ``run_claims`` runs the claims one after another, in claim-table order.
 
 One table maps each claim id to its description and runner; ``run_claims``
 and the CLI take ids, descriptions and report order from it.  The ids:
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -74,42 +74,40 @@ __all__ = [
 ]
 
 
+# Fixed by the proof, not by the run: ``upper`` (a) is exhaustive up to
+# N_4 = 210, and (b) walks the primorials until (c), the threshold at
+# p_n >= 20000, takes over.
+UPPER_SMALL_STOP = 210
+UPPER_PRIMORIAL_STOP = FIRST_INDEX_AT_20000 - 1
+# ``reduction`` checks the block [N_n, N_{n+1}) whole for n <= 5, by samples for 5 < n <= 8
+REDUCTION_EXHAUSTIVE_MAX = 5
+REDUCTION_SAMPLED_MAX = 8
+CHECKPOINTS = (10, 100, 1000, 10**4, 10**5)  # where lower and mertens-trend report margins
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Depths and determinism knobs for the claim registry."""
+    """The settings of one verify run: depths, sampling, seed, escalation."""
 
     champion_limit: int = 10**6
     n_max: int = 10**5
-    upper_small_stop: int = 210
-    upper_primorial_stop: int = 2262
-    reduction_exhaustive_max: int = 5
-    reduction_sampled_max: int = 8
     reduction_samples: int = 2000
     seed: int = 1018
-    checkpoints: tuple[int, ...] = (10, 100, 1000, 10**4, 10**5)
-    stride_dense_until: int = 10**4
-    stride_ratio: float = 1.01
     escalate: bool = True
 
-    def stride(self) -> StridePolicy:
-        return StridePolicy(self.stride_dense_until, self.stride_ratio)
-
     def live_checkpoints(self) -> tuple[int, ...]:
-        return tuple(c for c in self.checkpoints if c <= self.n_max)
+        return tuple(c for c in CHECKPOINTS if c <= self.n_max)
 
     def to_dict(self) -> dict:
+        """The run's settings and the fixed ones it ran with."""
         return {
-            "champion_limit": self.champion_limit,
-            "n_max": self.n_max,
-            "upper_small_stop": self.upper_small_stop,
-            "upper_primorial_stop": self.upper_primorial_stop,
-            "reduction_exhaustive_max": self.reduction_exhaustive_max,
-            "reduction_sampled_max": self.reduction_sampled_max,
-            "reduction_samples": self.reduction_samples,
-            "seed": self.seed,
+            **asdict(self),
+            "upper_small_stop": UPPER_SMALL_STOP,
+            "upper_primorial_stop": UPPER_PRIMORIAL_STOP,
+            "reduction_exhaustive_max": REDUCTION_EXHAUSTIVE_MAX,
+            "reduction_sampled_max": REDUCTION_SAMPLED_MAX,
             "checkpoints": list(self.live_checkpoints()),
-            "stride": {"dense_until": self.stride_dense_until, "ratio": self.stride_ratio},
-            "escalate": self.escalate,
+            "stride": asdict(StridePolicy()),
         }
 
 
@@ -216,7 +214,7 @@ def reduction_check(
     samples: int | None = None,
     *,
     table: PrimeTable | None = None,
-    seed: int = 1018,
+    seed: int = VerifyConfig.seed,
 ) -> ClaimResult:
     """Check R(m) <= R(N_n) for m in [N_n, N_{n+1}), exactly.
 
@@ -261,15 +259,15 @@ def _reduction_claim(table: PrimeTable, config: VerifyConfig) -> ClaimResult:
     blocks = []
     bad: list[int] = []
     checked = 0
-    for idx in range(2, config.reduction_sampled_max + 1):
-        samples = None if idx <= config.reduction_exhaustive_max else config.reduction_samples
+    for idx in range(2, REDUCTION_SAMPLED_MAX + 1):
+        samples = None if idx <= REDUCTION_EXHAUSTIVE_MAX else config.reduction_samples
         sub = reduction_check(idx, samples, table=table, seed=config.seed + idx)
         blocks.append(sub.to_dict())
         bad.extend(sub.counterexamples)
         checked += sub.covered["checked"]
     return ClaimResult(
         claim_id="reduction",
-        covered={"n_index": [2, config.reduction_sampled_max], "checked": checked},
+        covered={"n_index": [2, REDUCTION_SAMPLED_MAX], "checked": checked},
         counterexamples=bad,
         details={"blocks": blocks},
     )
@@ -280,7 +278,7 @@ def _reduction_claim(table: PrimeTable, config: VerifyConfig) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-def verify_upper(table: PrimeTable, config: VerifyConfig | None = None) -> ClaimResult:
+def verify_upper(table: PrimeTable) -> ClaimResult:
     """Three-part upper-bound verification mirroring the proof structure.
 
     (a) exhaustive certified R(n) < e^gamma on 31..210 (plus the witness
@@ -289,15 +287,13 @@ def verify_upper(table: PrimeTable, config: VerifyConfig | None = None) -> Claim
     (c) the threshold condition at index 2263 plus certified monotonicity
         steps, which covers every n >= 2263.
     """
-    config = config or VerifyConfig()
-
     # (a) exhaustive small range, certified; witnesses below 31
     a_bad: list[int] = []
     witnesses: list[int] = []
     for n in range(3, 31):
         if compare(robin_ratio(n), E_GAMMA, ">=").status is VerdictStatus.HOLDS:
             witnesses.append(n)
-    for n in range(31, config.upper_small_stop + 1):
+    for n in range(31, UPPER_SMALL_STOP + 1):
         if compare(robin_ratio(n), E_GAMMA, "<").status is not VerdictStatus.HOLDS:
             a_bad.append(n)
 
@@ -305,7 +301,7 @@ def verify_upper(table: PrimeTable, config: VerifyConfig | None = None) -> Claim
     b_bad: list[int] = []
     worst_slack = math.inf
     worst_at = None
-    for point in points_at(table, range(4, config.upper_primorial_stop + 1)):
+    for point in points_at(table, range(4, UPPER_PRIMORIAL_STOP + 1)):
         verdict = compare(point.ratio, E_GAMMA, "<")
         if verdict.status is not VerdictStatus.HOLDS:
             b_bad.append(point.n)
@@ -321,7 +317,7 @@ def verify_upper(table: PrimeTable, config: VerifyConfig | None = None) -> Claim
     first = threshold_condition(table, FIRST_INDEX_AT_20000)
     if first.verdict.status is not VerdictStatus.HOLDS:
         c_bad.append(FIRST_INDEX_AT_20000)
-    monotone_at = [n for n in (2263, 2500, 5000, 10**4) if n + 1 <= table.count]
+    monotone_at = [n for n in (FIRST_INDEX_AT_20000, 2500, 5000, 10**4) if n + 1 <= table.count]
     for n in monotone_at:
         if threshold_monotone_step(table, n).status is not VerdictStatus.HOLDS:
             c_bad.append(n)
@@ -330,8 +326,8 @@ def verify_upper(table: PrimeTable, config: VerifyConfig | None = None) -> Claim
     return ClaimResult(
         claim_id="upper",
         covered={
-            "a_small": [31, config.upper_small_stop],
-            "b_primorial_index": [4, config.upper_primorial_stop],
+            "a_small": [31, UPPER_SMALL_STOP],
+            "b_primorial_index": [4, UPPER_PRIMORIAL_STOP],
             "c_threshold_from": FIRST_INDEX_AT_20000,
         },
         counterexamples=bad,
@@ -371,7 +367,7 @@ def verify_lower(
     table: PrimeTable,
     n_max: int,
     *,
-    checkpoints: tuple[int, ...] = (10, 100, 1000, 10**4, 10**5),
+    checkpoints: tuple[int, ...] = CHECKPOINTS,
     escalate: bool = True,
 ) -> ClaimResult:
     """Certified scan of R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max.
@@ -383,7 +379,6 @@ def verify_lower(
     """
     if n_max < LOWER.start:
         raise RangeError(f"verify_lower: n_max must be >= {LOWER.start}, got {n_max}")
-    live = tuple(c for c in checkpoints if c <= n_max)
     bad: list[int] = []
     escalated: list[int] = []
     dual_mismatch: list[int] = []
@@ -408,7 +403,7 @@ def verify_lower(
         if slack < min_margin:
             min_margin = slack
             min_at = point.n
-        if point.n in live:
+        if point.n in checkpoints:
             margins[point.n] = verdict.margin
     margin_pairs, trend_bad = _checkpoint_trend(margins)
     return ClaimResult(
@@ -428,7 +423,7 @@ def verify_lower(
 
 def mertens_limit_trend(
     table: PrimeTable,
-    checkpoints: tuple[int, ...] = (10, 100, 1000, 10**4, 10**5),
+    checkpoints: tuple[int, ...] = CHECKPOINTS,
 ) -> ClaimResult:
     """Margins R(N_n) - e^gamma/zeta(2) at ascending geometric checkpoints.
 
@@ -463,7 +458,7 @@ def mertens_limit_trend(
 def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str) -> ClaimResult:
     start = BOUNDS[name].start
     stop = min(config.n_max, table.count)
-    scan = scan_bound(table, name, start, stop, policy=config.stride(), escalate=config.escalate)
+    scan = scan_bound(table, name, start, stop, escalate=config.escalate)
     return ClaimResult(
         claim_id=name,
         covered={"n": [start, stop], "points_checked": scan.points_checked},
@@ -494,13 +489,11 @@ _CLAIMS: dict[str, tuple[str, Callable[[PrimeTable, VerifyConfig], ClaimResult]]
     "reduction": ("R(m) <= R(N_n) for N_n <= m < N_{n+1} (exact)", _reduction_claim),
     "upper": (
         "R(n) < e^gamma for n > 30 (three-part certified argument)",
-        lambda table, config: verify_upper(table, config),
+        lambda table, config: verify_upper(table),
     ),
     "lower": (
         "R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)",
-        lambda table, config: verify_lower(
-            table, min(config.n_max, table.count), checkpoints=config.checkpoints, escalate=config.escalate
-        ),
+        lambda table, config: verify_lower(table, min(config.n_max, table.count), escalate=config.escalate),
     ),
     "mertens-trend": (
         "margin to e^gamma/zeta(2) positive and decreasing at checkpoints",
@@ -527,36 +520,20 @@ def claim_description(claim_id: str) -> str:
     return _CLAIMS[claim_id][0]
 
 
-def run_claims(
-    claim_ids: list[str] | None,
-    table: PrimeTable,
-    config: VerifyConfig | None = None,
-    *,
-    workers: int = 1,
-) -> dict:
+def run_claims(claim_ids: list[str] | None, table: PrimeTable, config: VerifyConfig | None = None) -> dict:
     """Run claims (default: all) and assemble the deterministic report.
 
-    Claims are independent jobs; worker count affects wall time only, never
-    the report bytes.  Results are keyed in claim-table order.
+    The claims run one after another in claim-table order, each once, and
+    are reported in that order.
     """
     config = config or VerifyConfig()
-    ids = list(CLAIM_IDS) if claim_ids is None else list(claim_ids)
+    ids = CLAIM_IDS if claim_ids is None else claim_ids
     for cid in ids:
         if cid not in _CLAIMS:
             raise UnknownClaimError(f"unknown claim {cid!r}; known: {', '.join(CLAIM_IDS)}")
-
-    def run(cid: str) -> ClaimResult:
-        return _CLAIMS[cid][1](table, config)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, ids))
-    else:
-        results = [run(cid) for cid in ids]
-    by_id = dict(zip(ids, results))
-    ordered = [cid for cid in CLAIM_IDS if cid in by_id]
+    results = {cid: runner(table, config) for cid, (_, runner) in _CLAIMS.items() if cid in ids}
     return {
         "config": config.to_dict(),
-        "claims": {cid: by_id[cid].to_dict() for cid in ordered},
-        "all_hold": all(by_id[cid].holds for cid in ordered),
+        "claims": {cid: result.to_dict() for cid, result in results.items()},
+        "all_hold": all(result.holds for result in results.values()),
     }

@@ -9,10 +9,14 @@ Exit codes are a stable contract for CI:
 Settings resolve as flags > environment > config file > defaults.  The
 environment knows ``PSIVERIFY_CACHE_DIR`` (prime-table cache directory) and
 ``PSIVERIFY_CONFIG`` (path to a JSON config file with keys ``cache_dir``,
-``n_max``, ``champion_limit``, ``format``).  Malformed numbers are usage
-errors: a ``--ratio`` that is not a finite number > 0, a ``--workers``
-below 1, or a config value of the wrong type exits 2 with a
-``psiverify: error:`` message.
+``n_max``, ``champion_limit``, ``format``); the defaults are those of
+``VerifyConfig`` and ``StridePolicy``.  Malformed settings are usage errors
+and exit 2 with a ``psiverify: error:`` message: a ``--ratio`` that is not a
+finite number > 0, a ``--dense-until`` below 0, a ``--samples`` or
+``--workers`` below 1, a config value of the wrong type, or a config
+``format`` that the subcommand's ``--format`` does not offer.
+
+``verify`` runs its claims one after another; ``--workers`` has no effect yet.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ __all__ = ["main"]
 
 _ENV_CACHE = "PSIVERIFY_CACHE_DIR"
 _ENV_CONFIG = "PSIVERIFY_CONFIG"
+
+COMPUTE_FORMATS = ("table", "json")
+SCAN_FORMATS = ("csv", "json")
 
 CSV_COLUMNS = [
     "n",
@@ -83,6 +90,13 @@ def _setting(flag_value, file_cfg: dict, key: str, env_key: str | None, default,
     return file_cfg[key]
 
 
+def _format(args, file_cfg: dict, formats: tuple[str, ...]) -> str:
+    fmt = _setting(args.format, file_cfg, "format", None, formats[0])
+    if fmt not in formats:
+        raise PsiverifyError(f"config key 'format' must be one of {', '.join(formats)}, got {fmt!r}")
+    return fmt
+
+
 def _cache_dir(args, file_cfg: dict) -> str | None:
     return _setting(getattr(args, "cache_dir", None), file_cfg, "cache_dir", _ENV_CACHE, None)
 
@@ -106,6 +120,7 @@ def _json_dumps(payload) -> str:
 
 def _cmd_compute(args, file_cfg: dict) -> int:
     n = args.n
+    fmt = _format(args, file_cfg, COMPUTE_FORMATS)
     fz = factorize(n)
     record = {
         "n": n,
@@ -119,7 +134,6 @@ def _cmd_compute(args, file_cfg: dict) -> int:
         record["R"] = {"value": r.value, "radius": r.radius}
     else:
         record["R"] = None
-    fmt = _setting(args.format, file_cfg, "format", None, "table")
     if fmt == "json":
         _emit(_json_dumps(record), args.output)
     else:
@@ -167,13 +181,13 @@ def _point_rows(table, n_start: int, n_max: int):
 def _cmd_scan(args, file_cfg: dict) -> int:
     cache = _cache_dir(args, file_cfg)
     if args.kind in ("points", "lower"):
-        n_max = _setting(args.n_max, file_cfg, "n_max", None, 10**5, int)
+        n_max = _setting(args.n_max, file_cfg, "n_max", None, VerifyConfig.n_max, int)
+        fmt = _format(args, file_cfg, SCAN_FORMATS)
         n_start = 3 if args.kind == "lower" else 2
         if n_max < n_start:
             raise PsiverifyError(f"scan {args.kind}: n-max must be >= {n_start} (n starts at {n_start})")
         table = build_table(required_table_limit(n_max), cache_dir=cache)
         rows = list(_point_rows(table, n_start, n_max))
-        fmt = _setting(args.format, file_cfg, "format", None, "csv")
         if fmt == "json":
             _emit(_json_dumps(rows), args.output)
         else:
@@ -186,15 +200,10 @@ def _cmd_scan(args, file_cfg: dict) -> int:
         bad = [r for r in rows if r["verdict"] not in ("", "holds")]
         return 1 if bad else 0
 
-    # bound scan
-    name = args.name
-    if name not in BOUND_NAMES:
-        raise UnknownClaimError(f"unknown bound {name!r}; known: {', '.join(BOUND_NAMES)}")
-    start = args.start
-    stop = args.stop
-    table = build_table(required_table_limit(stop), cache_dir=cache)
+    # bound scan; scan_bound checks the name and the range
+    table = build_table(required_table_limit(args.stop), cache_dir=cache)
     policy = StridePolicy(args.dense_until, args.ratio)
-    scan = scan_bound(table, name, start, stop, policy=policy, escalate=not args.no_escalate)
+    scan = scan_bound(table, args.name, args.start, args.stop, policy=policy, escalate=not args.no_escalate)
     _emit(_json_dumps(scan.to_dict()), args.output)
     return 0 if scan.all_hold else 1
 
@@ -213,17 +222,18 @@ def _cmd_verify(args, file_cfg: dict) -> int:
                 f"unknown claim(s) {', '.join(unknown)}; registry: {', '.join(CLAIM_IDS)}"
             )
     config = VerifyConfig(
-        champion_limit=_setting(args.champion_limit, file_cfg, "champion_limit", None, 10**6, int),
-        n_max=_setting(args.n_max, file_cfg, "n_max", None, 10**5, int),
+        champion_limit=_setting(
+            args.champion_limit, file_cfg, "champion_limit", None, VerifyConfig.champion_limit, int
+        ),
+        n_max=_setting(args.n_max, file_cfg, "n_max", None, VerifyConfig.n_max, int),
         reduction_samples=args.samples,
         seed=args.seed,
         escalate=not args.no_escalate,
     )
     table = build_default_table(config, cache_dir=_cache_dir(args, file_cfg))
-    report = run_claims(ids, table, config, workers=args.workers)
+    report = run_claims(ids, table, config)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(_json_dumps(report))
+        _emit(_json_dumps(report), args.json)
     width = max(len(c) for c in report["claims"])
     lines = []
     for cid, res in report["claims"].items():
@@ -304,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="psi/phi/sigma/R and factorization of one integer")
     p.add_argument("n", type=int)
-    p.add_argument("--format", choices=["table", "json"], default=None)
+    p.add_argument("--format", choices=COMPUTE_FORMATS, default=None)
     p.add_argument("--output")
 
     p = sub.add_parser("scan", help="stream primorial points or scan an analytic bound")
@@ -313,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for k in ("points", "lower"):
         q = kind.add_parser(k, help=f"primorial stream ({k})")
         q.add_argument("--n-max", dest="n_max", type=int, default=None)
-        q.add_argument("--format", choices=["csv", "json"], default=None)
+        q.add_argument("--format", choices=SCAN_FORMATS, default=None)
         q.add_argument("--output")
         q.add_argument("--cache-dir", dest="cache_dir")
 
@@ -321,9 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--name", required=True, help=f"one of: {', '.join(BOUND_NAMES)}")
     q.add_argument("--from", dest="start", type=int, required=True)
     q.add_argument("--to", dest="stop", type=int, required=True)
-    q.add_argument("--dense-until", dest="dense_until", type=int, default=10**4)
+    natural = _number(int, lambda d: d >= 0, "an integer >= 0")
+    q.add_argument("--dense-until", dest="dense_until", type=natural, default=StridePolicy.dense_until)
     positive_ratio = _number(float, lambda r: math.isfinite(r) and r > 0, "a finite number > 0")
-    q.add_argument("--ratio", type=positive_ratio, default=1.01)
+    q.add_argument("--ratio", type=positive_ratio, default=StridePolicy.ratio)
     q.add_argument("--no-escalate", action="store_true")
     q.add_argument("--output")
     q.add_argument("--cache-dir", dest="cache_dir")
@@ -332,9 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("claims", nargs="*", help=f"claims to run (default all): {', '.join(CLAIM_IDS)}")
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--champion-limit", dest="champion_limit", type=int, default=None)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=1018)
-    p.add_argument("--workers", type=_number(int, lambda w: w >= 1, "an integer >= 1"), default=1)
+    positive = _number(int, lambda v: v >= 1, "an integer >= 1")
+    p.add_argument("--samples", type=positive, default=VerifyConfig.reduction_samples)
+    p.add_argument("--seed", type=int, default=VerifyConfig.seed)
+    p.add_argument("--workers", type=positive, default=1, help="no effect yet: claims run serially")
     p.add_argument("--no-escalate", action="store_true")
     p.add_argument("--json", help="write the full JSON report here")
     p.add_argument("--output")

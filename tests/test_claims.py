@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from psiverify.arith import primorial
+from psiverify.bounds import FIRST_INDEX_AT_20000
 from psiverify.claims import (
     CLAIM_IDS,
+    UPPER_PRIMORIAL_STOP,
+    UPPER_SMALL_STOP,
     ClaimResult,
     VerifyConfig,
     champion_scan,
@@ -195,7 +200,7 @@ def test_run_claims_unknown_id(table):
 
 
 def test_run_claims_subset_and_json(table):
-    config = VerifyConfig(champion_limit=10**4, n_max=500, checkpoints=(10, 100))
+    config = VerifyConfig(champion_limit=10**4, n_max=500)
     report = run_claims(["champions", "mertens-trend", "zeta-tail"], table, config)
     assert report["all_hold"]
     assert list(report["claims"]) == ["champions", "mertens-trend", "zeta-tail"]
@@ -203,16 +208,36 @@ def test_run_claims_subset_and_json(table):
 
 
 def test_run_claims_worker_count_invariance(table):
-    config = VerifyConfig(
-        champion_limit=10**4,
-        n_max=3000,
-        reduction_samples=200,
-        checkpoints=(10, 100, 1000),
-    )
-    r1 = run_claims(None, table, config, workers=1)
-    r3 = run_claims(None, table, config, workers=3)
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
+    config = VerifyConfig(champion_limit=10**4, n_max=3000, reduction_samples=200)
+    r1 = run_claims(None, table, config)
+    r2 = run_claims(None, table, config)
+    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     assert r1["all_hold"]
+
+
+def test_upper_seams_follow_the_proof():
+    # (a) ends at N_4 = 210; (b) hands over to (c) at the first index with p_n >= 20000
+    assert UPPER_SMALL_STOP == primorial(4)
+    assert UPPER_PRIMORIAL_STOP + 1 == FIRST_INDEX_AT_20000
+
+
+def test_verify_config_has_five_settings_and_reports_the_fixed_ones():
+    assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
+        "champion_limit", "n_max", "reduction_samples", "seed", "escalate",
+    ]
+    assert VerifyConfig(n_max=500).to_dict() == {
+        "champion_limit": 10**6,
+        "n_max": 500,
+        "upper_small_stop": 210,
+        "upper_primorial_stop": 2262,
+        "reduction_exhaustive_max": 5,
+        "reduction_sampled_max": 8,
+        "reduction_samples": 2000,
+        "seed": 1018,
+        "checkpoints": [10, 100],
+        "stride": {"dense_until": 10**4, "ratio": 1.01},
+        "escalate": True,
+    }
 
 
 def test_required_table_limit_covers_nth_prime(table):

@@ -232,10 +232,18 @@ def test_stale_temp_directory_does_not_block_the_cache(capsys, tmp_path):
         (["verify", "champions"], {"champion_limit": 1000.5}),
         (["scan", "lower"], {"n_max": "200"}),
         (["scan", "lower", "--n-max", "10"], {"cache_dir": 5}),
+        (["scan", "lower", "--n-max", "5"], {"format": "xml"}),
+        (["scan", "points", "--n-max", "5"], {"format": "table"}),
+        (["compute", "30"], {"format": "xml"}),
+        (["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "50", "--dense-until", "-5"], None),
+        (["verify", "reduction", "--samples", "-3"], None),
+        (["verify", "reduction", "--samples", "0"], None),
     ],
     ids=[
         "ratio-inf", "ratio-nan", "ratio-zero", "ratio-negative", "workers-0", "workers-negative",
         "config-n_max-list", "config-champion_limit-float", "config-n_max-string", "config-cache_dir-int",
+        "config-format-scan-lower", "config-format-scan-points", "config-format-compute",
+        "dense_until-negative", "samples-negative", "samples-0",
     ],
 )
 def test_malformed_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, config):
@@ -253,6 +261,48 @@ def test_malformed_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, config):
     assert code == 2
     assert "psiverify: error:" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def first_ball_comparison_inconclusive(monkeypatch):
+    """Make the first ball comparison of bounds and claims INCONCLUSIVE, as a thin margin would."""
+    import psiverify.bounds as bounds_mod
+    import psiverify.claims as claims_mod
+    from psiverify.numerics import Verdict, VerdictStatus
+
+    real_compare = bounds_mod.compare
+    state = {"first": True}
+
+    def flaky_compare(lhs, rhs, claim):
+        v = real_compare(lhs, rhs, claim)
+        if state["first"] and lhs.radius > 1e-20:
+            state["first"] = False
+            return Verdict(VerdictStatus.INCONCLUSIVE, v.margin)
+        return v
+
+    monkeypatch.setattr(bounds_mod, "compare", flaky_compare)
+    monkeypatch.setattr(claims_mod, "compare", flaky_compare)
+
+
+@pytest.mark.parametrize("no_escalate,code", [(True, 1), (False, 0)], ids=["no-escalate", "escalate"])
+def test_scan_bounds_no_escalate_leaves_the_point_inconclusive(
+    capsys, first_ball_comparison_inconclusive, no_escalate, code
+):
+    argv = ["scan", "bounds", "--name", "zeta-tail", "--from", "25", "--to", "25"]
+    got, out, err = run_cli(capsys, *argv, *(["--no-escalate"] if no_escalate else []))
+    assert got == code, err
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts == {"holds": int(not no_escalate), "inconclusive": int(no_escalate), "fails": 0}
+
+
+def test_verify_no_escalate_fails_on_an_inconclusive_point(capsys, tmp_path, first_ball_comparison_inconclusive):
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "lower", "--n-max", "50", "--no-escalate", "--json", str(report))
+    assert code == 1
+    rep = json.loads(report.read_text())
+    assert rep["config"]["escalate"] is False
+    assert 3 in rep["claims"]["lower"]["counterexamples"]
+    assert rep["claims"]["lower"]["details"]["escalated_at"] == []
 
 
 def test_cache_requires_directory(capsys, monkeypatch):
