@@ -48,12 +48,14 @@ from .bounds import (
 from .errors import RangeError, UnknownClaimError
 from .numerics import (
     E_GAMMA,
-    E_GAMMA_OVER_ZETA2,
     CertifiedValue,
     VerdictStatus,
+    ball_endpoints,
+    ball_status,
     certified,
     compare,
     cv_div,
+    sub_ball,
 )
 from .primes import PrimeTable, build_table
 from .series import points_at
@@ -63,6 +65,7 @@ __all__ = [
     "VerifyConfig",
     "CLAIM_IDS",
     "claim_description",
+    "check_claim_ids",
     "required_table_limit",
     "build_default_table",
     "champion_scan",
@@ -297,15 +300,16 @@ def verify_upper(table: PrimeTable) -> ClaimResult:
         if compare(robin_ratio(n), E_GAMMA, "<").status is not VerdictStatus.HOLDS:
             a_bad.append(n)
 
-    # (b) primorial scan 4..2262
+    # (b) primorial scan 4..2262, decided on the points' pairs
     b_bad: list[int] = []
     worst_slack = math.inf
     worst_at = None
+    e_gamma = E_GAMMA.ball
     for point in points_at(table, range(4, UPPER_PRIMORIAL_STOP + 1)):
-        verdict = compare(point.ratio, E_GAMMA, "<")
-        if verdict.status is not VerdictStatus.HOLDS:
+        margin = sub_ball(*point.ratio_ball, *e_gamma)
+        if ball_status(*margin, "<") is not VerdictStatus.HOLDS:
             b_bad.append(point.n)
-        slack = -verdict.margin.hi
+        slack = -ball_endpoints(*margin)[1]
         if slack < worst_slack:
             worst_slack = slack
             worst_at = point.n
@@ -386,30 +390,35 @@ def verify_lower(
     min_margin = math.inf
     min_at = None
     one = certified(1.0)
+    holds = VerdictStatus.HOLDS
     for point in points_at(table, range(LOWER.start, n_max + 1)):
-        verdict = compare(point.ratio, E_GAMMA_OVER_ZETA2, ">")
-        dual = compare(point.g, one, "<")
-        if escalate and not (verdict.holds and dual.holds):
-            escalated.append(point.n)
-            ratio, limit = _interval_sides(table, "lower", point.n)
-            verdict = compare(ratio, limit, ">")
-            # g(p_n) = (e^gamma/zeta(2)) / R(N_n) exactly
-            dual = compare(cv_div(limit, ratio), one, "<")
-        if verdict.status is not VerdictStatus.HOLDS:
-            bad.append(point.n)
-        if dual.status is not verdict.status:
-            dual_mismatch.append(point.n)
-        slack = verdict.margin.lo
+        # margin R(N_n) - e^gamma/zeta(2) must be > 0, and g(p_n) - 1 < 0
+        n, margin = point.n, point.margin_ball
+        status = ball_status(*margin, ">")
+        dual = ball_status(*sub_ball(*point.g_ball, 1.0, 0.0), "<")
+        if status is not holds or dual is not holds:
+            if escalate:
+                escalated.append(n)
+                ratio, limit = _interval_sides(table, "lower", n)
+                verdict = compare(ratio, limit, ">")
+                # g(p_n) = (e^gamma/zeta(2)) / R(N_n) exactly
+                dual = compare(cv_div(limit, ratio), one, "<").status
+                status, margin = verdict.status, verdict.margin.ball
+            if status is not holds:
+                bad.append(n)
+            if dual is not status:
+                dual_mismatch.append(n)
+        slack = ball_endpoints(*margin)[0]
         if slack < min_margin:
             min_margin = slack
-            min_at = point.n
-        if point.n in checkpoints:
-            margins[point.n] = verdict.margin
+            min_at = n
+        if n in checkpoints:
+            margins[n] = CertifiedValue(*margin)
     margin_pairs, trend_bad = _checkpoint_trend(margins)
     return ClaimResult(
         claim_id="lower",
         covered={"n": [LOWER.start, n_max]},
-        counterexamples=bad + trend_bad + dual_mismatch,
+        counterexamples=sorted(set(bad + trend_bad + dual_mismatch)),
         details={
             "checkpoint_margins": margin_pairs,
             "margins_decreasing": not trend_bad,
@@ -437,9 +446,8 @@ def mertens_limit_trend(
     margins: dict[int, CertifiedValue] = {}
     bad: list[int] = []
     for point in points_at(table, live):
-        verdict = compare(point.ratio, E_GAMMA_OVER_ZETA2, ">")
-        margins[point.n] = verdict.margin
-        if verdict.status is not VerdictStatus.HOLDS:
+        margins[point.n] = point.margin_lower
+        if ball_status(*point.margin_ball, ">") is not VerdictStatus.HOLDS:
             bad.append(point.n)
     margin_pairs, trend_bad = _checkpoint_trend(margins)
     return ClaimResult(
@@ -520,6 +528,13 @@ def claim_description(claim_id: str) -> str:
     return _CLAIMS[claim_id][0]
 
 
+def check_claim_ids(claim_ids) -> None:
+    """Raise UnknownClaimError naming every id that is not in the claim table."""
+    unknown = [cid for cid in claim_ids if cid not in _CLAIMS]
+    if unknown:
+        raise UnknownClaimError(f"unknown claim(s) {', '.join(unknown)}; registry: {', '.join(CLAIM_IDS)}")
+
+
 def run_claims(claim_ids: list[str] | None, table: PrimeTable, config: VerifyConfig | None = None) -> dict:
     """Run claims (default: all) and assemble the deterministic report.
 
@@ -528,9 +543,7 @@ def run_claims(claim_ids: list[str] | None, table: PrimeTable, config: VerifyCon
     """
     config = config or VerifyConfig()
     ids = CLAIM_IDS if claim_ids is None else claim_ids
-    for cid in ids:
-        if cid not in _CLAIMS:
-            raise UnknownClaimError(f"unknown claim {cid!r}; known: {', '.join(CLAIM_IDS)}")
+    check_claim_ids(ids)
     results = {cid: runner(table, config) for cid, (_, runner) in _CLAIMS.items() if cid in ids}
     return {
         "config": config.to_dict(),

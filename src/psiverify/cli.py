@@ -36,12 +36,13 @@ from .claims import (
     CLAIM_IDS,
     VerifyConfig,
     build_default_table,
+    check_claim_ids,
     claim_description,
     required_table_limit,
     run_claims,
 )
-from .errors import PsiverifyError, UnknownClaimError
-from .numerics import E_GAMMA_OVER_ZETA2, compare, cv_log
+from .errors import PsiverifyError
+from .numerics import ball_status
 from .primes import CACHE_FILENAME, build_table, inspect_cache
 from .series import points_at
 
@@ -159,22 +160,20 @@ def _cmd_compute(args, file_cfg: dict) -> int:
 
 
 def _point_rows(table, n_start: int, n_max: int):
+    # rows read the points' (value, radius) pairs; the verdict is R > e^gamma/zeta(2)
     for point in points_at(table, range(n_start, n_max + 1)):
-        log_theta = cv_log(point.theta)
-        verdict = ""
-        if point.n >= 3:
-            verdict = compare(point.ratio, E_GAMMA_OVER_ZETA2, ">").status.value
+        g_value, g_radius = point.g_ball or (None, None)
         yield {
             "n": point.n,
             "p_n": point.p,
-            "theta": point.theta.value,
-            "log_theta": log_theta.value,
-            "R_value": point.ratio.value,
-            "R_radius": point.ratio.radius,
-            "g_value": point.g.value if point.g is not None else None,
-            "g_radius": point.g.radius if point.g is not None else None,
-            "margin_lower": point.margin_lower.value,
-            "verdict": verdict,
+            "theta": point.theta_ball[0],
+            "log_theta": point.log_theta_ball[0],
+            "R_value": point.ratio_ball[0],
+            "R_radius": point.ratio_ball[1],
+            "g_value": g_value,
+            "g_radius": g_radius,
+            "margin_lower": point.margin_ball[0],
+            "verdict": ball_status(*point.margin_ball, ">").value if point.n >= 3 else "",
         }
 
 
@@ -216,11 +215,7 @@ def _cmd_scan(args, file_cfg: dict) -> int:
 def _cmd_verify(args, file_cfg: dict) -> int:
     ids = args.claims or None
     if ids:
-        unknown = [c for c in ids if c not in CLAIM_IDS]
-        if unknown:
-            raise UnknownClaimError(
-                f"unknown claim(s) {', '.join(unknown)}; registry: {', '.join(CLAIM_IDS)}"
-            )
+        check_claim_ids(ids)  # before the sieve
     config = VerifyConfig(
         champion_limit=_setting(
             args.champion_limit, file_cfg, "champion_limit", None, VerifyConfig.champion_limit, int

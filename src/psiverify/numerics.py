@@ -1,9 +1,22 @@
 """Ball arithmetic: a float value paired with a rigorous absolute-error radius.
 
-Every real-valued quantity in this package travels as a :class:`CertifiedValue`
-``(value, radius)`` meaning the exact real lies in ``[value - radius,
+A ball ``(value, radius)`` means the exact real lies in ``[value - radius,
 value + radius]``.  All operations return enclosures: if the inputs' intervals
 contain their exact reals, so does the output's.
+
+Each operation is written once, as a float kernel on plain ``(value, radius)``
+pairs: :func:`add_ball`, :func:`sub_ball`, :func:`mul_ball`,
+:func:`div_ball`, :func:`log_ball`, :func:`log1p_ball`, :func:`exp_ball`,
+and :meth:`CertifiedAccumulator.total_ball` for a running sum.  A kernel is
+the only home of its value formula, its radius formula and its domain guard
+(it raises :class:`DomainError`), and it checks its own output as
+:class:`CertifiedValue` does: a finite value and a finite radius >= 0.
+:func:`ball_endpoints` and :func:`ball_status` are the float core of
+:func:`compare`.  Hot loops chain the kernels directly; the ``cv_*``
+functions, the :class:`CertifiedValue` operators and :func:`compare` wrap
+the same kernels in :class:`CertifiedValue` and :class:`Verdict` objects
+for the values a report or a caller reads, so all give the same balls bit
+for bit.
 
 Rigor assumptions, stated once and stress-tested in the suite:
 
@@ -14,7 +27,8 @@ Rigor assumptions, stated once and stress-tested in the suite:
 
 Radius bookkeeping itself runs in floating point, so every derived radius is
 inflated by a small factor that dominates the accumulated rounding of the
-bookkeeping operations.
+bookkeeping operations.  These assumptions are the same for the kernels and
+for their object wrappers: the wrappers add no arithmetic.
 """
 
 from __future__ import annotations
@@ -26,10 +40,20 @@ from enum import Enum
 from .errors import DomainError
 
 __all__ = [
+    "Ball",
     "CertifiedValue",
     "Verdict",
     "VerdictStatus",
     "CertifiedAccumulator",
+    "add_ball",
+    "sub_ball",
+    "mul_ball",
+    "div_ball",
+    "log_ball",
+    "log1p_ball",
+    "exp_ball",
+    "ball_endpoints",
+    "ball_status",
     "certified",
     "cv_from_int",
     "cv_from_ratio",
@@ -40,7 +64,6 @@ __all__ = [
     "cv_div",
     "cv_log",
     "cv_log1p",
-    "log1p_ball",
     "cv_exp",
     "cv_log_int",
     "compare",
@@ -57,6 +80,21 @@ _INFLATE = 1.0 + 2.0 ** -44
 # Covers up to ~2^33 radius additions inside an accumulator.
 _INFLATE_ACC = 1.0 + 2.0 ** -20
 
+Ball = tuple[float, float]  # (value, radius)
+
+
+def _invalid(value: float, radius: float) -> DomainError:
+    """The error for a ball whose value is not finite or whose radius is not finite and >= 0.
+
+    Each kernel and :class:`CertifiedValue` test a ball with
+    ``math.isfinite(v) and 0.0 <= r < math.inf`` (nan fails every
+    comparison).  The test is written out in each of them, not called,
+    because a call costs about as much as the arithmetic it checks.
+    """
+    if not math.isfinite(value):
+        return DomainError(f"certified value must be finite, got {value!r}")
+    return DomainError(f"radius must be finite and >= 0, got {radius!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class CertifiedValue:
@@ -70,45 +108,49 @@ class CertifiedValue:
     radius: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"certified value must be finite, got {self.value!r}")
-        if not (self.radius >= 0.0 and math.isfinite(self.radius)):
-            raise DomainError(f"radius must be finite and >= 0, got {self.radius!r}")
+        if not (math.isfinite(self.value) and 0.0 <= self.radius < math.inf):
+            raise _invalid(self.value, self.radius)
+
+    @property
+    def ball(self) -> Ball:
+        return self.value, self.radius
 
     @property
     def lo(self) -> float:
         """Rigorous lower endpoint (rounded outward when inexact)."""
-        if self.radius == 0.0:
-            return self.value
-        return math.nextafter(self.value - self.radius, -math.inf)
+        return ball_endpoints(self.value, self.radius)[0]
 
     @property
     def hi(self) -> float:
         """Rigorous upper endpoint (rounded outward when inexact)."""
-        if self.radius == 0.0:
-            return self.value
-        return math.nextafter(self.value + self.radius, math.inf)
+        return ball_endpoints(self.value, self.radius)[1]
 
     def __repr__(self) -> str:  # keep reports readable
         return f"CertifiedValue({self.value!r}, r={self.radius:.3e})"
 
-    # Operators are the cv_* functions, so a formula written with them gives
-    # the same balls, bit for bit, as the nested calls; the bounds write each
-    # formula once for balls and for mpmath intervals this way.
+    # Operators wrap the kernels as the cv_* functions do, so a formula written
+    # with them gives the same balls, bit for bit, as the nested calls; the
+    # bounds write each formula once for balls and for mpmath intervals this
+    # way.  They call the kernels directly: the bound scans run them per point.
     def __add__(self, other) -> CertifiedValue:
-        return cv_add(self, _as_ball(other))
+        o = _as_ball(other)
+        return CertifiedValue(*add_ball(self.value, self.radius, o.value, o.radius))
 
     def __radd__(self, other) -> CertifiedValue:
-        return cv_add(_as_ball(other), self)
+        o = _as_ball(other)
+        return CertifiedValue(*add_ball(o.value, o.radius, self.value, self.radius))
 
     def __mul__(self, other) -> CertifiedValue:
-        return cv_mul(self, _as_ball(other))
+        o = _as_ball(other)
+        return CertifiedValue(*mul_ball(self.value, self.radius, o.value, o.radius))
 
     def __truediv__(self, other) -> CertifiedValue:
-        return cv_div(self, _as_ball(other))
+        o = _as_ball(other)
+        return CertifiedValue(*div_ball(self.value, self.radius, o.value, o.radius))
 
     def __rtruediv__(self, other) -> CertifiedValue:
-        return cv_div(_as_ball(other), self)
+        o = _as_ball(other)
+        return CertifiedValue(*div_ball(o.value, o.radius, self.value, self.radius))
 
     def __neg__(self) -> CertifiedValue:
         return cv_neg(self)
@@ -176,14 +218,124 @@ def _parse_constant(literal: str) -> CertifiedValue:
     return CertifiedValue(v, math.ulp(v))
 
 
-def cv_add(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    v = a.value + b.value
+# --- float kernels: each formula and guard is written here once -------------
+
+
+def add_ball(av: float, ar: float, bv: float, br: float) -> Ball:
+    v = av + bv
     if not math.isfinite(v):
-        raise DomainError("cv_add: overflow")
+        raise DomainError("add/sub: overflow")
     # a float sum that lands exactly on 0 incurred no rounding (IEEE-754)
     rounding = 2.0 * math.ulp(v) if v != 0.0 else 0.0
-    r = (a.radius + b.radius + rounding) * _INFLATE
-    return CertifiedValue(v, r)
+    r = (ar + br + rounding) * _INFLATE
+    if not (math.isfinite(v) and 0.0 <= r < math.inf):
+        raise _invalid(v, r)
+    return v, r
+
+
+def sub_ball(av: float, ar: float, bv: float, br: float) -> Ball:
+    # IEEE-754 defines a - b as a + (-b), rounding included
+    return add_ball(av, ar, -bv, br)
+
+
+def mul_ball(av: float, ar: float, bv: float, br: float) -> Ball:
+    v = av * bv
+    if not math.isfinite(v):
+        raise DomainError("mul: overflow")
+    r = (abs(av) * br + abs(bv) * ar + ar * br + 2.0 * math.ulp(v)) * _INFLATE
+    if not (math.isfinite(v) and 0.0 <= r < math.inf):
+        raise _invalid(v, r)
+    return v, r
+
+
+def div_ball(av: float, ar: float, bv: float, br: float) -> Ball:
+    b_lo = abs(bv) - br
+    den = b_lo * abs(bv)
+    # den > 0 iff b_lo > 0, unless the product underflows to 0
+    if not den > 0.0:
+        raise DomainError("div: divisor interval contains zero or lies too close to it")
+    v = av / bv
+    # |x/y - xv/yv| = |x*yv - xv*y| / (|y| |yv|) <= (rx|yv| + |xv|ry) / (b_lo |yv|)
+    r = ((ar * abs(bv) + abs(av) * br) / den + 2.0 * math.ulp(v)) * _INFLATE
+    if not (math.isfinite(v) and 0.0 <= r < math.inf):
+        raise _invalid(v, r)
+    return v, r
+
+
+def log_ball(value: float, radius: float) -> Ball:
+    lo = value - radius
+    if lo <= 0.0:
+        raise DomainError("log: interval must be entirely positive")
+    v = math.log(value)
+    # Lipschitz constant of log on [lo, hi] is 1/lo.
+    r = (radius / lo + 2.0 * math.ulp(v)) * _INFLATE
+    if not (math.isfinite(v) and 0.0 <= r < math.inf):
+        raise _invalid(v, r)
+    return v, r
+
+
+def log1p_ball(value: float, radius: float) -> Ball:
+    lo = value - radius
+    if lo <= -1.0:
+        raise DomainError("log1p: interval must stay above -1")
+    v = math.log1p(value)
+    r = (radius / (1.0 + lo) + 2.0 * math.ulp(v)) * _INFLATE
+    if not (math.isfinite(v) and 0.0 <= r < math.inf):
+        raise _invalid(v, r)
+    return v, r
+
+
+def exp_ball(value: float, radius: float) -> Ball:
+    hi = value + radius
+    if hi > 700.0:
+        raise DomainError("exp: argument too large for binary64")
+    v = math.exp(value)
+    # Lipschitz constant of exp on [lo, hi] is exp(hi).
+    r = (math.exp(hi) * radius + 2.0 * math.ulp(v)) * _INFLATE
+    if not (math.isfinite(v) and 0.0 <= r < math.inf):
+        raise _invalid(v, r)
+    return v, r
+
+
+def ball_endpoints(value: float, radius: float) -> tuple[float, float]:
+    """Rigorous ``(lo, hi)`` of a ball, rounded outward when inexact."""
+    if radius == 0.0:
+        return value, value
+    return math.nextafter(value - radius, -math.inf), math.nextafter(value + radius, math.inf)
+
+
+def ball_status(value: float, radius: float, claim: str) -> VerdictStatus:
+    """Certified status of ``x CLAIM 0`` for every x in the ball ``(value, radius)``.
+
+    ``claim`` is one of ``"<"``, ``"<="``, ``">"``, ``">="``.  HOLDS/FAILS
+    are decided only from the outward-rounded endpoints, so a ball that
+    straddles 0 is INCONCLUSIVE.
+    """
+    lo, hi = ball_endpoints(value, radius)
+    if claim == "<":
+        if hi < 0.0:
+            return VerdictStatus.HOLDS
+        return VerdictStatus.FAILS if lo >= 0.0 else VerdictStatus.INCONCLUSIVE
+    if claim == "<=":
+        if hi <= 0.0:
+            return VerdictStatus.HOLDS
+        return VerdictStatus.FAILS if lo > 0.0 else VerdictStatus.INCONCLUSIVE
+    if claim == ">":
+        if lo > 0.0:
+            return VerdictStatus.HOLDS
+        return VerdictStatus.FAILS if hi <= 0.0 else VerdictStatus.INCONCLUSIVE
+    if claim == ">=":
+        if lo >= 0.0:
+            return VerdictStatus.HOLDS
+        return VerdictStatus.FAILS if hi < 0.0 else VerdictStatus.INCONCLUSIVE
+    raise ValueError(f"unknown claim orientation {claim!r}")
+
+
+# --- CertifiedValue wrappers over the kernels ---------------------------------
+
+
+def cv_add(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
+    return CertifiedValue(*add_ball(a.value, a.radius, b.value, b.radius))
 
 
 def cv_neg(a: CertifiedValue) -> CertifiedValue:
@@ -191,61 +343,19 @@ def cv_neg(a: CertifiedValue) -> CertifiedValue:
 
 
 def cv_sub(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    v = a.value - b.value
-    if not math.isfinite(v):
-        raise DomainError("cv_sub: overflow")
-    rounding = 2.0 * math.ulp(v) if v != 0.0 else 0.0
-    r = (a.radius + b.radius + rounding) * _INFLATE
-    return CertifiedValue(v, r)
+    return CertifiedValue(*sub_ball(a.value, a.radius, b.value, b.radius))
 
 
 def cv_mul(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    v = a.value * b.value
-    if not math.isfinite(v):
-        raise DomainError("cv_mul: overflow")
-    r = (
-        abs(a.value) * b.radius
-        + abs(b.value) * a.radius
-        + a.radius * b.radius
-        + 2.0 * math.ulp(v)
-    ) * _INFLATE
-    return CertifiedValue(v, r)
+    return CertifiedValue(*mul_ball(a.value, a.radius, b.value, b.radius))
 
 
 def cv_div(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    b_lo = abs(b.value) - b.radius
-    if b_lo <= 0.0:
-        raise DomainError("cv_div: divisor interval contains zero")
-    v = a.value / b.value
-    # |x/y - xv/yv| = |x*yv - xv*y| / (|y| |yv|) <= (rx|yv| + |xv|ry) / (b_lo |yv|)
-    r = (
-        (a.radius * abs(b.value) + abs(a.value) * b.radius) / (b_lo * abs(b.value))
-        + 2.0 * math.ulp(v)
-    ) * _INFLATE
-    return CertifiedValue(v, r)
+    return CertifiedValue(*div_ball(a.value, a.radius, b.value, b.radius))
 
 
 def cv_log(a: CertifiedValue) -> CertifiedValue:
-    lo = a.value - a.radius
-    if lo <= 0.0:
-        raise DomainError("cv_log: interval must be entirely positive")
-    v = math.log(a.value)
-    # Lipschitz constant of log on [lo, hi] is 1/lo.
-    r = (a.radius / lo + 2.0 * math.ulp(v)) * _INFLATE
-    return CertifiedValue(v, r)
-
-
-def log1p_ball(value: float, radius: float) -> tuple[float, float]:
-    """``(value, radius)`` of log1p over the ball, as plain floats.
-
-    The float-level core of :func:`cv_log1p`, for hot loops that feed an
-    accumulator and never need the intermediate :class:`CertifiedValue`.
-    """
-    lo = value - radius
-    if lo <= -1.0:
-        raise DomainError("cv_log1p: interval must stay above -1")
-    v = math.log1p(value)
-    return v, (radius / (1.0 + lo) + 2.0 * math.ulp(v)) * _INFLATE
+    return CertifiedValue(*log_ball(a.value, a.radius))
 
 
 def cv_log1p(a: CertifiedValue) -> CertifiedValue:
@@ -253,13 +363,7 @@ def cv_log1p(a: CertifiedValue) -> CertifiedValue:
 
 
 def cv_exp(a: CertifiedValue) -> CertifiedValue:
-    hi = a.value + a.radius
-    if hi > 700.0:
-        raise DomainError("cv_exp: argument too large for binary64")
-    v = math.exp(a.value)
-    # Lipschitz constant of exp on [lo, hi] is exp(hi).
-    r = (math.exp(hi) * a.radius + 2.0 * math.ulp(v)) * _INFLATE
-    return CertifiedValue(v, r)
+    return CertifiedValue(*exp_ball(a.value, a.radius))
 
 
 def cv_log_int(n: int) -> CertifiedValue:
@@ -288,42 +392,11 @@ def compare(lhs: CertifiedValue, rhs: CertifiedValue, claim: str) -> Verdict:
     """Certified three-way comparison of two enclosures.
 
     ``claim`` is one of ``"<"``, ``"<="``, ``">"``, ``">="`` read as
-    ``lhs CLAIM rhs``.  HOLDS/FAILS are decided only from the outward-rounded
-    endpoints of ``lhs - rhs``, so overlapping intervals are INCONCLUSIVE.
+    ``lhs CLAIM rhs``: the :func:`ball_status` of ``lhs - rhs``, whose ball
+    is the verdict's margin.
     """
-    margin = cv_sub(lhs, rhs)
-    lo, hi = margin.lo, margin.hi
-    if claim == "<":
-        if hi < 0.0:
-            status = VerdictStatus.HOLDS
-        elif lo >= 0.0:
-            status = VerdictStatus.FAILS
-        else:
-            status = VerdictStatus.INCONCLUSIVE
-    elif claim == "<=":
-        if hi <= 0.0:
-            status = VerdictStatus.HOLDS
-        elif lo > 0.0:
-            status = VerdictStatus.FAILS
-        else:
-            status = VerdictStatus.INCONCLUSIVE
-    elif claim == ">":
-        if lo > 0.0:
-            status = VerdictStatus.HOLDS
-        elif hi <= 0.0:
-            status = VerdictStatus.FAILS
-        else:
-            status = VerdictStatus.INCONCLUSIVE
-    elif claim == ">=":
-        if lo >= 0.0:
-            status = VerdictStatus.HOLDS
-        elif hi < 0.0:
-            status = VerdictStatus.FAILS
-        else:
-            status = VerdictStatus.INCONCLUSIVE
-    else:
-        raise ValueError(f"unknown claim orientation {claim!r}")
-    return Verdict(status, margin)
+    margin = sub_ball(lhs.value, lhs.radius, rhs.value, rhs.radius)
+    return Verdict(ball_status(*margin, claim), CertifiedValue(*margin))
 
 
 class CertifiedAccumulator:
@@ -357,9 +430,15 @@ class CertifiedAccumulator:
         self._comp = c
         self.count += 1
 
-    def total(self) -> CertifiedValue:
+    def total_ball(self) -> Ball:
         v = self._sum + self._comp
-        return CertifiedValue(v, (self._radius + math.ulp(v)) * _INFLATE_ACC)
+        r = (self._radius + math.ulp(v)) * _INFLATE_ACC
+        if not (math.isfinite(v) and 0.0 <= r < math.inf):
+            raise _invalid(v, r)
+        return v, r
+
+    def total(self) -> CertifiedValue:
+        return CertifiedValue(*self.total_ball())
 
     def state(self) -> tuple[float, float, float, int]:
         return (self._sum, self._comp, self._radius, self.count)

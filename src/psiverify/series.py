@@ -15,7 +15,15 @@ accumulator for theta, whose term is log p charged 2 ulp, and one per
 requested kind over p_1, p_2, ... and yields certified totals only at the
 indices it is asked for.  The prime table holds primes only, so theta has
 no other source.  The primorial points below and the bounds module consume
-the pass:
+the pass.
+
+Inside the pass and the points, every quantity is a plain ``(value,
+radius)`` pair chained through the float kernels of ``numerics``; objects
+are built only at the edges.  :func:`prefix_sums` hands the bounds module
+:class:`CertifiedValue` totals, and a :class:`PrimorialPoint` carries its
+pairs and builds a :class:`CertifiedValue` only for a field that is read,
+so a scan that decides on the pairs builds none per point.  The points
+compose the pass's totals as
 
     psi(N_n)/N_n       = exp(plus)
     R(N_n)             = psi(N_n)/N_n / log log N_n
@@ -32,23 +40,23 @@ so both are restricted to x >= 5 and points leave g unset at n = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import log, ulp
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, RangeError
 from .numerics import (
     E_GAMMA,
     E_GAMMA_OVER_ZETA2,
+    Ball,
     CertifiedAccumulator,
     CertifiedValue,
-    cv_div,
-    cv_exp,
-    cv_log,
-    cv_mul,
-    cv_sub,
+    div_ball,
+    exp_ball,
     log1p_ball,
+    log_ball,
+    mul_ball,
+    sub_ball,
 )
 from .primes import PrimeTable
 
@@ -74,19 +82,10 @@ TERMS: dict[str, tuple[int, Callable[[int], int]]] = {
 }
 
 
-def prefix_sums(
+def _prefix_balls(
     table: PrimeTable, kinds: Sequence[str], at: Iterable[int]
-) -> Iterator[tuple[int, CertifiedValue, list[CertifiedValue]]]:
-    """Yield ``(n, theta, totals)`` at each index n of the ascending ``at``.
-
-    ``theta`` encloses theta(p_n) = log p_1 + ... + log p_n, each log charged
-    2 ulp for the libm call.  ``totals[i]`` encloses the sum over
-    p_1 .. p_n of the ``kinds[i]`` term.
-    A term is the ball of log1p over num/den(p) with 1 ulp charged for the
-    correctly rounded division, the same value and radius as
-    ``cv_log1p(cv_from_ratio(num, den(p)))``, so totals do not depend on
-    which kinds share the pass or at which indices it stops.
-    """
+) -> Iterator[tuple[int, Ball, list[Ball]]]:
+    """:func:`prefix_sums` with its totals as ``(value, radius)`` pairs."""
     theta = CertifiedAccumulator()
     work = [(CertifiedAccumulator(), *TERMS[kind]) for kind in kinds]
     primes = iter(table.primes)
@@ -101,48 +100,86 @@ def prefix_sums(
                 x = num / den(p)
                 acc.add(*log1p_ball(x, ulp(x)))
         done = n
-        yield n, theta.total(), [acc.total() for acc, _, _ in work]
+        yield n, theta.total_ball(), [acc.total_ball() for acc, _, _ in work]
 
 
-@dataclass(frozen=True, slots=True)
-class PrimorialPoint:
+def prefix_sums(
+    table: PrimeTable, kinds: Sequence[str], at: Iterable[int]
+) -> Iterator[tuple[int, CertifiedValue, list[CertifiedValue]]]:
+    """Yield ``(n, theta, totals)`` at each index n of the ascending ``at``.
+
+    ``theta`` encloses theta(p_n) = log p_1 + ... + log p_n, each log charged
+    2 ulp for the libm call.  ``totals[i]`` encloses the sum over
+    p_1 .. p_n of the ``kinds[i]`` term.
+    A term is the ball of log1p over num/den(p) with 1 ulp charged for the
+    correctly rounded division, the same value and radius as
+    ``cv_log1p(cv_from_ratio(num, den(p)))``, so totals do not depend on
+    which kinds share the pass or at which indices it stops.
+    """
+    for n, theta, totals in _prefix_balls(table, kinds, at):
+        yield n, CertifiedValue(*theta), [CertifiedValue(*t) for t in totals]
+
+
+class PrimorialPoint(NamedTuple):
     """Certified snapshot of the primorial of index n (n >= 2).
 
+    The ``*_ball`` fields are the ``(value, radius)`` pairs the pass
+    computes; ``log_theta_ball`` encloses log theta(p_n) = log log N_n, and
+    ``margin_ball`` encloses R(N_n) - e^gamma/zeta(2).  The
+    :class:`CertifiedValue` properties are built from them when read.
     ``g`` is None at n = 2 where p_n < 5 puts it outside the criterion
     function's domain.
     """
 
     n: int
     p: int
-    theta: CertifiedValue
-    psi_over_n: CertifiedValue
-    ratio: CertifiedValue
-    g: CertifiedValue | None
-    margin_lower: CertifiedValue
+    theta_ball: Ball
+    log_theta_ball: Ball
+    psi_over_n_ball: Ball
+    ratio_ball: Ball
+    g_ball: Ball | None
+    margin_ball: Ball
+
+    @property
+    def theta(self) -> CertifiedValue:
+        return CertifiedValue(*self.theta_ball)
+
+    @property
+    def psi_over_n(self) -> CertifiedValue:
+        return CertifiedValue(*self.psi_over_n_ball)
+
+    @property
+    def ratio(self) -> CertifiedValue:
+        return CertifiedValue(*self.ratio_ball)
+
+    @property
+    def g(self) -> CertifiedValue | None:
+        return None if self.g_ball is None else CertifiedValue(*self.g_ball)
+
+    @property
+    def margin_lower(self) -> CertifiedValue:
+        return CertifiedValue(*self.margin_ball)
 
 
-def _criterion(scale: CertifiedValue, loglog: CertifiedValue, log_product: CertifiedValue) -> CertifiedValue:
-    return cv_mul(cv_mul(scale, loglog), cv_exp(log_product))
+_LOWER_LIMIT = E_GAMMA_OVER_ZETA2.ball
+
+
+def _criterion(scale: Ball, loglog: Ball, log_product: Ball) -> Ball:
+    return mul_ball(*mul_ball(*scale, *loglog), *exp_ball(*log_product))
 
 
 def points_at(table: PrimeTable, indices: Iterable[int]) -> Iterator[PrimorialPoint]:
     """Yield PrimorialPoints at the ascending ``indices`` (each >= 2)."""
-    for n, theta, (plus, inv) in prefix_sums(table, ("plus", "inv"), indices):
+    primes, make = table.primes, PrimorialPoint._make
+    for n, theta, (plus, inv) in _prefix_balls(table, ("plus", "inv"), indices):
         if n < 2:
             raise RangeError(f"points_at: primorial points start at n = 2, got {n}")
-        p = table.nth_prime(n)
-        psi_over_n = cv_exp(plus)
-        loglog = cv_log(theta)
-        ratio = cv_div(psi_over_n, loglog)
-        yield PrimorialPoint(
-            n=n,
-            p=p,
-            theta=theta,
-            psi_over_n=psi_over_n,
-            ratio=ratio,
-            g=_criterion(E_GAMMA_OVER_ZETA2, loglog, inv) if p >= MIN_CRITERION_X else None,
-            margin_lower=cv_sub(ratio, E_GAMMA_OVER_ZETA2),
-        )
+        p = primes[n - 1]  # the pass checked n against the table
+        psi_over_n = exp_ball(*plus)
+        loglog = log_ball(*theta)
+        ratio = div_ball(*psi_over_n, *loglog)
+        g = _criterion(_LOWER_LIMIT, loglog, inv) if p >= MIN_CRITERION_X else None
+        yield make((n, p, theta, loglog, psi_over_n, ratio, g, sub_ball(*ratio, *_LOWER_LIMIT)))
 
 
 def stream_points(table: PrimeTable, n_max: int) -> Iterator[PrimorialPoint]:
@@ -159,8 +196,8 @@ def _criterion_at(table: PrimeTable, x: int, kind: str, scale: CertifiedValue) -
         raise DomainError(
             f"criterion functions need x >= {MIN_CRITERION_X} so that log theta(x) > 0, got x={x}"
         )
-    _, theta, (log_product,) = next(prefix_sums(table, (kind,), (table.prime_count(x),)))
-    return _criterion(scale, cv_log(theta), log_product)
+    _, theta, (log_product,) = next(_prefix_balls(table, (kind,), (table.prime_count(x),)))
+    return CertifiedValue(*_criterion(scale.ball, log_ball(*theta), log_product))
 
 
 def criterion_g(table: PrimeTable, x: int) -> CertifiedValue:

@@ -138,7 +138,7 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
     """Force one INCONCLUSIVE so the 113-bit recompute must decide n = 3."""
     import psiverify.claims as claims_mod
     from psiverify.bounds import _interval_sides
-    from psiverify.numerics import Verdict, VerdictStatus
+    from psiverify.numerics import VerdictStatus
     from psiverify.series import stream_points
 
     point = next(p for p in stream_points(table, 25) if p.n == 25)
@@ -146,17 +146,18 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
     assert abs(ratio.value - point.ratio.value) <= ratio.radius + point.ratio.radius
     assert ratio.radius <= point.ratio.radius
 
-    real_compare = claims_mod.compare
+    real_status = claims_mod.ball_status
     state = {"first": True}
 
-    def flaky_compare(lhs, rhs, claim):
-        v = real_compare(lhs, rhs, claim)
+    # the scan decides each point on its pairs with the float verdict core
+    def flaky_status(value, radius, claim):
+        status = real_status(value, radius, claim)
         if state["first"]:
             state["first"] = False
-            return Verdict(VerdictStatus.INCONCLUSIVE, v.margin)
-        return v
+            return VerdictStatus.INCONCLUSIVE
+        return status
 
-    monkeypatch.setattr(claims_mod, "compare", flaky_compare)
+    monkeypatch.setattr(claims_mod, "ball_status", flaky_status)
     res = verify_lower(table, 50, checkpoints=(10,))
     assert res.details["escalated_at"] == [3]
     assert res.details["dual_mismatch"] == []
@@ -166,6 +167,43 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
 def test_verify_lower_validation(table):
     with pytest.raises(RangeError):
         verify_lower(table, 2)
+
+
+def _certified_values_built(monkeypatch, run) -> int:
+    """How many CertifiedValues ``run()`` constructs."""
+    from psiverify.numerics import CertifiedValue
+
+    real = CertifiedValue.__post_init__
+    built = [0]
+
+    def counting(self):
+        built[0] += 1
+        real(self)
+
+    monkeypatch.setattr(CertifiedValue, "__post_init__", counting)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return built[0]
+
+
+def test_no_certified_value_per_point(table, monkeypatch, tmp_path):
+    # the lower scan and the scan rows decide on (value, radius) pairs: the
+    # number of objects built must not grow with the depth of the scan
+    from psiverify.cli import main
+
+    def lower(n_max):
+        return _certified_values_built(monkeypatch, lambda: verify_lower(table, n_max))
+
+    def rows(n_max):
+        out = tmp_path / f"rows{n_max}.csv"
+        return _certified_values_built(
+            monkeypatch, lambda: main(["scan", "lower", "--n-max", str(n_max), "--output", str(out)])
+        )
+
+    assert lower(3000) == lower(6000) < 3000
+    assert rows(3000) == rows(6000) < 3000
 
 
 def test_mertens_trend(table):

@@ -266,22 +266,23 @@ def test_malformed_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, config):
 @pytest.fixture
 def first_ball_comparison_inconclusive(monkeypatch):
     """Make the first ball comparison of bounds and claims INCONCLUSIVE, as a thin margin would."""
-    import psiverify.bounds as bounds_mod
     import psiverify.claims as claims_mod
-    from psiverify.numerics import Verdict, VerdictStatus
+    import psiverify.numerics as numerics_mod
+    from psiverify.numerics import VerdictStatus
 
-    real_compare = bounds_mod.compare
+    real_status = numerics_mod.ball_status
     state = {"first": True}
 
-    def flaky_compare(lhs, rhs, claim):
-        v = real_compare(lhs, rhs, claim)
-        if state["first"] and lhs.radius > 1e-20:
+    def flaky_status(value, radius, claim):
+        status = real_status(value, radius, claim)
+        if state["first"] and radius > 1e-20:
             state["first"] = False
-            return Verdict(VerdictStatus.INCONCLUSIVE, v.margin)
-        return v
+            return VerdictStatus.INCONCLUSIVE
+        return status
 
-    monkeypatch.setattr(bounds_mod, "compare", flaky_compare)
-    monkeypatch.setattr(claims_mod, "compare", flaky_compare)
+    # compare (and so bounds) looks the core up in numerics; claims decides on pairs with it
+    monkeypatch.setattr(numerics_mod, "ball_status", flaky_status)
+    monkeypatch.setattr(claims_mod, "ball_status", flaky_status)
 
 
 @pytest.mark.parametrize("no_escalate,code", [(True, 1), (False, 0)], ids=["no-escalate", "escalate"])
@@ -302,6 +303,7 @@ def test_verify_no_escalate_fails_on_an_inconclusive_point(capsys, tmp_path, fir
     rep = json.loads(report.read_text())
     assert rep["config"]["escalate"] is False
     assert 3 in rep["claims"]["lower"]["counterexamples"]
+    assert rep["claims"]["lower"]["counterexamples"] == [3]
     assert rep["claims"]["lower"]["details"]["escalated_at"] == []
 
 

@@ -20,6 +20,8 @@ from psiverify.numerics import (
     CertifiedAccumulator,
     CertifiedValue,
     VerdictStatus,
+    add_ball,
+    ball_status,
     certified,
     compare,
     cv_add,
@@ -33,7 +35,13 @@ from psiverify.numerics import (
     cv_mul,
     cv_neg,
     cv_sub,
+    div_ball,
+    exp_ball,
     from_mp_interval,
+    log1p_ball,
+    log_ball,
+    mul_ball,
+    sub_ball,
 )
 
 
@@ -104,6 +112,73 @@ def test_domain_errors():
         CertifiedValue(1.0, -1e-9)
     with pytest.raises(DomainError):
         CertifiedValue(math.inf, 0.0)
+
+
+# kernel, its CertifiedValue wrapper, and inputs as (value, radius) pairs
+_INF, _NAN = math.inf, math.nan
+_KERNEL_DOMAIN_CASES = [
+    (exp_ball, cv_exp, [(701.0, 0.0)], "argument above 700"),
+    (exp_ball, cv_exp, [(699.0, 2.0)], "upper endpoint above 700"),
+    (exp_ball, cv_exp, [(1.0, _INF)], "non-finite radius"),
+    (exp_ball, cv_exp, [(_NAN, 0.0)], "non-finite value"),
+    (log_ball, cv_log, [(0.0, 0.0)], "log of 0"),
+    (log_ball, cv_log, [(1e-3, 2e-3)], "interval reaches 0"),
+    (log_ball, cv_log, [(1.0, _NAN)], "non-finite radius"),
+    (log_ball, cv_log, [(_INF, 0.0)], "non-finite value"),
+    (log1p_ball, cv_log1p, [(-1.0, 0.0)], "log1p at -1"),
+    (log1p_ball, cv_log1p, [(-1.0, 0.5)], "interval below -1"),
+    (log1p_ball, cv_log1p, [(0.5, _INF)], "non-finite radius"),
+    (mul_ball, cv_mul, [(1e200, 0.0), (1e200, 0.0)], "overflowing product"),
+    (mul_ball, cv_mul, [(1e300, 1e300), (1.0, 1e10)], "overflowing product radius"),
+    (mul_ball, cv_mul, [(1.0, _INF), (2.0, 0.0)], "non-finite radius"),
+    (div_ball, cv_div, [(1.0, 0.0), (0.0, 0.0)], "divisor 0"),
+    (div_ball, cv_div, [(1.0, 0.0), (0.5, 0.5)], "divisor interval reaches 0"),
+    (div_ball, cv_div, [(1.0, _INF), (2.0, 0.0)], "non-finite radius"),
+    (div_ball, cv_div, [(1e300, 0.0), (1e-300, 0.0)], "overflowing quotient"),
+    (div_ball, cv_div, [(1.0, 0.0), (1e-200, 0.0)], "radius denominator underflows"),
+    (sub_ball, cv_sub, [(1e308, 0.0), (-1e308, 0.0)], "overflowing difference"),
+    (sub_ball, cv_sub, [(1.0, _NAN), (0.0, 0.0)], "non-finite radius"),
+    (add_ball, cv_add, [(1e308, 0.0), (1e308, 0.0)], "overflowing sum"),
+    (add_ball, cv_add, [(1.0, 1e308), (0.0, 1e308)], "overflowing sum radius"),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel,wrapper,args", [c[:3] for c in _KERNEL_DOMAIN_CASES], ids=[c[3] for c in _KERNEL_DOMAIN_CASES]
+)
+def test_kernel_raises_where_its_wrapper_raises(kernel, wrapper, args):
+    # a non-finite input cannot even become a CertifiedValue; the kernel, which
+    # takes plain floats, must catch it in its guard or in its output check
+    with pytest.raises(DomainError):
+        kernel(*(x for pair in args for x in pair))
+    with pytest.raises(DomainError):
+        wrapper(*(CertifiedValue(*pair) for pair in args))
+
+
+@pytest.mark.parametrize(
+    "terms,ids",
+    [([(1e308, 0.0), (1e308, 0.0)], "non-finite sum"), ([(1.0, _INF)], "non-finite radius")],
+)
+def test_accumulator_total_raises_on_a_non_finite_ball(terms, ids):
+    acc = CertifiedAccumulator()
+    for value, radius in terms:
+        acc.add(value, radius)
+    with pytest.raises(DomainError):
+        acc.total_ball()
+    with pytest.raises(DomainError):
+        acc.total()
+
+
+def test_compare_is_ball_status_of_the_difference():
+    rng = random.Random(5)
+    for _ in range(2000):
+        a = certified(rng.uniform(-2, 2), rng.choice([0.0, 1e-3, 1e-16]))
+        b = certified(rng.uniform(-2, 2), rng.choice([0.0, 1e-3, 1e-16]))
+        for claim in ("<", "<=", ">", ">="):
+            verdict = compare(a, b, claim)
+            margin = sub_ball(a.value, a.radius, b.value, b.radius)
+            assert (verdict.margin.value, verdict.margin.radius) == margin
+            assert verdict.status is ball_status(*margin, claim)
 
 
 def test_cv_from_int_exactness():

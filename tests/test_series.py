@@ -13,11 +13,16 @@ from psiverify.numerics import (
     E_GAMMA_OVER_ZETA2,
     CertifiedAccumulator,
     VerdictStatus,
+    ball_status,
     certified,
     compare,
+    cv_div,
+    cv_exp,
     cv_from_ratio,
+    cv_log,
     cv_log1p,
     cv_mul,
+    cv_sub,
 )
 from psiverify.series import criterion_f, criterion_g, prefix_sums, stream_points
 
@@ -53,6 +58,29 @@ def test_prefix_pass_bit_identical_to_certified_value_chain(table, kind, num, de
     (_, theta, shared), = prefix_sums(table, ("sq", kind, "plus"), (count,))
     assert (shared[1].value, shared[1].radius) == (expected[-1].value, expected[-1].radius)
     assert (theta.value, theta.radius) == (expected_theta[-1].value, expected_theta[-1].radius)
+
+
+def test_points_bit_identical_to_certified_value_chain(table):
+    # reference: every point composed from the pass's CertifiedValue totals
+    # with the public cv_* chain, operation for operation
+    count = 10**4
+    points = stream_points(table, count)
+    for (n, theta, (plus, inv)), point in zip(prefix_sums(table, ("plus", "inv"), range(2, count + 1)), points):
+        psi_over_n = cv_exp(plus)
+        loglog = cv_log(theta)
+        ratio = cv_div(psi_over_n, loglog)
+        g = cv_mul(cv_mul(E_GAMMA_OVER_ZETA2, loglog), cv_exp(inv)) if n >= 3 else None
+        margin = cv_sub(ratio, E_GAMMA_OVER_ZETA2)
+        assert point.n == n
+        assert point.theta_ball == (theta.value, theta.radius) == point.theta.ball, n
+        assert point.log_theta_ball == loglog.ball, n
+        assert point.psi_over_n_ball == psi_over_n.ball == point.psi_over_n.ball, n
+        assert point.ratio_ball == ratio.ball == point.ratio.ball, n
+        assert point.g_ball == (g.ball if g else None), n
+        assert (point.g.ball if point.g else None) == point.g_ball, n
+        assert point.margin_ball == margin.ball == point.margin_lower.ball, n
+        assert ball_status(*point.margin_ball, ">") is compare(ratio, E_GAMMA_OVER_ZETA2, ">").status, n
+    assert next(points, None) is None and n == count
 
 
 def test_point_n2():
