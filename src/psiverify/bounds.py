@@ -2,10 +2,16 @@
 
 Each bound is one :class:`Bound` entry in :data:`BOUNDS`: its orientation,
 the smallest primorial index it is evaluated at, the prefix-sum kinds it
-needs from :func:`series.prefix_sums`, and one sides formula that serves
-both ball arithmetic and the interval path.  A point evaluator returns a
+needs from :func:`series.prefix_sums`, and one sides formula.  The formula
+is written once, against the named operations of an arithmetic ``A``
+(``A.add``, ``A.mul``, ``A.div``, ``A.neg``, ``A.exp``, ``A.log``,
+``A.exact``, ``A.integer``, ``A.ratio`` and four constants): :data:`_BALL`
+names the ball kernels of ``numerics``, which take and return
+``(value, radius)`` pairs, and :func:`_interval_arithmetic` names the
+mpmath interval operations.  A point evaluator returns a
 :class:`BoundReport` from one prefix pass that stops at the point; a range
-scan shares one pass across all of its evaluation points.  The bounds:
+scan shares one pass across all of its evaluation points and decides each
+point on its pairs, building no object per point.  The bounds:
 
 * ``rs-product``     prod_{p<=x} (1-1/p)^(-1)  <=  e^gamma (log x + 1/log x)   (x >= 2)
 * ``zeta-tail``      zeta(2) prod_{p<=p_n} (1-1/p^2)  <=  exp(2/p_n)           (n >= 2)
@@ -25,6 +31,7 @@ R(N_n) > e^gamma/zeta(2) for the ``lower`` claim.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterable
@@ -37,15 +44,24 @@ from .numerics import (
     E_GAMMA_OVER_ZETA2,
     EULER_GAMMA,
     ZETA2,
+    Ball,
     CertifiedValue,
     Verdict,
     VerdictStatus,
+    add_ball,
+    ball_endpoints,
+    ball_status,
     compare,
-    cv_exp,
-    cv_from_int,
-    cv_from_ratio,
-    cv_log,
+    div_ball,
+    exact_ball,
+    exp_ball,
     from_mp_interval,
+    int_ball,
+    log_ball,
+    mul_ball,
+    neg_ball,
+    ratio_ball,
+    sub_ball,
 )
 from .primes import PrimeTable
 from .series import TERMS, prefix_sums
@@ -83,14 +99,17 @@ class BoundReport:
     lhs: CertifiedValue
     rhs: CertifiedValue
     verdict: Verdict
-    escalated: bool = False
 
     @property
     def slack(self) -> float:
         """Conservative distance from violating the claim (positive = safe)."""
-        if BOUNDS[self.bound].claim in ("<", "<="):
-            return -self.verdict.margin.hi
-        return self.verdict.margin.lo
+        return _slack(BOUNDS[self.bound].claim, self.verdict.margin.ball)
+
+
+def _slack(claim: str, margin: Ball) -> float:
+    """Conservative distance of the margin ``lhs - rhs`` from violating ``claim`` (positive = safe)."""
+    lo, hi = ball_endpoints(margin)
+    return -hi if claim in ("<", "<=") else lo
 
 
 @dataclass
@@ -116,23 +135,22 @@ class BoundScan:
     escalated_at: list[int] = field(default_factory=list)
     failed_at: list[int] = field(default_factory=list)
 
-    def record(self, report: BoundReport) -> None:
+    def record(self, at: int, status: VerdictStatus, slack: float, escalated: bool) -> None:
+        """Count one evaluated point: its status, its slack and whether it escalated."""
         self.points_checked += 1
-        status = report.verdict.status
         if status is VerdictStatus.HOLDS:
             self.holds += 1
         elif status is VerdictStatus.FAILS:
             self.fails += 1
-            self.failed_at.append(report.at)
+            self.failed_at.append(at)
         else:
             self.inconclusive += 1
-            self.failed_at.append(report.at)
-        if report.escalated:
-            self.escalated_at.append(report.at)
-        s = report.slack
-        if s < self.worst_slack:
-            self.worst_slack = s
-            self.worst_at = report.at
+            self.failed_at.append(at)
+        if escalated:
+            self.escalated_at.append(at)
+        if slack < self.worst_slack:
+            self.worst_slack = slack
+            self.worst_at = at
 
     @property
     def all_hold(self) -> bool:
@@ -157,72 +175,64 @@ class BoundScan:
 # ---------------------------------------------------------------------------
 # sides: (A, x, theta, *prefix sums) -> (lhs, rhs), written once for both
 # arithmetics.  A is _BALL or _interval_arithmetic(); x = p_n for the index
-# bounds; theta = theta(p_n) = log N_n.  Plain number literals are exact in
-# binary64.
+# bounds; theta = theta(p_n) = log N_n.  A.exact takes a number that binary64
+# holds exactly.
 # ---------------------------------------------------------------------------
 
 
 def _rs_sides(A, x, theta, s_phi):
     logx = A.log(A.integer(x))
-    return A.exp(-s_phi), A.e_gamma * (logx + 1 / logx)
+    return A.exp(A.neg(s_phi)), A.mul(A.e_gamma, A.add(logx, A.div(A.exact(1.0), logx)))
 
 
 def _zeta_tail_sides(A, p, theta, s_sq):
-    return A.zeta2 * A.exp(s_sq), A.exp(A.ratio(2, p))
+    return A.mul(A.zeta2, A.exp(s_sq)), A.exp(A.ratio(2, p))
 
 
 def _psi_bound_sides(A, p, theta, s_plus):
-    inner = A.log(theta) + 1.125 / A.log(A.integer(p))
-    return A.exp(s_plus), A.exp(A.gamma + A.ratio(2, p)) / A.zeta2 * inner
+    inner = A.add(A.log(theta), A.div(A.exact(1.125), A.log(A.integer(p))))
+    return A.exp(s_plus), A.mul(A.div(A.exp(A.add(A.gamma, A.ratio(2, p))), A.zeta2), inner)
 
 
 def _threshold_sides(A, p, theta):
-    bump = 1.125 / (A.log(A.integer(p)) * A.log(theta))
-    return A.exp(A.ratio(2, p)) * (1 + bump), A.zeta2
+    bump = A.div(A.exact(1.125), A.mul(A.log(A.integer(p)), A.log(theta)))
+    return A.mul(A.exp(A.ratio(2, p)), A.add(A.exact(1.0), bump)), A.zeta2
 
 
 def _robin_sides(A, p, theta):
     logp = A.log(A.integer(p))
-    return logp, A.log(theta) + 0.125 / logp
+    return logp, A.add(A.log(theta), A.div(A.exact(0.125), logp))
 
 
 def _gap_sides(A, x, theta, s_inv, s_phi):
     log_loglog = A.log(A.log(theta))
-    lhs = A.log(A.e_gamma_over_zeta2) + log_loglog + s_inv
-    rhs = A.log(A.e_gamma) + log_loglog + s_phi + A.ratio(-2, x)
+    lhs = A.add(A.add(A.log(A.e_gamma_over_zeta2), log_loglog), s_inv)
+    rhs = A.add(A.add(A.add(A.log(A.e_gamma), log_loglog), s_phi), A.ratio(-2, x))
     return lhs, rhs
 
 
 def _lower_sides(A, p, theta, s_plus):
-    return A.exp(s_plus) / A.log(theta), A.e_gamma_over_zeta2
+    return A.div(A.exp(s_plus), A.log(theta)), A.e_gamma_over_zeta2
 
 
 _BALL = SimpleNamespace(
-    exp=cv_exp,
-    log=cv_log,
-    integer=cv_from_int,
-    ratio=cv_from_ratio,
-    gamma=EULER_GAMMA,
-    e_gamma=E_GAMMA,
-    zeta2=ZETA2,
-    e_gamma_over_zeta2=E_GAMMA_OVER_ZETA2,
+    add=add_ball, mul=mul_ball, div=div_ball, neg=neg_ball, exp=exp_ball, log=log_ball,
+    exact=exact_ball, integer=int_ball, ratio=ratio_ball,
+    gamma=EULER_GAMMA.ball, e_gamma=E_GAMMA.ball, zeta2=ZETA2.ball,
+    e_gamma_over_zeta2=E_GAMMA_OVER_ZETA2.ball,
 )
 
 
 def _interval_arithmetic(prec: int) -> SimpleNamespace:
-    """Outward-rounded mpmath intervals at ``prec`` bits, shaped like _BALL."""
+    """Outward-rounded mpmath intervals at ``prec`` bits, with the names of _BALL."""
     ctx = MPIntervalContext()
     ctx.prec = prec
     gamma = +ctx.euler
     zeta2 = ctx.pi**2 / 6
     return SimpleNamespace(
-        exp=ctx.exp,
-        log=ctx.log,
-        integer=ctx.mpf,
-        ratio=lambda num, den: ctx.mpf(num) / den,
-        gamma=gamma,
-        e_gamma=ctx.exp(gamma),
-        zeta2=zeta2,
+        add=operator.add, mul=operator.mul, div=operator.truediv, neg=operator.neg, exp=ctx.exp, log=ctx.log,
+        exact=ctx.mpf, integer=ctx.mpf, ratio=lambda num, den: ctx.mpf(num) / den,
+        gamma=gamma, e_gamma=ctx.exp(gamma), zeta2=zeta2,
         e_gamma_over_zeta2=ctx.exp(gamma) / zeta2,
     )
 
@@ -254,12 +264,6 @@ BOUND_NAMES = tuple(BOUNDS)
 LOWER = Bound(">", 3, ("plus",), False, _lower_sides)
 
 
-def _evaluate(name: str, n: int, x: int, theta: CertifiedValue, sums) -> BoundReport:
-    bound = BOUNDS[name]
-    lhs, rhs = bound.sides(_BALL, x, theta, *sums)
-    return BoundReport(name, x if bound.at_x else n, lhs, rhs, compare(lhs, rhs, bound.claim))
-
-
 def _point(table: PrimeTable, name: str, at: int) -> BoundReport:
     """Evaluate one bound at x (x-parameterized, x need not be prime) or at index n."""
     bound = BOUNDS[name]
@@ -275,7 +279,8 @@ def _point(table: PrimeTable, name: str, at: int) -> BoundReport:
             raise RangeError(f"{name}: n={n} beyond table ({table.count} primes)")
         x = table.nth_prime(n)
     _, theta, sums = next(prefix_sums(table, bound.sums, (n,)))
-    return _evaluate(name, n, x, theta, sums)
+    lhs, rhs = (CertifiedValue(*side) for side in bound.sides(_BALL, x, theta, *sums))
+    return BoundReport(name, at, lhs, rhs, compare(lhs, rhs, bound.claim))
 
 
 def rosser_schoenfeld_bound(table: PrimeTable, x: int) -> BoundReport:
@@ -360,12 +365,16 @@ def scan_bound(
         raise RangeError(f"scan_bound: stop={stop} beyond table ({table.count} primes)")
     policy = policy or StridePolicy()
     scan = BoundScan(bound=name, start=start, stop=stop, policy=policy)
+    claim = bound.claim
     for n, theta, sums in prefix_sums(table, bound.sums, stride_indices(start, stop, policy)):
-        report = _evaluate(name, n, table.nth_prime(n), theta, sums)
-        if report.verdict.status is VerdictStatus.INCONCLUSIVE and escalate:
-            lhs, rhs = _interval_sides(table, name, n)
-            report = BoundReport(name, report.at, lhs, rhs, compare(lhs, rhs, bound.claim), True)
-        scan.record(report)
+        x = table.nth_prime(n)
+        margin = sub_ball(*bound.sides(_BALL, x, theta, *sums))
+        status = ball_status(margin, claim)
+        escalated = escalate and status is VerdictStatus.INCONCLUSIVE
+        if escalated:
+            verdict = compare(*_interval_sides(table, name, n), claim)
+            status, margin = verdict.status, verdict.margin.ball
+        scan.record(x if bound.at_x else n, status, _slack(claim, margin), escalated)
     return scan
 
 

@@ -306,10 +306,10 @@ def verify_upper(table: PrimeTable) -> ClaimResult:
     worst_at = None
     e_gamma = E_GAMMA.ball
     for point in points_at(table, range(4, UPPER_PRIMORIAL_STOP + 1)):
-        margin = sub_ball(*point.ratio_ball, *e_gamma)
-        if ball_status(*margin, "<") is not VerdictStatus.HOLDS:
+        margin = sub_ball(point.ratio_ball, e_gamma)
+        if ball_status(margin, "<") is not VerdictStatus.HOLDS:
             b_bad.append(point.n)
-        slack = -ball_endpoints(*margin)[1]
+        slack = -ball_endpoints(margin)[1]
         if slack < worst_slack:
             worst_slack = slack
             worst_at = point.n
@@ -394,8 +394,8 @@ def verify_lower(
     for point in points_at(table, range(LOWER.start, n_max + 1)):
         # margin R(N_n) - e^gamma/zeta(2) must be > 0, and g(p_n) - 1 < 0
         n, margin = point.n, point.margin_ball
-        status = ball_status(*margin, ">")
-        dual = ball_status(*sub_ball(*point.g_ball, 1.0, 0.0), "<")
+        status = ball_status(margin, ">")
+        dual = ball_status(sub_ball(point.g_ball, (1.0, 0.0)), "<")
         if status is not holds or dual is not holds:
             if escalate:
                 escalated.append(n)
@@ -408,7 +408,7 @@ def verify_lower(
                 bad.append(n)
             if dual is not status:
                 dual_mismatch.append(n)
-        slack = ball_endpoints(*margin)[0]
+        slack = ball_endpoints(margin)[0]
         if slack < min_margin:
             min_margin = slack
             min_at = n
@@ -447,7 +447,7 @@ def mertens_limit_trend(
     bad: list[int] = []
     for point in points_at(table, live):
         margins[point.n] = point.margin_lower
-        if ball_status(*point.margin_ball, ">") is not VerdictStatus.HOLDS:
+        if ball_status(point.margin_ball, ">") is not VerdictStatus.HOLDS:
             bad.append(point.n)
     margin_pairs, trend_bad = _checkpoint_trend(margins)
     return ClaimResult(

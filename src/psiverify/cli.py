@@ -173,7 +173,7 @@ def _point_rows(table, n_start: int, n_max: int):
             "g_value": g_value,
             "g_radius": g_radius,
             "margin_lower": point.margin_ball[0],
-            "verdict": ball_status(*point.margin_ball, ">").value if point.n >= 3 else "",
+            "verdict": ball_status(point.margin_ball, ">").value if point.n >= 3 else "",
         }
 
 

@@ -1,22 +1,25 @@
 """Ball arithmetic: a float value paired with a rigorous absolute-error radius.
 
-A ball ``(value, radius)`` means the exact real lies in ``[value - radius,
-value + radius]``.  All operations return enclosures: if the inputs' intervals
-contain their exact reals, so does the output's.
+A ball is one ``(value, radius)`` pair, :data:`Ball`: the exact real lies in
+``[value - radius, value + radius]``.  All operations return enclosures: if
+the inputs' intervals contain their exact reals, so does the output's.
 
-Each operation is written once, as a float kernel on plain ``(value, radius)``
-pairs: :func:`add_ball`, :func:`sub_ball`, :func:`mul_ball`,
-:func:`div_ball`, :func:`log_ball`, :func:`log1p_ball`, :func:`exp_ball`,
-and :meth:`CertifiedAccumulator.total_ball` for a running sum.  A kernel is
-the only home of its value formula, its radius formula and its domain guard
-(it raises :class:`DomainError`), and it checks its own output as
-:class:`CertifiedValue` does: a finite value and a finite radius >= 0.
-:func:`ball_endpoints` and :func:`ball_status` are the float core of
-:func:`compare`.  Hot loops chain the kernels directly; the ``cv_*``
-functions, the :class:`CertifiedValue` operators and :func:`compare` wrap
-the same kernels in :class:`CertifiedValue` and :class:`Verdict` objects
-for the values a report or a caller reads, so all give the same balls bit
-for bit.
+Each operation is written once, as a float kernel that takes and returns
+balls: :func:`add_ball`, :func:`sub_ball`, :func:`neg_ball`,
+:func:`mul_ball`, :func:`div_ball`, :func:`log_ball`, :func:`log1p_ball`,
+:func:`exp_ball`, the exact inputs :func:`exact_ball`, :func:`int_ball` and
+:func:`ratio_ball`, and :meth:`CertifiedAccumulator.total_ball` for a
+running sum.  A kernel is the only home of its value formula, its radius
+formula and its domain guard (it raises :class:`DomainError`), and it checks
+its own output as :class:`CertifiedValue` does: a finite value and a finite
+radius >= 0.  :func:`ball_endpoints` and :func:`ball_status` decide on a
+ball, and are the core of :func:`compare`.
+
+Computations chain the kernels on pairs.  Objects live at the report edges
+only: the ``cv_*`` functions and :func:`compare` wrap the same kernels in
+:class:`CertifiedValue` and :class:`Verdict` objects for the values a report
+or a caller reads, so both give the same balls bit for bit.  A
+:class:`CertifiedValue` has no arithmetic operators.
 
 Rigor assumptions, stated once and stress-tested in the suite:
 
@@ -47,11 +50,15 @@ __all__ = [
     "CertifiedAccumulator",
     "add_ball",
     "sub_ball",
+    "neg_ball",
     "mul_ball",
     "div_ball",
     "log_ball",
     "log1p_ball",
     "exp_ball",
+    "exact_ball",
+    "int_ball",
+    "ratio_ball",
     "ball_endpoints",
     "ball_status",
     "certified",
@@ -101,7 +108,8 @@ class CertifiedValue:
     """A binary64 value with a rigorous absolute-error radius.
 
     Invariant: ``radius >= 0`` and finite, and the represented exact real
-    lies in ``[value - radius, value + radius]``.
+    lies in ``[value - radius, value + radius]``.  Arithmetic runs on
+    :attr:`ball` through the kernels; this class has no operators.
     """
 
     value: float
@@ -115,54 +123,8 @@ class CertifiedValue:
     def ball(self) -> Ball:
         return self.value, self.radius
 
-    @property
-    def lo(self) -> float:
-        """Rigorous lower endpoint (rounded outward when inexact)."""
-        return ball_endpoints(self.value, self.radius)[0]
-
-    @property
-    def hi(self) -> float:
-        """Rigorous upper endpoint (rounded outward when inexact)."""
-        return ball_endpoints(self.value, self.radius)[1]
-
     def __repr__(self) -> str:  # keep reports readable
         return f"CertifiedValue({self.value!r}, r={self.radius:.3e})"
-
-    # Operators wrap the kernels as the cv_* functions do, so a formula written
-    # with them gives the same balls, bit for bit, as the nested calls; the
-    # bounds write each formula once for balls and for mpmath intervals this
-    # way.  They call the kernels directly: the bound scans run them per point.
-    def __add__(self, other) -> CertifiedValue:
-        o = _as_ball(other)
-        return CertifiedValue(*add_ball(self.value, self.radius, o.value, o.radius))
-
-    def __radd__(self, other) -> CertifiedValue:
-        o = _as_ball(other)
-        return CertifiedValue(*add_ball(o.value, o.radius, self.value, self.radius))
-
-    def __mul__(self, other) -> CertifiedValue:
-        o = _as_ball(other)
-        return CertifiedValue(*mul_ball(self.value, self.radius, o.value, o.radius))
-
-    def __truediv__(self, other) -> CertifiedValue:
-        o = _as_ball(other)
-        return CertifiedValue(*div_ball(self.value, self.radius, o.value, o.radius))
-
-    def __rtruediv__(self, other) -> CertifiedValue:
-        o = _as_ball(other)
-        return CertifiedValue(*div_ball(o.value, o.radius, self.value, self.radius))
-
-    def __neg__(self) -> CertifiedValue:
-        return cv_neg(self)
-
-
-def _as_ball(x) -> CertifiedValue:
-    """A ball operand; a plain int or float must be exact in binary64."""
-    if isinstance(x, CertifiedValue):
-        return x
-    if float(x) != x:
-        raise DomainError(f"operand {x!r} is not exact in binary64")
-    return CertifiedValue(float(x), 0.0)
 
 
 class VerdictStatus(Enum):
@@ -188,40 +150,45 @@ class Verdict:
         return self.status is VerdictStatus.HOLDS
 
 
-def certified(value: float, radius: float = 0.0) -> CertifiedValue:
-    return CertifiedValue(float(value), float(radius))
-
-
-def cv_from_int(n: int) -> CertifiedValue:
-    """Enclosure of an exact integer (radius 0 when it fits in 53 bits)."""
-    v = float(n)
-    if int(v) == n:
-        return CertifiedValue(v, 0.0)
-    return CertifiedValue(v, math.ulp(v))
-
-
-def cv_from_ratio(num: int, den: int) -> CertifiedValue:
-    """Enclosure of the exact rational num/den.
-
-    CPython's integer true division is correctly rounded, so 1 ulp is a
-    comfortable bound on the conversion error.
-    """
-    if den == 0:
-        raise DomainError("cv_from_ratio: zero denominator")
-    v = num / den
-    return CertifiedValue(v, math.ulp(v))
-
-
 def _parse_constant(literal: str) -> CertifiedValue:
     # float() parses correctly rounded; charge 1 ulp.
     v = float(literal)
     return CertifiedValue(v, math.ulp(v))
 
 
-# --- float kernels: each formula and guard is written here once -------------
+# --- float kernels on balls: each formula and guard is written here once -----
 
 
-def add_ball(av: float, ar: float, bv: float, br: float) -> Ball:
+def exact_ball(x: float) -> Ball:
+    """The ball of a number that binary64 holds exactly: radius 0."""
+    v = float(x)
+    if v != x:
+        raise DomainError(f"operand {x!r} is not exact in binary64")
+    return v, 0.0
+
+
+def int_ball(n: int) -> Ball:
+    """Enclosure of an exact integer (radius 0 when it fits in 53 bits)."""
+    v = float(n)
+    if int(v) == n:
+        return v, 0.0
+    return v, math.ulp(v)
+
+
+def ratio_ball(num: int, den: int) -> Ball:
+    """Enclosure of the exact rational num/den.
+
+    CPython's integer true division is correctly rounded, so 1 ulp is a
+    comfortable bound on the conversion error.
+    """
+    if den == 0:
+        raise DomainError("ratio_ball: zero denominator")
+    v = num / den
+    return v, math.ulp(v)
+
+
+def add_ball(a: Ball, b: Ball) -> Ball:
+    (av, ar), (bv, br) = a, b
     v = av + bv
     if not math.isfinite(v):
         raise DomainError("add/sub: overflow")
@@ -233,12 +200,18 @@ def add_ball(av: float, ar: float, bv: float, br: float) -> Ball:
     return v, r
 
 
-def sub_ball(av: float, ar: float, bv: float, br: float) -> Ball:
+def neg_ball(a: Ball) -> Ball:
+    # negation is exact in binary64
+    return -a[0], a[1]
+
+
+def sub_ball(a: Ball, b: Ball) -> Ball:
     # IEEE-754 defines a - b as a + (-b), rounding included
-    return add_ball(av, ar, -bv, br)
+    return add_ball(a, neg_ball(b))
 
 
-def mul_ball(av: float, ar: float, bv: float, br: float) -> Ball:
+def mul_ball(a: Ball, b: Ball) -> Ball:
+    (av, ar), (bv, br) = a, b
     v = av * bv
     if not math.isfinite(v):
         raise DomainError("mul: overflow")
@@ -248,7 +221,8 @@ def mul_ball(av: float, ar: float, bv: float, br: float) -> Ball:
     return v, r
 
 
-def div_ball(av: float, ar: float, bv: float, br: float) -> Ball:
+def div_ball(a: Ball, b: Ball) -> Ball:
+    (av, ar), (bv, br) = a, b
     b_lo = abs(bv) - br
     den = b_lo * abs(bv)
     # den > 0 iff b_lo > 0, unless the product underflows to 0
@@ -262,7 +236,8 @@ def div_ball(av: float, ar: float, bv: float, br: float) -> Ball:
     return v, r
 
 
-def log_ball(value: float, radius: float) -> Ball:
+def log_ball(a: Ball) -> Ball:
+    value, radius = a
     lo = value - radius
     if lo <= 0.0:
         raise DomainError("log: interval must be entirely positive")
@@ -274,7 +249,8 @@ def log_ball(value: float, radius: float) -> Ball:
     return v, r
 
 
-def log1p_ball(value: float, radius: float) -> Ball:
+def log1p_ball(a: Ball) -> Ball:
+    value, radius = a
     lo = value - radius
     if lo <= -1.0:
         raise DomainError("log1p: interval must stay above -1")
@@ -285,7 +261,8 @@ def log1p_ball(value: float, radius: float) -> Ball:
     return v, r
 
 
-def exp_ball(value: float, radius: float) -> Ball:
+def exp_ball(a: Ball) -> Ball:
+    value, radius = a
     hi = value + radius
     if hi > 700.0:
         raise DomainError("exp: argument too large for binary64")
@@ -297,73 +274,78 @@ def exp_ball(value: float, radius: float) -> Ball:
     return v, r
 
 
-def ball_endpoints(value: float, radius: float) -> tuple[float, float]:
+def ball_endpoints(a: Ball) -> tuple[float, float]:
     """Rigorous ``(lo, hi)`` of a ball, rounded outward when inexact."""
+    value, radius = a
     if radius == 0.0:
         return value, value
     return math.nextafter(value - radius, -math.inf), math.nextafter(value + radius, math.inf)
 
 
-def ball_status(value: float, radius: float, claim: str) -> VerdictStatus:
-    """Certified status of ``x CLAIM 0`` for every x in the ball ``(value, radius)``.
+def ball_status(a: Ball, claim: str) -> VerdictStatus:
+    """Certified status of ``x CLAIM 0`` for every x in the ball ``a``.
 
     ``claim`` is one of ``"<"``, ``"<="``, ``">"``, ``">="``.  HOLDS/FAILS
     are decided only from the outward-rounded endpoints, so a ball that
     straddles 0 is INCONCLUSIVE.
     """
-    lo, hi = ball_endpoints(value, radius)
-    if claim == "<":
-        if hi < 0.0:
-            return VerdictStatus.HOLDS
-        return VerdictStatus.FAILS if lo >= 0.0 else VerdictStatus.INCONCLUSIVE
-    if claim == "<=":
-        if hi <= 0.0:
-            return VerdictStatus.HOLDS
-        return VerdictStatus.FAILS if lo > 0.0 else VerdictStatus.INCONCLUSIVE
-    if claim == ">":
-        if lo > 0.0:
-            return VerdictStatus.HOLDS
-        return VerdictStatus.FAILS if hi <= 0.0 else VerdictStatus.INCONCLUSIVE
-    if claim == ">=":
-        if lo >= 0.0:
-            return VerdictStatus.HOLDS
-        return VerdictStatus.FAILS if hi < 0.0 else VerdictStatus.INCONCLUSIVE
-    raise ValueError(f"unknown claim orientation {claim!r}")
+    lo, hi = ball_endpoints(a)
+    if claim in (">", ">="):  # x > 0 iff -x < 0, and negation is exact
+        lo, hi = -hi, -lo
+    if claim in ("<", ">"):
+        holds, fails = hi < 0.0, lo >= 0.0
+    elif claim in ("<=", ">="):
+        holds, fails = hi <= 0.0, lo > 0.0
+    else:
+        raise ValueError(f"unknown claim orientation {claim!r}")
+    return VerdictStatus.HOLDS if holds else VerdictStatus.FAILS if fails else VerdictStatus.INCONCLUSIVE
 
 
 # --- CertifiedValue wrappers over the kernels ---------------------------------
 
 
+def certified(value: float, radius: float = 0.0) -> CertifiedValue:
+    return CertifiedValue(float(value), float(radius))
+
+
+def cv_from_int(n: int) -> CertifiedValue:
+    return CertifiedValue(*int_ball(n))
+
+
+def cv_from_ratio(num: int, den: int) -> CertifiedValue:
+    return CertifiedValue(*ratio_ball(num, den))
+
+
 def cv_add(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*add_ball(a.value, a.radius, b.value, b.radius))
+    return CertifiedValue(*add_ball(a.ball, b.ball))
 
 
 def cv_neg(a: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(-a.value, a.radius)
+    return CertifiedValue(*neg_ball(a.ball))
 
 
 def cv_sub(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*sub_ball(a.value, a.radius, b.value, b.radius))
+    return CertifiedValue(*sub_ball(a.ball, b.ball))
 
 
 def cv_mul(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*mul_ball(a.value, a.radius, b.value, b.radius))
+    return CertifiedValue(*mul_ball(a.ball, b.ball))
 
 
 def cv_div(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*div_ball(a.value, a.radius, b.value, b.radius))
+    return CertifiedValue(*div_ball(a.ball, b.ball))
 
 
 def cv_log(a: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*log_ball(a.value, a.radius))
+    return CertifiedValue(*log_ball(a.ball))
 
 
 def cv_log1p(a: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*log1p_ball(a.value, a.radius))
+    return CertifiedValue(*log1p_ball(a.ball))
 
 
 def cv_exp(a: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*exp_ball(a.value, a.radius))
+    return CertifiedValue(*exp_ball(a.ball))
 
 
 def cv_log_int(n: int) -> CertifiedValue:
@@ -376,16 +358,14 @@ def cv_log_int(n: int) -> CertifiedValue:
     if n <= 0:
         raise DomainError("cv_log_int: n must be positive")
     if n < (1 << 53):
-        return cv_log(CertifiedValue(float(n), 0.0))
+        return CertifiedValue(*log_ball((float(n), 0.0)))
     e = n.bit_length() - 53
     m = n >> e
-    base = cv_log(CertifiedValue(float(m), 0.0))
-    shift = cv_mul(cv_from_int(e), LOG_2)
-    out = cv_add(base, shift)
-    # true log n lies in [out - r, out + r + 2^-52]: the discarded remainder
+    v, r = add_ball(log_ball((float(m), 0.0)), mul_ball(int_ball(e), LOG_2.ball))
+    # true log n lies in [v - r, v + r + 2^-52]: the discarded remainder
     # only pushes upward; widen the ball instead of nudging the center so no
     # new rounding enters
-    return CertifiedValue(out.value, (out.radius + 2.0 ** -52) * _INFLATE)
+    return CertifiedValue(v, (r + 2.0 ** -52) * _INFLATE)
 
 
 def compare(lhs: CertifiedValue, rhs: CertifiedValue, claim: str) -> Verdict:
@@ -395,8 +375,8 @@ def compare(lhs: CertifiedValue, rhs: CertifiedValue, claim: str) -> Verdict:
     ``lhs CLAIM rhs``: the :func:`ball_status` of ``lhs - rhs``, whose ball
     is the verdict's margin.
     """
-    margin = sub_ball(lhs.value, lhs.radius, rhs.value, rhs.radius)
-    return Verdict(ball_status(*margin, claim), CertifiedValue(*margin))
+    margin = sub_ball(lhs.ball, rhs.ball)
+    return Verdict(ball_status(margin, claim), CertifiedValue(*margin))
 
 
 class CertifiedAccumulator:

@@ -18,9 +18,12 @@ Cache file layout (little-endian throughout)::
     crc     u32  CRC-32 of everything after the header
 
 The loader checks the structure as well as the CRC: the body is exactly
-``8 * count`` bytes, the first prime is 2, the primes strictly increase and
-the last one is at most ``limit``.  A file that fails a check, or that has
-another version, raises ``ValueError``, and :func:`build_table` rebuilds it.
+``8 * count`` bytes, the first prime is 2, the primes strictly increase, the
+last one is at most ``limit``, ``limit`` is within the sieve cap
+:data:`MAX_LIMIT`, and no prime lies between the last one and ``limit`` (the
+loader sieves that short segment), so a file cannot claim primes it does
+not hold.  A file that fails a check, or that has another version, raises
+``ValueError``, and :func:`build_table` rebuilds it.
 A cache is reused only when its limit covers the request; a larger request
 rebuilds and overwrites it.  The file is written to a unique temporary file
 in the cache directory and renamed over the old one, so concurrent builders
@@ -45,7 +48,10 @@ from .errors import RangeError, ResourceError
 __all__ = ["PrimeTable", "build_table", "save_table", "load_table", "inspect_cache"]
 
 DEFAULT_SEGMENT_FLAGS = 1 << 20
-DEFAULT_MAX_LIMIT = 1 << 31
+MAX_LIMIT = 1 << 31  # sieve cap: the largest table limit built or loaded
+# The maximal prime gap below 2^31 is 292, after 1,453,168,141 (the next record,
+# 320, follows 2,300,942,549), so a complete table ends within 292 of its limit.
+_MAX_PRIME_GAP = 292
 CACHE_FILENAME = "primes.ptab"
 
 _MAGIC = b"PSIV"
@@ -95,11 +101,20 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0]
 
 
+def _sieve_segment(lo: int, hi: int, base) -> np.ndarray:
+    """The primes in [lo, hi), for 2 <= lo, given ``base``: every prime <= isqrt(hi - 1)."""
+    flags = np.ones(hi - lo, dtype=bool)
+    for p in base:
+        first = max(p * p, ((lo + p - 1) // p) * p)
+        if first < hi:
+            flags[first - lo :: p] = False
+    return np.nonzero(flags)[0] + lo
+
+
 def build_table(
     limit: int,
     *,
     segment_size: int = DEFAULT_SEGMENT_FLAGS,
-    max_limit: int = DEFAULT_MAX_LIMIT,
     cache_dir: str | os.PathLike | None = None,
 ) -> PrimeTable:
     """Sieve all primes up to ``limit``.
@@ -109,11 +124,8 @@ def build_table(
     """
     if limit < 2:
         raise RangeError(f"build_table: limit must be >= 2, got {limit}")
-    if limit > max_limit:
-        raise ResourceError(
-            f"build_table: limit {limit} exceeds memory budget cap {max_limit}; "
-            "raise max_limit explicitly if you really want this"
-        )
+    if limit > MAX_LIMIT:
+        raise ResourceError(f"build_table: limit {limit} exceeds the sieve cap {MAX_LIMIT}")
     if segment_size < 64:
         raise ValueError("segment_size too small to be useful")
 
@@ -134,12 +146,7 @@ def build_table(
     lo = root + 1
     while lo <= limit:
         hi = min(lo + segment_size, limit + 1)
-        flags = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            first = max(p * p, ((lo + p - 1) // p) * p)
-            if first < hi:
-                flags[first - lo :: p] = False
-        primes.extend((np.nonzero(flags)[0] + lo).tolist())
+        primes.extend(_sieve_segment(lo, hi, base).tolist())
         lo = hi
 
     table = PrimeTable(limit=limit, primes=primes)
@@ -186,8 +193,15 @@ def load_table(path: str | os.PathLike) -> PrimeTable:
         raise ValueError("prime cache does not start at the prime 2")
     if not np.all(primes[1:] > primes[:-1]):
         raise ValueError("prime cache primes do not strictly increase")
-    if int(primes[-1]) > limit:
-        raise ValueError(f"prime cache holds prime {primes[-1]} above its limit {limit}")
+    last = int(primes[-1])
+    if last > limit:
+        raise ValueError(f"prime cache holds prime {last} above its limit {limit}")
+    if limit > MAX_LIMIT:
+        raise ValueError(f"prime cache limit {limit} exceeds the sieve cap {MAX_LIMIT}")
+    # the file holds every prime up to its limit only if (last, limit] holds none
+    base = _simple_sieve(math.isqrt(limit)).tolist()
+    if limit - last > _MAX_PRIME_GAP or _sieve_segment(last + 1, limit + 1, base).size:
+        raise ValueError(f"prime cache claims limit {limit} but lacks the primes between {last} and it")
     return PrimeTable(limit=limit, primes=array("q", primes.astype(np.int64).tobytes()))
 
 
@@ -201,6 +215,6 @@ def inspect_cache(path: str | os.PathLike) -> dict:
         "limit": table.limit,
         "count": table.count,
         "largest_prime": table.primes[-1],
-        "theta_at_limit": theta.value,
-        "theta_radius_at_limit": theta.radius,
+        "theta_at_limit": theta[0],
+        "theta_radius_at_limit": theta[1],
     }

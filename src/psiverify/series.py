@@ -14,16 +14,15 @@ sums, each a compensated sum of the terms log1p(num/den(p)) named in
 accumulator for theta, whose term is log p charged 2 ulp, and one per
 requested kind over p_1, p_2, ... and yields certified totals only at the
 indices it is asked for.  The prime table holds primes only, so theta has
-no other source.  The primorial points below and the bounds module consume
-the pass.
+no other source.  The primorial points below, the criterion functions, the
+bounds module and the cache inspector consume the pass.
 
-Inside the pass and the points, every quantity is a plain ``(value,
-radius)`` pair chained through the float kernels of ``numerics``; objects
-are built only at the edges.  :func:`prefix_sums` hands the bounds module
-:class:`CertifiedValue` totals, and a :class:`PrimorialPoint` carries its
-pairs and builds a :class:`CertifiedValue` only for a field that is read,
-so a scan that decides on the pairs builds none per point.  The points
-compose the pass's totals as
+The pass yields its totals as plain ``(value, radius)`` pairs, and the
+points chain them through the float kernels of ``numerics``; objects are
+built only at the edges.  A :class:`PrimorialPoint` carries its pairs and
+builds a :class:`CertifiedValue` only for a field that is read, so a scan
+that decides on the pairs builds none per point.  The points compose the
+pass's totals as
 
     psi(N_n)/N_n       = exp(plus)
     R(N_n)             = psi(N_n)/N_n / log log N_n
@@ -82,10 +81,19 @@ TERMS: dict[str, tuple[int, Callable[[int], int]]] = {
 }
 
 
-def _prefix_balls(
+def prefix_sums(
     table: PrimeTable, kinds: Sequence[str], at: Iterable[int]
 ) -> Iterator[tuple[int, Ball, list[Ball]]]:
-    """:func:`prefix_sums` with its totals as ``(value, radius)`` pairs."""
+    """Yield ``(n, theta, totals)`` at each index n of the ascending ``at``.
+
+    ``theta`` encloses theta(p_n) = log p_1 + ... + log p_n, each log charged
+    2 ulp for the libm call.  ``totals[i]`` encloses the sum over
+    p_1 .. p_n of the ``kinds[i]`` term.  Both are ``(value, radius)`` pairs.
+    A term is the ball of log1p over num/den(p) with 1 ulp charged for the
+    correctly rounded division, the same value and radius as
+    ``log1p_ball(ratio_ball(num, den(p)))``, so totals do not depend on
+    which kinds share the pass or at which indices it stops.
+    """
     theta = CertifiedAccumulator()
     work = [(CertifiedAccumulator(), *TERMS[kind]) for kind in kinds]
     primes = iter(table.primes)
@@ -98,26 +106,9 @@ def _prefix_balls(
             theta.add(lp, 2.0 * ulp(lp))
             for acc, num, den in work:
                 x = num / den(p)
-                acc.add(*log1p_ball(x, ulp(x)))
+                acc.add(*log1p_ball((x, ulp(x))))
         done = n
         yield n, theta.total_ball(), [acc.total_ball() for acc, _, _ in work]
-
-
-def prefix_sums(
-    table: PrimeTable, kinds: Sequence[str], at: Iterable[int]
-) -> Iterator[tuple[int, CertifiedValue, list[CertifiedValue]]]:
-    """Yield ``(n, theta, totals)`` at each index n of the ascending ``at``.
-
-    ``theta`` encloses theta(p_n) = log p_1 + ... + log p_n, each log charged
-    2 ulp for the libm call.  ``totals[i]`` encloses the sum over
-    p_1 .. p_n of the ``kinds[i]`` term.
-    A term is the ball of log1p over num/den(p) with 1 ulp charged for the
-    correctly rounded division, the same value and radius as
-    ``cv_log1p(cv_from_ratio(num, den(p)))``, so totals do not depend on
-    which kinds share the pass or at which indices it stops.
-    """
-    for n, theta, totals in _prefix_balls(table, kinds, at):
-        yield n, CertifiedValue(*theta), [CertifiedValue(*t) for t in totals]
 
 
 class PrimorialPoint(NamedTuple):
@@ -165,21 +156,21 @@ _LOWER_LIMIT = E_GAMMA_OVER_ZETA2.ball
 
 
 def _criterion(scale: Ball, loglog: Ball, log_product: Ball) -> Ball:
-    return mul_ball(*mul_ball(*scale, *loglog), *exp_ball(*log_product))
+    return mul_ball(mul_ball(scale, loglog), exp_ball(log_product))
 
 
 def points_at(table: PrimeTable, indices: Iterable[int]) -> Iterator[PrimorialPoint]:
     """Yield PrimorialPoints at the ascending ``indices`` (each >= 2)."""
     primes, make = table.primes, PrimorialPoint._make
-    for n, theta, (plus, inv) in _prefix_balls(table, ("plus", "inv"), indices):
+    for n, theta, (plus, inv) in prefix_sums(table, ("plus", "inv"), indices):
         if n < 2:
             raise RangeError(f"points_at: primorial points start at n = 2, got {n}")
         p = primes[n - 1]  # the pass checked n against the table
-        psi_over_n = exp_ball(*plus)
-        loglog = log_ball(*theta)
-        ratio = div_ball(*psi_over_n, *loglog)
+        psi_over_n = exp_ball(plus)
+        loglog = log_ball(theta)
+        ratio = div_ball(psi_over_n, loglog)
         g = _criterion(_LOWER_LIMIT, loglog, inv) if p >= MIN_CRITERION_X else None
-        yield make((n, p, theta, loglog, psi_over_n, ratio, g, sub_ball(*ratio, *_LOWER_LIMIT)))
+        yield make((n, p, theta, loglog, psi_over_n, ratio, g, sub_ball(ratio, _LOWER_LIMIT)))
 
 
 def stream_points(table: PrimeTable, n_max: int) -> Iterator[PrimorialPoint]:
@@ -196,8 +187,8 @@ def _criterion_at(table: PrimeTable, x: int, kind: str, scale: CertifiedValue) -
         raise DomainError(
             f"criterion functions need x >= {MIN_CRITERION_X} so that log theta(x) > 0, got x={x}"
         )
-    _, theta, (log_product,) = next(_prefix_balls(table, (kind,), (table.prime_count(x),)))
-    return CertifiedValue(*_criterion(scale.ball, log_ball(*theta), log_product))
+    _, theta, (log_product,) = next(prefix_sums(table, (kind,), (table.prime_count(x),)))
+    return CertifiedValue(*_criterion(scale.ball, log_ball(theta), log_product))
 
 
 def criterion_g(table: PrimeTable, x: int) -> CertifiedValue:

@@ -227,19 +227,102 @@ def test_escalation_agrees_with_fast_path(table, name, n):
 def test_scan_escalation_branch_on_forced_inconclusive(table, monkeypatch):
     """Force the fast path to be useless so the interval retry must decide."""
     import psiverify.bounds as bounds_mod
-    from psiverify.numerics import Verdict, VerdictStatus
+    from psiverify.numerics import VerdictStatus
 
-    real_compare = bounds_mod.compare
+    real_status = bounds_mod.ball_status
     state = {"first": True}
 
-    def flaky_compare(lhs, rhs, claim):
-        v = real_compare(lhs, rhs, claim)
-        if state["first"] and lhs.radius > 1e-20:
+    # the scan decides each point on its margin pair with the float verdict core
+    def flaky_status(margin, claim):
+        status = real_status(margin, claim)
+        if state["first"] and margin[1] > 1e-20:
             state["first"] = False
-            return Verdict(VerdictStatus.INCONCLUSIVE, v.margin)
-        return v
+            return VerdictStatus.INCONCLUSIVE
+        return status
 
-    monkeypatch.setattr(bounds_mod, "compare", flaky_compare)
+    monkeypatch.setattr(bounds_mod, "ball_status", flaky_status)
     scan = scan_bound(table, "zeta-tail", 25, 25)
     assert scan.escalated_at == [25]
     assert scan.all_hold
+
+
+def _cv_sides():
+    """Each bound's sides, rebuilt with the public cv_* functions in the operand
+    order of the operator chain the formulas were first written in."""
+    from psiverify.numerics import (
+        E_GAMMA,
+        E_GAMMA_OVER_ZETA2,
+        EULER_GAMMA,
+        ZETA2,
+        certified,
+        cv_add,
+        cv_div,
+        cv_exp,
+        cv_from_int,
+        cv_from_ratio,
+        cv_log,
+        cv_mul,
+        cv_neg,
+    )
+
+    one, c1125, c0125 = certified(1.0), certified(1.125), certified(0.125)
+
+    def rs(x, theta, s_phi):
+        logx = cv_log(cv_from_int(x))
+        return cv_exp(cv_neg(s_phi)), cv_mul(E_GAMMA, cv_add(logx, cv_div(one, logx)))
+
+    def zeta_tail(p, theta, s_sq):
+        return cv_mul(ZETA2, cv_exp(s_sq)), cv_exp(cv_from_ratio(2, p))
+
+    def psi_bound(p, theta, s_plus):
+        inner = cv_add(cv_log(theta), cv_div(c1125, cv_log(cv_from_int(p))))
+        return cv_exp(s_plus), cv_mul(cv_div(cv_exp(cv_add(EULER_GAMMA, cv_from_ratio(2, p))), ZETA2), inner)
+
+    def threshold(p, theta):
+        bump = cv_div(c1125, cv_mul(cv_log(cv_from_int(p)), cv_log(theta)))
+        return cv_mul(cv_exp(cv_from_ratio(2, p)), cv_add(one, bump)), ZETA2
+
+    def robin(p, theta):
+        logp = cv_log(cv_from_int(p))
+        return logp, cv_add(cv_log(theta), cv_div(c0125, logp))
+
+    def gap(x, theta, s_inv, s_phi):
+        log_loglog = cv_log(cv_log(theta))
+        lhs = cv_add(cv_add(cv_log(E_GAMMA_OVER_ZETA2), log_loglog), s_inv)
+        rhs = cv_add(cv_add(cv_add(cv_log(E_GAMMA), log_loglog), s_phi), cv_from_ratio(-2, x))
+        return lhs, rhs
+
+    return {
+        "rs-product": rs,
+        "zeta-tail": zeta_tail,
+        "psi-bound": psi_bound,
+        "threshold": threshold,
+        "robin-log": robin,
+        "criterion-gap": gap,
+    }
+
+
+def test_bound_formulas_bit_identical_to_certified_value_chain(table):
+    # every point of each default dense scan, on the pairs the pass yields
+    from psiverify.bounds import _BALL, BOUNDS
+    from psiverify.numerics import CertifiedValue, ball_status, compare, sub_ball
+    from psiverify.series import prefix_sums
+
+    reference = _cv_sides()
+    stop = StridePolicy().dense_until
+    kinds = ("plus", "inv", "phi", "sq")
+    checked = 0
+    for n, theta, totals in prefix_sums(table, kinds, range(1, stop + 1)):
+        sums = dict(zip(kinds, totals))
+        x = table.nth_prime(n)
+        for name, bound in BOUNDS.items():
+            if n < bound.start:
+                continue
+            args = [theta, *(sums[kind] for kind in bound.sums)]
+            lhs, rhs = bound.sides(_BALL, x, *args)
+            ref_lhs, ref_rhs = reference[name](x, *(CertifiedValue(*ball) for ball in args))
+            assert (lhs, rhs) == (ref_lhs.ball, ref_rhs.ball), (name, n)
+            status = ball_status(sub_ball(lhs, rhs), bound.claim)
+            assert status is compare(ref_lhs, ref_rhs, bound.claim).status, (name, n)
+            checked += 1
+    assert checked == sum(stop - bound.start + 1 for bound in BOUNDS.values())

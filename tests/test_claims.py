@@ -150,8 +150,8 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
     state = {"first": True}
 
     # the scan decides each point on its pairs with the float verdict core
-    def flaky_status(value, radius, claim):
-        status = real_status(value, radius, claim)
+    def flaky_status(margin, claim):
+        status = real_status(margin, claim)
         if state["first"]:
             state["first"] = False
             return VerdictStatus.INCONCLUSIVE
@@ -204,6 +204,18 @@ def test_no_certified_value_per_point(table, monkeypatch, tmp_path):
 
     assert lower(3000) == lower(6000) < 3000
     assert rows(3000) == rows(6000) < 3000
+
+
+def test_no_certified_value_per_bound_scan_point(table, monkeypatch):
+    # the six bound scans decide on (value, radius) pairs too
+    from psiverify.bounds import BOUNDS, scan_bound
+
+    def scans(stop):
+        return _certified_values_built(
+            monkeypatch, lambda: [scan_bound(table, name, bound.start, stop) for name, bound in BOUNDS.items()]
+        )
+
+    assert scans(3000) == scans(6000)
 
 
 def test_mertens_trend(table):

@@ -11,6 +11,7 @@ import zlib
 import pytest
 
 from psiverify.cli import CSV_COLUMNS, main
+from psiverify.primes import build_table
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +208,24 @@ def test_cache_version_1_rebuilds_or_exits_2(capsys, tmp_path):
     assert json.loads(out)["limit"] >= 20011
 
 
+@pytest.mark.parametrize("command", [["scan", "lower"], ["verify", "lower"]], ids=["scan", "verify"])
+def test_cache_claiming_primes_it_lacks_rebuilds_or_exits_2(capsys, tmp_path, command):
+    # valid header, CRC and structure: the primes to 49999 under header limit 100000
+    primes = build_table(50000).primes
+    body = struct.pack(f"<{len(primes)}q", *primes)
+    (tmp_path / "primes.ptab").write_bytes(_cache_blob(2, 100000, len(primes), body))
+    code, _, err = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "lacks the primes between 49999 and it" in err
+    # n = 5500 needs primes beyond 50000, inside the claimed limit
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *command, "--n-max", "5500", "--cache-dir", str(tmp_path), "--output", str(out))
+    assert code == 0, err
+    code, info, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+    assert code == 0  # rebuilt
+    assert json.loads(info)["largest_prime"] > 50000
+
+
 def test_stale_temp_directory_does_not_block_the_cache(capsys, tmp_path):
     # a directory where an older writer put its fixed temporary file
     (tmp_path / "primes.ptab.tmp").mkdir()
@@ -266,22 +285,22 @@ def test_malformed_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, config):
 @pytest.fixture
 def first_ball_comparison_inconclusive(monkeypatch):
     """Make the first ball comparison of bounds and claims INCONCLUSIVE, as a thin margin would."""
+    import psiverify.bounds as bounds_mod
     import psiverify.claims as claims_mod
-    import psiverify.numerics as numerics_mod
     from psiverify.numerics import VerdictStatus
 
-    real_status = numerics_mod.ball_status
+    real_status = bounds_mod.ball_status
     state = {"first": True}
 
-    def flaky_status(value, radius, claim):
-        status = real_status(value, radius, claim)
-        if state["first"] and radius > 1e-20:
+    def flaky_status(margin, claim):
+        status = real_status(margin, claim)
+        if state["first"] and margin[1] > 1e-20:
             state["first"] = False
             return VerdictStatus.INCONCLUSIVE
         return status
 
-    # compare (and so bounds) looks the core up in numerics; claims decides on pairs with it
-    monkeypatch.setattr(numerics_mod, "ball_status", flaky_status)
+    # bound scans and claims both decide on margin pairs with the core
+    monkeypatch.setattr(bounds_mod, "ball_status", flaky_status)
     monkeypatch.setattr(claims_mod, "ball_status", flaky_status)
 
 

@@ -148,9 +148,9 @@ _KERNEL_DOMAIN_CASES = [
 )
 def test_kernel_raises_where_its_wrapper_raises(kernel, wrapper, args):
     # a non-finite input cannot even become a CertifiedValue; the kernel, which
-    # takes plain floats, must catch it in its guard or in its output check
+    # takes plain pairs, must catch it in its guard or in its output check
     with pytest.raises(DomainError):
-        kernel(*(x for pair in args for x in pair))
+        kernel(*args)
     with pytest.raises(DomainError):
         wrapper(*(CertifiedValue(*pair) for pair in args))
 
@@ -176,9 +176,9 @@ def test_compare_is_ball_status_of_the_difference():
         b = certified(rng.uniform(-2, 2), rng.choice([0.0, 1e-3, 1e-16]))
         for claim in ("<", "<=", ">", ">="):
             verdict = compare(a, b, claim)
-            margin = sub_ball(a.value, a.radius, b.value, b.radius)
+            margin = sub_ball(a.ball, b.ball)
             assert (verdict.margin.value, verdict.margin.radius) == margin
-            assert verdict.status is ball_status(*margin, claim)
+            assert verdict.status is ball_status(margin, claim)
 
 
 def test_cv_from_int_exactness():

@@ -11,8 +11,9 @@ import mpmath as mp
 import pytest
 
 from psiverify.arith import primorial
+from psiverify.bounds import criterion_gap_bound
 from psiverify.errors import RangeError, ResourceError
-from psiverify.numerics import cv_log_int
+from psiverify.numerics import CertifiedValue, cv_log_int
 from psiverify.primes import build_table, inspect_cache, load_table, save_table
 from psiverify.series import prefix_sums
 
@@ -59,7 +60,7 @@ def test_nth_prime_2263_is_first_at_20000(table):
 def theta_at(table, x: int):
     """Certified theta(x), the sum of log p over primes p <= x, from the prefix pass."""
     _, theta, _ = next(prefix_sums(table, (), (table.prime_count(x),)))
-    return theta
+    return CertifiedValue(*theta)
 
 
 def test_theta_examples():
@@ -95,7 +96,7 @@ def test_theta_range_errors():
 
 def test_theta_recurrence():
     t = build_table(2000)
-    thetas = [theta for _, theta, _ in prefix_sums(t, (), range(1, t.count + 1))]
+    thetas = [CertifiedValue(*theta) for _, theta, _ in prefix_sums(t, (), range(1, t.count + 1))]
     prev = thetas[0]
     for x in range(3, 2001):
         cur = thetas[t.prime_count(x) - 1]
@@ -108,7 +109,7 @@ def test_theta_recurrence():
 
 
 def test_theta_prefix_strictly_increasing(table):
-    vals = [theta.value for _, theta, _ in prefix_sums(table, (), range(1, table.count + 1))]
+    vals = [theta[0] for _, theta, _ in prefix_sums(table, (), range(1, table.count + 1))]
     assert len(vals) == table.count
     assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
 
@@ -117,7 +118,7 @@ def test_theta_matches_exact_primorial_logs(table):
     # theta(p_n) = log N_n as real numbers; exact-integer logs for n <= 15
     for n, th, _ in prefix_sums(table, (), range(1, 16)):
         ln = cv_log_int(primorial(n, table))
-        assert abs(th.value - ln.value) <= th.radius + ln.radius
+        assert abs(th[0] - ln.value) <= th[1] + ln.radius
 
 
 def test_sieve_matches_trial_division_to_1e5():
@@ -258,6 +259,40 @@ def test_cache_rejects_malformed_prime_blocks(tmp_path, count, body, message):
     path.write_bytes(_cache_blob(30, count, body))
     with pytest.raises(ValueError, match=message):
         load_table(path)
+
+
+def _short_cache(path, limit: int) -> None:
+    """A CRC-valid cache of the primes to 50000 whose header claims ``limit``."""
+    save_table(build_table(50000), path)
+    blob = path.read_bytes()
+    path.write_bytes(_cache_blob(limit, 5133, blob[struct.calcsize("<4sHHQQ") : -4]))
+
+
+@pytest.mark.parametrize(
+    "limit,message",
+    [(100000, "lacks the primes between 49999 and it"), (50021, "lacks the primes"), (2**40, "sieve cap")],
+    ids=["long-tail", "short-tail", "beyond-cap"],
+)
+def test_cache_rejects_a_limit_its_primes_do_not_reach(tmp_path, limit, message):
+    # 50021 is the first prime after 49999: a header limit at or above it claims
+    # a prime the file lacks, and a limit above the sieve cap is never honest
+    path = tmp_path / "primes.ptab"
+    _short_cache(path, limit)
+    with pytest.raises(ValueError, match=message):
+        load_table(path)
+    _short_cache(path, 50020)  # (49999, 50020] holds no prime
+    assert load_table(path).limit == 50020
+
+
+def test_build_table_replaces_a_cache_that_lacks_primes(tmp_path):
+    # the short cache would serve this request, and a criterion value built on
+    # it would be certified from the wrong primes
+    _short_cache(tmp_path / "primes.ptab", 100000)
+    table = build_table(60000, cache_dir=tmp_path)
+    assert table.limit == 60000 and table.primes == build_table(60000).primes
+    lhs = criterion_gap_bound(table, 55000).lhs
+    assert abs(lhs.value - -0.00082303) < 1e-8
+    assert load_table(tmp_path / "primes.ptab").limit == 60000
 
 
 def test_save_table_leaves_no_temp_file_when_the_write_fails(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from psiverify.errors import DomainError, RangeError
 from psiverify.numerics import (
     E_GAMMA_OVER_ZETA2,
     CertifiedAccumulator,
+    CertifiedValue,
     VerdictStatus,
     ball_status,
     certified,
@@ -52,12 +53,12 @@ def test_prefix_pass_bit_identical_to_certified_value_chain(table, kind, num, de
         theta_acc.add(lp, 2.0 * math.ulp(lp))
         expected_theta.append(theta_acc.total())
     got = list(prefix_sums(table, (kind,), range(1, count + 1)))
-    assert [(s[0].value, s[0].radius) for _, _, s in got] == [(t.value, t.radius) for t in expected]
-    assert [(th.value, th.radius) for _, th, _ in got] == [(t.value, t.radius) for t in expected_theta]
+    assert [s[0] for _, _, s in got] == [(t.value, t.radius) for t in expected]
+    assert [th for _, th, _ in got] == [(t.value, t.radius) for t in expected_theta]
     # sharing the pass with other kinds, or stopping sparsely, changes nothing
     (_, theta, shared), = prefix_sums(table, ("sq", kind, "plus"), (count,))
-    assert (shared[1].value, shared[1].radius) == (expected[-1].value, expected[-1].radius)
-    assert (theta.value, theta.radius) == (expected_theta[-1].value, expected_theta[-1].radius)
+    assert shared[1] == (expected[-1].value, expected[-1].radius)
+    assert theta == (expected_theta[-1].value, expected_theta[-1].radius)
 
 
 def test_points_bit_identical_to_certified_value_chain(table):
@@ -66,6 +67,7 @@ def test_points_bit_identical_to_certified_value_chain(table):
     count = 10**4
     points = stream_points(table, count)
     for (n, theta, (plus, inv)), point in zip(prefix_sums(table, ("plus", "inv"), range(2, count + 1)), points):
+        theta, plus, inv = (CertifiedValue(*ball) for ball in (theta, plus, inv))
         psi_over_n = cv_exp(plus)
         loglog = cv_log(theta)
         ratio = cv_div(psi_over_n, loglog)
@@ -79,7 +81,7 @@ def test_points_bit_identical_to_certified_value_chain(table):
         assert point.g_ball == (g.ball if g else None), n
         assert (point.g.ball if point.g else None) == point.g_ball, n
         assert point.margin_ball == margin.ball == point.margin_lower.ball, n
-        assert ball_status(*point.margin_ball, ">") is compare(ratio, E_GAMMA_OVER_ZETA2, ">").status, n
+        assert ball_status(point.margin_ball, ">") is compare(ratio, E_GAMMA_OVER_ZETA2, ">").status, n
     assert next(points, None) is None and n == count
 
 
@@ -201,4 +203,4 @@ def test_theta_field_matches_table(table):
     thetas = {n: th for n, th, _ in prefix_sums(table, (), range(2, 21))}
     for point in stream_points(table, 20):
         th = thetas[point.n]
-        assert point.theta.value == th.value and point.theta.radius == th.radius
+        assert point.theta.value == th[0] and point.theta.radius == th[1]
