@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, ResourceError
 from .numerics import CertifiedValue, cv_div, cv_from_ratio, cv_log, cv_log_int
-from .primes import PrimeTable, build_table
+from .primes import MAX_LIMIT, PrimeTable, build_table
 
 __all__ = [
     "DEFAULT_FACTOR_LIMIT",
@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_FACTOR_LIMIT = 10**12
+# psi_ratio_tables: primes with fewer multiples than this are updated in groups
+_GROUPED_MULTIPLES = 64
 
 _shared_table: PrimeTable | None = None
 
@@ -212,18 +214,36 @@ def primorials_up_to(limit: int, table: PrimeTable | None = None) -> list[int]:
 def psi_ratio_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact numerators/denominators of psi(m)/m for every m <= limit.
 
-    psi(m)/m depends only on the distinct primes of m, so one pass per prime
-    suffices: num[m] = prod (p+1), den[m] = prod p over p | m.  int64 is
-    exact here (m <= limit has at most 15 distinct primes, and the largest
-    numerator stays far below 2^63; checked before returning).
+    psi(m)/m depends only on the distinct primes of m, so one update per
+    prime p and multiple m of p suffices: num[m] = prod (p+1), den[m] =
+    prod p over p | m.  A prime p <= limit // _GROUPED_MULTIPLES takes one
+    strided update.  Every larger prime has fewer than _GROUPED_MULTIPLES
+    multiples, so those primes are grouped by multiplier instead: for each
+    j, one fancy-indexed update covers m = p * j for every large p with
+    p * j <= limit.  For a fixed j these indices are distinct, so each
+    multiple of each prime is updated exactly once, as in the strided loop.
+
+    int64 is exact here: below the sieve cap m has at most 9 distinct primes
+    (N_10 > 2^31), and the largest numerator stays far below 2^63 (checked
+    before returning).  A limit above the sieve cap raises ResourceError
+    before anything is allocated.
     """
     if limit < 1:
         raise DomainError("psi_ratio_tables: limit must be >= 1")
+    if limit > MAX_LIMIT:
+        raise ResourceError(f"psi_ratio_tables: limit {limit} exceeds the sieve cap {MAX_LIMIT}")
     num = np.ones(limit + 1, dtype=np.int64)
     den = np.ones(limit + 1, dtype=np.int64)
-    for p in build_table(max(limit, 2)).primes:
+    primes = np.frombuffer(build_table(max(limit, 2)).primes, dtype=np.int64)
+    split = int(np.searchsorted(primes, limit // _GROUPED_MULTIPLES, side="right"))
+    for p in primes[:split].tolist():
         num[p::p] *= p + 1
         den[p::p] *= p
+    large = primes[split:]
+    for j in range(1, _GROUPED_MULTIPLES):
+        sel = large[: int(np.searchsorted(large, limit // j, side="right"))]
+        num[sel * j] *= sel + 1
+        den[sel * j] *= sel
     if int(num.max()) >= (1 << 62):
         raise CapabilityError("psi_ratio_tables: int64 headroom exceeded")
     return num, den

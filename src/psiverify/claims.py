@@ -167,17 +167,38 @@ def champion_scan(limit: int, table: PrimeTable | None = None) -> ClaimResult:
     """Exact champion set of psi(m)/m on [1, limit] vs the primorial set.
 
     A champion strictly exceeds psi(m)/m for every smaller m >= 1, so ties
-    (psi(4)/4 = psi(2)/2) are not champions.  All comparisons are integer
-    cross-multiplications; no floating point is involved.
+    (psi(4)/4 = psi(2)/2) are not champions.  The decision is an integer
+    cross-multiplication against the exact running maximum; a float filter
+    picks the m it has to look at.
+
+    The filter keeps every m >= 2 with r[m] >= (1 - 1e-12) * max(r[:m]),
+    where r[m] = num[m] / den[m] in float64.  It is sound:
+
+    * each r[m] is within about 3 * 2^-53 (relative) of the exact rational
+      num[m]/den[m], counting the rounding of num, of den and of the
+      division;
+    * so a true champion, or a tie with the running maximum, lies at most
+      about 7e-16 (relative) below the float running maximum, far inside
+      the 1e-12 slack, and always reaches the exact check;
+    * an m the filter drops is strictly below the exact value at some
+      earlier index.  It is not a champion, and it cannot move the exact
+      running maximum, which is always attained at a champion.
+
+    The candidates are decided in increasing order, so the exact running
+    maximum they see is the one the full loop over [2, limit] would see.
     """
     num, den = psi_ratio_tables(limit)
-    nums = num.tolist()
-    dens = den.tolist()
+    r = num / den
+    r[0] = 0.0
+    prev = np.maximum.accumulate(r)
+    prev *= 1.0 - 1e-12
+    candidates = (np.flatnonzero(r[2:] >= prev[1:-1]) + 2).tolist()
+    del r, prev
     champions: list[int] = []
     best_n, best_d = 1, 1  # psi(1)/1
-    for m in range(2, limit + 1):
-        nm = nums[m]
-        dm = dens[m]
+    for m in candidates:
+        nm = int(num[m])
+        dm = int(den[m])
         if nm * best_d > best_n * dm:
             champions.append(m)
             best_n, best_d = nm, dm

@@ -4,7 +4,8 @@ Exit codes are a stable contract for CI:
 
     0   everything requested holds
     1   a mathematical claim FAILS or stays INCONCLUSIVE
-    2   usage, configuration, domain, or range errors
+    2   usage, configuration, domain, or range errors, and requests beyond
+        the sieve cap or the available memory
 
 Settings resolve as flags > environment > config file > defaults.  The
 environment knows ``PSIVERIFY_CACHE_DIR`` (prime-table cache directory) and
@@ -368,7 +369,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, file_cfg)
         return _cmd_cache(args, file_cfg)
-    except (PsiverifyError, ValueError, OSError) as exc:
+    except (PsiverifyError, ValueError, OSError, MemoryError) as exc:
         print(f"psiverify: error: {exc}", file=sys.stderr)
         return 2
 

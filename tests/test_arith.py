@@ -23,7 +23,9 @@ from psiverify.arith import (
     squarefree_kernel,
     Factorization,
 )
-from psiverify.errors import CapabilityError, DomainError
+import psiverify.arith as arith_mod
+from psiverify.errors import CapabilityError, DomainError, ResourceError
+from psiverify.primes import MAX_LIMIT, build_table
 from psiverify.numerics import E_GAMMA, VerdictStatus, compare
 
 
@@ -193,6 +195,44 @@ def test_primorials():
     assert primorial(4) == 210
     assert primorials_up_to(10**6) == [2, 6, 30, 210, 2310, 30030, 510510]
     assert primorials_up_to(1) == []
+
+
+def strided_psi_ratio_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference tables: one strided update per prime, for every prime <= limit."""
+    num = np.ones(limit + 1, dtype=np.int64)
+    den = np.ones(limit + 1, dtype=np.int64)
+    for p in build_table(max(limit, 2)).primes:
+        if p > limit:
+            break
+        num[p::p] *= p + 1
+        den[p::p] *= p
+    return num, den
+
+
+# (limit, j, p): limit // j == p is a prime, so p is the last strided prime
+# (j = 64) or the last prime of the group for j (p > limit // 64)
+_SPLITS_ON_A_PRIME = [(64 * 7, 64, 7), (64 * 97 + 63, 64, 97), (64 * 1009, 64, 1009),
+                      (2 * 4999, 2, 4999), (7 * 10007 + 6, 7, 10007), (63 * 1009, 63, 1009)]
+
+
+@pytest.mark.parametrize(
+    "limit", [1, 2, 3, 63, 64, 65, 127, *(split[0] for split in _SPLITS_ON_A_PRIME), 10**5, 10**6]
+)
+def test_psi_ratio_tables_equal_the_strided_reference(limit):
+    assert arith_mod._GROUPED_MULTIPLES == 64
+    table = build_table(20000)
+    for at, j, p in _SPLITS_ON_A_PRIME:
+        assert at // j == p and table.is_prime(p) and (j == 64 or p > at // 64)
+    num, den = psi_ratio_tables(limit)
+    ref_num, ref_den = strided_psi_ratio_tables(limit)
+    assert num.dtype == ref_num.dtype and den.dtype == ref_den.dtype
+    assert np.array_equal(num, ref_num)
+    assert np.array_equal(den, ref_den)
+
+
+def test_psi_ratio_tables_reject_a_limit_above_the_sieve_cap():
+    with pytest.raises(ResourceError):
+        psi_ratio_tables(MAX_LIMIT + 1)
 
 
 def test_psi_ratio_tables_match_factorize():

@@ -5,11 +5,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from psiverify.arith import primorial
+from psiverify.arith import primorial, psi_ratio_tables
 from psiverify.bounds import FIRST_INDEX_AT_20000
 from psiverify.claims import (
     CLAIM_IDS,
@@ -64,6 +65,41 @@ def test_champions_match_brute_force_oracle():
     res = champion_scan(2000)
     assert res.details["champions"] == brute_champions(2000)
     assert res.holds
+
+
+def full_loop_champions(limit: int) -> list[int]:
+    """Reference decision: the exact cross-multiplication at every m in [2, limit]."""
+    num, den = psi_ratio_tables(limit)
+    nums, dens = num.tolist(), den.tolist()
+    champions = []
+    best_n, best_d = 1, 1
+    for m in range(2, limit + 1):
+        if nums[m] * best_d > best_n * dens[m]:
+            champions.append(m)
+            best_n, best_d = nums[m], dens[m]
+    return champions
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [*range(1, 8), 29, 30, 31, 209, 210, 211, 2309, 2310, 2311, 30029, 30030, 30031,
+     510509, 510510, 510511, 10**6],
+)
+def test_champion_filter_equals_the_full_loop(limit):
+    assert champion_scan(limit).details["champions"] == full_loop_champions(limit)
+
+
+def test_champion_scan_peak_memory_per_m():
+    """The scan holds the two int64 tables, two float64 rows and a mask: no per-m Python objects."""
+    limit = 10**6
+    champion_scan(1000)  # the shared primorial table is built once per process
+    tracemalloc.start()
+    try:
+        champion_scan(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (limit + 1) < 40
 
 
 def test_champions_equal_primorials_to_1e4():

@@ -11,7 +11,7 @@ import zlib
 import pytest
 
 from psiverify.cli import CSV_COLUMNS, main
-from psiverify.primes import build_table
+from psiverify.primes import MAX_LIMIT, build_table
 
 
 def run_cli(capsys, *argv):
@@ -257,17 +257,27 @@ def test_stale_temp_directory_does_not_block_the_cache(capsys, tmp_path):
         (["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "50", "--dense-until", "-5"], None),
         (["verify", "reduction", "--samples", "-3"], None),
         (["verify", "reduction", "--samples", "0"], None),
+        (["verify", "champions", "--champion-limit", str(MAX_LIMIT + 1)], None),
+        (["verify", "champions", "--champion-limit", "1000"], None),  # the tables fail to allocate
     ],
     ids=[
         "ratio-inf", "ratio-nan", "ratio-zero", "ratio-negative", "workers-0", "workers-negative",
         "config-n_max-list", "config-champion_limit-float", "config-n_max-string", "config-cache_dir-int",
         "config-format-scan-lower", "config-format-scan-points", "config-format-compute",
         "dense_until-negative", "samples-negative", "samples-0",
+        "champion_limit-above-sieve-cap", "champion_limit-out-of-memory",
     ],
 )
-def test_malformed_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, config):
+def test_malformed_numbers_exit_2(capsys, tmp_path, monkeypatch, request, argv, config):
     monkeypatch.delenv("PSIVERIFY_CONFIG", raising=False)
     monkeypatch.delenv("PSIVERIFY_CACHE_DIR", raising=False)
+    if request.node.callspec.id == "champion_limit-out-of-memory":
+        import psiverify.claims as claims_mod
+
+        def out_of_memory(limit):
+            raise MemoryError(f"cannot allocate the psi(m)/m tables to {limit}")
+
+        monkeypatch.setattr(claims_mod, "psi_ratio_tables", out_of_memory)
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
