@@ -169,6 +169,7 @@ class BoundScan:
                 "inconclusive": self.inconclusive,
                 "fails": self.fails,
             },
+            "escalated_at": self.escalated_at,
         }
 
 
@@ -335,8 +336,11 @@ def stride_indices(start: int, stop: int, policy: StridePolicy) -> Iterable[int]
         yield n
         if n >= stop:
             return
-        step = n + 1 if n < policy.dense_until else max(n + 1, int(n * policy.ratio))
-        n = min(step, stop)
+        if n < policy.dense_until:
+            n += 1
+        else:
+            grown = n * policy.ratio  # a float, infinite for a huge ratio
+            n = stop if grown >= stop else max(n + 1, int(grown))
 
 
 def scan_bound(

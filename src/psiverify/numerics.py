@@ -8,12 +8,13 @@ Each operation is written once, as a float kernel that takes and returns
 balls: :func:`add_ball`, :func:`sub_ball`, :func:`neg_ball`,
 :func:`mul_ball`, :func:`div_ball`, :func:`log_ball`, :func:`log1p_ball`,
 :func:`exp_ball`, the exact inputs :func:`exact_ball`, :func:`int_ball` and
-:func:`ratio_ball`, and :meth:`CertifiedAccumulator.total_ball` for a
-running sum.  A kernel is the only home of its value formula, its radius
-formula and its domain guard (it raises :class:`DomainError`), and it checks
-its own output as :class:`CertifiedValue` does: a finite value and a finite
-radius >= 0.  :func:`ball_endpoints` and :func:`ball_status` decide on a
-ball, and are the core of :func:`compare`.
+:func:`ratio_ball`, and :func:`sum_ball` for an exact sum held as integer
+multiples of ``1/SUM_SCALE``.  A kernel is the only home of its value
+formula, its radius formula and its domain guard (it raises
+:class:`DomainError`), and it checks its own output as
+:class:`CertifiedValue` does: a finite value and a finite radius >= 0.
+:func:`ball_endpoints` and :func:`ball_status` decide on a ball, and are
+the core of :func:`compare`.
 
 Computations chain the kernels on pairs.  Objects live at the report edges
 only: the ``cv_*`` functions and :func:`compare` wrap the same kernels in
@@ -26,7 +27,9 @@ Rigor assumptions, stated once and stress-tested in the suite:
 * IEEE-754 binary64 arithmetic with round-to-nearest for ``+ - * /``
   (error at most 0.5 ulp of the result, we charge 2 ulp);
 * the platform ``math.log`` / ``math.exp`` / ``math.log1p`` are faithful to
-  at most 1 ulp, charged as 2 ulp in every radius.
+  at most 1 ulp, charged as 2 ulp in every radius;
+* CPython's int-to-float conversion and int true division round correctly
+  (:func:`sum_ball`, :func:`ratio_ball`), charged 1 ulp.
 
 Radius bookkeeping itself runs in floating point, so every derived radius is
 inflated by a small factor that dominates the accumulated rounding of the
@@ -47,7 +50,6 @@ __all__ = [
     "CertifiedValue",
     "Verdict",
     "VerdictStatus",
-    "CertifiedAccumulator",
     "add_ball",
     "sub_ball",
     "neg_ball",
@@ -59,6 +61,7 @@ __all__ = [
     "exact_ball",
     "int_ball",
     "ratio_ball",
+    "sum_ball",
     "ball_endpoints",
     "ball_status",
     "certified",
@@ -80,12 +83,14 @@ __all__ = [
     "ZETA2",
     "E_GAMMA_OVER_ZETA2",
     "LOG_2",
+    "SUM_SCALE",
 ]
 
 # Covers the rounding of every radius formula below (each has < 16 flops).
 _INFLATE = 1.0 + 2.0 ** -44
-# Covers up to ~2^33 radius additions inside an accumulator.
-_INFLATE_ACC = 1.0 + 2.0 ** -20
+# Exact sums are Python ints in units of 1/SUM_SCALE (see sum_ball); every
+# term of series.prefix_sums below the 2^31 sieve cap is a multiple of it.
+SUM_SCALE = 2.0 ** 120
 
 Ball = tuple[float, float]  # (value, radius)
 
@@ -185,6 +190,19 @@ def ratio_ball(num: int, den: int) -> Ball:
         raise DomainError("ratio_ball: zero denominator")
     v = num / den
     return v, math.ulp(v)
+
+
+def sum_ball(units: int, radius_units: int) -> Ball:
+    """Enclosure of an exact sum kept as integers in units of ``1/SUM_SCALE``.
+
+    ``units`` is the exact sum of the term values and ``radius_units``
+    bounds the sum of their radii from above.  CPython converts an int to
+    the nearest float and dividing by a power of two is exact, so the value
+    is the correctly rounded sum (0.5 ulp, charged 1 ulp).  No output check
+    is needed: ``float`` raises rather than return an infinity.
+    """
+    v = float(units) / SUM_SCALE
+    return v, (float(radius_units) / SUM_SCALE + math.ulp(v)) * _INFLATE
 
 
 def add_ball(a: Ball, b: Ball) -> Ball:
@@ -377,57 +395,6 @@ def compare(lhs: CertifiedValue, rhs: CertifiedValue, claim: str) -> Verdict:
     """
     margin = sub_ball(lhs.ball, rhs.ball)
     return Verdict(ball_status(margin, claim), CertifiedValue(*margin))
-
-
-class CertifiedAccumulator:
-    """Neumaier-compensated running sum with a rigorous error radius.
-
-    add(value, radius) treats ``value`` as a float whose exact intended term
-    lies within ``radius`` of it.  The float pair (sum, compensation) is
-    maintained with an error-free transformation, so the only rounding per
-    step is the compensation update, charged as 1 ulp.  State round-trips
-    bit-identically through :meth:`state` / :meth:`restore` so scans can be
-    checkpointed and resumed deterministically.
-    """
-
-    __slots__ = ("_sum", "_comp", "_radius", "count")
-
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._comp = 0.0
-        self._radius = 0.0
-        self.count = 0
-
-    def add(self, value: float, radius: float = 0.0) -> None:
-        s = self._sum + value
-        if abs(self._sum) >= abs(value):
-            e = (self._sum - s) + value
-        else:
-            e = (value - s) + self._sum
-        c = self._comp + e
-        self._radius = self._radius + radius + math.ulp(c)
-        self._sum = s
-        self._comp = c
-        self.count += 1
-
-    def total_ball(self) -> Ball:
-        v = self._sum + self._comp
-        r = (self._radius + math.ulp(v)) * _INFLATE_ACC
-        if not (math.isfinite(v) and 0.0 <= r < math.inf):
-            raise _invalid(v, r)
-        return v, r
-
-    def total(self) -> CertifiedValue:
-        return CertifiedValue(*self.total_ball())
-
-    def state(self) -> tuple[float, float, float, int]:
-        return (self._sum, self._comp, self._radius, self.count)
-
-    @classmethod
-    def restore(cls, state: tuple[float, float, float, int]) -> "CertifiedAccumulator":
-        acc = cls()
-        acc._sum, acc._comp, acc._radius, acc.count = state
-        return acc
 
 
 def from_mp_interval(ival) -> CertifiedValue:

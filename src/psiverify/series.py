@@ -2,7 +2,7 @@
 
 Every real-valued quantity the package checks at a primorial
 N_n = p_1 ... p_n is a function of theta(p_n) = log N_n and of a few prefix
-sums, each a compensated sum of the terms log1p(num/den(p)) named in
+sums, each the exact sum of the binary64 terms log1p(num/den(p)) named in
 :data:`TERMS`:
 
     plus = sum log1p( 1/p )          psi(N_n)/N_n and R
@@ -10,12 +10,17 @@ sums, each a compensated sum of the terms log1p(num/den(p)) named in
     phi  = sum log1p(-1/p)           f and the Rosser-Schoenfeld product
     sq   = sum log1p(-1/p^2)         the zeta(2) tail
 
-:func:`prefix_sums` is the one pass that computes them: it runs one
-accumulator for theta, whose term is log p charged 2 ulp, and one per
-requested kind over p_1, p_2, ... and yields certified totals only at the
-indices it is asked for.  The prime table holds primes only, so theta has
-no other source.  The primorial points below, the criterion functions, the
-bounds module and the cache inspector consume the pass.
+:func:`prefix_sums` is the one pass that computes them.  Over p_1, p_2, ...
+it adds theta's term, log p charged 2 ulp, and each requested kind's term
+to Python ints in units of 2^-120 (``numerics.SUM_SCALE``), and yields
+certified totals only at the indices it is asked for.  Every term is exact
+at that scale: log p >= log 2, and the smallest term below the 2^31 sieve
+cap, log1p(-1/p^2) at p = 2147483647 (about -2^-62), has an ulp of
+2^-114.  The pass checks each term.  Its totals are then the exact sums of
+the terms, whatever their order or grouping.  The prime table holds primes
+only, so theta has no other source.  The primorial points below, the
+criterion functions, the bounds module and the cache inspector consume the
+pass.
 
 The pass yields its totals as plain ``(value, radius)`` pairs, and the
 points chain them through the float kernels of ``numerics``; objects are
@@ -40,15 +45,15 @@ so both are restricted to x >= 5 and points leave g unset at n = 2.
 from __future__ import annotations
 
 from itertools import islice
-from math import log, ulp
+from math import ceil, log, ulp
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, RangeError
 from .numerics import (
     E_GAMMA,
     E_GAMMA_OVER_ZETA2,
+    SUM_SCALE,
     Ball,
-    CertifiedAccumulator,
     CertifiedValue,
     div_ball,
     exp_ball,
@@ -56,6 +61,7 @@ from .numerics import (
     log_ball,
     mul_ball,
     sub_ball,
+    sum_ball,
 )
 from .primes import PrimeTable
 
@@ -88,14 +94,17 @@ def prefix_sums(
 
     ``theta`` encloses theta(p_n) = log p_1 + ... + log p_n, each log charged
     2 ulp for the libm call.  ``totals[i]`` encloses the sum over
-    p_1 .. p_n of the ``kinds[i]`` term.  Both are ``(value, radius)`` pairs.
-    A term is the ball of log1p over num/den(p) with 1 ulp charged for the
-    correctly rounded division, the same value and radius as
-    ``log1p_ball(ratio_ball(num, den(p)))``, so totals do not depend on
-    which kinds share the pass or at which indices it stops.
+    p_1 .. p_n of the ``kinds[i]`` term, the ball
+    ``log1p_ball(ratio_ball(num, den(p)))``.  Both are ``(value, radius)``
+    pairs.  Each sum is kept exactly, as Python ints in units of
+    ``1/SUM_SCALE``: the term values scaled, and the term radii scaled and
+    rounded up.  Integer addition is associative, so a total does not depend
+    on the order of its terms, on which kinds share the pass or on where it
+    stops.  A term that is not a multiple of ``1/SUM_SCALE`` raises
+    :class:`DomainError` rather than lose bits.
     """
-    theta = CertifiedAccumulator()
-    work = [(CertifiedAccumulator(), *TERMS[kind]) for kind in kinds]
+    theta = theta_radius = 0
+    work = [[kind, *TERMS[kind], 0, 0] for kind in kinds]  # kind, num, den, sum, radius
     primes = iter(table.primes)
     done = 0
     for n in at:
@@ -103,12 +112,25 @@ def prefix_sums(
             raise RangeError(f"prefix_sums: index {n} outside [{done}, {table.count}]")
         for p in islice(primes, n - done):
             lp = log(p)
-            theta.add(lp, 2.0 * ulp(lp))
-            for acc, num, den in work:
-                x = num / den(p)
-                acc.add(*log1p_ball((x, ulp(x))))
+            scaled = lp * SUM_SCALE
+            if not scaled.is_integer():
+                raise _unscaled("theta", p, lp)
+            theta += int(scaled)
+            theta_radius += ceil(2.0 * ulp(lp) * SUM_SCALE)
+            for w in work:
+                x = w[1] / w[2](p)
+                v, r = log1p_ball((x, ulp(x)))
+                scaled = v * SUM_SCALE
+                if not scaled.is_integer():
+                    raise _unscaled(w[0], p, v)
+                w[3] += int(scaled)
+                w[4] += ceil(r * SUM_SCALE)
         done = n
-        yield n, theta.total_ball(), [acc.total_ball() for acc, _, _ in work]
+        yield n, sum_ball(theta, theta_radius), [sum_ball(w[3], w[4]) for w in work]
+
+
+def _unscaled(kind: str, p: int, term: float) -> DomainError:
+    return DomainError(f"prefix_sums: the {kind} term {term!r} at p={p} is finer than 1/SUM_SCALE")
 
 
 class PrimorialPoint(NamedTuple):

@@ -160,6 +160,20 @@ def test_stride_indices():
     assert dense == list(range(2, 11))
     assert list(stride_indices(5, 5, policy)) == [5]
     assert list(stride_indices(6, 5, policy)) == []
+    # a step past the stop goes to the stop, also when n * ratio overflows
+    assert list(stride_indices(2, 5, StridePolicy(dense_until=0, ratio=1e308))) == [2, 5]
+
+
+@pytest.mark.parametrize(
+    "start,stop,dense_until,ratio", [(2, 40, 10, 1.5), (1, 10**6, 100, 1.01), (3, 5000, 0, 0.5), (7, 10**5, 50, 3e5)]
+)
+def test_stride_indices_follow_the_geometric_rule(start, stop, dense_until, ratio):
+    # reference: the step rule min(max(n + 1, int(n * ratio)), stop) past dense_until
+    expected, n = [start], start
+    while n < stop:
+        n = min(n + 1 if n < dense_until else max(n + 1, int(n * ratio)), stop)
+        expected.append(n)
+    assert list(stride_indices(start, stop, StridePolicy(dense_until, ratio))) == expected
 
 
 def test_scan_counts_match_stride(table):

@@ -321,8 +321,28 @@ def test_scan_bounds_no_escalate_leaves_the_point_inconclusive(
     argv = ["scan", "bounds", "--name", "zeta-tail", "--from", "25", "--to", "25"]
     got, out, err = run_cli(capsys, *argv, *(["--no-escalate"] if no_escalate else []))
     assert got == code, err
-    verdicts = json.loads(out)["verdicts"]
-    assert verdicts == {"holds": int(not no_escalate), "inconclusive": int(no_escalate), "fails": 0}
+    report = json.loads(out)
+    assert report["verdicts"] == {"holds": int(not no_escalate), "inconclusive": int(no_escalate), "fails": 0}
+    assert report["escalated_at"] == ([] if no_escalate else [25])
+
+
+def test_scan_bounds_huge_ratio_steps_straight_to_the_stop(capsys, monkeypatch):
+    # n * ratio overflows to inf: the scan must step to --to, not raise
+    import psiverify.bounds as bounds_mod
+
+    real_prefix_sums, seen = bounds_mod.prefix_sums, []
+
+    def spy(table, kinds, at):
+        for item in real_prefix_sums(table, kinds, at):
+            seen.append(item[0])
+            yield item
+
+    monkeypatch.setattr(bounds_mod, "prefix_sums", spy)
+    argv = ["--name", "zeta-tail", "--from", "2", "--to", "5", "--ratio", "1e308", "--dense-until", "0"]
+    code, out, err = run_cli(capsys, "scan", "bounds", *argv)
+    assert code == 0, err
+    assert seen == [2, 5]
+    assert json.loads(out)["verdicts"] == {"holds": 2, "inconclusive": 0, "fails": 0}
 
 
 def test_verify_no_escalate_fails_on_an_inconclusive_point(capsys, tmp_path, first_ball_comparison_inconclusive):

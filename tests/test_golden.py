@@ -6,15 +6,30 @@ file byte for byte.  ``CACHE`` is replaced by an empty per-case cache
 directory, and such a case runs twice: cold, when the command sieves and
 writes the cache, then warm, when it loads it.  Both runs must produce the
 golden bytes, which were written without a cache.  A case's ``id`` names it
-when its golden file is shared with another case.  The goldens were written before the prime-sum pass was
-unified, so any refactor of the numeric paths must keep every byte.  Floats
-go through the platform libm, so the files pin binary64 behaviour of the
-machine they were made on (x86-64 Linux, CPython 3.11).
+when its golden file is shared with another case.  Floats go through the
+platform libm, so the files pin binary64 behaviour of the machine they were
+made on (x86-64 Linux, CPython 3.11).
+
+The goldens were first written before the prime-sum pass was unified, and
+refactors of the numeric paths kept every byte.  They were regenerated once
+since, in a commit that touches only ``golden/``, when the prefix sums
+became exact integer sums: the radii shrank by the dropped accumulator
+factor 1/(1 + 2^-20), and the bound reports gained ``escalated_at``.  Every
+value, verdict and exit code stayed the same.  To regenerate, run
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+
+which reruns each case without an ``id`` through ``cli.main``, uncached,
+and rewrites its golden file.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -42,3 +57,24 @@ def test_golden_bytes(case, tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert code == case["exit"], run
         assert out.read_bytes() == (GOLDEN / case["golden"]).read_bytes(), run
+
+
+def regenerate() -> None:
+    """Rewrite each golden file from an uncached run of its case."""
+    os.environ.pop("PSIVERIFY_CACHE_DIR", None)
+    os.environ.pop("PSIVERIFY_CONFIG", None)
+    for case in CASES:
+        if "id" in case:  # shares its golden with a case that writes it
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / case["golden"]
+            code = main([str(out) if a == "OUT" else a for a in case["argv"]])
+            if code != case["exit"]:
+                raise SystemExit(f"{case['golden']}: exit code {code}, the manifest says {case['exit']}")
+            shutil.copyfile(out, GOLDEN / case["golden"])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        raise SystemExit("usage: python tests/test_golden.py --regenerate")
+    regenerate()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -17,7 +18,6 @@ from psiverify.numerics import (
     EULER_GAMMA,
     LOG_2,
     ZETA2,
-    CertifiedAccumulator,
     CertifiedValue,
     VerdictStatus,
     add_ball,
@@ -42,6 +42,7 @@ from psiverify.numerics import (
     log_ball,
     mul_ball,
     sub_ball,
+    sum_ball,
 )
 
 
@@ -155,18 +156,12 @@ def test_kernel_raises_where_its_wrapper_raises(kernel, wrapper, args):
         wrapper(*(CertifiedValue(*pair) for pair in args))
 
 
-@pytest.mark.parametrize(
-    "terms,ids",
-    [([(1e308, 0.0), (1e308, 0.0)], "non-finite sum"), ([(1.0, _INF)], "non-finite radius")],
-)
-def test_accumulator_total_raises_on_a_non_finite_ball(terms, ids):
-    acc = CertifiedAccumulator()
-    for value, radius in terms:
-        acc.add(value, radius)
-    with pytest.raises(DomainError):
-        acc.total_ball()
-    with pytest.raises(DomainError):
-        acc.total()
+@given(st.integers(-(2**200), 2**200), st.integers(0, 2**130))
+def test_sum_ball_encloses_the_scaled_integers(units, radius_units):
+    v, r = sum_ball(units, radius_units)
+    exact = Fraction(units, 2**120)
+    assert v == float(exact)  # correctly rounded
+    assert Fraction(r) >= Fraction(radius_units, 2**120) + abs(Fraction(v) - exact)
 
 
 def test_compare_is_ball_status_of_the_difference():
@@ -307,41 +302,6 @@ def test_radius_monotonicity_mul(av, bv, r1, r2):
     lo = cv_mul(certified(av, min(r1, r2)), certified(bv, 1.0))
     hi = cv_mul(certified(av, max(r1, r2)), certified(bv, 1.0))
     assert hi.radius >= lo.radius
-
-
-# ---------------------------------------------------------------------------
-# compensated accumulator
-# ---------------------------------------------------------------------------
-
-
-def test_accumulator_encloses_exact_sum():
-    rng = random.Random(11)
-    acc = CertifiedAccumulator()
-    exact = mp.mpf(0)
-    for _ in range(5000):
-        t = rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 2)
-        acc.add(t)
-        exact += mp.mpf(t)
-    assert contains(acc.total(), exact)
-    # compensated: radius stays at accumulated-ulp scale, far below naive loss
-    assert acc.total().radius < 1e-10
-
-
-def test_accumulator_checkpoint_resume_bitwise():
-    rng = random.Random(3)
-    terms = [rng.uniform(0, 1e-3) for _ in range(2000)]
-    full = CertifiedAccumulator()
-    for t in terms:
-        full.add(t, 1e-18)
-    half = CertifiedAccumulator()
-    for t in terms[:1000]:
-        half.add(t, 1e-18)
-    resumed = CertifiedAccumulator.restore(half.state())
-    for t in terms[1000:]:
-        resumed.add(t, 1e-18)
-    assert resumed.state() == full.state()
-    assert resumed.total().value == full.total().value
-    assert resumed.total().radius == full.total().radius
 
 
 def test_from_mp_interval_encloses():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+from array import array
+from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -11,7 +14,7 @@ from psiverify.arith import Factorization, primorial, robin_ratio_from_factors
 from psiverify.errors import DomainError, RangeError
 from psiverify.numerics import (
     E_GAMMA_OVER_ZETA2,
-    CertifiedAccumulator,
+    SUM_SCALE,
     CertifiedValue,
     VerdictStatus,
     ball_status,
@@ -24,8 +27,11 @@ from psiverify.numerics import (
     cv_log1p,
     cv_mul,
     cv_sub,
+    log1p_ball,
+    ratio_ball,
 )
-from psiverify.series import criterion_f, criterion_g, prefix_sums, stream_points
+from psiverify.primes import MAX_LIMIT, PrimeTable
+from psiverify.series import TERMS, criterion_f, criterion_g, prefix_sums, stream_points
 
 
 @pytest.mark.parametrize(
@@ -38,27 +44,82 @@ from psiverify.series import criterion_f, criterion_g, prefix_sums, stream_point
     ],
 )
 def test_prefix_pass_bit_identical_to_certified_value_chain(table, kind, num, den):
-    # reference: each term built as CertifiedValues and fed to an accumulator;
-    # theta's term is log p charged 2 ulp, as the prime table once stored it
+    # reference: each term built as a CertifiedValue; theta's term is log p
+    # charged 2 ulp.  At every n the value is the correctly rounded exact sum
+    # of the term values (what math.fsum returns; a Fraction holds the exact
+    # sum), and the ball covers it plus the exact sum of the term radii.
     count = 10**4
-    acc = CertifiedAccumulator()
-    theta_acc = CertifiedAccumulator()
-    expected = []
-    expected_theta = []
-    for p in table.primes[:count]:
-        t = cv_log1p(cv_from_ratio(num, den(p)))
-        acc.add(t.value, t.radius)
-        expected.append(acc.total())
-        lp = math.log(p)
-        theta_acc.add(lp, 2.0 * math.ulp(lp))
-        expected_theta.append(theta_acc.total())
+    terms = [cv_log1p(cv_from_ratio(num, den(p))) for p in table.primes[:count]]
+    logs = [math.log(p) for p in table.primes[:count]]
+    theta_terms = [CertifiedValue(lp, 2.0 * math.ulp(lp)) for lp in logs]
     got = list(prefix_sums(table, (kind,), range(1, count + 1)))
-    assert [s[0] for _, _, s in got] == [(t.value, t.radius) for t in expected]
-    assert [th for _, th, _ in got] == [(t.value, t.radius) for t in expected_theta]
+    assert [n for n, _, _ in got] == list(range(1, count + 1))
+    for column, reference in ((lambda g: g[2][0], terms), (lambda g: g[1], theta_terms)):
+        value = radius = Fraction(0)
+        for g, t in zip(got, reference):
+            value += Fraction(t.value)
+            radius += Fraction(t.radius)
+            v, r = column(g)
+            assert v == float(value), g[0]
+            assert Fraction(r) >= radius + abs(Fraction(v) - value), g[0]
+        assert v == math.fsum(t.value for t in reference)
+        assert r >= math.fsum(t.radius for t in reference)
     # sharing the pass with other kinds, or stopping sparsely, changes nothing
     (_, theta, shared), = prefix_sums(table, ("sq", kind, "plus"), (count,))
-    assert shared[1] == (expected[-1].value, expected[-1].radius)
-    assert theta == (expected_theta[-1].value, expected_theta[-1].radius)
+    assert shared[1] == got[-1][2][0]
+    assert theta == got[-1][1]
+
+
+def test_prefix_sums_enclose_exact_sums(table):
+    # the real sums of log p and of log1p(num/den(p)), to 40 digits
+    kinds = tuple(TERMS)
+    at = (1, 2, 10, 500, 3000)
+    with mp.workdps(40):
+        theta, sums, exact = mp.mpf(0), [mp.mpf(0)] * len(kinds), {}
+        for n, p in enumerate(table.primes[: at[-1]], start=1):
+            theta += mp.log(p)
+            sums = [s + mp.log1p(mp.mpf(TERMS[k][0]) / TERMS[k][1](p)) for s, k in zip(sums, kinds)]
+            exact[n] = [theta, *sums]
+        for n, theta_ball, totals in prefix_sums(table, kinds, at):
+            for (v, r), real in zip([theta_ball, *totals], exact[n]):
+                assert mp.mpf(v) - r <= real <= mp.mpf(v) + r, n
+                assert r < 1e-10
+
+
+def test_prefix_sums_raise_on_a_term_outside_the_domain(monkeypatch, small_table):
+    # log1p(-1/(p - 1)) is log 0 at p = 2: the pass raises, it yields no total
+    monkeypatch.setitem(TERMS, "log0", (-1, lambda p: p - 1))
+    with pytest.raises(DomainError):
+        next(prefix_sums(small_table, ("log0",), (1,)))
+
+
+# p = 2, 3 and the largest prime below the 2^31 sieve cap: |term| and so its
+# ulp shrink as p grows, so the last prime has the finest terms
+EDGE_PRIMES = PrimeTable(limit=MAX_LIMIT, primes=array("q", [2, 3, 2147483647]))
+
+
+def test_sum_scale_holds_every_term_exactly():
+    for p in EDGE_PRIMES.primes:
+        lp = math.log(p)
+        balls = [(lp, 2.0 * math.ulp(lp))]
+        balls += [log1p_ball(ratio_ball(num, den(p))) for num, den in TERMS.values()]
+        for v, r in balls:
+            assert (v * SUM_SCALE).is_integer() and int(v * SUM_SCALE) / SUM_SCALE == v, (p, v)
+            assert math.ceil(r * SUM_SCALE) / SUM_SCALE >= r, (p, r)
+    # the finest term, sq at 2^31 - 1, still has 6 bits to spare
+    assert math.ulp(log1p_ball(ratio_ball(-1, 2147483647**2))[0]) == 2.0**-114
+    got = list(prefix_sums(EDGE_PRIMES, tuple(TERMS), (1, 2, 3)))
+    assert [n for n, _, _ in got] == [1, 2, 3]
+
+
+def test_prefix_sums_raise_on_a_term_finer_than_the_scale(monkeypatch):
+    # log1p(-1/p^4) at p = 2^31 - 1 is about -2^-124: int(v * 2^120) would
+    # drop its bits, so the pass must raise instead
+    monkeypatch.setitem(TERMS, "quartic", (-1, lambda p: p**4))
+    totals = prefix_sums(EDGE_PRIMES, ("quartic",), (1, 2, 3))
+    assert [n for n, _, _ in islice(totals, 2)] == [1, 2]
+    with pytest.raises(DomainError, match="quartic term .* at p=2147483647"):
+        next(totals)
 
 
 def test_points_bit_identical_to_certified_value_chain(table):
