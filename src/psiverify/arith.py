@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError, ResourceError
-from .numerics import CertifiedValue, cv_div, cv_from_ratio, cv_log, cv_log_int
+from .numerics import CertifiedValue, div_ball, log_ball, log_int_ball, ratio_ball
 from .primes import MAX_LIMIT, PrimeTable, build_table
 
 __all__ = [
@@ -163,9 +163,7 @@ def robin_ratio_from_factors(fz: Factorization) -> CertifiedValue:
     n = fz.n
     if n < 3:
         raise DomainError(f"robin_ratio: undefined below 3, got n={n}")
-    ratio = cv_from_ratio(psi_from_factors(fz), n)
-    loglog = cv_log(cv_log_int(n))
-    return cv_div(ratio, loglog)
+    return CertifiedValue(*div_ball(ratio_ball(psi_from_factors(fz), n), log_ball(log_int_ball(n))))
 
 
 def robin_ratio(n: int, table: PrimeTable | None = None) -> CertifiedValue:

@@ -376,14 +376,14 @@ def scan_bound(
         status = ball_status(margin, claim)
         escalated = escalate and status is VerdictStatus.INCONCLUSIVE
         if escalated:
-            verdict = compare(*_interval_sides(table, name, n), claim)
-            status, margin = verdict.status, verdict.margin.ball
+            margin = sub_ball(*_interval_sides(table, name, n))
+            status = ball_status(margin, claim)
         scan.record(x if bound.at_x else n, status, _slack(claim, margin), escalated)
     return scan
 
 
 def _interval_sides(table: PrimeTable, name: str, n: int, prec: int = ESCALATION_PREC_BITS):
-    """Recompute one point with outward-rounded interval arithmetic.
+    """Recompute one point's sides with outward-rounded interval arithmetic, as balls.
 
     ``name`` is a bound, or ``"lower"`` for the :data:`LOWER` criterion.
     theta and the prefix sums are summed again from p_1 in intervals.

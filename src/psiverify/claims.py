@@ -48,13 +48,12 @@ from .bounds import (
 from .errors import RangeError, UnknownClaimError
 from .numerics import (
     E_GAMMA,
-    CertifiedValue,
+    Ball,
     VerdictStatus,
     ball_endpoints,
     ball_status,
-    certified,
     compare,
-    cv_div,
+    div_ball,
     sub_ball,
 )
 from .primes import PrimeTable, build_table
@@ -135,10 +134,6 @@ class ClaimResult:
             "counterexamples": self.counterexamples,
             "details": self.details,
         }
-
-
-def _cv_pair(cv: CertifiedValue) -> list[float]:
-    return [cv.value, cv.radius]
 
 
 def required_table_limit(n_max: int) -> int:
@@ -365,7 +360,7 @@ def verify_upper(table: PrimeTable) -> ClaimResult:
             },
             "c": {
                 "counterexamples": c_bad,
-                "threshold_margin": _cv_pair(first.verdict.margin),
+                "threshold_margin": first.verdict.margin.ball,
                 "monotone_checked_at": monotone_at,
             },
         },
@@ -377,15 +372,16 @@ def verify_upper(table: PrimeTable) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_trend(margins: dict[int, CertifiedValue]) -> tuple[dict[str, list[float]], list[int]]:
-    """Margins as JSON pairs, and the checkpoints where the margin fails to decrease.
+def _checkpoint_trend(margins: dict[int, Ball]) -> tuple[dict[str, Ball], list[int]]:
+    """Margins keyed for JSON, and the checkpoints where the margin fails to decrease.
 
-    ``margins`` maps ascending checkpoints to R(N_n) - e^gamma/zeta(2); each
-    one must be certified below the one before.
+    ``margins`` maps ascending checkpoints to the ball of
+    R(N_n) - e^gamma/zeta(2); each one must be certified below the one before.
     """
     at = list(margins)
-    not_decreasing = [b for a, b in zip(at, at[1:]) if not compare(margins[b], margins[a], "<").holds]
-    return {str(n): _cv_pair(m) for n, m in margins.items()}, not_decreasing
+    drops = (ball_status(sub_ball(margins[b], margins[a]), "<") for a, b in zip(at, at[1:]))
+    not_decreasing = [b for b, drop in zip(at[1:], drops) if drop is not VerdictStatus.HOLDS]
+    return {str(n): m for n, m in margins.items()}, not_decreasing
 
 
 def verify_lower(
@@ -407,10 +403,9 @@ def verify_lower(
     bad: list[int] = []
     escalated: list[int] = []
     dual_mismatch: list[int] = []
-    margins: dict[int, CertifiedValue] = {}
+    margins: dict[int, Ball] = {}
     min_margin = math.inf
     min_at = None
-    one = certified(1.0)
     holds = VerdictStatus.HOLDS
     for point in points_at(table, range(LOWER.start, n_max + 1)):
         # margin R(N_n) - e^gamma/zeta(2) must be > 0, and g(p_n) - 1 < 0
@@ -421,10 +416,10 @@ def verify_lower(
             if escalate:
                 escalated.append(n)
                 ratio, limit = _interval_sides(table, "lower", n)
-                verdict = compare(ratio, limit, ">")
+                margin = sub_ball(ratio, limit)
+                status = ball_status(margin, ">")
                 # g(p_n) = (e^gamma/zeta(2)) / R(N_n) exactly
-                dual = compare(cv_div(limit, ratio), one, "<").status
-                status, margin = verdict.status, verdict.margin.ball
+                dual = ball_status(sub_ball(div_ball(limit, ratio), (1.0, 0.0)), "<")
             if status is not holds:
                 bad.append(n)
             if dual is not status:
@@ -434,7 +429,7 @@ def verify_lower(
             min_margin = slack
             min_at = n
         if n in checkpoints:
-            margins[n] = CertifiedValue(*margin)
+            margins[n] = margin
     margin_pairs, trend_bad = _checkpoint_trend(margins)
     return ClaimResult(
         claim_id="lower",
@@ -464,10 +459,10 @@ def mertens_limit_trend(
     live = tuple(c for c in checkpoints if c <= table.count)
     if not live:
         raise RangeError("mertens_limit_trend: no checkpoint within table range")
-    margins: dict[int, CertifiedValue] = {}
+    margins: dict[int, Ball] = {}
     bad: list[int] = []
     for point in points_at(table, live):
-        margins[point.n] = point.margin_lower
+        margins[point.n] = point.margin_ball
         if ball_status(point.margin_ball, ">") is not VerdictStatus.HOLDS:
             bad.append(point.n)
     margin_pairs, trend_bad = _checkpoint_trend(margins)
@@ -486,7 +481,8 @@ def mertens_limit_trend(
 
 def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str) -> ClaimResult:
     start = BOUNDS[name].start
-    stop = min(config.n_max, table.count)
+    # a bound claim always checks its first valid index, however small n_max is
+    stop = max(start, min(config.n_max, table.count))
     scan = scan_bound(table, name, start, stop, escalate=config.escalate)
     return ClaimResult(
         claim_id=name,
@@ -494,6 +490,15 @@ def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str) -> ClaimRes
         counterexamples=list(scan.failed_at),
         details=scan.to_dict(),
     )
+
+
+def _mertens_claim(table: PrimeTable, config: VerifyConfig) -> ClaimResult:
+    live = config.live_checkpoints()
+    if not live:
+        raise RangeError(
+            f"mertens-trend: n_max={config.n_max} is below the first checkpoint, {CHECKPOINTS[0]}"
+        )
+    return mertens_limit_trend(table, live)
 
 
 def _robin_claim(table: PrimeTable, config: VerifyConfig) -> ClaimResult:
@@ -526,7 +531,7 @@ _CLAIMS: dict[str, tuple[str, Callable[[PrimeTable, VerifyConfig], ClaimResult]]
     ),
     "mertens-trend": (
         "margin to e^gamma/zeta(2) positive and decreasing at checkpoints",
-        lambda table, config: mertens_limit_trend(table, config.live_checkpoints()),
+        _mertens_claim,
     ),
     "rs-product": (
         "partial Euler product bound e^gamma(log x + 1/log x)",

@@ -7,20 +7,17 @@ the inputs' intervals contain their exact reals, so does the output's.
 Each operation is written once, as a float kernel that takes and returns
 balls: :func:`add_ball`, :func:`sub_ball`, :func:`neg_ball`,
 :func:`mul_ball`, :func:`div_ball`, :func:`log_ball`, :func:`log1p_ball`,
-:func:`exp_ball`, the exact inputs :func:`exact_ball`, :func:`int_ball` and
-:func:`ratio_ball`, and :func:`sum_ball` for an exact sum held as integer
-multiples of ``1/SUM_SCALE``.  A kernel is the only home of its value
-formula, its radius formula and its domain guard (it raises
-:class:`DomainError`), and it checks its own output as
-:class:`CertifiedValue` does: a finite value and a finite radius >= 0.
-:func:`ball_endpoints` and :func:`ball_status` decide on a ball, and are
-the core of :func:`compare`.
-
-Computations chain the kernels on pairs.  Objects live at the report edges
-only: the ``cv_*`` functions and :func:`compare` wrap the same kernels in
-:class:`CertifiedValue` and :class:`Verdict` objects for the values a report
-or a caller reads, so both give the same balls bit for bit.  A
-:class:`CertifiedValue` has no arithmetic operators.
+:func:`exp_ball`, :func:`log_int_ball` for the log of an exact integer of
+any size, the exact inputs :func:`exact_ball`, :func:`int_ball` and
+:func:`ratio_ball`, :func:`sum_ball` for an exact sum held as integer
+multiples of ``1/SUM_SCALE``, and :func:`from_mp_interval` for an mpmath
+interval.  A kernel is the only home of its value formula, its radius
+formula and its domain guard (it raises :class:`DomainError`), and it
+checks its own output as :class:`CertifiedValue` does: a finite value and
+a finite radius >= 0.  :func:`ball_endpoints` and :func:`ball_status`
+decide on a ball.  :class:`CertifiedValue`, :class:`Verdict` and
+:func:`compare` (the :func:`ball_status` of a difference) are report types
+over the same pairs; they add no arithmetic.
 
 Rigor assumptions, stated once and stress-tested in the suite:
 
@@ -33,8 +30,7 @@ Rigor assumptions, stated once and stress-tested in the suite:
 
 Radius bookkeeping itself runs in floating point, so every derived radius is
 inflated by a small factor that dominates the accumulated rounding of the
-bookkeeping operations.  These assumptions are the same for the kernels and
-for their object wrappers: the wrappers add no arithmetic.
+bookkeeping operations.
 """
 
 from __future__ import annotations
@@ -58,24 +54,13 @@ __all__ = [
     "log_ball",
     "log1p_ball",
     "exp_ball",
+    "log_int_ball",
     "exact_ball",
     "int_ball",
     "ratio_ball",
     "sum_ball",
     "ball_endpoints",
     "ball_status",
-    "certified",
-    "cv_from_int",
-    "cv_from_ratio",
-    "cv_add",
-    "cv_sub",
-    "cv_neg",
-    "cv_mul",
-    "cv_div",
-    "cv_log",
-    "cv_log1p",
-    "cv_exp",
-    "cv_log_int",
     "compare",
     "from_mp_interval",
     "EULER_GAMMA",
@@ -292,6 +277,25 @@ def exp_ball(a: Ball) -> Ball:
     return v, r
 
 
+def log_int_ball(n: int) -> Ball:
+    """Enclosure of the natural log of an exact (possibly huge) integer.
+
+    For n beyond 53 bits, splits n = m * 2^e with m holding the top 53 bits;
+    the discarded remainder contributes at most log1p(2^-52) < 2^-51, which
+    is charged to the radius.
+    """
+    if n <= 0:
+        raise DomainError("log_int_ball: n must be positive")
+    if n < (1 << 53):
+        return log_ball((float(n), 0.0))
+    e = n.bit_length() - 53
+    v, r = add_ball(log_ball((float(n >> e), 0.0)), mul_ball(int_ball(e), LOG_2.ball))
+    # true log n lies in [v - r, v + r + 2^-52]: the discarded remainder
+    # only pushes upward; widen the ball instead of nudging the center so no
+    # new rounding enters
+    return v, (r + 2.0 ** -52) * _INFLATE
+
+
 def ball_endpoints(a: Ball) -> tuple[float, float]:
     """Rigorous ``(lo, hi)`` of a ball, rounded outward when inexact."""
     value, radius = a
@@ -319,73 +323,6 @@ def ball_status(a: Ball, claim: str) -> VerdictStatus:
     return VerdictStatus.HOLDS if holds else VerdictStatus.FAILS if fails else VerdictStatus.INCONCLUSIVE
 
 
-# --- CertifiedValue wrappers over the kernels ---------------------------------
-
-
-def certified(value: float, radius: float = 0.0) -> CertifiedValue:
-    return CertifiedValue(float(value), float(radius))
-
-
-def cv_from_int(n: int) -> CertifiedValue:
-    return CertifiedValue(*int_ball(n))
-
-
-def cv_from_ratio(num: int, den: int) -> CertifiedValue:
-    return CertifiedValue(*ratio_ball(num, den))
-
-
-def cv_add(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*add_ball(a.ball, b.ball))
-
-
-def cv_neg(a: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*neg_ball(a.ball))
-
-
-def cv_sub(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*sub_ball(a.ball, b.ball))
-
-
-def cv_mul(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*mul_ball(a.ball, b.ball))
-
-
-def cv_div(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*div_ball(a.ball, b.ball))
-
-
-def cv_log(a: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*log_ball(a.ball))
-
-
-def cv_log1p(a: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*log1p_ball(a.ball))
-
-
-def cv_exp(a: CertifiedValue) -> CertifiedValue:
-    return CertifiedValue(*exp_ball(a.ball))
-
-
-def cv_log_int(n: int) -> CertifiedValue:
-    """Certified natural log of an exact (possibly huge) integer.
-
-    For n beyond 53 bits, splits n = m * 2^e with m holding the top 53 bits;
-    the discarded remainder contributes at most log1p(2^-52) < 2^-51, which
-    is charged to the radius.
-    """
-    if n <= 0:
-        raise DomainError("cv_log_int: n must be positive")
-    if n < (1 << 53):
-        return CertifiedValue(*log_ball((float(n), 0.0)))
-    e = n.bit_length() - 53
-    m = n >> e
-    v, r = add_ball(log_ball((float(m), 0.0)), mul_ball(int_ball(e), LOG_2.ball))
-    # true log n lies in [v - r, v + r + 2^-52]: the discarded remainder
-    # only pushes upward; widen the ball instead of nudging the center so no
-    # new rounding enters
-    return CertifiedValue(v, (r + 2.0 ** -52) * _INFLATE)
-
-
 def compare(lhs: CertifiedValue, rhs: CertifiedValue, claim: str) -> Verdict:
     """Certified three-way comparison of two enclosures.
 
@@ -397,13 +334,13 @@ def compare(lhs: CertifiedValue, rhs: CertifiedValue, claim: str) -> Verdict:
     return Verdict(ball_status(margin, claim), CertifiedValue(*margin))
 
 
-def from_mp_interval(ival) -> CertifiedValue:
-    """Convert an mpmath interval (``iv.mpf``) to a CertifiedValue enclosure."""
+def from_mp_interval(ival) -> Ball:
+    """Convert an mpmath interval (``iv.mpf``) to an enclosing ball."""
     lo = math.nextafter(float(ival.a), -math.inf)
     hi = math.nextafter(float(ival.b), math.inf)
     mid = 0.5 * (lo + hi)
     r = max(hi - mid, mid - lo) * _INFLATE
-    return CertifiedValue(mid, r)
+    return mid, r
 
 
 # 50-digit decimal literals; float() rounds correctly, radius 1 ulp.

@@ -24,17 +24,16 @@ from psiverify.numerics import (
     E_GAMMA,
     E_GAMMA_OVER_ZETA2,
     ZETA2,
-    CertifiedValue,
     VerdictStatus,
-    compare,
-    cv_add,
-    cv_div,
-    cv_exp,
-    cv_from_int,
-    cv_log,
-    cv_log1p,
-    cv_mul,
-    cv_sub,
+    add_ball,
+    ball_status,
+    div_ball,
+    exp_ball,
+    int_ball,
+    log1p_ball,
+    log_ball,
+    mul_ball,
+    sub_ball,
 )
 from psiverify.series import stream_points
 
@@ -67,18 +66,15 @@ def test_criterion_2_prime_count_anchor(table):
 def test_criterion_3_upper_bound(table):
     t0 = time.monotonic()
     res = verify_upper(table)
-    r30 = compare(
-        cv_div(cv_from_int(psi(30) * 30), cv_mul(cv_from_int(30 * 30), cv_log(cv_log(cv_from_int(30))))),
-        E_GAMMA,
-        ">",
-    )
+    r30 = div_ball(int_ball(psi(30) * 30), mul_ball(int_ball(30 * 30), log_ball(log_ball(int_ball(30)))))
+    r30_above = ball_status(sub_ball(r30, E_GAMMA.ball), ">")
     elapsed = time.monotonic() - t0
     ok = (
         res.holds
         and res.details["a"]["counterexamples"] == []
         and res.details["b"]["counterexamples"] == []
         and res.details["c"]["counterexamples"] == []
-        and r30.status is VerdictStatus.HOLDS
+        and r30_above is VerdictStatus.HOLDS
         and elapsed < 30.0
     )
     report("3 upper-bound", ok, f"{elapsed:.1f}s, sharpness witness R(30) > e^gamma")
@@ -121,8 +117,8 @@ def test_criterion_5_sandwich():
     # certified part: phi(n) psi(n) zeta(2) > n^2  <=>  prod * zeta(2) > den^2
     certified_ok = True
     for n in range(2, limit + 1):
-        v = compare(cv_mul(cv_from_int(int(prod[n])), ZETA2), cv_from_int(int(den2[n])), ">")
-        if v.status is not VerdictStatus.HOLDS:
+        margin = sub_ball(mul_ball(int_ball(int(prod[n])), ZETA2.ball), int_ball(int(den2[n])))
+        if ball_status(margin, ">") is not VerdictStatus.HOLDS:
             certified_ok = False
             break
     report("5 sandwich", exact_ok and certified_ok, f"all 2 <= n <= {limit}")
@@ -134,8 +130,8 @@ def test_criterion_6_identity_suite(table):
     for point in stream_points(table, 10**5):
         if point.g is None:
             continue
-        prod = cv_mul(point.g, point.ratio)
-        if abs(prod.value - E_GAMMA_OVER_ZETA2.value) > prod.radius + E_GAMMA_OVER_ZETA2.radius:
+        value, radius = mul_ball(point.g_ball, point.ratio_ball)
+        if abs(value - E_GAMMA_OVER_ZETA2.value) > radius + E_GAMMA_OVER_ZETA2.radius:
             identity_ok = False
             break
 
@@ -211,33 +207,34 @@ def test_criterion_8_numerics_soundness():
         while checked < 10**4:
             v = rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
             r = 0.0 if rng.random() < 0.25 else abs(v) * 10.0 ** rng.randint(-15, -7)
-            a = CertifiedValue(v, r)
+            a = (v, r)
             ta = mp.mpf(v) + mp.mpf(rng.uniform(-1, 1)) * mp.mpf(r)
             w = rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
-            b = CertifiedValue(w, abs(w) * 1e-13)
-            tb = mp.mpf(w) + mp.mpf(rng.uniform(-1, 1)) * mp.mpf(b.radius)
+            b = (w, abs(w) * 1e-13)
+            tb = mp.mpf(w) + mp.mpf(rng.uniform(-1, 1)) * mp.mpf(b[1])
             op = rng.choice(["add", "sub", "mul", "div", "log", "exp", "log1p"])
             try:
                 if op == "add":
-                    out, truth = cv_add(a, b), ta + tb
+                    out, truth = add_ball(a, b), ta + tb
                 elif op == "sub":
-                    out, truth = cv_sub(a, b), ta - tb
+                    out, truth = sub_ball(a, b), ta - tb
                 elif op == "mul":
-                    out, truth = cv_mul(a, b), ta * tb
+                    out, truth = mul_ball(a, b), ta * tb
                 elif op == "div":
-                    out, truth = cv_div(a, b), ta / tb
+                    out, truth = div_ball(a, b), ta / tb
                 elif op == "log":
-                    out, truth = cv_log(a), mp.log(ta)
+                    out, truth = log_ball(a), mp.log(ta)
                 elif op == "log1p":
-                    out, truth = cv_log1p(a), mp.log(1 + ta)
+                    out, truth = log1p_ball(a), mp.log(1 + ta)
                 else:
-                    if abs(a.value) > 300:
+                    if abs(v) > 300:
                         continue
-                    out, truth = cv_exp(a), mp.exp(ta)
+                    out, truth = exp_ball(a), mp.exp(ta)
             except DomainError:
                 continue
             checked += 1
-            if not (mp.mpf(out.value) - out.radius <= truth <= mp.mpf(out.value) + out.radius):
+            value, radius = out
+            if not (mp.mpf(value) - radius <= truth <= mp.mpf(value) + radius):
                 ok = False
                 break
     report("8 numerics-soundness", ok and checked == 10**4, f"{checked} randomized ops vs 100-digit oracle")

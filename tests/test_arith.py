@@ -134,13 +134,13 @@ def test_psi_ratio_depends_only_on_kernel():
 
 def test_sandwich_small():
     # n^2 > phi(n) psi(n) exactly, and phi psi zeta(2) > n^2 certified
-    from psiverify.numerics import ZETA2, cv_from_int, cv_mul
+    from psiverify.numerics import ZETA2, ball_status, int_ball, mul_ball, sub_ball
 
     for n in range(2, 2000):
         pp = phi(n) * psi(n)
         assert n * n > pp
-        v = compare(cv_mul(cv_from_int(pp), ZETA2), cv_from_int(n * n), ">")
-        assert v.status is VerdictStatus.HOLDS, n
+        margin = sub_ball(mul_ball(int_ball(pp), ZETA2.ball), int_ball(n * n))
+        assert ball_status(margin, ">") is VerdictStatus.HOLDS, n
 
 
 def test_robin_ratio_examples():

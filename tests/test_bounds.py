@@ -229,13 +229,13 @@ def test_escalation_agrees_with_fast_path(table, name, n):
         "robin-log": lambda: robin_log_bound(table, n),
         "criterion-gap": lambda: criterion_gap_bound(table, table.nth_prime(n)),
     }[name]()
-    lhs, rhs = _interval_sides(table, name, n)
-    assert abs(lhs.value - fast.lhs.value) <= lhs.radius + fast.lhs.radius
-    assert abs(rhs.value - fast.rhs.value) <= rhs.radius + fast.rhs.radius
-    assert lhs.radius <= fast.lhs.radius
-    from psiverify.numerics import compare
+    from psiverify.numerics import ball_status, sub_ball
 
-    assert compare(lhs, rhs, BOUNDS[name].claim).status is fast.verdict.status
+    lhs, rhs = _interval_sides(table, name, n)
+    assert abs(lhs[0] - fast.lhs.value) <= lhs[1] + fast.lhs.radius
+    assert abs(rhs[0] - fast.rhs.value) <= rhs[1] + fast.rhs.radius
+    assert lhs[1] <= fast.lhs.radius
+    assert ball_status(sub_ball(lhs, rhs), BOUNDS[name].claim) is fast.verdict.status
 
 
 def test_scan_escalation_branch_on_forced_inconclusive(table, monkeypatch):
@@ -260,50 +260,50 @@ def test_scan_escalation_branch_on_forced_inconclusive(table, monkeypatch):
     assert scan.all_hold
 
 
-def _cv_sides():
-    """Each bound's sides, rebuilt with the public cv_* functions in the operand
-    order of the operator chain the formulas were first written in."""
+def _kernel_sides():
+    """Each bound's sides, rebuilt by calling the ball kernels directly, in the
+    operand order of the operator chain the formulas were first written in."""
     from psiverify.numerics import (
         E_GAMMA,
         E_GAMMA_OVER_ZETA2,
         EULER_GAMMA,
         ZETA2,
-        certified,
-        cv_add,
-        cv_div,
-        cv_exp,
-        cv_from_int,
-        cv_from_ratio,
-        cv_log,
-        cv_mul,
-        cv_neg,
+        add_ball,
+        div_ball,
+        exp_ball,
+        int_ball,
+        log_ball,
+        mul_ball,
+        neg_ball,
+        ratio_ball,
     )
 
-    one, c1125, c0125 = certified(1.0), certified(1.125), certified(0.125)
+    one, c1125, c0125 = (1.0, 0.0), (1.125, 0.0), (0.125, 0.0)
+    gamma, e_gamma, zeta2, limit = (c.ball for c in (EULER_GAMMA, E_GAMMA, ZETA2, E_GAMMA_OVER_ZETA2))
 
     def rs(x, theta, s_phi):
-        logx = cv_log(cv_from_int(x))
-        return cv_exp(cv_neg(s_phi)), cv_mul(E_GAMMA, cv_add(logx, cv_div(one, logx)))
+        logx = log_ball(int_ball(x))
+        return exp_ball(neg_ball(s_phi)), mul_ball(e_gamma, add_ball(logx, div_ball(one, logx)))
 
     def zeta_tail(p, theta, s_sq):
-        return cv_mul(ZETA2, cv_exp(s_sq)), cv_exp(cv_from_ratio(2, p))
+        return mul_ball(zeta2, exp_ball(s_sq)), exp_ball(ratio_ball(2, p))
 
     def psi_bound(p, theta, s_plus):
-        inner = cv_add(cv_log(theta), cv_div(c1125, cv_log(cv_from_int(p))))
-        return cv_exp(s_plus), cv_mul(cv_div(cv_exp(cv_add(EULER_GAMMA, cv_from_ratio(2, p))), ZETA2), inner)
+        inner = add_ball(log_ball(theta), div_ball(c1125, log_ball(int_ball(p))))
+        return exp_ball(s_plus), mul_ball(div_ball(exp_ball(add_ball(gamma, ratio_ball(2, p))), zeta2), inner)
 
     def threshold(p, theta):
-        bump = cv_div(c1125, cv_mul(cv_log(cv_from_int(p)), cv_log(theta)))
-        return cv_mul(cv_exp(cv_from_ratio(2, p)), cv_add(one, bump)), ZETA2
+        bump = div_ball(c1125, mul_ball(log_ball(int_ball(p)), log_ball(theta)))
+        return mul_ball(exp_ball(ratio_ball(2, p)), add_ball(one, bump)), zeta2
 
     def robin(p, theta):
-        logp = cv_log(cv_from_int(p))
-        return logp, cv_add(cv_log(theta), cv_div(c0125, logp))
+        logp = log_ball(int_ball(p))
+        return logp, add_ball(log_ball(theta), div_ball(c0125, logp))
 
     def gap(x, theta, s_inv, s_phi):
-        log_loglog = cv_log(cv_log(theta))
-        lhs = cv_add(cv_add(cv_log(E_GAMMA_OVER_ZETA2), log_loglog), s_inv)
-        rhs = cv_add(cv_add(cv_add(cv_log(E_GAMMA), log_loglog), s_phi), cv_from_ratio(-2, x))
+        log_loglog = log_ball(log_ball(theta))
+        lhs = add_ball(add_ball(log_ball(limit), log_loglog), s_inv)
+        rhs = add_ball(add_ball(add_ball(log_ball(e_gamma), log_loglog), s_phi), ratio_ball(-2, x))
         return lhs, rhs
 
     return {
@@ -322,7 +322,7 @@ def test_bound_formulas_bit_identical_to_certified_value_chain(table):
     from psiverify.numerics import CertifiedValue, ball_status, compare, sub_ball
     from psiverify.series import prefix_sums
 
-    reference = _cv_sides()
+    reference = _kernel_sides()
     stop = StridePolicy().dense_until
     kinds = ("plus", "inv", "phi", "sq")
     checked = 0
@@ -334,9 +334,10 @@ def test_bound_formulas_bit_identical_to_certified_value_chain(table):
                 continue
             args = [theta, *(sums[kind] for kind in bound.sums)]
             lhs, rhs = bound.sides(_BALL, x, *args)
-            ref_lhs, ref_rhs = reference[name](x, *(CertifiedValue(*ball) for ball in args))
-            assert (lhs, rhs) == (ref_lhs.ball, ref_rhs.ball), (name, n)
+            ref_lhs, ref_rhs = reference[name](x, *args)
+            assert (lhs, rhs) == (ref_lhs, ref_rhs), (name, n)
             status = ball_status(sub_ball(lhs, rhs), bound.claim)
-            assert status is compare(ref_lhs, ref_rhs, bound.claim).status, (name, n)
+            verdict = compare(CertifiedValue(*lhs), CertifiedValue(*rhs), bound.claim)
+            assert status is verdict.status, (name, n)
             checked += 1
     assert checked == sum(stop - bound.start + 1 for bound in BOUNDS.values())

@@ -178,9 +178,9 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
     from psiverify.series import stream_points
 
     point = next(p for p in stream_points(table, 25) if p.n == 25)
-    ratio, limit = _interval_sides(table, "lower", 25)
-    assert abs(ratio.value - point.ratio.value) <= ratio.radius + point.ratio.radius
-    assert ratio.radius <= point.ratio.radius
+    (ratio, radius), _ = _interval_sides(table, "lower", 25)
+    assert abs(ratio - point.ratio.value) <= radius + point.ratio.radius
+    assert radius <= point.ratio.radius
 
     real_status = claims_mod.ball_status
     state = {"first": True}
@@ -266,6 +266,9 @@ def test_mertens_trend(table):
 def test_mertens_trend_validation(table):
     with pytest.raises(RangeError):
         mertens_limit_trend(table, (table.count * 2,))
+    # n_max, not the table, filters out every checkpoint: the message says so
+    with pytest.raises(RangeError, match=r"n_max=9 is below the first checkpoint, 10"):
+        run_claims(["mertens-trend"], table, VerifyConfig(n_max=9))
 
 
 def test_claim_result_holds_semantics():

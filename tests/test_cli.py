@@ -159,6 +159,20 @@ def test_verify_subset(capsys, tmp_path):
     assert rep["claims"]["champions"]["details"]["champions"] == [2, 6, 30, 210, 2310]
 
 
+def test_verify_n_max_below_a_bound_start_checks_its_first_index(capsys, tmp_path):
+    # psi-bound and threshold start at n = 2263; an n_max below that still
+    # checks the first valid index, as upper (c) does
+    out_json = tmp_path / "report.json"
+    argv = ["verify", "--n-max", "1000", "--champion-limit", "1000", "--json", str(out_json)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "all claims hold" in out
+    claims = json.loads(out_json.read_text())["claims"]
+    for name in ("psi-bound", "threshold"):
+        assert claims[name]["covered"] == {"n": [2263, 2263], "points_checked": 1}
+    assert claims["zeta-tail"]["covered"] == {"n": [2, 1000], "points_checked": 999}
+
+
 def test_cache_commands(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PSIVERIFY_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "cache", "build", "--limit", "50000")
@@ -259,13 +273,14 @@ def test_stale_temp_directory_does_not_block_the_cache(capsys, tmp_path):
         (["verify", "reduction", "--samples", "0"], None),
         (["verify", "champions", "--champion-limit", str(MAX_LIMIT + 1)], None),
         (["verify", "champions", "--champion-limit", "1000"], None),  # the tables fail to allocate
+        (["verify", "mertens-trend", "--n-max", "9"], None),
     ],
     ids=[
         "ratio-inf", "ratio-nan", "ratio-zero", "ratio-negative", "workers-0", "workers-negative",
         "config-n_max-list", "config-champion_limit-float", "config-n_max-string", "config-cache_dir-int",
         "config-format-scan-lower", "config-format-scan-points", "config-format-compute",
         "dense_until-negative", "samples-negative", "samples-0",
-        "champion_limit-above-sieve-cap", "champion_limit-out-of-memory",
+        "champion_limit-above-sieve-cap", "champion_limit-out-of-memory", "n_max-below-first-checkpoint",
     ],
 )
 def test_malformed_numbers_exit_2(capsys, tmp_path, monkeypatch, request, argv, config):

@@ -18,36 +18,30 @@ from psiverify.numerics import (
     EULER_GAMMA,
     LOG_2,
     ZETA2,
+    Ball,
     CertifiedValue,
     VerdictStatus,
     add_ball,
     ball_status,
-    certified,
     compare,
-    cv_add,
-    cv_div,
-    cv_exp,
-    cv_from_int,
-    cv_from_ratio,
-    cv_log,
-    cv_log1p,
-    cv_log_int,
-    cv_mul,
-    cv_neg,
-    cv_sub,
     div_ball,
     exp_ball,
     from_mp_interval,
+    int_ball,
     log1p_ball,
     log_ball,
+    log_int_ball,
     mul_ball,
+    neg_ball,
+    ratio_ball,
     sub_ball,
     sum_ball,
 )
 
 
-def contains(cv: CertifiedValue, exact: mp.mpf) -> bool:
-    return mp.mpf(cv.value) - mp.mpf(cv.radius) <= exact <= mp.mpf(cv.value) + mp.mpf(cv.radius)
+def contains(ball: Ball, exact: mp.mpf) -> bool:
+    value, radius = ball
+    return mp.mpf(value) - mp.mpf(radius) <= exact <= mp.mpf(value) + mp.mpf(radius)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -62,11 +56,11 @@ def _hi_precision():
 
 
 def test_constants_enclose_reference_values():
-    assert contains(EULER_GAMMA, mp.euler)
-    assert contains(E_GAMMA, mp.exp(mp.euler))
-    assert contains(ZETA2, mp.zeta(2))
-    assert contains(E_GAMMA_OVER_ZETA2, mp.exp(mp.euler) / mp.zeta(2))
-    assert contains(LOG_2, mp.log(2))
+    assert contains(EULER_GAMMA.ball, mp.euler)
+    assert contains(E_GAMMA.ball, mp.exp(mp.euler))
+    assert contains(ZETA2.ball, mp.zeta(2))
+    assert contains(E_GAMMA_OVER_ZETA2.ball, mp.exp(mp.euler) / mp.zeta(2))
+    assert contains(LOG_2.ball, mp.log(2))
     assert abs(E_GAMMA.value - 1.7810724179901980) < 1e-15
     assert abs(ZETA2.value - 1.6449340668482264) < 1e-15
     assert abs(E_GAMMA_OVER_ZETA2.value - 1.0827621932609246) < 1e-15
@@ -83,77 +77,75 @@ def test_constant_radii_are_one_ulp():
 
 
 def test_add_exact_inputs():
-    out = cv_add(certified(1.0), certified(2.0))
-    assert out.value == 3.0
-    assert out.radius <= 4 * math.ulp(3.0)
+    value, radius = add_ball((1.0, 0.0), (2.0, 0.0))
+    assert value == 3.0
+    assert radius <= 4 * math.ulp(3.0)
 
 
 def test_log_of_one_is_zero():
-    out = cv_log(certified(1.0))
-    assert out.value == 0.0
-    assert out.radius <= 1e-15
+    value, radius = log_ball((1.0, 0.0))
+    assert value == 0.0
+    assert radius <= 1e-15
 
 
 @pytest.mark.parametrize("x", [2, 210, 30030])
 def test_exp_log_roundtrip_encloses(x):
-    out = cv_exp(cv_log(certified(float(x))))
+    out = exp_ball(log_ball((float(x), 0.0)))
     assert contains(out, mp.mpf(x))
 
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        cv_log(certified(1e-3, 2e-3))  # interval reaches 0
+        log_ball((1e-3, 2e-3))  # interval reaches 0
     with pytest.raises(DomainError):
-        cv_div(certified(1.0), certified(0.5, 0.5))
+        div_ball((1.0, 0.0), (0.5, 0.5))
     with pytest.raises(DomainError):
-        cv_exp(certified(800.0))
+        exp_ball((800.0, 0.0))
     with pytest.raises(DomainError):
-        cv_log1p(certified(-1.0, 0.5))
+        log1p_ball((-1.0, 0.5))
     with pytest.raises(DomainError):
         CertifiedValue(1.0, -1e-9)
     with pytest.raises(DomainError):
         CertifiedValue(math.inf, 0.0)
 
 
-# kernel, its CertifiedValue wrapper, and inputs as (value, radius) pairs
+# kernel and its inputs as (value, radius) pairs
 _INF, _NAN = math.inf, math.nan
 _KERNEL_DOMAIN_CASES = [
-    (exp_ball, cv_exp, [(701.0, 0.0)], "argument above 700"),
-    (exp_ball, cv_exp, [(699.0, 2.0)], "upper endpoint above 700"),
-    (exp_ball, cv_exp, [(1.0, _INF)], "non-finite radius"),
-    (exp_ball, cv_exp, [(_NAN, 0.0)], "non-finite value"),
-    (log_ball, cv_log, [(0.0, 0.0)], "log of 0"),
-    (log_ball, cv_log, [(1e-3, 2e-3)], "interval reaches 0"),
-    (log_ball, cv_log, [(1.0, _NAN)], "non-finite radius"),
-    (log_ball, cv_log, [(_INF, 0.0)], "non-finite value"),
-    (log1p_ball, cv_log1p, [(-1.0, 0.0)], "log1p at -1"),
-    (log1p_ball, cv_log1p, [(-1.0, 0.5)], "interval below -1"),
-    (log1p_ball, cv_log1p, [(0.5, _INF)], "non-finite radius"),
-    (mul_ball, cv_mul, [(1e200, 0.0), (1e200, 0.0)], "overflowing product"),
-    (mul_ball, cv_mul, [(1e300, 1e300), (1.0, 1e10)], "overflowing product radius"),
-    (mul_ball, cv_mul, [(1.0, _INF), (2.0, 0.0)], "non-finite radius"),
-    (div_ball, cv_div, [(1.0, 0.0), (0.0, 0.0)], "divisor 0"),
-    (div_ball, cv_div, [(1.0, 0.0), (0.5, 0.5)], "divisor interval reaches 0"),
-    (div_ball, cv_div, [(1.0, _INF), (2.0, 0.0)], "non-finite radius"),
-    (div_ball, cv_div, [(1e300, 0.0), (1e-300, 0.0)], "overflowing quotient"),
-    (div_ball, cv_div, [(1.0, 0.0), (1e-200, 0.0)], "radius denominator underflows"),
-    (sub_ball, cv_sub, [(1e308, 0.0), (-1e308, 0.0)], "overflowing difference"),
-    (sub_ball, cv_sub, [(1.0, _NAN), (0.0, 0.0)], "non-finite radius"),
-    (add_ball, cv_add, [(1e308, 0.0), (1e308, 0.0)], "overflowing sum"),
-    (add_ball, cv_add, [(1.0, 1e308), (0.0, 1e308)], "overflowing sum radius"),
+    (exp_ball, [(701.0, 0.0)], "argument above 700"),
+    (exp_ball, [(699.0, 2.0)], "upper endpoint above 700"),
+    (exp_ball, [(1.0, _INF)], "non-finite radius"),
+    (exp_ball, [(_NAN, 0.0)], "non-finite value"),
+    (log_ball, [(0.0, 0.0)], "log of 0"),
+    (log_ball, [(1e-3, 2e-3)], "interval reaches 0"),
+    (log_ball, [(1.0, _NAN)], "non-finite radius"),
+    (log_ball, [(_INF, 0.0)], "non-finite value"),
+    (log1p_ball, [(-1.0, 0.0)], "log1p at -1"),
+    (log1p_ball, [(-1.0, 0.5)], "interval below -1"),
+    (log1p_ball, [(0.5, _INF)], "non-finite radius"),
+    (mul_ball, [(1e200, 0.0), (1e200, 0.0)], "overflowing product"),
+    (mul_ball, [(1e300, 1e300), (1.0, 1e10)], "overflowing product radius"),
+    (mul_ball, [(1.0, _INF), (2.0, 0.0)], "non-finite radius"),
+    (div_ball, [(1.0, 0.0), (0.0, 0.0)], "divisor 0"),
+    (div_ball, [(1.0, 0.0), (0.5, 0.5)], "divisor interval reaches 0"),
+    (div_ball, [(1.0, _INF), (2.0, 0.0)], "non-finite radius"),
+    (div_ball, [(1e300, 0.0), (1e-300, 0.0)], "overflowing quotient"),
+    (div_ball, [(1.0, 0.0), (1e-200, 0.0)], "radius denominator underflows"),
+    (sub_ball, [(1e308, 0.0), (-1e308, 0.0)], "overflowing difference"),
+    (sub_ball, [(1.0, _NAN), (0.0, 0.0)], "non-finite radius"),
+    (add_ball, [(1e308, 0.0), (1e308, 0.0)], "overflowing sum"),
+    (add_ball, [(1.0, 1e308), (0.0, 1e308)], "overflowing sum radius"),
 ]
 
 
 @pytest.mark.parametrize(
-    "kernel,wrapper,args", [c[:3] for c in _KERNEL_DOMAIN_CASES], ids=[c[3] for c in _KERNEL_DOMAIN_CASES]
+    "kernel,args", [c[:2] for c in _KERNEL_DOMAIN_CASES], ids=[c[2] for c in _KERNEL_DOMAIN_CASES]
 )
-def test_kernel_raises_where_its_wrapper_raises(kernel, wrapper, args):
-    # a non-finite input cannot even become a CertifiedValue; the kernel, which
-    # takes plain pairs, must catch it in its guard or in its output check
+def test_kernel_raises_where_its_wrapper_raises(kernel, args):
+    # a kernel takes plain pairs, so it must catch a non-finite input in its
+    # guard or in its output check
     with pytest.raises(DomainError):
         kernel(*args)
-    with pytest.raises(DomainError):
-        wrapper(*(CertifiedValue(*pair) for pair in args))
 
 
 @given(st.integers(-(2**200), 2**200), st.integers(0, 2**130))
@@ -167,8 +159,8 @@ def test_sum_ball_encloses_the_scaled_integers(units, radius_units):
 def test_compare_is_ball_status_of_the_difference():
     rng = random.Random(5)
     for _ in range(2000):
-        a = certified(rng.uniform(-2, 2), rng.choice([0.0, 1e-3, 1e-16]))
-        b = certified(rng.uniform(-2, 2), rng.choice([0.0, 1e-3, 1e-16]))
+        a = CertifiedValue(rng.uniform(-2, 2), rng.choice([0.0, 1e-3, 1e-16]))
+        b = CertifiedValue(rng.uniform(-2, 2), rng.choice([0.0, 1e-3, 1e-16]))
         for claim in ("<", "<=", ">", ">="):
             verdict = compare(a, b, claim)
             margin = sub_ball(a.ball, b.ball)
@@ -177,23 +169,25 @@ def test_compare_is_ball_status_of_the_difference():
 
 
 def test_cv_from_int_exactness():
-    assert cv_from_int(2**53 - 1).radius == 0.0
+    """int_ball is exact within 53 bits and an enclosure beyond."""
+    assert int_ball(2**53 - 1)[1] == 0.0
     big = 2**60 + 12345
-    out = cv_from_int(big)
-    assert out.radius > 0
+    out = int_ball(big)
+    assert out[1] > 0
     assert contains(out, mp.mpf(big))
 
 
 def test_cv_from_ratio_encloses():
-    out = cv_from_ratio(1, 3)
-    assert contains(out, mp.mpf(1) / 3)
+    """ratio_ball encloses the exact rational."""
+    assert contains(ratio_ball(1, 3), mp.mpf(1) / 3)
 
 
 @pytest.mark.parametrize("n", [3, 6, 30030, 2**64 + 7, 614889782588491410])
 def test_cv_log_int(n):
-    out = cv_log_int(n)
+    """log_int_ball encloses log n on both sides of the 53-bit split."""
+    out = log_int_ball(n)
     assert contains(out, mp.log(n))
-    assert out.radius < 1e-12
+    assert out[1] < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +196,12 @@ def test_cv_log_int(n):
 
 
 def test_compare_holds():
-    v = compare(certified(1.0, 0.1), certified(2.0, 0.1), "<")
+    v = compare(CertifiedValue(1.0, 0.1), CertifiedValue(2.0, 0.1), "<")
     assert v.status is VerdictStatus.HOLDS
 
 
 def test_compare_overlap_is_inconclusive():
-    v = compare(certified(1.0, 0.6), certified(2.0, 0.6), "<")
+    v = compare(CertifiedValue(1.0, 0.6), CertifiedValue(2.0, 0.6), "<")
     assert v.status is VerdictStatus.INCONCLUSIVE
 
 
@@ -218,7 +212,7 @@ def test_compare_constants_sanity():
 
 
 def test_compare_equality_oriented():
-    a = certified(1.0)
+    a = CertifiedValue(1.0)
     assert compare(a, a, "<=").status is VerdictStatus.HOLDS
     assert compare(a, a, "<").status is VerdictStatus.FAILS
     assert compare(a, a, ">=").status is VerdictStatus.HOLDS
@@ -226,7 +220,7 @@ def test_compare_equality_oriented():
 
 def test_compare_unknown_claim():
     with pytest.raises(ValueError):
-        compare(certified(1.0), certified(2.0), "==")
+        compare(CertifiedValue(1.0), CertifiedValue(2.0), "==")
 
 
 @given(
@@ -238,7 +232,7 @@ def test_compare_unknown_claim():
 )
 def test_compare_antisymmetry(av, ar, bv, br, claim):
     flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[claim]
-    a, b = certified(av, ar), certified(bv, br)
+    a, b = CertifiedValue(av, ar), CertifiedValue(bv, br)
     assert compare(a, b, claim).status is compare(b, a, flipped).status
 
 
@@ -247,11 +241,11 @@ def test_compare_antisymmetry(av, ar, bv, br, claim):
 # ---------------------------------------------------------------------------
 
 
-def _random_cv(rng: random.Random) -> tuple[CertifiedValue, mp.mpf]:
+def _random_cv(rng: random.Random) -> tuple[Ball, mp.mpf]:
     v = rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 6)
     r = 0.0 if rng.random() < 0.3 else abs(v) * 10.0 ** rng.randint(-14, -6)
     true = mp.mpf(v) + mp.mpf(rng.uniform(-1, 1)) * mp.mpf(r)
-    return CertifiedValue(v, r), true
+    return (v, r), true
 
 
 def test_enclosure_soundness_sampled():
@@ -263,21 +257,21 @@ def test_enclosure_soundness_sampled():
         op = rng.choice(["add", "sub", "mul", "div", "log", "exp", "log1p"])
         try:
             if op == "add":
-                out, truth = cv_add(a, b), ta + tb
+                out, truth = add_ball(a, b), ta + tb
             elif op == "sub":
-                out, truth = cv_sub(a, b), ta - tb
+                out, truth = sub_ball(a, b), ta - tb
             elif op == "mul":
-                out, truth = cv_mul(a, b), ta * tb
+                out, truth = mul_ball(a, b), ta * tb
             elif op == "div":
-                out, truth = cv_div(a, b), ta / tb
+                out, truth = div_ball(a, b), ta / tb
             elif op == "log":
-                out, truth = cv_log(a), mp.log(ta)
+                out, truth = log_ball(a), mp.log(ta)
             elif op == "log1p":
-                out, truth = cv_log1p(a), mp.log(1 + ta)
+                out, truth = log1p_ball(a), mp.log(1 + ta)
             else:
-                if abs(a.value) > 300:
+                if abs(a[0]) > 300:
                     continue
-                out, truth = cv_exp(a), mp.exp(ta)
+                out, truth = exp_ball(a), mp.exp(ta)
         except DomainError:
             continue
         assert contains(out, truth), (op, a, b, out, truth)
@@ -287,9 +281,9 @@ def test_enclosure_soundness_sampled():
 
 @given(st.floats(1e-300, 1e300), st.floats(0, 1e-6))
 def test_radius_monotonicity_log(v, widen):
-    base = cv_log(certified(v, v * 1e-12))
-    wider = cv_log(certified(v, v * (1e-12 + widen * 1e-3)))
-    assert wider.radius >= base.radius
+    base = log_ball((v, v * 1e-12))
+    wider = log_ball((v, v * (1e-12 + widen * 1e-3)))
+    assert wider[1] >= base[1]
 
 
 @given(
@@ -299,19 +293,17 @@ def test_radius_monotonicity_log(v, widen):
     st.floats(0, 1e80),
 )
 def test_radius_monotonicity_mul(av, bv, r1, r2):
-    lo = cv_mul(certified(av, min(r1, r2)), certified(bv, 1.0))
-    hi = cv_mul(certified(av, max(r1, r2)), certified(bv, 1.0))
-    assert hi.radius >= lo.radius
+    lo = mul_ball((av, min(r1, r2)), (bv, 1.0))
+    hi = mul_ball((av, max(r1, r2)), (bv, 1.0))
+    assert hi[1] >= lo[1]
 
 
 def test_from_mp_interval_encloses():
     iv = mp.iv.mpf([1, 2]) / 3
-    out = from_mp_interval(iv)
-    assert out.value - out.radius <= 1 / 3 <= out.value + out.radius
-    assert out.value - out.radius <= 2 / 3 <= out.value + out.radius
+    value, radius = from_mp_interval(iv)
+    assert value - radius <= 1 / 3 <= value + radius
+    assert value - radius <= 2 / 3 <= value + radius
 
 
 def test_neg_is_exact():
-    a = certified(1.5, 1e-10)
-    out = cv_neg(a)
-    assert out.value == -1.5 and out.radius == 1e-10
+    assert neg_ball((1.5, 1e-10)) == (-1.5, 1e-10)

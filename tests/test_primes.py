@@ -13,7 +13,7 @@ import pytest
 from psiverify.arith import primorial
 from psiverify.bounds import criterion_gap_bound
 from psiverify.errors import RangeError, ResourceError
-from psiverify.numerics import CertifiedValue, cv_log_int
+from psiverify.numerics import CertifiedValue, log_int_ball
 from psiverify.primes import build_table, inspect_cache, load_table, save_table
 from psiverify.series import prefix_sums
 
@@ -117,8 +117,8 @@ def test_theta_prefix_strictly_increasing(table):
 def test_theta_matches_exact_primorial_logs(table):
     # theta(p_n) = log N_n as real numbers; exact-integer logs for n <= 15
     for n, th, _ in prefix_sums(table, (), range(1, 16)):
-        ln = cv_log_int(primorial(n, table))
-        assert abs(th[0] - ln.value) <= th[1] + ln.radius
+        ln, ln_radius = log_int_ball(primorial(n, table))
+        assert abs(th[0] - ln) <= th[1] + ln_radius
 
 
 def test_sieve_matches_trial_division_to_1e5():

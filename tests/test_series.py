@@ -18,17 +18,14 @@ from psiverify.numerics import (
     CertifiedValue,
     VerdictStatus,
     ball_status,
-    certified,
     compare,
-    cv_div,
-    cv_exp,
-    cv_from_ratio,
-    cv_log,
-    cv_log1p,
-    cv_mul,
-    cv_sub,
+    div_ball,
+    exp_ball,
     log1p_ball,
+    log_ball,
+    mul_ball,
     ratio_ball,
+    sub_ball,
 )
 from psiverify.primes import MAX_LIMIT, PrimeTable
 from psiverify.series import TERMS, criterion_f, criterion_g, prefix_sums, stream_points
@@ -44,26 +41,26 @@ from psiverify.series import TERMS, criterion_f, criterion_g, prefix_sums, strea
     ],
 )
 def test_prefix_pass_bit_identical_to_certified_value_chain(table, kind, num, den):
-    # reference: each term built as a CertifiedValue; theta's term is log p
-    # charged 2 ulp.  At every n the value is the correctly rounded exact sum
+    # reference: each term built as a ball by the kernels; theta's term is
+    # log p charged 2 ulp.  At every n the value is the correctly rounded exact sum
     # of the term values (what math.fsum returns; a Fraction holds the exact
     # sum), and the ball covers it plus the exact sum of the term radii.
     count = 10**4
-    terms = [cv_log1p(cv_from_ratio(num, den(p))) for p in table.primes[:count]]
+    terms = [log1p_ball(ratio_ball(num, den(p))) for p in table.primes[:count]]
     logs = [math.log(p) for p in table.primes[:count]]
-    theta_terms = [CertifiedValue(lp, 2.0 * math.ulp(lp)) for lp in logs]
+    theta_terms = [(lp, 2.0 * math.ulp(lp)) for lp in logs]
     got = list(prefix_sums(table, (kind,), range(1, count + 1)))
     assert [n for n, _, _ in got] == list(range(1, count + 1))
     for column, reference in ((lambda g: g[2][0], terms), (lambda g: g[1], theta_terms)):
         value = radius = Fraction(0)
-        for g, t in zip(got, reference):
-            value += Fraction(t.value)
-            radius += Fraction(t.radius)
+        for g, (tv, tr) in zip(got, reference):
+            value += Fraction(tv)
+            radius += Fraction(tr)
             v, r = column(g)
             assert v == float(value), g[0]
             assert Fraction(r) >= radius + abs(Fraction(v) - value), g[0]
-        assert v == math.fsum(t.value for t in reference)
-        assert r >= math.fsum(t.radius for t in reference)
+        assert v == math.fsum(tv for tv, _ in reference)
+        assert r >= math.fsum(tr for _, tr in reference)
     # sharing the pass with other kinds, or stopping sparsely, changes nothing
     (_, theta, shared), = prefix_sums(table, ("sq", kind, "plus"), (count,))
     assert shared[1] == got[-1][2][0]
@@ -123,26 +120,26 @@ def test_prefix_sums_raise_on_a_term_finer_than_the_scale(monkeypatch):
 
 
 def test_points_bit_identical_to_certified_value_chain(table):
-    # reference: every point composed from the pass's CertifiedValue totals
-    # with the public cv_* chain, operation for operation
+    # reference: every point composed from the pass's pair totals with the
+    # kernels, operation for operation; the report properties wrap the same pairs
     count = 10**4
+    limit = E_GAMMA_OVER_ZETA2.ball
     points = stream_points(table, count)
     for (n, theta, (plus, inv)), point in zip(prefix_sums(table, ("plus", "inv"), range(2, count + 1)), points):
-        theta, plus, inv = (CertifiedValue(*ball) for ball in (theta, plus, inv))
-        psi_over_n = cv_exp(plus)
-        loglog = cv_log(theta)
-        ratio = cv_div(psi_over_n, loglog)
-        g = cv_mul(cv_mul(E_GAMMA_OVER_ZETA2, loglog), cv_exp(inv)) if n >= 3 else None
-        margin = cv_sub(ratio, E_GAMMA_OVER_ZETA2)
+        psi_over_n = exp_ball(plus)
+        loglog = log_ball(theta)
+        ratio = div_ball(psi_over_n, loglog)
+        g = mul_ball(mul_ball(limit, loglog), exp_ball(inv)) if n >= 3 else None
+        margin = sub_ball(ratio, limit)
         assert point.n == n
-        assert point.theta_ball == (theta.value, theta.radius) == point.theta.ball, n
-        assert point.log_theta_ball == loglog.ball, n
-        assert point.psi_over_n_ball == psi_over_n.ball == point.psi_over_n.ball, n
-        assert point.ratio_ball == ratio.ball == point.ratio.ball, n
-        assert point.g_ball == (g.ball if g else None), n
+        assert point.theta_ball == theta == point.theta.ball, n
+        assert point.log_theta_ball == loglog, n
+        assert point.psi_over_n_ball == psi_over_n == point.psi_over_n.ball, n
+        assert point.ratio_ball == ratio == point.ratio.ball, n
+        assert point.g_ball == g, n
         assert (point.g.ball if point.g else None) == point.g_ball, n
-        assert point.margin_ball == margin.ball == point.margin_lower.ball, n
-        assert ball_status(point.margin_ball, ">") is compare(ratio, E_GAMMA_OVER_ZETA2, ">").status, n
+        assert point.margin_ball == margin == point.margin_lower.ball, n
+        assert ball_status(point.margin_ball, ">") is compare(point.ratio, E_GAMMA_OVER_ZETA2, ">").status, n
     assert next(points, None) is None and n == count
 
 
@@ -192,11 +189,8 @@ def test_identity_g_times_ratio(table):
     for point in stream_points(table, 3000):
         if point.g is None:
             continue
-        prod = cv_mul(point.g, point.ratio)
-        assert (
-            abs(prod.value - E_GAMMA_OVER_ZETA2.value)
-            <= prod.radius + E_GAMMA_OVER_ZETA2.radius
-        ), point.n
+        value, radius = mul_ball(point.g_ball, point.ratio_ball)
+        assert abs(value - E_GAMMA_OVER_ZETA2.value) <= radius + E_GAMMA_OVER_ZETA2.radius, point.n
 
 
 def test_margins_wired_correctly(table):
@@ -209,11 +203,11 @@ def test_margins_wired_correctly(table):
 def test_criterion_g_examples(table):
     g5 = criterion_g(table, 5)
     assert abs(g5.value - 0.5522662586671264) < 1e-13
-    assert compare(g5, certified(1.0), "<").status is VerdictStatus.HOLDS
+    assert compare(g5, CertifiedValue(1.0), "<").status is VerdictStatus.HOLDS
     # g(x) for x = 10^4 lies in (0, 1), certified
     g4 = criterion_g(table, 10**4)
-    assert compare(g4, certified(1.0), "<").status is VerdictStatus.HOLDS
-    assert compare(g4, certified(0.0), ">").status is VerdictStatus.HOLDS
+    assert compare(g4, CertifiedValue(1.0), "<").status is VerdictStatus.HOLDS
+    assert compare(g4, CertifiedValue(0.0), ">").status is VerdictStatus.HOLDS
 
 
 def test_criterion_g_matches_stream(table):
@@ -228,7 +222,7 @@ def test_criterion_g_matches_stream(table):
 def test_criterion_f_below_one(table):
     for x in (5, 100, 10**4):
         f = criterion_f(table, x)
-        assert compare(f, certified(1.0), "<").status is VerdictStatus.HOLDS
+        assert compare(f, CertifiedValue(1.0), "<").status is VerdictStatus.HOLDS
 
 
 def test_criterion_f_oracle(table):
