@@ -11,7 +11,9 @@ names the ball kernels of ``numerics``, which take and return
 mpmath interval operations.  A point evaluator returns a
 :class:`BoundReport` from one prefix pass that stops at the point; a range
 scan shares one pass across all of its evaluation points and decides each
-point on its pairs, building no object per point.  The bounds:
+point on its pairs, building no object per point.  Both take an optional
+``source`` in place of :func:`series.prefix_sums`, through which a verify
+run replays to them the snapshots of its one pass.  The bounds:
 
 * ``rs-product``     prod_{p<=x} (1-1/p)^(-1)  <=  e^gamma (log x + 1/log x)   (x >= 2)
 * ``zeta-tail``      zeta(2) prod_{p<=p_n} (1-1/p^2)  <=  exp(2/p_n)           (n >= 2)
@@ -64,7 +66,7 @@ from .numerics import (
     sub_ball,
 )
 from .primes import PrimeTable
-from .series import TERMS, prefix_sums
+from .series import TERMS, PrefixSource, prefix_sums
 
 __all__ = [
     "BOUNDS",
@@ -265,7 +267,7 @@ BOUND_NAMES = tuple(BOUNDS)
 LOWER = Bound(">", 3, ("plus",), False, _lower_sides)
 
 
-def _point(table: PrimeTable, name: str, at: int) -> BoundReport:
+def _point(table: PrimeTable, name: str, at: int, source: PrefixSource | None = None) -> BoundReport:
     """Evaluate one bound at x (x-parameterized, x need not be prime) or at index n."""
     bound = BOUNDS[name]
     if bound.at_x:
@@ -279,7 +281,7 @@ def _point(table: PrimeTable, name: str, at: int) -> BoundReport:
         if n > table.count:
             raise RangeError(f"{name}: n={n} beyond table ({table.count} primes)")
         x = table.nth_prime(n)
-    _, theta, sums = next(prefix_sums(table, bound.sums, (n,)))
+    _, theta, sums = next((source or prefix_sums)(table, bound.sums, (n,)))
     lhs, rhs = (CertifiedValue(*side) for side in bound.sides(_BALL, x, theta, *sums))
     return BoundReport(name, at, lhs, rhs, compare(lhs, rhs, bound.claim))
 
@@ -302,15 +304,15 @@ def primorial_psi_bound(table: PrimeTable, n: int) -> BoundReport:
     return _point(table, "psi-bound", n)
 
 
-def threshold_condition(table: PrimeTable, n: int) -> BoundReport:
+def threshold_condition(table: PrimeTable, n: int, *, source: PrefixSource | None = None) -> BoundReport:
     """exp(2/p_n)(1 + 1.125/(log p_n log log N_n)) against zeta(2), n >= 2263."""
-    return _point(table, "threshold", n)
+    return _point(table, "threshold", n, source)
 
 
-def threshold_monotone_step(table: PrimeTable, n: int) -> Verdict:
+def threshold_monotone_step(table: PrimeTable, n: int, *, source: PrefixSource | None = None) -> Verdict:
     """Certified check that the threshold LHS decreases from n to n+1."""
-    now = threshold_condition(table, n)
-    return compare(threshold_condition(table, n + 1).lhs, now.lhs, "<")
+    now = threshold_condition(table, n, source=source)
+    return compare(threshold_condition(table, n + 1, source=source).lhs, now.lhs, "<")
 
 
 def robin_log_bound(table: PrimeTable, n: int) -> BoundReport:
@@ -351,12 +353,14 @@ def scan_bound(
     *,
     policy: StridePolicy | None = None,
     escalate: bool = True,
+    source: PrefixSource | None = None,
 ) -> BoundScan:
     """Evaluate one bound over [start, stop] in a single streaming pass.
 
     ``start``/``stop`` are primorial indices n (the x-parameterized bounds
     are evaluated at x = p_n).  INCONCLUSIVE points are retried on the
-    113-bit interval path when ``escalate`` is set.
+    113-bit interval path when ``escalate`` is set.  ``source`` stands in
+    for :func:`series.prefix_sums`.
     """
     if name not in BOUNDS:
         raise ValueError(f"unknown bound {name!r}; known: {', '.join(BOUND_NAMES)}")
@@ -370,7 +374,7 @@ def scan_bound(
     policy = policy or StridePolicy()
     scan = BoundScan(bound=name, start=start, stop=stop, policy=policy)
     claim = bound.claim
-    for n, theta, sums in prefix_sums(table, bound.sums, stride_indices(start, stop, policy)):
+    for n, theta, sums in (source or prefix_sums)(table, bound.sums, stride_indices(start, stop, policy)):
         x = table.nth_prime(n)
         margin = sub_ball(*bound.sides(_BALL, x, theta, *sums))
         status = ball_status(margin, claim)

@@ -1,14 +1,15 @@
 """Claim-level verifications: champions, reduction, upper/lower bounds, trends.
 
-Each claim runs as an independent job against a shared immutable prime table
-and returns a :class:`ClaimResult` that serializes to JSON.  Results are a
-pure function of (table, config): sampling is seeded, the proof's seams, the
-checkpoints and the scan strides are module constants, and floats serialize
-as shortest round-trip decimals, so reports are byte-identical from run to
-run.  ``run_claims`` runs the claims one after another, in claim-table order.
+Each claim reads a shared immutable prime table and returns a
+:class:`ClaimResult` that serializes to JSON.  Results are a pure function of
+(table, config): sampling is seeded, the proof's seams, the checkpoints and
+the scan strides are module constants, and floats serialize as shortest
+round-trip decimals, so reports are byte-identical from run to run.
+``run_claims`` reports the claims in claim-table order.
 
-One table maps each claim id to its description and runner; ``run_claims``
-and the CLI take ids, descriptions and report order from it.  The ids:
+One table maps each claim id to its description, its runner and the prefix
+sums it reads; ``run_claims`` and the CLI take ids, descriptions and report
+order from it.  The ids:
 
     champions       primorials are exactly the champions of psi(m)/m (exact ints)
     reduction       R(m) <= R(N_n) on [N_n, N_{n+1}) (exact ints + log log monotonicity)
@@ -19,9 +20,16 @@ and the CLI take ids, descriptions and report order from it.  The ids:
                     the analytic bound scans, each from the domain start in
                     ``bounds.BOUNDS``
 
-``lower`` and ``mertens-trend`` read their primorial points from the one
-prefix pass in ``series``; ``mertens-trend`` evaluates only its checkpoints.
-Both report checkpoint margins and their trend through one helper.
+``lower``, ``mertens-trend``, ``upper`` and the six bound scans read prefix
+sums from ``series``.  When ``run_claims`` runs two or more of them, it makes
+the pass once.  From the ids and the config it works out the union of the
+kinds and the indices its claims read, and a
+:class:`series.PrefixSnapshots` store records the sparse ones during the
+pass.  ``lower`` runs first and reads the pass live and densely; every other
+claim then replays the store.  A claim run alone, and every public function,
+keeps its own live pass.  ``mertens-trend`` evaluates only its checkpoints;
+it and ``lower`` report checkpoint margins and their trend through one
+helper.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +51,7 @@ from .bounds import (
     StridePolicy,
     _interval_sides,
     scan_bound,
+    stride_indices,
     threshold_condition,
     threshold_monotone_step,
 )
@@ -57,7 +67,7 @@ from .numerics import (
     sub_ball,
 )
 from .primes import PrimeTable, build_table
-from .series import points_at
+from .series import TERMS, PrefixSnapshots, PrefixSource, ascending_unique, points_at
 
 __all__ = [
     "ClaimResult",
@@ -81,10 +91,12 @@ __all__ = [
 # p_n >= 20000, takes over.
 UPPER_SMALL_STOP = 210
 UPPER_PRIMORIAL_STOP = FIRST_INDEX_AT_20000 - 1
+# (c) checks the threshold's monotone step n -> n+1 at these n, up to n_max
+UPPER_MONOTONE_AT = (FIRST_INDEX_AT_20000, 2500, 5000, 10**4)
 # ``reduction`` checks the block [N_n, N_{n+1}) whole for n <= 5, by samples for 5 < n <= 8
 REDUCTION_EXHAUSTIVE_MAX = 5
 REDUCTION_SAMPLED_MAX = 8
-CHECKPOINTS = (10, 100, 1000, 10**4, 10**5)  # where lower and mertens-trend report margins
+CHECKPOINTS = (10, 100, 1000, 10**4, 10**5, 10**6, 10**7)  # where lower and mertens-trend report margins
 
 
 @dataclass(frozen=True)
@@ -297,14 +309,25 @@ def _reduction_claim(table: PrimeTable, config: VerifyConfig) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-def verify_upper(table: PrimeTable) -> ClaimResult:
+def _monotone_steps(n_max: int) -> list[int]:
+    """Where ``upper`` (c) checks a monotone step: up to n_max, and always at 2263."""
+    reach = max(n_max, FIRST_INDEX_AT_20000 + 1)
+    return [n for n in UPPER_MONOTONE_AT if n + 1 <= reach]
+
+
+def verify_upper(
+    table: PrimeTable, n_max: int = VerifyConfig.n_max, *, source: PrefixSource | None = None
+) -> ClaimResult:
     """Three-part upper-bound verification mirroring the proof structure.
 
     (a) exhaustive certified R(n) < e^gamma on 31..210 (plus the witness
         list of n <= 30 where R(n) >= e^gamma, showing 30 is sharp);
     (b) R(N_n) < e^gamma along primorials for 4 <= n <= 2262;
     (c) the threshold condition at index 2263 plus certified monotonicity
-        steps, which covers every n >= 2263.
+        steps, which covers every n >= 2263.  The steps depend on ``n_max``
+        alone, never on how many primes the table holds.
+
+    ``source`` stands in for :func:`series.prefix_sums` in (b) and (c).
     """
     # (a) exhaustive small range, certified; witnesses below 31
     a_bad: list[int] = []
@@ -321,7 +344,7 @@ def verify_upper(table: PrimeTable) -> ClaimResult:
     worst_slack = math.inf
     worst_at = None
     e_gamma = E_GAMMA.ball
-    for point in points_at(table, range(4, UPPER_PRIMORIAL_STOP + 1)):
+    for point in points_at(table, range(4, UPPER_PRIMORIAL_STOP + 1), source):
         margin = sub_ball(point.ratio_ball, e_gamma)
         if ball_status(margin, "<") is not VerdictStatus.HOLDS:
             b_bad.append(point.n)
@@ -334,12 +357,12 @@ def verify_upper(table: PrimeTable) -> ClaimResult:
 
     # (c) threshold at the first valid index, plus monotone steps
     c_bad: list[int] = []
-    first = threshold_condition(table, FIRST_INDEX_AT_20000)
+    first = threshold_condition(table, FIRST_INDEX_AT_20000, source=source)
     if first.verdict.status is not VerdictStatus.HOLDS:
         c_bad.append(FIRST_INDEX_AT_20000)
-    monotone_at = [n for n in (FIRST_INDEX_AT_20000, 2500, 5000, 10**4) if n + 1 <= table.count]
+    monotone_at = _monotone_steps(n_max)
     for n in monotone_at:
-        if threshold_monotone_step(table, n).status is not VerdictStatus.HOLDS:
+        if threshold_monotone_step(table, n, source=source).status is not VerdictStatus.HOLDS:
             c_bad.append(n)
 
     bad = a_bad + b_bad + c_bad
@@ -390,6 +413,7 @@ def verify_lower(
     *,
     checkpoints: tuple[int, ...] = CHECKPOINTS,
     escalate: bool = True,
+    source: PrefixSource | None = None,
 ) -> ClaimResult:
     """Certified scan of R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max.
 
@@ -397,6 +421,7 @@ def verify_lower(
     known to hold, so failures are re-verified on the interval path and
     surfaced loudly rather than swallowed.  The equivalent criterion
     g(p_n) < 1 is checked at every n as a dual consistency condition.
+    ``source`` stands in for :func:`series.prefix_sums`.
     """
     if n_max < LOWER.start:
         raise RangeError(f"verify_lower: n_max must be >= {LOWER.start}, got {n_max}")
@@ -407,7 +432,7 @@ def verify_lower(
     min_margin = math.inf
     min_at = None
     holds = VerdictStatus.HOLDS
-    for point in points_at(table, range(LOWER.start, n_max + 1)):
+    for point in points_at(table, range(LOWER.start, n_max + 1), source):
         # margin R(N_n) - e^gamma/zeta(2) must be > 0, and g(p_n) - 1 < 0
         n, margin = point.n, point.margin_ball
         status = ball_status(margin, ">")
@@ -449,19 +474,22 @@ def verify_lower(
 def mertens_limit_trend(
     table: PrimeTable,
     checkpoints: tuple[int, ...] = CHECKPOINTS,
+    *,
+    source: PrefixSource | None = None,
 ) -> ClaimResult:
     """Margins R(N_n) - e^gamma/zeta(2) at ascending geometric checkpoints.
 
     Asserts each margin is certified positive and the sequence strictly
     decreases; a trend consistent with the limit, not a proof of it.  Only
-    the checkpoints are evaluated.
+    the checkpoints are evaluated.  ``source`` stands in for
+    :func:`series.prefix_sums`.
     """
     live = tuple(c for c in checkpoints if c <= table.count)
     if not live:
         raise RangeError("mertens_limit_trend: no checkpoint within table range")
     margins: dict[int, Ball] = {}
     bad: list[int] = []
-    for point in points_at(table, live):
+    for point in points_at(table, live, source):
         margins[point.n] = point.margin_ball
         if ball_status(point.margin_ball, ">") is not VerdictStatus.HOLDS:
             bad.append(point.n)
@@ -475,15 +503,21 @@ def mertens_limit_trend(
 
 
 # ---------------------------------------------------------------------------
-# bound-scan claims and the claim table
+# bound-scan claims, the claim table and the shared prefix pass
 # ---------------------------------------------------------------------------
 
 
-def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str) -> ClaimResult:
+def _bound_range(table: PrimeTable, config: VerifyConfig, name: str) -> tuple[int, int]:
     start = BOUNDS[name].start
     # a bound claim always checks its first valid index, however small n_max is
-    stop = max(start, min(config.n_max, table.count))
-    scan = scan_bound(table, name, start, stop, escalate=config.escalate)
+    return start, max(start, min(config.n_max, table.count))
+
+
+def _bound_claim(
+    table: PrimeTable, config: VerifyConfig, source: PrefixSource | None, name: str
+) -> ClaimResult:
+    start, stop = _bound_range(table, config, name)
+    scan = scan_bound(table, name, start, stop, escalate=config.escalate, source=source)
     return ClaimResult(
         claim_id=name,
         covered={"n": [start, stop], "points_checked": scan.points_checked},
@@ -492,66 +526,100 @@ def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str) -> ClaimRes
     )
 
 
-def _mertens_claim(table: PrimeTable, config: VerifyConfig) -> ClaimResult:
-    live = config.live_checkpoints()
-    if not live:
+def _mertens_checkpoints(table: PrimeTable, config: VerifyConfig) -> tuple[int, ...]:
+    return tuple(c for c in config.live_checkpoints() if c <= table.count)
+
+
+def _mertens_claim(table: PrimeTable, config: VerifyConfig, source: PrefixSource | None) -> ClaimResult:
+    if not config.live_checkpoints():
         raise RangeError(
             f"mertens-trend: n_max={config.n_max} is below the first checkpoint, {CHECKPOINTS[0]}"
         )
-    return mertens_limit_trend(table, live)
+    return mertens_limit_trend(table, _mertens_checkpoints(table, config), source=source)
 
 
-def _robin_claim(table: PrimeTable, config: VerifyConfig) -> ClaimResult:
+def _robin_claim(table: PrimeTable, config: VerifyConfig, source: PrefixSource | None, name: str) -> ClaimResult:
     """The robin-log scan may fail at small n; the claim is where it settles."""
-    result = _bound_claim(table, config, "robin-log")
+    result = _bound_claim(table, config, source, name)
     below = result.counterexamples
-    holds_from = (max(below) + 1) if below else BOUNDS["robin-log"].start
+    holds_from = (max(below) + 1) if below else BOUNDS[name].start
     # the bound must have settled before the index the composite bound relies on
     result.counterexamples = [] if holds_from <= FIRST_INDEX_AT_20000 else [holds_from]
     result.details = {"holds_from_index": holds_from, "below_validity": below, "scan": result.details}
     return result
 
 
-# id -> (description, runner), in report order.  The public claim functions
-# are looked up by name when a runner is called, so wrappers installed on
-# this module (tracing, monkeypatching) see every call.
-_CLAIMS: dict[str, tuple[str, Callable[[PrimeTable, VerifyConfig], ClaimResult]]] = {
-    "champions": (
+# What each claim reads of a shared prefix pass, as (kinds, ascending sparse
+# indices), from the same helpers its runner uses.  points_at reads plus and
+# inv; lower reads its indices live, as the pass makes them, so it lists none.
+_POINT_KINDS = ("plus", "inv")
+
+
+def _upper_reads(table: PrimeTable, config: VerifyConfig):
+    # (b) the primorial points, then (c) the threshold at 2263 and both ends of each step
+    steps = chain.from_iterable((n, n + 1) for n in _monotone_steps(config.n_max))
+    return _POINT_KINDS, chain(range(4, UPPER_PRIMORIAL_STOP + 1), (FIRST_INDEX_AT_20000,), steps)
+
+
+def _bound_reads(table: PrimeTable, config: VerifyConfig, name: str):
+    return BOUNDS[name].sums, stride_indices(*_bound_range(table, config, name), StridePolicy())
+
+
+class _Claim(NamedTuple):
+    description: str
+    run: Callable[[PrimeTable, VerifyConfig, PrefixSource | None], ClaimResult]
+    # what the claim reads of a shared prefix pass; None if it reads no prefix sums
+    reads: Callable[[PrimeTable, VerifyConfig], tuple[tuple[str, ...], Iterable[int]]] | None = None
+
+
+def _bound_entry(description: str, name: str, run=_bound_claim) -> _Claim:
+    return _Claim(description, partial(run, name=name), partial(_bound_reads, name=name))
+
+
+# id -> claim, in report order.  The public claim functions are looked up by
+# name when a runner is called, so wrappers installed on this module
+# (tracing, monkeypatching) see every call.
+_CLAIMS: dict[str, _Claim] = {
+    "champions": _Claim(
         "primorials are exactly the champions of psi(m)/m (exact)",
-        lambda table, config: champion_scan(config.champion_limit, table),
+        lambda table, config, source: champion_scan(config.champion_limit, table),
     ),
-    "reduction": ("R(m) <= R(N_n) for N_n <= m < N_{n+1} (exact)", _reduction_claim),
-    "upper": (
+    "reduction": _Claim(
+        "R(m) <= R(N_n) for N_n <= m < N_{n+1} (exact)",
+        lambda table, config, source: _reduction_claim(table, config),
+    ),
+    "upper": _Claim(
         "R(n) < e^gamma for n > 30 (three-part certified argument)",
-        lambda table, config: verify_upper(table),
+        lambda table, config, source: verify_upper(table, config.n_max, source=source),
+        _upper_reads,
     ),
-    "lower": (
+    "lower": _Claim(
         "R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)",
-        lambda table, config: verify_lower(table, min(config.n_max, table.count), escalate=config.escalate),
+        lambda table, config, source: verify_lower(
+            table, min(config.n_max, table.count), escalate=config.escalate, source=source
+        ),
+        lambda table, config: (_POINT_KINDS, ()),
     ),
-    "mertens-trend": (
+    "mertens-trend": _Claim(
         "margin to e^gamma/zeta(2) positive and decreasing at checkpoints",
         _mertens_claim,
+        lambda table, config: (_POINT_KINDS, _mertens_checkpoints(table, config)),
     ),
-    "rs-product": (
-        "partial Euler product bound e^gamma(log x + 1/log x)",
-        partial(_bound_claim, name="rs-product"),
+    "rs-product": _bound_entry("partial Euler product bound e^gamma(log x + 1/log x)", "rs-product"),
+    "zeta-tail": _bound_entry("tail bound zeta(2) prod(1-1/p^2) <= exp(2/p_n)", "zeta-tail"),
+    "psi-bound": _bound_entry("psi(N_n)/N_n composite bound for p_n >= 20000", "psi-bound"),
+    "threshold": _bound_entry("exp(2/p_n)(1 + 1.125/(log p_n log log N_n)) <= zeta(2)", "threshold"),
+    "robin-log": _bound_entry(
+        "log p_n < log log N_n + 0.125/log p_n (validity start reported)", "robin-log", _robin_claim
     ),
-    "zeta-tail": ("tail bound zeta(2) prod(1-1/p^2) <= exp(2/p_n)", partial(_bound_claim, name="zeta-tail")),
-    "psi-bound": ("psi(N_n)/N_n composite bound for p_n >= 20000", partial(_bound_claim, name="psi-bound")),
-    "threshold": (
-        "exp(2/p_n)(1 + 1.125/(log p_n log log N_n)) <= zeta(2)",
-        partial(_bound_claim, name="threshold"),
-    ),
-    "robin-log": ("log p_n < log log N_n + 0.125/log p_n (validity start reported)", _robin_claim),
-    "criterion-gap": ("log g(x) >= log f(x) - 2/x at x = p_n", partial(_bound_claim, name="criterion-gap")),
+    "criterion-gap": _bound_entry("log g(x) >= log f(x) - 2/x at x = p_n", "criterion-gap"),
 }
 
 CLAIM_IDS = tuple(_CLAIMS)
 
 
 def claim_description(claim_id: str) -> str:
-    return _CLAIMS[claim_id][0]
+    return _CLAIMS[claim_id].description
 
 
 def check_claim_ids(claim_ids) -> None:
@@ -561,18 +629,46 @@ def check_claim_ids(claim_ids) -> None:
         raise UnknownClaimError(f"unknown claim(s) {', '.join(unknown)}; registry: {', '.join(CLAIM_IDS)}")
 
 
+def _shared_pass(ids: list[str], table: PrimeTable, config: VerifyConfig) -> PrefixSnapshots | None:
+    """The store for one prefix pass that serves the claims ``ids``.
+
+    It sums the union of the kinds they read and records the union of their
+    sparse indices; ``lower`` reads the pass densely through
+    :meth:`PrefixSnapshots.live`.  None when at most one of the claims reads
+    prefix sums: that claim keeps its own live pass.
+    """
+    reads = [_CLAIMS[cid].reads(table, config) for cid in ids if _CLAIMS[cid].reads]
+    if len(reads) < 2:
+        return None
+    wanted = {kind for kinds, _ in reads for kind in kinds}
+    return PrefixSnapshots((k for k in TERMS if k in wanted), ascending_unique(*(at for _, at in reads)))
+
+
 def run_claims(claim_ids: list[str] | None, table: PrimeTable, config: VerifyConfig | None = None) -> dict:
     """Run claims (default: all) and assemble the deterministic report.
 
-    The claims run one after another in claim-table order, each once, and
-    are reported in that order.
+    Each claim runs once, and the report lists them in claim-table order.
+    Claims that read prefix sums share one pass (:func:`_shared_pass`):
+    ``lower`` runs first on the live pass, or the pass runs alone when
+    ``lower`` is not selected, and the others replay its snapshots.
     """
     config = config or VerifyConfig()
     ids = CLAIM_IDS if claim_ids is None else claim_ids
     check_claim_ids(ids)
-    results = {cid: runner(table, config) for cid, (_, runner) in _CLAIMS.items() if cid in ids}
+    selected = [cid for cid in _CLAIMS if cid in ids]
+    store = _shared_pass(selected, table, config)
+    results: dict[str, ClaimResult] = {}
+    if store is not None:
+        if "lower" in selected:
+            results["lower"] = _CLAIMS["lower"].run(table, config, store.live)
+        else:
+            store.record(table)
+    source = store.replay if store else None
+    for cid in selected:
+        if cid not in results:
+            results[cid] = _CLAIMS[cid].run(table, config, source)
     return {
         "config": config.to_dict(),
-        "claims": {cid: result.to_dict() for cid, result in results.items()},
+        "claims": {cid: results[cid].to_dict() for cid in selected},
         "all_hold": all(result.holds for result in results.values()),
     }

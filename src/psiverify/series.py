@@ -22,6 +22,14 @@ only, so theta has no other source.  The primorial points below, the
 criterion functions, the bounds module and the cache inspector consume the
 pass.
 
+A ``verify`` run makes that pass once for every claim it runs.  A
+:class:`PrefixSnapshots` store runs it over the union of the indices its
+claims read: :meth:`~PrefixSnapshots.live` feeds the one dense reader (the
+``lower`` scan) as the pass goes and records every sparse index into flat
+float64 rows, and :meth:`~PrefixSnapshots.replay` serves those rows later to
+the sparse readers.  Both keep the contract of :func:`prefix_sums`, and since
+the totals are exact the replayed bits are the bits of a pass of their own.
+
 The pass yields its totals as plain ``(value, radius)`` pairs, and the
 points chain them through the float kernels of ``numerics``; objects are
 built only at the edges.  A :class:`PrimorialPoint` carries its pairs and
@@ -44,7 +52,10 @@ so both are restricted to x >= 5 and points leave g unset at n = 2.
 
 from __future__ import annotations
 
-from itertools import islice
+from array import array
+from bisect import bisect_left
+from heapq import merge
+from itertools import islice, tee
 from math import ceil, log, ulp
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -69,6 +80,8 @@ __all__ = [
     "MIN_CRITERION_X",
     "TERMS",
     "PrimorialPoint",
+    "PrefixSnapshots",
+    "ascending_unique",
     "prefix_sums",
     "points_at",
     "stream_points",
@@ -87,9 +100,12 @@ TERMS: dict[str, tuple[int, Callable[[int], int]]] = {
 }
 
 
-def prefix_sums(
-    table: PrimeTable, kinds: Sequence[str], at: Iterable[int]
-) -> Iterator[tuple[int, Ball, list[Ball]]]:
+# (n, theta, totals), as prefix_sums yields them; a PrefixSource is called as prefix_sums is
+Totals = tuple[int, Ball, list[Ball]]
+PrefixSource = Callable[[PrimeTable, Sequence[str], Iterable[int]], Iterator[Totals]]
+
+
+def prefix_sums(table: PrimeTable, kinds: Sequence[str], at: Iterable[int]) -> Iterator[Totals]:
     """Yield ``(n, theta, totals)`` at each index n of the ascending ``at``.
 
     ``theta`` encloses theta(p_n) = log p_1 + ... + log p_n, each log charged
@@ -131,6 +147,75 @@ def prefix_sums(
 
 def _unscaled(kind: str, p: int, term: float) -> DomainError:
     return DomainError(f"prefix_sums: the {kind} term {term!r} at p={p} is finer than 1/SUM_SCALE")
+
+
+def ascending_unique(*streams: Iterable[int]) -> Iterator[int]:
+    """Merge ascending index streams, yielding each index once."""
+    last = None
+    for n in merge(*streams):
+        if n != last:
+            last = n
+            yield n
+
+
+class PrefixSnapshots:
+    """One prefix pass recorded at sparse indices and replayed to many readers.
+
+    The summed ``kinds`` and the ascending, unique ``record_at`` are fixed
+    when the store is made.  Each recorded index keeps one row of float64
+    pairs in ``rows``, theta first and then each kind's total, so a snapshot
+    costs ``2 + 2 * len(kinds)`` floats and one int64 index, and no Python
+    object.  :meth:`live` and :meth:`replay` are called as :func:`prefix_sums` is.
+    """
+
+    def __init__(self, kinds: Sequence[str], record_at: Iterable[int]):
+        self.kinds = tuple(kinds)
+        self.indices = array("q", record_at)
+        self.rows = array("d")
+
+    def live(self, table: PrimeTable, kinds: Sequence[str], at: Iterable[int]) -> Iterator[Totals]:
+        """``prefix_sums(table, kinds, at)``, recording this store's indices on the way.
+
+        The one pass runs over the merge of ``at`` with the indices to record,
+        to the last of both, so draining this generator records every index.
+        """
+        pick = [self.kinds.index(k) for k in kinds]
+        wanted, merged = tee(at)
+        want = next(wanted, None)
+        record = iter(self.indices)
+        due = next(record, None)
+        for n, theta, totals in prefix_sums(table, self.kinds, ascending_unique(merged, self.indices)):
+            if n == due:
+                self.rows.extend(theta)
+                for total in totals:
+                    self.rows.extend(total)
+                due = next(record, None)
+            while n == want:
+                yield n, theta, [totals[i] for i in pick]
+                want = next(wanted, None)
+
+    def record(self, table: PrimeTable) -> None:
+        """Run the pass for the recorded indices alone."""
+        for _ in self.live(table, (), ()):
+            pass
+
+    def replay(self, table: PrimeTable, kinds: Sequence[str], at: Iterable[int]) -> Iterator[Totals]:
+        """``prefix_sums(table, kinds, at)`` from the recorded rows, bit for bit.
+
+        An index that was not recorded raises :class:`RangeError`; nothing
+        falls back to a live pass.
+        """
+        columns = [2 + 2 * self.kinds.index(k) for k in kinds]
+        width = 2 + 2 * len(self.kinds)
+        indices, rows = self.indices, self.rows
+        recorded = len(rows) // width
+        k = 0
+        for n in at:
+            k = bisect_left(indices, n, k, recorded)
+            if k == recorded or indices[k] != n:
+                raise RangeError(f"PrefixSnapshots.replay: index {n} not recorded, or not in ascending order")
+            b = k * width
+            yield n, (rows[b], rows[b + 1]), [(rows[b + c], rows[b + c + 1]) for c in columns]
 
 
 class PrimorialPoint(NamedTuple):
@@ -181,10 +266,15 @@ def _criterion(scale: Ball, loglog: Ball, log_product: Ball) -> Ball:
     return mul_ball(mul_ball(scale, loglog), exp_ball(log_product))
 
 
-def points_at(table: PrimeTable, indices: Iterable[int]) -> Iterator[PrimorialPoint]:
-    """Yield PrimorialPoints at the ascending ``indices`` (each >= 2)."""
+def points_at(
+    table: PrimeTable, indices: Iterable[int], source: PrefixSource | None = None
+) -> Iterator[PrimorialPoint]:
+    """Yield PrimorialPoints at the ascending ``indices`` (each >= 2).
+
+    ``source`` stands in for :func:`prefix_sums` (a store's live or replay).
+    """
     primes, make = table.primes, PrimorialPoint._make
-    for n, theta, (plus, inv) in prefix_sums(table, ("plus", "inv"), indices):
+    for n, theta, (plus, inv) in (source or prefix_sums)(table, ("plus", "inv"), indices):
         if n < 2:
             raise RangeError(f"points_at: primorial points start at n = 2, got {n}")
         p = primes[n - 1]  # the pass checked n against the table

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from psiverify.arith import primorial, psi_ratio_tables
-from psiverify.bounds import FIRST_INDEX_AT_20000
+from psiverify.bounds import BOUNDS, FIRST_INDEX_AT_20000
 from psiverify.claims import (
     CLAIM_IDS,
     UPPER_PRIMORIAL_STOP,
@@ -28,6 +28,7 @@ from psiverify.claims import (
     verify_upper,
 )
 from psiverify.errors import RangeError, UnknownClaimError
+from psiverify.series import TERMS
 
 
 def brute_psi_ratio(n: int) -> Fraction:
@@ -159,6 +160,13 @@ def test_verify_upper(table):
     assert c["threshold_margin"][0] < 0  # lhs - zeta(2) stays negative
 
 
+def test_upper_monotone_steps_follow_n_max_not_the_table(table):
+    # the table holds 10^5 primes; the steps stop at n_max, but 2263 is always checked
+    for n_max, steps in [(1000, [2263]), (3000, [2263, 2500]), (10**4, [2263, 2500, 5000]),
+                         (10**5, [2263, 2500, 5000, 10**4])]:
+        assert verify_upper(table, n_max).details["c"]["monotone_checked_at"] == steps, n_max
+
+
 def test_verify_lower_shallow(table):
     res = verify_lower(table, 2000, checkpoints=(10, 100, 1000))
     assert res.holds
@@ -271,6 +279,13 @@ def test_mertens_trend_validation(table):
         run_claims(["mertens-trend"], table, VerifyConfig(n_max=9))
 
 
+def test_deep_runs_report_checkpoints_past_1e5():
+    # 10^6 and 10^7 are live only in deep runs, so no report at n_max <= 10^5 moves
+    assert VerifyConfig().live_checkpoints() == (10, 100, 1000, 10**4, 10**5)
+    assert VerifyConfig(n_max=10**6).live_checkpoints() == (10, 100, 1000, 10**4, 10**5, 10**6)
+    assert VerifyConfig(n_max=10**7).live_checkpoints()[-2:] == (10**6, 10**7)
+
+
 def test_claim_result_holds_semantics():
     ok = ClaimResult("x", {"n": [1, 2]})
     assert ok.holds and ok.to_dict()["holds"] is True
@@ -333,3 +348,72 @@ def test_required_table_limit_covers_nth_prime(table):
     # Rosser-style estimate must cover p_{n_max}
     assert required_table_limit(10**5) >= 1299709
     assert math.isqrt(required_table_limit(10**5)) < table.limit
+
+
+def _start_spy(monkeypatch) -> list:
+    """(kinds, at) of every prefix pass started, wherever bounds and series look it up."""
+    import psiverify.bounds as bounds_mod
+    import psiverify.series as series_mod
+
+    real, passes = series_mod.prefix_sums, []
+
+    def spy(table, kinds, at):
+        passes.append((tuple(kinds), at))
+        return real(table, kinds, at)
+
+    for mod in (series_mod, bounds_mod):
+        monkeypatch.setattr(mod, "prefix_sums", spy)
+    return passes
+
+
+@pytest.mark.parametrize("n_max", [3000, 1000])
+def test_claims_run_alone_equal_their_entries_in_the_shared_run(table, n_max):
+    # at 1000, psi-bound and threshold scan only 2263 and the upper (c)
+    # steps lie past n_max, so the shared pass records past the lower scan
+    config = VerifyConfig(champion_limit=10**4, n_max=n_max, reduction_samples=200)
+    full = run_claims(None, table, config)["claims"]
+    for cid in CLAIM_IDS:
+        alone = run_claims([cid], table, config)["claims"][cid]
+        assert json.dumps(alone) == json.dumps(full[cid]), cid
+    for subset in (["lower", "zeta-tail"], ["upper", "criterion-gap", "mertens-trend"]):
+        shared = run_claims(subset, table, config)["claims"]
+        expected = {cid: body for cid, body in full.items() if cid in subset}  # report order
+        assert json.dumps(shared) == json.dumps(expected), subset
+
+
+def test_one_prefix_pass_per_verify_run(table, monkeypatch):
+    passes = _start_spy(monkeypatch)
+    report = run_claims(None, table, VerifyConfig(champion_limit=10**4, n_max=3000, reduction_samples=200))
+    claims = report["claims"]
+    assert report["all_hold"]
+    assert claims["lower"]["details"]["escalated_at"] == []
+    assert all(claims[name]["details"]["escalated_at"] == [] for name in BOUNDS if name != "robin-log")
+    assert claims["robin-log"]["details"]["scan"]["escalated_at"] == []
+    assert [kinds for kinds, _ in passes] == [tuple(TERMS)]
+
+
+def test_lower_alone_runs_its_own_pass_and_records_nothing(table, monkeypatch):
+    import psiverify.claims as claims_mod
+
+    passes = _start_spy(monkeypatch)
+    stores = []
+    monkeypatch.setattr(claims_mod, "PrefixSnapshots", lambda *args: stores.append(args))
+    assert run_claims(["lower"], table, VerifyConfig(n_max=3000))["all_hold"]
+    assert passes == [(("plus", "inv"), range(3, 3001))]
+    assert stores == []
+
+
+def test_shared_pass_store_peak_memory_per_recorded_index(table):
+    """The store keeps one flat float64 row per recorded index: 10 floats and one int64."""
+    from psiverify.claims import _shared_pass
+
+    tracemalloc.start()
+    try:
+        store = _shared_pass(list(CLAIM_IDS), table, VerifyConfig(n_max=20000))
+        store.record(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.kinds == tuple(TERMS)
+    assert len(store.indices) > 10**4
+    assert peak / len(store.indices) < 120

@@ -173,6 +173,23 @@ def test_verify_n_max_below_a_bound_start_checks_its_first_index(capsys, tmp_pat
     assert claims["zeta-tail"]["covered"] == {"n": [2, 1000], "points_checked": 999}
 
 
+def test_verify_report_does_not_depend_on_the_cache_size(capsys, tmp_path):
+    # a cache built past what n_max needs must not add upper (c) steps
+    cache = tmp_path / "cache"
+    reports = []
+    for run in ("cold", "cached"):
+        if run == "cached":
+            assert run_cli(capsys, "cache", "build", "--limit", "200000", "--cache-dir", str(cache))[0] == 0
+        out_json = tmp_path / f"{run}.json"
+        argv = ["verify", "--n-max", "3000", "--champion-limit", "10000", "--json", str(out_json)]
+        code, _, err = run_cli(capsys, *argv, *(["--cache-dir", str(cache)] if run == "cached" else []))
+        assert code == 0, err
+        reports.append(out_json.read_bytes())
+    assert reports[0] == reports[1]
+    upper = json.loads(reports[0])["claims"]["upper"]
+    assert upper["details"]["c"]["monotone_checked_at"] == [2263, 2500]
+
+
 def test_cache_commands(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PSIVERIFY_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "cache", "build", "--limit", "50000")

@@ -28,7 +28,15 @@ from psiverify.numerics import (
     sub_ball,
 )
 from psiverify.primes import MAX_LIMIT, PrimeTable
-from psiverify.series import TERMS, criterion_f, criterion_g, prefix_sums, stream_points
+from psiverify.series import (
+    TERMS,
+    PrefixSnapshots,
+    ascending_unique,
+    criterion_f,
+    criterion_g,
+    prefix_sums,
+    stream_points,
+)
 
 
 @pytest.mark.parametrize(
@@ -117,6 +125,40 @@ def test_prefix_sums_raise_on_a_term_finer_than_the_scale(monkeypatch):
     assert [n for n, _, _ in islice(totals, 2)] == [1, 2]
     with pytest.raises(DomainError, match="quartic term .* at p=2147483647"):
         next(totals)
+
+
+def test_snapshots_keep_the_prefix_sums_contract(table):
+    # one pass over all four kinds: the dense reader sees what a pass of its
+    # own gives, and a replay gives every recorded index bit for bit
+    kinds = tuple(TERMS)
+    record_at = [1, 2, 7, 50, 51, 400, 999]
+    store = PrefixSnapshots(kinds, record_at)
+    dense = list(store.live(table, ("inv", "plus"), [40, 41, 41, *range(42, 61)]))
+    assert dense == list(prefix_sums(table, ("inv", "plus"), [40, 41, 41, *range(42, 61)]))
+    assert list(store.indices) == record_at
+    assert len(store.rows) == len(record_at) * (2 + 2 * len(kinds))
+    for sub in [(), ("sq",), ("phi", "plus"), kinds]:
+        assert list(store.replay(table, sub, record_at)) == list(prefix_sums(table, sub, record_at))
+    again = [7, 7, 400]
+    assert list(store.replay(table, ("plus",), again)) == list(prefix_sums(table, ("plus",), again))
+
+
+def test_snapshot_replay_of_an_unrecorded_index_raises(table):
+    store = PrefixSnapshots(("plus",), [5, 9])
+    with pytest.raises(RangeError, match="index 5 not recorded"):
+        next(store.replay(table, ("plus",), [5]))  # before the pass ran
+    store.record(table)
+    assert len(list(store.replay(table, ("plus",), [5, 9]))) == 2
+    with pytest.raises(RangeError, match="index 6 not recorded"):
+        list(store.replay(table, ("plus",), [5, 6]))
+    with pytest.raises(RangeError, match="not in ascending order"):
+        list(store.replay(table, ("plus",), [9, 5]))
+    with pytest.raises(ValueError):  # a kind the pass did not sum
+        next(store.replay(table, ("sq",), [5]))
+
+
+def test_ascending_unique_merges_without_repeats():
+    assert list(ascending_unique(range(3, 8), [1, 5, 5, 9], (), [7])) == [1, 3, 4, 5, 6, 7, 9]
 
 
 def test_points_bit_identical_to_certified_value_chain(table):
