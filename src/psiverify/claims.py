@@ -7,9 +7,8 @@ the scan strides are module constants, and floats serialize as shortest
 round-trip decimals, so reports are byte-identical from run to run.
 ``run_claims`` reports the claims in claim-table order.
 
-One table maps each claim id to its description, its runner and the prefix
-sums it reads; ``run_claims`` and the CLI take ids, descriptions and report
-order from it.  The ids:
+One table maps each claim id to its description and its runner; ``run_claims``
+and the CLI take ids, descriptions and report order from it.  The ids:
 
     champions       primorials are exactly the champions of psi(m)/m (exact ints)
     reduction       R(m) <= R(N_n) on [N_n, N_{n+1}) (exact ints + log log monotonicity)
@@ -21,15 +20,13 @@ order from it.  The ids:
                     ``bounds.BOUNDS``
 
 ``lower``, ``mertens-trend``, ``upper`` and the six bound scans read prefix
-sums from ``series``.  When ``run_claims`` runs two or more of them, it makes
-the pass once.  From the ids and the config it works out the union of the
-kinds and the indices its claims read, and a
-:class:`series.PrefixSnapshots` store records the sparse ones during the
-pass.  ``lower`` runs first and reads the pass live and densely; every other
-claim then replays the store.  A claim run alone, and every public function,
-keeps its own live pass.  ``mertens-trend`` evaluates only its checkpoints;
-it and ``lower`` report checkpoint margins and their trend through one
-helper.
+sums from ``series``.  Each is a reader of :func:`series.serve`: a generator
+that yields the ascending indices it reads, is sent the totals there and
+returns its :class:`ClaimResult`.  ``run_claims`` runs the exact claims
+first and then serves every selected reader from one pass; a claim run
+alone, and each public claim function, is that same call with one reader.
+``mertens-trend`` evaluates only its checkpoints; it and ``lower`` report
+checkpoint margins and their trend through one helper.
 """
 
 from __future__ import annotations
@@ -38,22 +35,19 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .arith import factorize, primorials_up_to, psi_from_factors, psi_ratio_tables, robin_ratio
 from .bounds import (
+    _BALL,
     BOUNDS,
     FIRST_INDEX_AT_20000,
     LOWER,
     StridePolicy,
     _interval_sides,
-    scan_bound,
-    stride_indices,
-    threshold_condition,
-    threshold_monotone_step,
+    bound_reader,
 )
 from .errors import RangeError, UnknownClaimError
 from .numerics import (
@@ -67,7 +61,7 @@ from .numerics import (
     sub_ball,
 )
 from .primes import PrimeTable, build_table
-from .series import TERMS, PrefixSnapshots, PrefixSource, ascending_unique, points_at
+from .series import POINT_KINDS, Reader, _primorial_point, serve
 
 __all__ = [
     "ClaimResult",
@@ -309,15 +303,7 @@ def _reduction_claim(table: PrimeTable, config: VerifyConfig) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-def _monotone_steps(n_max: int) -> list[int]:
-    """Where ``upper`` (c) checks a monotone step: up to n_max, and always at 2263."""
-    reach = max(n_max, FIRST_INDEX_AT_20000 + 1)
-    return [n for n in UPPER_MONOTONE_AT if n + 1 <= reach]
-
-
-def verify_upper(
-    table: PrimeTable, n_max: int = VerifyConfig.n_max, *, source: PrefixSource | None = None
-) -> ClaimResult:
+def verify_upper(table: PrimeTable, n_max: int = VerifyConfig.n_max) -> ClaimResult:
     """Three-part upper-bound verification mirroring the proof structure.
 
     (a) exhaustive certified R(n) < e^gamma on 31..210 (plus the witness
@@ -326,9 +312,12 @@ def verify_upper(
     (c) the threshold condition at index 2263 plus certified monotonicity
         steps, which covers every n >= 2263.  The steps depend on ``n_max``
         alone, never on how many primes the table holds.
-
-    ``source`` stands in for :func:`series.prefix_sums` in (b) and (c).
     """
+    return serve(table, [(POINT_KINDS, _upper(table, n_max))])[0]
+
+
+def _upper(table: PrimeTable, n_max: int):
+    """The reader of :func:`verify_upper`."""
     # (a) exhaustive small range, certified; witnesses below 31
     a_bad: list[int] = []
     witnesses: list[int] = []
@@ -344,25 +333,33 @@ def verify_upper(
     worst_slack = math.inf
     worst_at = None
     e_gamma = E_GAMMA.ball
-    for point in points_at(table, range(4, UPPER_PRIMORIAL_STOP + 1), source):
-        margin = sub_ball(point.ratio_ball, e_gamma)
+    for n in range(4, UPPER_PRIMORIAL_STOP + 1):
+        theta, sums = yield n
+        margin = sub_ball(_primorial_point(table.primes, n, theta, sums).ratio_ball, e_gamma)
         if ball_status(margin, "<") is not VerdictStatus.HOLDS:
-            b_bad.append(point.n)
+            b_bad.append(n)
         slack = -ball_endpoints(margin)[1]
         if slack < worst_slack:
             worst_slack = slack
-            worst_at = point.n
+            worst_at = n
     # R(N_3) = R(30) >= e^gamma: the bound genuinely starts at n = 4
     r30_high = compare(robin_ratio(30), E_GAMMA, ">").status is VerdictStatus.HOLDS
 
-    # (c) threshold at the first valid index, plus monotone steps
+    # (c) the threshold at the first valid index, then monotone steps: its lhs
+    # decreases, certified, from n to n + 1; checked up to n_max, and always at 2263
+    threshold = BOUNDS["threshold"]
     c_bad: list[int] = []
-    first = threshold_condition(table, FIRST_INDEX_AT_20000, source=source)
-    if first.verdict.status is not VerdictStatus.HOLDS:
+    theta, _ = yield FIRST_INDEX_AT_20000
+    first_margin = sub_ball(*threshold.sides(_BALL, table.nth_prime(FIRST_INDEX_AT_20000), theta))
+    if ball_status(first_margin, threshold.claim) is not VerdictStatus.HOLDS:
         c_bad.append(FIRST_INDEX_AT_20000)
-    monotone_at = _monotone_steps(n_max)
+    monotone_at = [n for n in UPPER_MONOTONE_AT if n + 1 <= max(n_max, FIRST_INDEX_AT_20000 + 1)]
     for n in monotone_at:
-        if threshold_monotone_step(table, n, source=source).status is not VerdictStatus.HOLDS:
+        theta, _ = yield n
+        lhs, _ = threshold.sides(_BALL, table.nth_prime(n), theta)
+        theta, _ = yield n + 1
+        lhs_next, _ = threshold.sides(_BALL, table.nth_prime(n + 1), theta)
+        if ball_status(sub_ball(lhs_next, lhs), "<") is not VerdictStatus.HOLDS:
             c_bad.append(n)
 
     bad = a_bad + b_bad + c_bad
@@ -383,7 +380,7 @@ def verify_upper(
             },
             "c": {
                 "counterexamples": c_bad,
-                "threshold_margin": first.verdict.margin.ball,
+                "threshold_margin": first_margin,
                 "monotone_checked_at": monotone_at,
             },
         },
@@ -413,7 +410,6 @@ def verify_lower(
     *,
     checkpoints: tuple[int, ...] = CHECKPOINTS,
     escalate: bool = True,
-    source: PrefixSource | None = None,
 ) -> ClaimResult:
     """Certified scan of R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max.
 
@@ -421,8 +417,12 @@ def verify_lower(
     known to hold, so failures are re-verified on the interval path and
     surfaced loudly rather than swallowed.  The equivalent criterion
     g(p_n) < 1 is checked at every n as a dual consistency condition.
-    ``source`` stands in for :func:`series.prefix_sums`.
     """
+    return serve(table, [(POINT_KINDS, _lower(table, n_max, checkpoints, escalate))])[0]
+
+
+def _lower(table: PrimeTable, n_max: int, checkpoints: tuple[int, ...], escalate: bool):
+    """The reader of :func:`verify_lower`."""
     if n_max < LOWER.start:
         raise RangeError(f"verify_lower: n_max must be >= {LOWER.start}, got {n_max}")
     bad: list[int] = []
@@ -432,9 +432,11 @@ def verify_lower(
     min_margin = math.inf
     min_at = None
     holds = VerdictStatus.HOLDS
-    for point in points_at(table, range(LOWER.start, n_max + 1), source):
+    for n in range(LOWER.start, n_max + 1):
+        theta, sums = yield n
+        point = _primorial_point(table.primes, n, theta, sums)
         # margin R(N_n) - e^gamma/zeta(2) must be > 0, and g(p_n) - 1 < 0
-        n, margin = point.n, point.margin_ball
+        margin = point.margin_ball
         status = ball_status(margin, ">")
         dual = ball_status(sub_ball(point.g_ball, (1.0, 0.0)), "<")
         if status is not holds or dual is not holds:
@@ -471,28 +473,28 @@ def verify_lower(
     )
 
 
-def mertens_limit_trend(
-    table: PrimeTable,
-    checkpoints: tuple[int, ...] = CHECKPOINTS,
-    *,
-    source: PrefixSource | None = None,
-) -> ClaimResult:
+def mertens_limit_trend(table: PrimeTable, checkpoints: tuple[int, ...] = CHECKPOINTS) -> ClaimResult:
     """Margins R(N_n) - e^gamma/zeta(2) at ascending geometric checkpoints.
 
     Asserts each margin is certified positive and the sequence strictly
     decreases; a trend consistent with the limit, not a proof of it.  Only
-    the checkpoints are evaluated.  ``source`` stands in for
-    :func:`series.prefix_sums`.
+    the checkpoints are evaluated.
     """
+    return serve(table, [(POINT_KINDS, _mertens(table, checkpoints))])[0]
+
+
+def _mertens(table: PrimeTable, checkpoints: tuple[int, ...]):
+    """The reader of :func:`mertens_limit_trend`."""
     live = tuple(c for c in checkpoints if c <= table.count)
     if not live:
         raise RangeError("mertens_limit_trend: no checkpoint within table range")
     margins: dict[int, Ball] = {}
     bad: list[int] = []
-    for point in points_at(table, live, source):
-        margins[point.n] = point.margin_ball
-        if ball_status(point.margin_ball, ">") is not VerdictStatus.HOLDS:
-            bad.append(point.n)
+    for n in live:
+        theta, sums = yield n
+        margins[n] = margin = _primorial_point(table.primes, n, theta, sums).margin_ball
+        if ball_status(margin, ">") is not VerdictStatus.HOLDS:
+            bad.append(n)
     margin_pairs, trend_bad = _checkpoint_trend(margins)
     return ClaimResult(
         claim_id="mertens-trend",
@@ -503,115 +505,73 @@ def mertens_limit_trend(
 
 
 # ---------------------------------------------------------------------------
-# bound-scan claims, the claim table and the shared prefix pass
+# bound-scan claims, the claim table and the one prefix pass
 # ---------------------------------------------------------------------------
 
 
-def _bound_range(table: PrimeTable, config: VerifyConfig, name: str) -> tuple[int, int]:
+def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str) -> Reader:
     start = BOUNDS[name].start
     # a bound claim always checks its first valid index, however small n_max is
-    return start, max(start, min(config.n_max, table.count))
+    stop = max(start, min(config.n_max, table.count))
+    kinds, scan = bound_reader(table, name, start, stop, escalate=config.escalate)
+    return kinds, _bound_result(name, scan)
 
 
-def _bound_claim(
-    table: PrimeTable, config: VerifyConfig, source: PrefixSource | None, name: str
-) -> ClaimResult:
-    start, stop = _bound_range(table, config, name)
-    scan = scan_bound(table, name, start, stop, escalate=config.escalate, source=source)
-    return ClaimResult(
-        claim_id=name,
-        covered={"n": [start, stop], "points_checked": scan.points_checked},
-        counterexamples=list(scan.failed_at),
-        details=scan.to_dict(),
-    )
+def _bound_result(name: str, scan_reader):
+    scan = yield from scan_reader
+    failed = list(scan.failed_at)
+    covered = {"n": [scan.start, scan.stop], "points_checked": scan.points_checked}
+    if name != "robin-log":
+        return ClaimResult(name, covered, failed, scan.to_dict())
+    # the robin-log scan may fail at small n; the claim is where it settles, which
+    # must come before the index the composite bound relies on
+    holds_from = (max(failed) + 1) if failed else BOUNDS[name].start
+    settled = [] if holds_from <= FIRST_INDEX_AT_20000 else [holds_from]
+    details = {"holds_from_index": holds_from, "below_validity": failed, "scan": scan.to_dict()}
+    return ClaimResult(name, covered, settled, details)
 
 
-def _mertens_checkpoints(table: PrimeTable, config: VerifyConfig) -> tuple[int, ...]:
-    return tuple(c for c in config.live_checkpoints() if c <= table.count)
-
-
-def _mertens_claim(table: PrimeTable, config: VerifyConfig, source: PrefixSource | None) -> ClaimResult:
+def _mertens_claim(table: PrimeTable, config: VerifyConfig) -> Reader:
     if not config.live_checkpoints():
-        raise RangeError(
-            f"mertens-trend: n_max={config.n_max} is below the first checkpoint, {CHECKPOINTS[0]}"
-        )
-    return mertens_limit_trend(table, _mertens_checkpoints(table, config), source=source)
-
-
-def _robin_claim(table: PrimeTable, config: VerifyConfig, source: PrefixSource | None, name: str) -> ClaimResult:
-    """The robin-log scan may fail at small n; the claim is where it settles."""
-    result = _bound_claim(table, config, source, name)
-    below = result.counterexamples
-    holds_from = (max(below) + 1) if below else BOUNDS[name].start
-    # the bound must have settled before the index the composite bound relies on
-    result.counterexamples = [] if holds_from <= FIRST_INDEX_AT_20000 else [holds_from]
-    result.details = {"holds_from_index": holds_from, "below_validity": below, "scan": result.details}
-    return result
-
-
-# What each claim reads of a shared prefix pass, as (kinds, ascending sparse
-# indices), from the same helpers its runner uses.  points_at reads plus and
-# inv; lower reads its indices live, as the pass makes them, so it lists none.
-_POINT_KINDS = ("plus", "inv")
-
-
-def _upper_reads(table: PrimeTable, config: VerifyConfig):
-    # (b) the primorial points, then (c) the threshold at 2263 and both ends of each step
-    steps = chain.from_iterable((n, n + 1) for n in _monotone_steps(config.n_max))
-    return _POINT_KINDS, chain(range(4, UPPER_PRIMORIAL_STOP + 1), (FIRST_INDEX_AT_20000,), steps)
-
-
-def _bound_reads(table: PrimeTable, config: VerifyConfig, name: str):
-    return BOUNDS[name].sums, stride_indices(*_bound_range(table, config, name), StridePolicy())
+        raise RangeError(f"mertens-trend: n_max={config.n_max} is below the first checkpoint, {CHECKPOINTS[0]}")
+    return POINT_KINDS, _mertens(table, config.live_checkpoints())
 
 
 class _Claim(NamedTuple):
     description: str
-    run: Callable[[PrimeTable, VerifyConfig, PrefixSource | None], ClaimResult]
-    # what the claim reads of a shared prefix pass; None if it reads no prefix sums
-    reads: Callable[[PrimeTable, VerifyConfig], tuple[tuple[str, ...], Iterable[int]]] | None = None
+    # the ClaimResult of an exact claim, or the reader of a claim that reads prefix sums
+    run: Callable[[PrimeTable, VerifyConfig], ClaimResult | Reader]
 
 
-def _bound_entry(description: str, name: str, run=_bound_claim) -> _Claim:
-    return _Claim(description, partial(run, name=name), partial(_bound_reads, name=name))
+def _bound_entry(description: str, name: str) -> _Claim:
+    return _Claim(description, partial(_bound_claim, name=name))
 
 
-# id -> claim, in report order.  The public claim functions are looked up by
-# name when a runner is called, so wrappers installed on this module
-# (tracing, monkeypatching) see every call.
+# id -> claim, in report order.  champion_scan is looked up when its runner is
+# called, so a wrapper installed on this module (tracing, monkeypatching) sees it.
 _CLAIMS: dict[str, _Claim] = {
     "champions": _Claim(
         "primorials are exactly the champions of psi(m)/m (exact)",
-        lambda table, config, source: champion_scan(config.champion_limit, table),
+        lambda table, config: champion_scan(config.champion_limit, table),
     ),
-    "reduction": _Claim(
-        "R(m) <= R(N_n) for N_n <= m < N_{n+1} (exact)",
-        lambda table, config, source: _reduction_claim(table, config),
-    ),
+    "reduction": _Claim("R(m) <= R(N_n) for N_n <= m < N_{n+1} (exact)", _reduction_claim),
     "upper": _Claim(
         "R(n) < e^gamma for n > 30 (three-part certified argument)",
-        lambda table, config, source: verify_upper(table, config.n_max, source=source),
-        _upper_reads,
+        lambda table, config: (POINT_KINDS, _upper(table, config.n_max)),
     ),
     "lower": _Claim(
         "R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)",
-        lambda table, config, source: verify_lower(
-            table, min(config.n_max, table.count), escalate=config.escalate, source=source
+        lambda table, config: (
+            POINT_KINDS,
+            _lower(table, min(config.n_max, table.count), CHECKPOINTS, config.escalate),
         ),
-        lambda table, config: (_POINT_KINDS, ()),
     ),
-    "mertens-trend": _Claim(
-        "margin to e^gamma/zeta(2) positive and decreasing at checkpoints",
-        _mertens_claim,
-        lambda table, config: (_POINT_KINDS, _mertens_checkpoints(table, config)),
-    ),
+    "mertens-trend": _Claim("margin to e^gamma/zeta(2) positive and decreasing at checkpoints", _mertens_claim),
     "rs-product": _bound_entry("partial Euler product bound e^gamma(log x + 1/log x)", "rs-product"),
     "zeta-tail": _bound_entry("tail bound zeta(2) prod(1-1/p^2) <= exp(2/p_n)", "zeta-tail"),
     "psi-bound": _bound_entry("psi(N_n)/N_n composite bound for p_n >= 20000", "psi-bound"),
     "threshold": _bound_entry("exp(2/p_n)(1 + 1.125/(log p_n log log N_n)) <= zeta(2)", "threshold"),
-    "robin-log": _bound_entry(
-        "log p_n < log log N_n + 0.125/log p_n (validity start reported)", "robin-log", _robin_claim
-    ),
+    "robin-log": _bound_entry("log p_n < log log N_n + 0.125/log p_n (validity start reported)", "robin-log"),
     "criterion-gap": _bound_entry("log g(x) >= log f(x) - 2/x at x = p_n", "criterion-gap"),
 }
 
@@ -629,44 +589,20 @@ def check_claim_ids(claim_ids) -> None:
         raise UnknownClaimError(f"unknown claim(s) {', '.join(unknown)}; registry: {', '.join(CLAIM_IDS)}")
 
 
-def _shared_pass(ids: list[str], table: PrimeTable, config: VerifyConfig) -> PrefixSnapshots | None:
-    """The store for one prefix pass that serves the claims ``ids``.
-
-    It sums the union of the kinds they read and records the union of their
-    sparse indices; ``lower`` reads the pass densely through
-    :meth:`PrefixSnapshots.live`.  None when at most one of the claims reads
-    prefix sums: that claim keeps its own live pass.
-    """
-    reads = [_CLAIMS[cid].reads(table, config) for cid in ids if _CLAIMS[cid].reads]
-    if len(reads) < 2:
-        return None
-    wanted = {kind for kinds, _ in reads for kind in kinds}
-    return PrefixSnapshots((k for k in TERMS if k in wanted), ascending_unique(*(at for _, at in reads)))
-
-
 def run_claims(claim_ids: list[str] | None, table: PrimeTable, config: VerifyConfig | None = None) -> dict:
     """Run claims (default: all) and assemble the deterministic report.
 
     Each claim runs once, and the report lists them in claim-table order.
-    Claims that read prefix sums share one pass (:func:`_shared_pass`):
-    ``lower`` runs first on the live pass, or the pass runs alone when
-    ``lower`` is not selected, and the others replay its snapshots.
+    The exact claims run first; then one :func:`series.serve` pass feeds
+    every selected claim that reads prefix sums.
     """
     config = config or VerifyConfig()
     ids = CLAIM_IDS if claim_ids is None else claim_ids
     check_claim_ids(ids)
     selected = [cid for cid in _CLAIMS if cid in ids]
-    store = _shared_pass(selected, table, config)
-    results: dict[str, ClaimResult] = {}
-    if store is not None:
-        if "lower" in selected:
-            results["lower"] = _CLAIMS["lower"].run(table, config, store.live)
-        else:
-            store.record(table)
-    source = store.replay if store else None
-    for cid in selected:
-        if cid not in results:
-            results[cid] = _CLAIMS[cid].run(table, config, source)
+    results = {cid: _CLAIMS[cid].run(table, config) for cid in selected}
+    readers = {cid: made for cid, made in results.items() if not isinstance(made, ClaimResult)}
+    results.update(zip(readers, serve(table, list(readers.values()))))
     return {
         "config": config.to_dict(),
         "claims": {cid: results[cid].to_dict() for cid in selected},

@@ -17,7 +17,7 @@ finite number > 0, a ``--dense-until`` below 0, a ``--samples`` or
 ``--workers`` below 1, a config value of the wrong type, or a config
 ``format`` that the subcommand's ``--format`` does not offer.
 
-``verify`` runs its claims one after another; ``--workers`` has no effect yet.
+``verify`` runs its claims on one prefix pass; ``--workers`` has no effect yet.
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     positive = _number(int, lambda v: v >= 1, "an integer >= 1")
     p.add_argument("--samples", type=positive, default=VerifyConfig.reduction_samples)
     p.add_argument("--seed", type=int, default=VerifyConfig.seed)
-    p.add_argument("--workers", type=positive, default=1, help="no effect yet: claims run serially")
+    p.add_argument("--workers", type=positive, default=1, help="no effect yet: one pass serves all claims")
     p.add_argument("--no-escalate", action="store_true")
     p.add_argument("--json", help="write the full JSON report here")
     p.add_argument("--output")

@@ -10,25 +10,24 @@ sums, each the exact sum of the binary64 terms log1p(num/den(p)) named in
     phi  = sum log1p(-1/p)           f and the Rosser-Schoenfeld product
     sq   = sum log1p(-1/p^2)         the zeta(2) tail
 
-:func:`prefix_sums` is the one pass that computes them.  Over p_1, p_2, ...
-it adds theta's term, log p charged 2 ulp, and each requested kind's term
-to Python ints in units of 2^-120 (``numerics.SUM_SCALE``), and yields
-certified totals only at the indices it is asked for.  Every term is exact
-at that scale: log p >= log 2, and the smallest term below the 2^31 sieve
-cap, log1p(-1/p^2) at p = 2147483647 (about -2^-62), has an ulp of
-2^-114.  The pass checks each term.  Its totals are then the exact sums of
-the terms, whatever their order or grouping.  The prime table holds primes
-only, so theta has no other source.  The primorial points below, the
-criterion functions, the bounds module and the cache inspector consume the
-pass.
+One prefix pass computes them.  Over p_1, p_2, ... it adds theta's term,
+log p charged 2 ulp, and each requested kind's term to Python ints in units
+of 2^-120 (``numerics.SUM_SCALE``), and gives certified totals only at the
+indices it is asked for.  Every term is exact at that scale: log p >= log 2,
+and the smallest term below the 2^31 sieve cap, log1p(-1/p^2) at
+p = 2147483647 (about -2^-62), has an ulp of 2^-114.  The pass checks each term.
+Its totals are then the exact sums of the terms, whatever their order or
+grouping.  The prime table holds primes only, so theta has no other source.
+The primorial points below, the criterion functions, the bounds module and
+the cache inspector consume the pass.
 
-A ``verify`` run makes that pass once for every claim it runs.  A
-:class:`PrefixSnapshots` store runs it over the union of the indices its
-claims read: :meth:`~PrefixSnapshots.live` feeds the one dense reader (the
-``lower`` scan) as the pass goes and records every sparse index into flat
-float64 rows, and :meth:`~PrefixSnapshots.replay` serves those rows later to
-the sparse readers.  Both keep the contract of :func:`prefix_sums`, and since
-the totals are exact the replayed bits are the bits of a pass of their own.
+The loop is written once, as a cursor that only moves forward.
+:func:`prefix_sums` streams it to a single consumer.  :func:`serve` runs it
+once for many *readers*, each a ``(kinds, generator)`` pair: the generator
+yields the ascending indices it reads, is sent ``(theta, totals)`` for its
+own kinds at each, and returns its result.  A ``verify`` run serves all of
+its claims from one pass, and a claim run alone is a run with one reader.
+Since the totals are exact, every reader gets the bits of a pass of its own.
 
 The pass yields its totals as plain ``(value, radius)`` pairs, and the
 points chain them through the float kernels of ``numerics``; objects are
@@ -52,12 +51,10 @@ so both are restricted to x >= 5 and points leave g unset at n = 2.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
-from heapq import merge
-from itertools import islice, tee
+from heapq import heapify, heappop, heapreplace
+from itertools import islice
 from math import ceil, log, ulp
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, RangeError
 from .numerics import (
@@ -78,11 +75,11 @@ from .primes import PrimeTable
 
 __all__ = [
     "MIN_CRITERION_X",
+    "POINT_KINDS",
     "TERMS",
     "PrimorialPoint",
-    "PrefixSnapshots",
-    "ascending_unique",
     "prefix_sums",
+    "serve",
     "points_at",
     "stream_points",
     "criterion_g",
@@ -90,6 +87,7 @@ __all__ = [
 ]
 
 MIN_CRITERION_X = 5
+POINT_KINDS = ("plus", "inv")  # the prefix sums a PrimorialPoint is built from
 
 # kind -> (num, den): the term for prime p is log1p(num / den(p))
 TERMS: dict[str, tuple[int, Callable[[int], int]]] = {
@@ -100,33 +98,31 @@ TERMS: dict[str, tuple[int, Callable[[int], int]]] = {
 }
 
 
-# (n, theta, totals), as prefix_sums yields them; a PrefixSource is called as prefix_sums is
+# (n, theta, totals), as prefix_sums yields them
 Totals = tuple[int, Ball, list[Ball]]
-PrefixSource = Callable[[PrimeTable, Sequence[str], Iterable[int]], Iterator[Totals]]
+# (kinds, generator), as serve takes a reader (see the module docstring)
+Reader = tuple[Sequence[str], Generator[int, tuple[Ball, list[Ball]], Any]]
 
 
-def prefix_sums(table: PrimeTable, kinds: Sequence[str], at: Iterable[int]) -> Iterator[Totals]:
-    """Yield ``(n, theta, totals)`` at each index n of the ascending ``at``.
+class _PrefixCursor:
+    """The loop over p_1, p_2, ... that sums theta and ``kinds``, advanced by :meth:`to`."""
 
-    ``theta`` encloses theta(p_n) = log p_1 + ... + log p_n, each log charged
-    2 ulp for the libm call.  ``totals[i]`` encloses the sum over
-    p_1 .. p_n of the ``kinds[i]`` term, the ball
-    ``log1p_ball(ratio_ball(num, den(p)))``.  Both are ``(value, radius)``
-    pairs.  Each sum is kept exactly, as Python ints in units of
-    ``1/SUM_SCALE``: the term values scaled, and the term radii scaled and
-    rounded up.  Integer addition is associative, so a total does not depend
-    on the order of its terms, on which kinds share the pass or on where it
-    stops.  A term that is not a multiple of ``1/SUM_SCALE`` raises
-    :class:`DomainError` rather than lose bits.
-    """
-    theta = theta_radius = 0
-    work = [[kind, *TERMS[kind], 0, 0] for kind in kinds]  # kind, num, den, sum, radius
-    primes = iter(table.primes)
-    done = 0
-    for n in at:
-        if not done <= n <= table.count:
-            raise RangeError(f"prefix_sums: index {n} outside [{done}, {table.count}]")
-        for p in islice(primes, n - done):
+    def __init__(self, table: PrimeTable, kinds: Sequence[str]):
+        self.count = table.count
+        self.primes = iter(table.primes)
+        self.work = [[kind, *TERMS[kind], 0, 0] for kind in kinds]  # kind, num, den, sum, radius
+        self.done = self.theta = self.theta_radius = 0
+        self.sums = None  # (theta, totals) at done, shared by every reader of that index
+
+    def to(self, n: int) -> tuple[Ball, list[Ball]]:
+        """Sum through p_n (n not below the last index) and return ``(theta, totals)`` there."""
+        done = self.done
+        if n == done and self.sums is not None:
+            return self.sums
+        if not done <= n <= self.count:
+            raise RangeError(f"prefix pass: index {n} outside [{done}, {self.count}]")
+        theta, theta_radius, work = self.theta, self.theta_radius, self.work
+        for p in islice(self.primes, n - done):
             lp = log(p)
             scaled = lp * SUM_SCALE
             if not scaled.is_integer():
@@ -141,81 +137,69 @@ def prefix_sums(table: PrimeTable, kinds: Sequence[str], at: Iterable[int]) -> I
                     raise _unscaled(w[0], p, v)
                 w[3] += int(scaled)
                 w[4] += ceil(r * SUM_SCALE)
-        done = n
-        yield n, sum_ball(theta, theta_radius), [sum_ball(w[3], w[4]) for w in work]
+        self.done, self.theta, self.theta_radius = n, theta, theta_radius
+        self.sums = sum_ball(theta, theta_radius), [sum_ball(w[3], w[4]) for w in work]
+        return self.sums
 
 
 def _unscaled(kind: str, p: int, term: float) -> DomainError:
     return DomainError(f"prefix_sums: the {kind} term {term!r} at p={p} is finer than 1/SUM_SCALE")
 
 
-def ascending_unique(*streams: Iterable[int]) -> Iterator[int]:
-    """Merge ascending index streams, yielding each index once."""
-    last = None
-    for n in merge(*streams):
-        if n != last:
-            last = n
-            yield n
+def prefix_sums(table: PrimeTable, kinds: Sequence[str], at: Iterable[int]) -> Iterator[Totals]:
+    """Yield ``(n, theta, totals)`` at each index n of the ascending ``at``.
 
-
-class PrefixSnapshots:
-    """One prefix pass recorded at sparse indices and replayed to many readers.
-
-    The summed ``kinds`` and the ascending, unique ``record_at`` are fixed
-    when the store is made.  Each recorded index keeps one row of float64
-    pairs in ``rows``, theta first and then each kind's total, so a snapshot
-    costs ``2 + 2 * len(kinds)`` floats and one int64 index, and no Python
-    object.  :meth:`live` and :meth:`replay` are called as :func:`prefix_sums` is.
+    ``theta`` encloses theta(p_n) = log p_1 + ... + log p_n, each log charged
+    2 ulp for the libm call.  ``totals[i]`` encloses the sum over
+    p_1 .. p_n of the ``kinds[i]`` term, the ball
+    ``log1p_ball(ratio_ball(num, den(p)))``.  Both are ``(value, radius)``
+    pairs.  Each sum is kept exactly, as Python ints in units of
+    ``1/SUM_SCALE``: the term values scaled, and the term radii scaled and
+    rounded up.  Integer addition is associative, so a total does not depend
+    on the order of its terms, on which kinds share the pass or on where it
+    stops.  A term that is not a multiple of ``1/SUM_SCALE`` raises
+    :class:`DomainError` rather than lose bits, and an index that steps back
+    or lies past the table raises :class:`RangeError`.
     """
+    cursor = _PrefixCursor(table, kinds)
+    for n in at:
+        yield n, *cursor.to(n)
 
-    def __init__(self, kinds: Sequence[str], record_at: Iterable[int]):
-        self.kinds = tuple(kinds)
-        self.indices = array("q", record_at)
-        self.rows = array("d")
 
-    def live(self, table: PrimeTable, kinds: Sequence[str], at: Iterable[int]) -> Iterator[Totals]:
-        """``prefix_sums(table, kinds, at)``, recording this store's indices on the way.
+def serve(table: PrimeTable, readers: Sequence[Reader]) -> list:
+    """Run one prefix pass for every reader; return what each one returns, in order.
 
-        The one pass runs over the merge of ``at`` with the indices to record,
-        to the last of both, so draining this generator records every index.
-        """
-        pick = [self.kinds.index(k) for k in kinds]
-        wanted, merged = tee(at)
-        want = next(wanted, None)
-        record = iter(self.indices)
-        due = next(record, None)
-        for n, theta, totals in prefix_sums(table, self.kinds, ascending_unique(merged, self.indices)):
-            if n == due:
-                self.rows.extend(theta)
-                for total in totals:
-                    self.rows.extend(total)
-                due = next(record, None)
-            while n == want:
-                yield n, theta, [totals[i] for i in pick]
-                want = next(wanted, None)
-
-    def record(self, table: PrimeTable) -> None:
-        """Run the pass for the recorded indices alone."""
-        for _ in self.live(table, (), ()):
-            pass
-
-    def replay(self, table: PrimeTable, kinds: Sequence[str], at: Iterable[int]) -> Iterator[Totals]:
-        """``prefix_sums(table, kinds, at)`` from the recorded rows, bit for bit.
-
-        An index that was not recorded raises :class:`RangeError`; nothing
-        falls back to a live pass.
-        """
-        columns = [2 + 2 * self.kinds.index(k) for k in kinds]
-        width = 2 + 2 * len(self.kinds)
-        indices, rows = self.indices, self.rows
-        recorded = len(rows) // width
-        k = 0
-        for n in at:
-            k = bisect_left(indices, n, k, recorded)
-            if k == recorded or indices[k] != n:
-                raise RangeError(f"PrefixSnapshots.replay: index {n} not recorded, or not in ascending order")
-            b = k * width
-            yield n, (rows[b], rows[b + 1]), [(rows[b + c], rows[b + c + 1]) for c in columns]
+    The pass sums the union of the readers' kinds, in :data:`TERMS` order, up
+    to the largest index any reader yields, and keeps nothing per index.  Each
+    reader is sent its own kinds at its indices, bit for bit what
+    ``prefix_sums(table, kinds, indices)`` gives it.  A step back or an index
+    past the table raises :class:`RangeError`; a reader's exception propagates.
+    """
+    kinds = tuple(kind for kind in TERMS if any(kind in own for own, _ in readers))
+    cursor = _PrefixCursor(table, kinds)
+    results: list = [None] * len(readers)
+    due = []  # heap of (next index, reader number, generator, positions of its kinds or None)
+    for i, (own, gen) in enumerate(readers):
+        pick = None if tuple(own) == kinds else [kinds.index(kind) for kind in own]
+        try:
+            due.append((next(gen), i, gen, pick))
+        except StopIteration as done:
+            results[i] = done.value
+    heapify(due)
+    while due:
+        n, i, gen, pick = due[0]
+        try:
+            if len(due) == 1 and pick is None:  # a lone reader needs no heap: the dense scan's fast path
+                while True:
+                    n = gen.send(cursor.to(n))
+            theta, totals = cursor.to(n)
+            n = gen.send((theta, totals if pick is None else [totals[j] for j in pick]))
+        except StopIteration as done:
+            results[i] = done.value
+            heappop(due)
+        else:
+            heapreplace(due, (n, i, gen, pick))
+    return results
 
 
 class PrimorialPoint(NamedTuple):
@@ -266,23 +250,23 @@ def _criterion(scale: Ball, loglog: Ball, log_product: Ball) -> Ball:
     return mul_ball(mul_ball(scale, loglog), exp_ball(log_product))
 
 
-def points_at(
-    table: PrimeTable, indices: Iterable[int], source: PrefixSource | None = None
-) -> Iterator[PrimorialPoint]:
-    """Yield PrimorialPoints at the ascending ``indices`` (each >= 2).
+def _primorial_point(primes: Sequence[int], n: int, theta: Ball, sums: list[Ball]) -> PrimorialPoint:
+    """The point at index n from the pass's theta and ``[plus, inv]`` totals there."""
+    if n < 2:
+        raise RangeError(f"points_at: primorial points start at n = 2, got {n}")
+    p = primes[n - 1]  # the pass checked n against the table
+    plus, inv = sums
+    psi_over_n = exp_ball(plus)
+    loglog = log_ball(theta)
+    ratio = div_ball(psi_over_n, loglog)
+    g = _criterion(_LOWER_LIMIT, loglog, inv) if p >= MIN_CRITERION_X else None
+    return PrimorialPoint._make((n, p, theta, loglog, psi_over_n, ratio, g, sub_ball(ratio, _LOWER_LIMIT)))
 
-    ``source`` stands in for :func:`prefix_sums` (a store's live or replay).
-    """
-    primes, make = table.primes, PrimorialPoint._make
-    for n, theta, (plus, inv) in (source or prefix_sums)(table, ("plus", "inv"), indices):
-        if n < 2:
-            raise RangeError(f"points_at: primorial points start at n = 2, got {n}")
-        p = primes[n - 1]  # the pass checked n against the table
-        psi_over_n = exp_ball(plus)
-        loglog = log_ball(theta)
-        ratio = div_ball(psi_over_n, loglog)
-        g = _criterion(_LOWER_LIMIT, loglog, inv) if p >= MIN_CRITERION_X else None
-        yield make((n, p, theta, loglog, psi_over_n, ratio, g, sub_ball(ratio, _LOWER_LIMIT)))
+
+def points_at(table: PrimeTable, indices: Iterable[int]) -> Iterator[PrimorialPoint]:
+    """Yield PrimorialPoints at the ascending ``indices`` (each >= 2)."""
+    for n, theta, sums in prefix_sums(table, POINT_KINDS, indices):
+        yield _primorial_point(table.primes, n, theta, sums)
 
 
 def stream_points(table: PrimeTable, n_max: int) -> Iterator[PrimorialPoint]:

@@ -16,11 +16,10 @@ from psiverify.bounds import (
     scan_bound,
     stride_indices,
     threshold_condition,
-    threshold_monotone_step,
     zeta_tail_bound,
 )
 from psiverify.errors import DomainError, RangeError
-from psiverify.numerics import VerdictStatus
+from psiverify.numerics import VerdictStatus, compare
 
 
 def test_rs_product_at_2(table):
@@ -109,7 +108,8 @@ def test_threshold_at_first_valid_index(table):
 def test_threshold_monotone_pairwise(table):
     # lhs(n+1) < lhs(n), certified, at the start of the validity range
     for n in (2263, 2264, 5000):
-        assert threshold_monotone_step(table, n).status is VerdictStatus.HOLDS
+        step = compare(threshold_condition(table, n + 1).lhs, threshold_condition(table, n).lhs, "<")
+        assert step.status is VerdictStatus.HOLDS
 
 
 def test_threshold_margin_grows(table):

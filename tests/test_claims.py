@@ -351,18 +351,17 @@ def test_required_table_limit_covers_nth_prime(table):
 
 
 def _start_spy(monkeypatch) -> list:
-    """(kinds, at) of every prefix pass started, wherever bounds and series look it up."""
-    import psiverify.bounds as bounds_mod
+    """(kinds, cursor) of every prefix pass started; the cursor's ``done`` is the last index it reached."""
     import psiverify.series as series_mod
 
-    real, passes = series_mod.prefix_sums, []
+    passes = []
 
-    def spy(table, kinds, at):
-        passes.append((tuple(kinds), at))
-        return real(table, kinds, at)
+    class Spy(series_mod._PrefixCursor):
+        def __init__(self, table, kinds):
+            super().__init__(table, kinds)
+            passes.append((tuple(kinds), self))
 
-    for mod in (series_mod, bounds_mod):
-        monkeypatch.setattr(mod, "prefix_sums", spy)
+    monkeypatch.setattr(series_mod, "_PrefixCursor", Spy)
     return passes
 
 
@@ -393,27 +392,14 @@ def test_one_prefix_pass_per_verify_run(table, monkeypatch):
 
 
 def test_lower_alone_runs_its_own_pass_and_records_nothing(table, monkeypatch):
-    import psiverify.claims as claims_mod
-
     passes = _start_spy(monkeypatch)
-    stores = []
-    monkeypatch.setattr(claims_mod, "PrefixSnapshots", lambda *args: stores.append(args))
     assert run_claims(["lower"], table, VerifyConfig(n_max=3000))["all_hold"]
-    assert passes == [(("plus", "inv"), range(3, 3001))]
-    assert stores == []
+    assert [(kinds, cursor.done) for kinds, cursor in passes] == [(("plus", "inv"), 3000)]
 
 
-def test_shared_pass_store_peak_memory_per_recorded_index(table):
-    """The store keeps one flat float64 row per recorded index: 10 floats and one int64."""
-    from psiverify.claims import _shared_pass
-
-    tracemalloc.start()
-    try:
-        store = _shared_pass(list(CLAIM_IDS), table, VerifyConfig(n_max=20000))
-        store.record(table)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert store.kinds == tuple(TERMS)
-    assert len(store.indices) > 10**4
-    assert peak / len(store.indices) < 120
+@pytest.mark.parametrize("cid", CLAIM_IDS)
+def test_one_prefix_pass_per_claim_run_alone(table, monkeypatch, cid):
+    passes = _start_spy(monkeypatch)
+    report = run_claims([cid], table, VerifyConfig(champion_limit=10**4, n_max=20000, reduction_samples=200))
+    assert report["all_hold"]
+    assert len(passes) <= 1

@@ -360,16 +360,16 @@ def test_scan_bounds_no_escalate_leaves_the_point_inconclusive(
 
 def test_scan_bounds_huge_ratio_steps_straight_to_the_stop(capsys, monkeypatch):
     # n * ratio overflows to inf: the scan must step to --to, not raise
-    import psiverify.bounds as bounds_mod
+    import psiverify.series as series_mod
 
-    real_prefix_sums, seen = bounds_mod.prefix_sums, []
+    seen = []
 
-    def spy(table, kinds, at):
-        for item in real_prefix_sums(table, kinds, at):
-            seen.append(item[0])
-            yield item
+    class Spy(series_mod._PrefixCursor):
+        def to(self, n):
+            seen.append(n)
+            return super().to(n)
 
-    monkeypatch.setattr(bounds_mod, "prefix_sums", spy)
+    monkeypatch.setattr(series_mod, "_PrefixCursor", Spy)
     argv = ["--name", "zeta-tail", "--from", "2", "--to", "5", "--ratio", "1e308", "--dense-until", "0"]
     code, out, err = run_cli(capsys, "scan", "bounds", *argv)
     assert code == 0, err

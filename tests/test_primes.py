@@ -295,6 +295,23 @@ def test_build_table_replaces_a_cache_that_lacks_primes(tmp_path):
     assert load_table(tmp_path / "primes.ptab").limit == 60000
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the CRC and the structure checks catch corruption and truncation, not a crafted file "
+    "that omits a prime; ROADMAP item 5 adds the check that makes this pass",
+)
+def test_build_table_rejects_a_cache_that_omits_a_prime(tmp_path):
+    # a CRC-valid cache of the primes to 60000 without 30011 passes every loader check,
+    # and build_table serves its 6056 primes
+    honest = build_table(60000)
+    crafted = [p for p in honest.primes if p != 30011]
+    (tmp_path / "primes.ptab").write_bytes(_cache_blob(60000, len(crafted), _primes_body(*crafted)))
+    table = build_table(55000, cache_dir=tmp_path)
+    lhs = criterion_gap_bound(table, 55000).lhs  # -0.00080699 from the crafted file
+    assert abs(lhs.value - -0.00082303) < 1e-8
+    assert table.primes[: table.prime_count(55000)] == honest.primes[: honest.prime_count(55000)]
+
+
 def test_save_table_leaves_no_temp_file_when_the_write_fails(tmp_path, monkeypatch):
     def fail(src, dst):
         raise OSError("disk full")

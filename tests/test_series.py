@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from array import array
 from fractions import Fraction
 from itertools import islice
@@ -30,11 +31,10 @@ from psiverify.numerics import (
 from psiverify.primes import MAX_LIMIT, PrimeTable
 from psiverify.series import (
     TERMS,
-    PrefixSnapshots,
-    ascending_unique,
     criterion_f,
     criterion_g,
     prefix_sums,
+    serve,
     stream_points,
 )
 
@@ -127,38 +127,77 @@ def test_prefix_sums_raise_on_a_term_finer_than_the_scale(monkeypatch):
         next(totals)
 
 
-def test_snapshots_keep_the_prefix_sums_contract(table):
-    # one pass over all four kinds: the dense reader sees what a pass of its
-    # own gives, and a replay gives every recorded index bit for bit
-    kinds = tuple(TERMS)
-    record_at = [1, 2, 7, 50, 51, 400, 999]
-    store = PrefixSnapshots(kinds, record_at)
-    dense = list(store.live(table, ("inv", "plus"), [40, 41, 41, *range(42, 61)]))
-    assert dense == list(prefix_sums(table, ("inv", "plus"), [40, 41, 41, *range(42, 61)]))
-    assert list(store.indices) == record_at
-    assert len(store.rows) == len(record_at) * (2 + 2 * len(kinds))
-    for sub in [(), ("sq",), ("phi", "plus"), kinds]:
-        assert list(store.replay(table, sub, record_at)) == list(prefix_sums(table, sub, record_at))
-    again = [7, 7, 400]
-    assert list(store.replay(table, ("plus",), again)) == list(prefix_sums(table, ("plus",), again))
+def _recorder(at):
+    """A reader that returns every ``(n, theta, totals)`` it is sent."""
+    got = []
+    for n in at:
+        theta, totals = yield n
+        got.append((n, theta, totals))
+    return got
 
 
-def test_snapshot_replay_of_an_unrecorded_index_raises(table):
-    store = PrefixSnapshots(("plus",), [5, 9])
-    with pytest.raises(RangeError, match="index 5 not recorded"):
-        next(store.replay(table, ("plus",), [5]))  # before the pass ran
-    store.record(table)
-    assert len(list(store.replay(table, ("plus",), [5, 9]))) == 2
-    with pytest.raises(RangeError, match="index 6 not recorded"):
-        list(store.replay(table, ("plus",), [5, 6]))
-    with pytest.raises(RangeError, match="not in ascending order"):
-        list(store.replay(table, ("plus",), [9, 5]))
-    with pytest.raises(ValueError):  # a kind the pass did not sum
-        next(store.replay(table, ("sq",), [5]))
+def test_serve_sends_each_reader_its_own_prefix_sums(table):
+    # one pass over the union of the kinds; every reader gets, bit for bit,
+    # what a pass of its own over its kinds and its indices gives
+    plan = [
+        (("inv", "plus"), [40, 41, 41, *range(42, 61)]),  # dense, repeated, kinds out of TERMS order
+        (("sq",), [1, 2, 7, 50, 51, 400, 999]),  # sparse, overlapping the dense run
+        ((), [7, 7, 400]),
+        (tuple(TERMS), [1, 999]),  # the pass's own kinds
+        (("phi", "plus"), []),  # yields no index
+    ]
+    results = serve(table, [(kinds, _recorder(at)) for kinds, at in plan])
+    assert len(results) == len(plan)
+    for (kinds, at), got in zip(plan, results):
+        assert got == list(prefix_sums(table, kinds, at)), kinds
+    assert results[-1] == []
+    assert serve(table, []) == []
 
 
-def test_ascending_unique_merges_without_repeats():
-    assert list(ascending_unique(range(3, 8), [1, 5, 5, 9], (), [7])) == [1, 3, 4, 5, 6, 7, 9]
+def test_serve_builds_the_balls_of_an_index_once_for_all_its_readers(small_table):
+    # readers at the same index share its balls, so a shared run does not
+    # rebuild them once per reader
+    results = serve(small_table, [(tuple(TERMS), _recorder([5, 9])), (tuple(TERMS), _recorder([9, 9]))])
+    assert results[0][1][2] is results[1][0][2] is results[1][1][2]
+
+
+def test_serve_raises_on_a_step_back_or_past_the_table(small_table):
+    with pytest.raises(RangeError, match="index 4 outside"):
+        serve(small_table, [(("plus",), _recorder([5, 4]))])
+    # a reader behind another one's index has stepped back from its own
+    with pytest.raises(RangeError, match="index 7 outside"):
+        serve(small_table, [(("plus",), _recorder([10, 7])), ((), _recorder([5, 20]))])
+    with pytest.raises(RangeError, match=f"index {small_table.count + 1} outside"):
+        serve(small_table, [((), _recorder([3, small_table.count + 1]))])
+
+
+def test_serve_propagates_an_exception_inside_a_reader(small_table):
+    def failing(first):
+        if first is not None:
+            yield first
+        raise ValueError("reader failed")
+
+    for first in (None, 3):  # before its first index, and after it
+        with pytest.raises(ValueError, match="reader failed"):
+            serve(small_table, [(("plus",), _recorder(range(1, 10))), (("inv",), failing(first))])
+
+
+def test_serve_peak_memory_is_flat_in_the_number_of_indices(table):
+    # the pass stores nothing per index: a no-op dense reader peaks the same
+    # over 2*10^3 indices as over 2*10^4
+    def noop(stop):
+        for n in range(1, stop + 1):
+            yield n
+
+    peaks = []
+    for stop in (2000, 20000):
+        tracemalloc.start()
+        try:
+            serve(table, [(("plus", "inv"), noop(stop))])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 1024, peaks
 
 
 def test_points_bit_identical_to_certified_value_chain(table):
