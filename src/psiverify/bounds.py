@@ -1,19 +1,16 @@
 """Checkable analytic bounds on Euler products over primes.
 
-Each bound is one :class:`Bound` entry in :data:`BOUNDS`: its orientation,
-the smallest primorial index it is evaluated at, the prefix-sum kinds it
-needs from :func:`series.prefix_sums`, and one sides formula.  The formula
-is written once, against the named operations of an arithmetic ``A``
-(``A.add``, ``A.mul``, ``A.div``, ``A.neg``, ``A.exp``, ``A.log``,
-``A.exact``, ``A.integer``, ``A.ratio`` and four constants): :data:`_BALL`
-names the ball kernels of ``numerics``, which take and return
-``(value, radius)`` pairs, and :func:`_interval_arithmetic` names the
-mpmath interval operations.  A point evaluator returns a
-:class:`BoundReport` from one prefix pass that stops at the point.  A range
-scan is a :func:`bound_reader` of :func:`series.serve`: it reads its
-evaluation points from one pass, which a verify run shares among its
-claims, and decides each point on its pairs, building no object per
-point.  The bounds:
+Each bound is one :class:`Bound` row: its orientation, the smallest
+primorial index it is evaluated at, the prefix-sum kinds it needs from
+:func:`series.prefix_sums`, and one sides formula.  The formula is written
+once, against the named operations and constants of an arithmetic ``A``:
+:data:`_BALL` names the ball kernels of ``numerics``, which take and return
+``(value, radius)`` pairs, and :func:`_interval_arithmetic` names the mpmath
+interval operations.  A point evaluator returns a :class:`BoundReport` from
+one prefix pass that stops at the point.  One :func:`series.serve` reader,
+:func:`_read_bound`, decides a row at the indices it is given and books each
+in a :class:`BoundScan`, building no object per point; a range scan is that
+reader at the indices of a :class:`StridePolicy`.  The rows of :data:`BOUNDS`:
 
 * ``rs-product``     prod_{p<=x} (1-1/p)^(-1)  <=  e^gamma (log x + 1/log x)   (x >= 2)
 * ``zeta-tail``      zeta(2) prod_{p<=p_n} (1-1/p^2)  <=  exp(2/p_n)           (n >= 2)
@@ -24,10 +21,11 @@ point.  The bounds:
                      start not asserted; scans report it empirically)
 * ``criterion-gap``  log g(x) >= log f(x) - 2/x                                (x >= 5)
 
-A scan that meets an INCONCLUSIVE verdict retries the point on an interval
-arithmetic path at 113-bit precision (about 34 digits) before reporting.
-The same path, :func:`_interval_sides`, also re-decides the RH criterion
-R(N_n) > e^gamma/zeta(2) for the ``lower`` claim.
+The claims' rows, not scannable bounds: :data:`LOWER` R(N_n) > e^gamma/zeta(2)
+and :data:`DUAL` g(p_n) < 1 (n >= 3), one criterion from the ``plus`` and the
+``inv`` sums, and :data:`UPPER` R(N_n) < e^gamma (n >= 4).  An INCONCLUSIVE
+point is retried at 113-bit precision (about 34 digits) by
+:func:`_interval_sides`, the interval arithmetic path, which re-decides any row.
 """
 
 from __future__ import annotations
@@ -71,7 +69,9 @@ from .series import TERMS, Reader, prefix_sums, serve
 __all__ = [
     "BOUNDS",
     "BOUND_NAMES",
+    "DUAL",
     "LOWER",
+    "UPPER",
     "Bound",
     "BoundReport",
     "BoundScan",
@@ -124,10 +124,12 @@ class StridePolicy:
 
 @dataclass
 class BoundScan:
+    """The worst margin, the failures and the escalations of one row over its indices."""
+
     bound: str
     start: int
     stop: int
-    policy: StridePolicy
+    policy: StridePolicy | None = None  # None for a scan over given indices, which is not serialized
     points_checked: int = 0
     holds: int = 0
     fails: int = 0
@@ -218,6 +220,14 @@ def _lower_sides(A, p, theta, s_plus):
     return A.div(A.exp(s_plus), A.log(theta)), A.e_gamma_over_zeta2
 
 
+def _dual_sides(A, p, theta, s_inv):
+    return A.mul(A.mul(A.e_gamma_over_zeta2, A.log(theta)), A.exp(s_inv)), A.exact(1.0)
+
+
+def _upper_sides(A, p, theta, s_plus):
+    return A.div(A.exp(s_plus), A.log(theta)), A.e_gamma
+
+
 _BALL = SimpleNamespace(
     add=add_ball, mul=mul_ball, div=div_ball, neg=neg_ball, exp=exp_ball, log=log_ball,
     exact=exact_ball, integer=int_ball, ratio=ratio_ball,
@@ -262,9 +272,10 @@ BOUNDS: dict[str, Bound] = {
 
 BOUND_NAMES = tuple(BOUNDS)
 
-# The RH criterion R(N_n) > e^gamma/zeta(2) of the lower claim, which
-# _interval_sides also re-decides; it is not a scannable bound.
+# the rows of the lower and upper claims (see the module docstring)
 LOWER = Bound(">", 3, ("plus",), False, _lower_sides)
+DUAL = Bound("<", 3, ("inv",), False, _dual_sides)
+UPPER = Bound("<", 4, ("plus",), False, _upper_sides)
 
 
 def _point(table: PrimeTable, name: str, at: int) -> BoundReport:
@@ -377,33 +388,38 @@ def bound_reader(
     if stop > table.count:
         raise RangeError(f"scan_bound: stop={stop} beyond table ({table.count} primes)")
     scan = BoundScan(bound=name, start=start, stop=stop, policy=policy or StridePolicy())
-
-    def read():
-        for n in stride_indices(start, stop, scan.policy):
-            theta, sums = yield n
-            x = table.nth_prime(n)
-            margin = sub_ball(*bound.sides(_BALL, x, theta, *sums))
-            status = ball_status(margin, bound.claim)
-            escalated = escalate and status is VerdictStatus.INCONCLUSIVE
-            if escalated:
-                margin = sub_ball(*_interval_sides(table, name, n))
-                status = ball_status(margin, bound.claim)
-            scan.record(x if bound.at_x else n, status, _slack(bound.claim, margin), escalated)
-        return scan
-
-    return bound.sums, read()
+    return bound.sums, _read_bound(table, bound, scan, stride_indices(start, stop, scan.policy), escalate)
 
 
-def _interval_sides(table: PrimeTable, name: str, n: int, prec: int = ESCALATION_PREC_BITS):
-    """Recompute one point's sides with outward-rounded interval arithmetic, as balls.
+def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Iterable[int], escalate: bool):
+    """The :func:`series.serve` generator that decides ``bound`` at the ascending ``indices``.
 
-    ``name`` is a bound, or ``"lower"`` for the :data:`LOWER` criterion.
-    theta and the prefix sums are summed again from p_1 in intervals, and
-    nothing is shared between points: about 90 us per prime, so about 90 s
-    per escalated point at n = 10^6.  No run so far has escalated.
+    It books each point in ``scan`` (at x = p_n for an x-parameterized bound),
+    re-decides an INCONCLUSIVE one on the 113-bit path if ``escalate``, and returns ``scan``.
     """
-    bound = LOWER if name == "lower" else BOUNDS[name]
-    A = _interval_arithmetic(prec)
+    for n in indices:
+        theta, sums = yield n
+        x = table.nth_prime(n)
+        margin = sub_ball(*bound.sides(_BALL, x, theta, *sums))
+        status = ball_status(margin, bound.claim)
+        escalated = escalate and status is VerdictStatus.INCONCLUSIVE
+        if escalated:
+            margin = sub_ball(*_interval_sides(table, bound, n))
+            status = ball_status(margin, bound.claim)
+        scan.record(x if bound.at_x else n, status, _slack(bound.claim, margin), escalated)
+    return scan
+
+
+def _interval_sides(table: PrimeTable, bound: Bound, n: int):
+    """Recompute the sides of the row ``bound`` at index n in outward-rounded intervals, as balls.
+
+    theta and the row's prefix sums are summed again from p_1 at
+    :data:`ESCALATION_PREC_BITS`, and nothing is shared between points or
+    rows: about 90 us per prime, so about 90 s per escalated row at
+    n = 10^6.  An escalated ``lower`` point re-decides ``LOWER`` and
+    ``DUAL``, two passes: about 180 s at 10^6.  No run so far has escalated.
+    """
+    A = _interval_arithmetic(ESCALATION_PREC_BITS)
     primes = table.primes[:n]
     theta = sum((A.log(A.integer(p)) for p in primes), A.integer(0))
     sums = []

@@ -25,8 +25,11 @@ that yields the ascending indices it reads, is sent the totals there and
 returns its :class:`ClaimResult`.  ``run_claims`` runs the exact claims
 first and then serves every selected reader from one pass; a claim run
 alone, and each public claim function, is that same call with one reader.
-``mertens-trend`` evaluates only its checkpoints; it and ``lower`` report
-checkpoint margins and their trend through one helper.
+``bounds._read_bound`` decides the six bound scans and ``upper`` (b), the row
+``UPPER``.  ``lower`` decides the rows ``LOWER`` and ``DUAL`` in its own
+loop, on points that take log theta once for both, and books a
+``BoundScan`` like every scan.  ``mertens-trend`` is ``lower``'s reader at
+the checkpoints alone, not escalated.
 """
 
 from __future__ import annotations
@@ -43,10 +46,14 @@ from .arith import factorize, primorials_up_to, psi_from_factors, psi_ratio_tabl
 from .bounds import (
     _BALL,
     BOUNDS,
+    DUAL,
     FIRST_INDEX_AT_20000,
     LOWER,
+    UPPER,
+    BoundScan,
     StridePolicy,
     _interval_sides,
+    _read_bound,
     bound_reader,
 )
 from .errors import RangeError, UnknownClaimError
@@ -57,7 +64,6 @@ from .numerics import (
     ball_endpoints,
     ball_status,
     compare,
-    div_ball,
     sub_ball,
 )
 from .primes import PrimeTable, build_table
@@ -308,12 +314,12 @@ def verify_upper(table: PrimeTable, n_max: int = VerifyConfig.n_max) -> ClaimRes
 
     (a) exhaustive certified R(n) < e^gamma on 31..210 (plus the witness
         list of n <= 30 where R(n) >= e^gamma, showing 30 is sharp);
-    (b) R(N_n) < e^gamma along primorials for 4 <= n <= 2262;
+    (b) R(N_n) < e^gamma along primorials for 4 <= n <= 2262 (row ``UPPER``);
     (c) the threshold condition at index 2263 plus certified monotonicity
         steps, which covers every n >= 2263.  The steps depend on ``n_max``
         alone, never on how many primes the table holds.
     """
-    return serve(table, [(POINT_KINDS, _upper(table, n_max))])[0]
+    return serve(table, [(UPPER.sums, _upper(table, n_max))])[0]
 
 
 def _upper(table: PrimeTable, n_max: int):
@@ -322,28 +328,17 @@ def _upper(table: PrimeTable, n_max: int):
     a_bad: list[int] = []
     witnesses: list[int] = []
     for n in range(3, 31):
-        if compare(robin_ratio(n), E_GAMMA, ">=").status is VerdictStatus.HOLDS:
+        if compare(robin_ratio(n, table), E_GAMMA, ">=").status is VerdictStatus.HOLDS:
             witnesses.append(n)
     for n in range(31, UPPER_SMALL_STOP + 1):
-        if compare(robin_ratio(n), E_GAMMA, "<").status is not VerdictStatus.HOLDS:
+        if compare(robin_ratio(n, table), E_GAMMA, "<").status is not VerdictStatus.HOLDS:
             a_bad.append(n)
 
-    # (b) primorial scan 4..2262, decided on the points' pairs
-    b_bad: list[int] = []
-    worst_slack = math.inf
-    worst_at = None
-    e_gamma = E_GAMMA.ball
-    for n in range(4, UPPER_PRIMORIAL_STOP + 1):
-        theta, sums = yield n
-        margin = sub_ball(_primorial_point(table.primes, n, theta, sums).ratio_ball, e_gamma)
-        if ball_status(margin, "<") is not VerdictStatus.HOLDS:
-            b_bad.append(n)
-        slack = -ball_endpoints(margin)[1]
-        if slack < worst_slack:
-            worst_slack = slack
-            worst_at = n
+    # (b) primorial scan 4..2262, the UPPER row
+    b = BoundScan("upper", UPPER.start, UPPER_PRIMORIAL_STOP)
+    yield from _read_bound(table, UPPER, b, range(b.start, b.stop + 1), escalate=False)
     # R(N_3) = R(30) >= e^gamma: the bound genuinely starts at n = 4
-    r30_high = compare(robin_ratio(30), E_GAMMA, ">").status is VerdictStatus.HOLDS
+    r30_high = compare(robin_ratio(30, table), E_GAMMA, ">").status is VerdictStatus.HOLDS
 
     # (c) the threshold at the first valid index, then monotone steps: its lhs
     # decreases, certified, from n to n + 1; checked up to n_max, and always at 2263
@@ -362,22 +357,18 @@ def _upper(table: PrimeTable, n_max: int):
         if ball_status(sub_ball(lhs_next, lhs), "<") is not VerdictStatus.HOLDS:
             c_bad.append(n)
 
-    bad = a_bad + b_bad + c_bad
+    bad = a_bad + b.failed_at + c_bad
     return ClaimResult(
         claim_id="upper",
         covered={
             "a_small": [31, UPPER_SMALL_STOP],
-            "b_primorial_index": [4, UPPER_PRIMORIAL_STOP],
+            "b_primorial_index": [b.start, b.stop],
             "c_threshold_from": FIRST_INDEX_AT_20000,
         },
         counterexamples=bad,
         details={
             "a": {"counterexamples": a_bad, "witnesses_below_31": witnesses, "witness_30": r30_high},
-            "b": {
-                "counterexamples": b_bad,
-                "worst_margin": worst_slack,
-                "worst_at": worst_at,
-            },
+            "b": {"counterexamples": b.failed_at, "worst_margin": b.worst_slack, "worst_at": b.worst_at},
             "c": {
                 "counterexamples": c_bad,
                 "threshold_margin": first_margin,
@@ -392,18 +383,6 @@ def _upper(table: PrimeTable, n_max: int):
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_trend(margins: dict[int, Ball]) -> tuple[dict[str, Ball], list[int]]:
-    """Margins keyed for JSON, and the checkpoints where the margin fails to decrease.
-
-    ``margins`` maps ascending checkpoints to the ball of
-    R(N_n) - e^gamma/zeta(2); each one must be certified below the one before.
-    """
-    at = list(margins)
-    drops = (ball_status(sub_ball(margins[b], margins[a]), "<") for a, b in zip(at, at[1:]))
-    not_decreasing = [b for b, drop in zip(at[1:], drops) if drop is not VerdictStatus.HOLDS]
-    return {str(n): m for n, m in margins.items()}, not_decreasing
-
-
 def verify_lower(
     table: PrimeTable,
     n_max: int,
@@ -416,58 +395,55 @@ def verify_lower(
     Any FAILS here would contradict a scan range where the criterion is
     known to hold, so failures are re-verified on the interval path and
     surfaced loudly rather than swallowed.  The equivalent criterion
-    g(p_n) < 1 is checked at every n as a dual consistency condition.
+    g(p_n) < 1 is checked at every n, on its own sums, as a dual condition.
     """
-    return serve(table, [(POINT_KINDS, _lower(table, n_max, checkpoints, escalate))])[0]
+    return serve(table, [(POINT_KINDS, _lower(table, range(LOWER.start, n_max + 1), checkpoints, escalate))])[0]
 
 
-def _lower(table: PrimeTable, n_max: int, checkpoints: tuple[int, ...], escalate: bool):
-    """The reader of :func:`verify_lower`."""
-    if n_max < LOWER.start:
-        raise RangeError(f"verify_lower: n_max must be >= {LOWER.start}, got {n_max}")
-    bad: list[int] = []
-    escalated: list[int] = []
+def _lower(table: PrimeTable, indices, checkpoints: tuple[int, ...], escalate: bool):
+    """The reader of :func:`verify_lower` over the ascending ``indices``.
+
+    It decides the rows ``LOWER`` and ``DUAL`` on the point's balls, both on
+    the 113-bit path if either is not HOLDS and ``escalate`` is set; a point
+    where they disagree is a ``dual_mismatch``.  Each checkpoint's margin
+    must be certified below the one before.
+    """
+    if not indices or indices[0] < LOWER.start:
+        raise RangeError(f"lower: the scan needs n_max >= {LOWER.start}, and indices from n = {LOWER.start} on")
+    scan = BoundScan("lower", indices[0], indices[-1])
     dual_mismatch: list[int] = []
     margins: dict[int, Ball] = {}
-    min_margin = math.inf
-    min_at = None
     holds = VerdictStatus.HOLDS
-    for n in range(LOWER.start, n_max + 1):
+    for n in indices:
         theta, sums = yield n
         point = _primorial_point(table.primes, n, theta, sums)
         # margin R(N_n) - e^gamma/zeta(2) must be > 0, and g(p_n) - 1 < 0
         margin = point.margin_ball
         status = ball_status(margin, ">")
         dual = ball_status(sub_ball(point.g_ball, (1.0, 0.0)), "<")
-        if status is not holds or dual is not holds:
-            if escalate:
-                escalated.append(n)
-                ratio, limit = _interval_sides(table, "lower", n)
-                margin = sub_ball(ratio, limit)
-                status = ball_status(margin, ">")
-                # g(p_n) = (e^gamma/zeta(2)) / R(N_n) exactly
-                dual = ball_status(sub_ball(div_ball(limit, ratio), (1.0, 0.0)), "<")
-            if status is not holds:
-                bad.append(n)
-            if dual is not status:
-                dual_mismatch.append(n)
-        slack = ball_endpoints(margin)[0]
-        if slack < min_margin:
-            min_margin = slack
-            min_at = n
+        escalated = escalate and (status is not holds or dual is not holds)
+        if escalated:
+            margin = sub_ball(*_interval_sides(table, LOWER, n))
+            status = ball_status(margin, ">")
+            dual = ball_status(sub_ball(*_interval_sides(table, DUAL, n)), "<")
+        if dual is not status:
+            dual_mismatch.append(n)
+        scan.record(n, status, ball_endpoints(margin)[0], escalated)
         if n in checkpoints:
             margins[n] = margin
-    margin_pairs, trend_bad = _checkpoint_trend(margins)
+    at = list(margins)
+    drops = (ball_status(sub_ball(margins[b], margins[a]), "<") for a, b in zip(at, at[1:]))
+    trend_bad = [b for b, drop in zip(at[1:], drops) if drop is not holds]
     return ClaimResult(
         claim_id="lower",
-        covered={"n": [LOWER.start, n_max]},
-        counterexamples=sorted(set(bad + trend_bad + dual_mismatch)),
+        covered={"n": [scan.start, scan.stop]},
+        counterexamples=sorted(set(scan.failed_at + trend_bad + dual_mismatch)),
         details={
-            "checkpoint_margins": margin_pairs,
+            "checkpoint_margins": {str(n): m for n, m in margins.items()},
             "margins_decreasing": not trend_bad,
-            "min_margin": min_margin,
-            "min_at": min_at,
-            "escalated_at": escalated,
+            "min_margin": scan.worst_slack,
+            "min_at": scan.worst_at,
+            "escalated_at": scan.escalated_at,
             "dual_mismatch": dual_mismatch,
         },
     )
@@ -476,32 +452,21 @@ def _lower(table: PrimeTable, n_max: int, checkpoints: tuple[int, ...], escalate
 def mertens_limit_trend(table: PrimeTable, checkpoints: tuple[int, ...] = CHECKPOINTS) -> ClaimResult:
     """Margins R(N_n) - e^gamma/zeta(2) at ascending geometric checkpoints.
 
-    Asserts each margin is certified positive and the sequence strictly
-    decreases; a trend consistent with the limit, not a proof of it.  Only
-    the checkpoints are evaluated.
+    Asserts each margin is certified positive, with its dual g(p_n) < 1, and
+    the sequence strictly decreases; a trend consistent with the limit, not
+    a proof of it.  Only the checkpoints are evaluated.
     """
     return serve(table, [(POINT_KINDS, _mertens(table, checkpoints))])[0]
 
 
 def _mertens(table: PrimeTable, checkpoints: tuple[int, ...]):
-    """The reader of :func:`mertens_limit_trend`."""
+    """The reader of :func:`mertens_limit_trend`: ``lower``'s reader at the checkpoints, not escalated."""
     live = tuple(c for c in checkpoints if c <= table.count)
     if not live:
         raise RangeError("mertens_limit_trend: no checkpoint within table range")
-    margins: dict[int, Ball] = {}
-    bad: list[int] = []
-    for n in live:
-        theta, sums = yield n
-        margins[n] = margin = _primorial_point(table.primes, n, theta, sums).margin_ball
-        if ball_status(margin, ">") is not VerdictStatus.HOLDS:
-            bad.append(n)
-    margin_pairs, trend_bad = _checkpoint_trend(margins)
-    return ClaimResult(
-        claim_id="mertens-trend",
-        covered={"checkpoints": list(live)},
-        counterexamples=sorted(set(bad + trend_bad)),
-        details={"margins": margin_pairs},
-    )
+    lower = yield from _lower(table, live, live, escalate=False)
+    margins = lower.details["checkpoint_margins"]
+    return ClaimResult("mertens-trend", {"checkpoints": list(live)}, lower.counterexamples, {"margins": margins})
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +522,13 @@ _CLAIMS: dict[str, _Claim] = {
     "reduction": _Claim("R(m) <= R(N_n) for N_n <= m < N_{n+1} (exact)", _reduction_claim),
     "upper": _Claim(
         "R(n) < e^gamma for n > 30 (three-part certified argument)",
-        lambda table, config: (POINT_KINDS, _upper(table, config.n_max)),
+        lambda table, config: (UPPER.sums, _upper(table, config.n_max)),
     ),
     "lower": _Claim(
         "R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)",
         lambda table, config: (
             POINT_KINDS,
-            _lower(table, min(config.n_max, table.count), CHECKPOINTS, config.escalate),
+            _lower(table, range(LOWER.start, min(config.n_max, table.count) + 1), CHECKPOINTS, config.escalate),
         ),
     ),
     "mertens-trend": _Claim("margin to e^gamma/zeta(2) positive and decreasing at checkpoints", _mertens_claim),

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 import tempfile
 import zlib
 from array import array
@@ -47,7 +48,7 @@ from .errors import RangeError, ResourceError
 
 __all__ = ["PrimeTable", "build_table", "save_table", "load_table", "inspect_cache"]
 
-DEFAULT_SEGMENT_FLAGS = 1 << 20
+DEFAULT_SEGMENT_FLAGS = 1 << 20  # sieve flags per segment; the table does not depend on it
 MAX_LIMIT = 1 << 31  # sieve cap: the largest table limit built or loaded
 # The maximal prime gap below 2^31 is 292, after 1,453,168,141 (the next record,
 # 320, follows 2,300,942,549), so a complete table ends within 292 of its limit.
@@ -111,12 +112,7 @@ def _sieve_segment(lo: int, hi: int, base) -> np.ndarray:
     return np.nonzero(flags)[0] + lo
 
 
-def build_table(
-    limit: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_FLAGS,
-    cache_dir: str | os.PathLike | None = None,
-) -> PrimeTable:
+def build_table(limit: int, *, cache_dir: str | os.PathLike | None = None) -> PrimeTable:
     """Sieve all primes up to ``limit``.
 
     With ``cache_dir`` set, a cached table whose limit covers the request is
@@ -126,8 +122,6 @@ def build_table(
         raise RangeError(f"build_table: limit must be >= 2, got {limit}")
     if limit > MAX_LIMIT:
         raise ResourceError(f"build_table: limit {limit} exceeds the sieve cap {MAX_LIMIT}")
-    if segment_size < 64:
-        raise ValueError("segment_size too small to be useful")
 
     cache_file = None
     if cache_dir is not None:
@@ -145,7 +139,7 @@ def build_table(
     primes = array("q", base)
     lo = root + 1
     while lo <= limit:
-        hi = min(lo + segment_size, limit + 1)
+        hi = min(lo + DEFAULT_SEGMENT_FLAGS, limit + 1)
         primes.extend(_sieve_segment(lo, hi, base).tolist())
         lo = hi
 
@@ -182,13 +176,17 @@ def load_table(path: str | os.PathLike) -> PrimeTable:
         raise ValueError("not a psiverify prime cache")
     if version != _VERSION:
         raise ValueError(f"unsupported prime cache version {version}")
-    body = blob[_HEADER.size : -4]
+    body = memoryview(blob)[_HEADER.size : -4]
     (crc,) = struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != crc:
         raise ValueError("prime cache checksum mismatch")
     if len(body) != 8 * count:
         raise ValueError(f"prime cache body holds {len(body)} bytes; {count} primes need {8 * count}")
-    primes = np.frombuffer(body, dtype="<i8")
+    table = PrimeTable(limit=limit, primes=array("q"))
+    table.primes.frombytes(body)  # the one copy of the primes
+    if sys.byteorder == "big":
+        table.primes.byteswap()
+    primes = np.frombuffer(table.primes, dtype=np.int64)
     if count == 0 or primes[0] != 2:
         raise ValueError("prime cache does not start at the prime 2")
     if not np.all(primes[1:] > primes[:-1]):
@@ -202,7 +200,7 @@ def load_table(path: str | os.PathLike) -> PrimeTable:
     base = _simple_sieve(math.isqrt(limit)).tolist()
     if limit - last > _MAX_PRIME_GAP or _sieve_segment(last + 1, limit + 1, base).size:
         raise ValueError(f"prime cache claims limit {limit} but lacks the primes between {last} and it")
-    return PrimeTable(limit=limit, primes=array("q", primes.astype(np.int64).tobytes()))
+    return table
 
 
 def inspect_cache(path: str | os.PathLike) -> dict:

@@ -231,7 +231,7 @@ def test_escalation_agrees_with_fast_path(table, name, n):
     }[name]()
     from psiverify.numerics import ball_status, sub_ball
 
-    lhs, rhs = _interval_sides(table, name, n)
+    lhs, rhs = _interval_sides(table, BOUNDS[name], n)
     assert abs(lhs[0] - fast.lhs.value) <= lhs[1] + fast.lhs.radius
     assert abs(rhs[0] - fast.rhs.value) <= rhs[1] + fast.rhs.radius
     assert lhs[1] <= fast.lhs.radius
@@ -341,3 +341,27 @@ def test_bound_formulas_bit_identical_to_certified_value_chain(table):
             assert status is verdict.status, (name, n)
             checked += 1
     assert checked == sum(stop - bound.start + 1 for bound in BOUNDS.values())
+
+
+def test_claim_rows_bit_identical_to_the_points(table):
+    # LOWER, DUAL and UPPER on _BALL give the margins the lower and upper scans
+    # decide on the points, so the 113-bit path re-decides the same formulas
+    from psiverify.bounds import _BALL, DUAL, LOWER, UPPER
+    from psiverify.numerics import E_GAMMA, sub_ball
+    from psiverify.series import POINT_KINDS, _primorial_point, prefix_sums
+
+    checked = 0
+    for n, theta, totals in prefix_sums(table, POINT_KINDS, range(LOWER.start, 2 * 10**4 + 1)):
+        sums = dict(zip(POINT_KINDS, totals))
+        point = _primorial_point(table.primes, n, theta, totals)
+        expected = [
+            (LOWER, point.margin_ball),
+            (DUAL, sub_ball(point.g_ball, (1.0, 0.0))),
+            (UPPER, sub_ball(point.ratio_ball, E_GAMMA.ball)),
+        ]
+        for row, margin in expected:
+            if n >= row.start:
+                args = [sums[kind] for kind in row.sums]
+                assert sub_ball(*row.sides(_BALL, point.p, theta, *args)) == margin, (row.sides.__name__, n)
+                checked += 1
+    assert checked == 3 * (2 * 10**4 - 2) - 1

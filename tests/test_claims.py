@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from psiverify.arith import primorial, psi_ratio_tables
-from psiverify.bounds import BOUNDS, FIRST_INDEX_AT_20000
+from psiverify.bounds import BOUNDS, DUAL, FIRST_INDEX_AT_20000, LOWER
 from psiverify.claims import (
     CLAIM_IDS,
     UPPER_PRIMORIAL_STOP,
@@ -28,6 +28,7 @@ from psiverify.claims import (
     verify_upper,
 )
 from psiverify.errors import RangeError, UnknownClaimError
+from psiverify.numerics import VerdictStatus
 from psiverify.series import TERMS
 
 
@@ -186,7 +187,7 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
     from psiverify.series import stream_points
 
     point = next(p for p in stream_points(table, 25) if p.n == 25)
-    (ratio, radius), _ = _interval_sides(table, "lower", 25)
+    (ratio, radius), _ = _interval_sides(table, LOWER, 25)
     assert abs(ratio - point.ratio.value) <= radius + point.ratio.radius
     assert radius <= point.ratio.radius
 
@@ -206,6 +207,34 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
     assert res.details["escalated_at"] == [3]
     assert res.details["dual_mismatch"] == []
     assert res.holds
+
+
+def test_verify_lower_reports_an_escalated_dual_that_disagrees(table, monkeypatch):
+    """An escalated point re-decides g(p_n) < 1 on its own 113-bit inv sums, so a fault there shows."""
+    import psiverify.claims as claims_mod
+    from psiverify.bounds import _interval_sides
+
+    real_status = claims_mod.ball_status
+    state = {"first": True}
+
+    def flaky_status(margin, claim):
+        status = real_status(margin, claim)
+        if state["first"]:
+            state["first"] = False
+            return VerdictStatus.INCONCLUSIVE
+        return status
+
+    def shifted_sides(table, bound, n):
+        (lhs, radius), rhs = _interval_sides(table, bound, n)
+        return ((lhs + 1.0, radius) if bound is DUAL else (lhs, radius)), rhs
+
+    monkeypatch.setattr(claims_mod, "ball_status", flaky_status)
+    monkeypatch.setattr(claims_mod, "_interval_sides", shifted_sides)
+    res = verify_lower(table, 50, checkpoints=(10,))
+    assert res.details["escalated_at"] == [3]
+    assert res.details["dual_mismatch"] == [3]
+    assert res.counterexamples == [3]
+    assert not res.holds
 
 
 def test_verify_lower_validation(table):
@@ -395,6 +424,28 @@ def test_lower_alone_runs_its_own_pass_and_records_nothing(table, monkeypatch):
     passes = _start_spy(monkeypatch)
     assert run_claims(["lower"], table, VerifyConfig(n_max=3000))["all_hold"]
     assert [(kinds, cursor.done) for kinds, cursor in passes] == [(("plus", "inv"), 3000)]
+
+
+def test_upper_alone_sums_plus_only(table, monkeypatch):
+    passes = _start_spy(monkeypatch)
+    assert run_claims(["upper"], table, VerifyConfig(n_max=3000))["all_hold"]
+    assert [kinds for kinds, _ in passes] == [("plus",)]
+
+
+def test_upper_factors_on_the_run_table(table, monkeypatch):
+    # (a) factors n <= 210 on the run's table, so the run sieves no table of arith's own
+    import psiverify.arith as arith_mod
+
+    calls = []
+    real = arith_mod._trial_table
+
+    def spy(min_limit):
+        calls.append(min_limit)
+        return real(min_limit)
+
+    monkeypatch.setattr(arith_mod, "_trial_table", spy)
+    assert run_claims(["upper"], table, VerifyConfig(n_max=3000))["all_hold"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("cid", CLAIM_IDS)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import tracemalloc
 import zlib
 
 import mpmath as mp
@@ -128,10 +129,13 @@ def test_sieve_matches_trial_division_to_1e5():
         assert (n in sieved) == trial_is_prime(n)
 
 
-def test_segment_size_does_not_change_anything():
+def test_segment_size_does_not_change_anything(monkeypatch):
+    import psiverify.primes as primes_mod
+
     base = build_table(50000)
     for seg in (1 << 12, 1 << 14, 1 << 18):
-        other = build_table(50000, segment_size=seg)
+        monkeypatch.setattr(primes_mod, "DEFAULT_SEGMENT_FLAGS", seg)
+        other = build_table(50000)
         assert other.primes == base.primes
 
 
@@ -159,6 +163,21 @@ def test_cache_roundtrip(tmp_path):
     assert info["largest_prime"] == t.primes[-1]
     theta = theta_at(t, t.limit)
     assert (info["theta_at_limit"], info["theta_radius_at_limit"]) == (theta.value, theta.radius)
+
+
+def test_load_table_holds_one_copy_of_the_primes(tmp_path):
+    # the file's bytes and one array of the primes, with a little room for the checks
+    path = tmp_path / "primes.ptab"
+    table = build_table(10**6)
+    save_table(table, path)
+    tracemalloc.start()
+    try:
+        loaded = load_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.primes == table.primes
+    assert peak < 2.5 * 8 * table.count
 
 
 def test_cache_reuse_and_invalidation(tmp_path):
