@@ -19,7 +19,6 @@ from .arith import (
 from .bounds import (
     BoundReport,
     BoundScan,
-    StridePolicy,
     criterion_gap_bound,
     primorial_psi_bound,
     robin_log_bound,

@@ -77,24 +77,16 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-def factorize(
-    n: int,
-    table: PrimeTable | None = None,
-    *,
-    limit: int = DEFAULT_FACTOR_LIMIT,
-) -> Factorization:
+def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
     """Factor n by trial division against the sieved prime table.
 
-    Raises CapabilityError above ``limit``; raise the limit (and accept the
-    bigger sieve) if you need more.
+    Raises CapabilityError above :data:`DEFAULT_FACTOR_LIMIT`, which keeps the
+    trial-division sieve at 10^6.
     """
     if n < 1:
         raise DomainError(f"factorize: n must be positive, got {n}")
-    if n > limit:
-        raise CapabilityError(
-            f"factorize: n={n} exceeds the factorization limit {limit}; "
-            "pass a larger limit to extend the sieve bound"
-        )
+    if n > DEFAULT_FACTOR_LIMIT:
+        raise CapabilityError(f"factorize: n={n} exceeds the factorization limit {DEFAULT_FACTOR_LIMIT}")
     if n == 1:
         return Factorization(1, ())
     root = math.isqrt(n)

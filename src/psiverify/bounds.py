@@ -10,7 +10,9 @@ interval operations.  A point evaluator returns a :class:`BoundReport` from
 one prefix pass that stops at the point.  One :func:`series.serve` reader,
 :func:`_read_bound`, decides a row at the indices it is given and books each
 in a :class:`BoundScan`, building no object per point; a range scan is that
-reader at the indices of a :class:`StridePolicy`.  The rows of :data:`BOUNDS`:
+reader at the indices of :func:`stride_indices`: every index up to
+:data:`DENSE_UNTIL`, then steps of ratio :data:`STRIDE_RATIO`.  The code, not
+the caller, picks them.  The rows of :data:`BOUNDS`:
 
 * ``rs-product``     prod_{p<=x} (1-1/p)^(-1)  <=  e^gamma (log x + 1/log x)   (x >= 2)
 * ``zeta-tail``      zeta(2) prod_{p<=p_n} (1-1/p^2)  <=  exp(2/p_n)           (n >= 2)
@@ -75,7 +77,8 @@ __all__ = [
     "Bound",
     "BoundReport",
     "BoundScan",
-    "StridePolicy",
+    "DENSE_UNTIL",
+    "STRIDE_RATIO",
     "rosser_schoenfeld_bound",
     "zeta_tail_bound",
     "primorial_psi_bound",
@@ -90,6 +93,15 @@ __all__ = [
 ESCALATION_PREC_BITS = 113
 
 FIRST_INDEX_AT_20000 = 2263  # p_2263 is the first prime >= 20000
+
+# a range scan evaluates every index up to DENSE_UNTIL, and geometric steps of STRIDE_RATIO beyond
+DENSE_UNTIL = 10**4
+STRIDE_RATIO = 1.01
+
+# read once per point, so bound once here: a module global is cheaper than an Enum member lookup
+_HOLDS = VerdictStatus.HOLDS
+_FAILS = VerdictStatus.FAILS
+_INCONCLUSIVE = VerdictStatus.INCONCLUSIVE
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,12 +126,9 @@ def _slack(claim: str, margin: Ball) -> float:
     return -hi if claim in ("<", "<=") else lo
 
 
-@dataclass
-class StridePolicy:
-    """Every index up to ``dense_until``, geometric ``ratio`` steps beyond."""
-
-    dense_until: int = 10**4
-    ratio: float = 1.01
+def _stride() -> dict:
+    """The stride of every range scan, as the reports write it."""
+    return {"dense_until": DENSE_UNTIL, "ratio": STRIDE_RATIO}
 
 
 @dataclass
@@ -129,7 +138,6 @@ class BoundScan:
     bound: str
     start: int
     stop: int
-    policy: StridePolicy | None = None  # None for a scan over given indices, which is not serialized
     points_checked: int = 0
     holds: int = 0
     fails: int = 0
@@ -142,9 +150,9 @@ class BoundScan:
     def record(self, at: int, status: VerdictStatus, slack: float, escalated: bool) -> None:
         """Count one evaluated point: its status, its slack and whether it escalated."""
         self.points_checked += 1
-        if status is VerdictStatus.HOLDS:
+        if status is _HOLDS:
             self.holds += 1
-        elif status is VerdictStatus.FAILS:
+        elif status is _FAILS:
             self.fails += 1
             self.failed_at.append(at)
         else:
@@ -164,7 +172,7 @@ class BoundScan:
         return {
             "bound": self.bound,
             "range": [self.start, self.stop],
-            "stride": {"dense_until": self.policy.dense_until, "ratio": self.policy.ratio},
+            "stride": _stride(),
             "points_checked": self.points_checked,
             "worst_margin": self.worst_slack,
             "worst_at": self.worst_at,
@@ -334,8 +342,8 @@ def criterion_gap_bound(table: PrimeTable, x: int) -> BoundReport:
     return _point(table, "criterion-gap", x)
 
 
-def stride_indices(start: int, stop: int, policy: StridePolicy) -> Iterable[int]:
-    """Deterministic evaluation points: dense, then geometric, always stop."""
+def stride_indices(start: int, stop: int) -> Iterable[int]:
+    """Deterministic evaluation points: dense to DENSE_UNTIL, then geometric, always stop."""
     if start > stop:
         return
     n = start
@@ -343,40 +351,25 @@ def stride_indices(start: int, stop: int, policy: StridePolicy) -> Iterable[int]
         yield n
         if n >= stop:
             return
-        if n < policy.dense_until:
+        if n < DENSE_UNTIL:
             n += 1
         else:
-            grown = n * policy.ratio  # a float, infinite for a huge ratio
+            grown = n * STRIDE_RATIO  # a float, infinite for a huge ratio
             n = stop if grown >= stop else max(n + 1, int(grown))
 
 
-def scan_bound(
-    table: PrimeTable,
-    name: str,
-    start: int,
-    stop: int,
-    *,
-    policy: StridePolicy | None = None,
-    escalate: bool = True,
-) -> BoundScan:
+def scan_bound(table: PrimeTable, name: str, start: int, stop: int, *, escalate: bool = True) -> BoundScan:
     """Evaluate one bound over [start, stop] in a single streaming pass.
 
     ``start``/``stop`` are primorial indices n (the x-parameterized bounds
     are evaluated at x = p_n).  INCONCLUSIVE points are retried on the
-    113-bit interval path when ``escalate`` is set.
+    113-bit interval path when ``escalate`` is set.  The indices are those
+    of :func:`stride_indices`.
     """
-    return serve(table, [bound_reader(table, name, start, stop, policy=policy, escalate=escalate)])[0]
+    return serve(table, [bound_reader(table, name, start, stop, escalate=escalate)])[0]
 
 
-def bound_reader(
-    table: PrimeTable,
-    name: str,
-    start: int,
-    stop: int,
-    *,
-    policy: StridePolicy | None = None,
-    escalate: bool = True,
-) -> Reader:
+def bound_reader(table: PrimeTable, name: str, start: int, stop: int, *, escalate: bool = True) -> Reader:
     """:func:`scan_bound` as a :func:`series.serve` reader; checks its arguments before any pass runs."""
     if name not in BOUNDS:
         raise ValueError(f"unknown bound {name!r}; known: {', '.join(BOUND_NAMES)}")
@@ -387,8 +380,8 @@ def bound_reader(
         raise RangeError(f"scan_bound: empty range [{start}, {stop}]")
     if stop > table.count:
         raise RangeError(f"scan_bound: stop={stop} beyond table ({table.count} primes)")
-    scan = BoundScan(bound=name, start=start, stop=stop, policy=policy or StridePolicy())
-    return bound.sums, _read_bound(table, bound, scan, stride_indices(start, stop, scan.policy), escalate)
+    scan = BoundScan(bound=name, start=start, stop=stop)
+    return bound.sums, _read_bound(table, bound, scan, stride_indices(start, stop), escalate)
 
 
 def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Iterable[int], escalate: bool):
@@ -402,7 +395,7 @@ def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Itera
         x = table.nth_prime(n)
         margin = sub_ball(*bound.sides(_BALL, x, theta, *sums))
         status = ball_status(margin, bound.claim)
-        escalated = escalate and status is VerdictStatus.INCONCLUSIVE
+        escalated = escalate and status is _INCONCLUSIVE
         if escalated:
             margin = sub_ball(*_interval_sides(table, bound, n))
             status = ball_status(margin, bound.claim)

@@ -2,9 +2,11 @@
 
 Each claim reads a shared immutable prime table and returns a
 :class:`ClaimResult` that serializes to JSON.  Results are a pure function of
-(table, config): sampling is seeded, the proof's seams, the checkpoints and
-the scan strides are module constants, and floats serialize as shortest
-round-trip decimals, so reports are byte-identical from run to run.
+(table, config): sampling is seeded; the proof's seams and the checkpoints
+are constants here, and the scan stride is two constants in ``bounds``, so
+the code, not a caller, picks the indices each claim reads; and floats
+serialize as shortest round-trip decimals.  Reports are byte-identical from
+run to run.
 ``run_claims`` reports the claims in claim-table order.
 
 One table maps each claim id to its description and its runner; ``run_claims``
@@ -29,7 +31,7 @@ alone, and each public claim function, is that same call with one reader.
 ``UPPER``.  ``lower`` decides the rows ``LOWER`` and ``DUAL`` in its own
 loop, on points that take log theta once for both, and books a
 ``BoundScan`` like every scan.  ``mertens-trend`` is ``lower``'s reader at
-the checkpoints alone, not escalated.
+the live checkpoints alone (those up to ``n_max``), not escalated.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ from .bounds import (
     LOWER,
     UPPER,
     BoundScan,
-    StridePolicy,
     _interval_sides,
     _read_bound,
+    _stride,
     bound_reader,
 )
 from .errors import RangeError, UnknownClaimError
@@ -121,7 +123,7 @@ class VerifyConfig:
             "reduction_exhaustive_max": REDUCTION_EXHAUSTIVE_MAX,
             "reduction_sampled_max": REDUCTION_SAMPLED_MAX,
             "checkpoints": list(self.live_checkpoints()),
-            "stride": asdict(StridePolicy()),
+            "stride": _stride(),
         }
 
 
@@ -244,7 +246,7 @@ def reduction_check(
     n_index: int,
     samples: int | None = None,
     *,
-    table: PrimeTable | None = None,
+    table: PrimeTable,
     seed: int = VerifyConfig.seed,
 ) -> ClaimResult:
     """Check R(m) <= R(N_n) for m in [N_n, N_{n+1}), exactly.
@@ -252,12 +254,11 @@ def reduction_check(
     Since psi(m)/m <= psi(N_n)/N_n (exact rational comparison) and
     log log m >= log log N_n > 0 for m >= N_n >= 6, the ratio inequality
     follows with no floating point at all.  ``samples=None`` checks the
-    whole block; otherwise ``samples`` seeded random points.
+    whole block; otherwise ``samples`` seeded random points.  A ``table``
+    without p_{n+1} raises RangeError.
     """
     if n_index < 2:
         raise RangeError(f"reduction_check: n_index must be >= 2, got {n_index}")
-    if table is None or table.count < n_index + 1:
-        table = build_table(max(10**6, 2))
     best_num, best_den = _primorial_ratio_ints(table, n_index)
     lo = best_den  # N_n
     hi = best_den * table.nth_prime(n_index + 1)  # N_{n+1}
@@ -383,13 +384,7 @@ def _upper(table: PrimeTable, n_max: int):
 # ---------------------------------------------------------------------------
 
 
-def verify_lower(
-    table: PrimeTable,
-    n_max: int,
-    *,
-    checkpoints: tuple[int, ...] = CHECKPOINTS,
-    escalate: bool = True,
-) -> ClaimResult:
+def verify_lower(table: PrimeTable, n_max: int) -> ClaimResult:
     """Certified scan of R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max.
 
     Any FAILS here would contradict a scan range where the criterion is
@@ -397,16 +392,17 @@ def verify_lower(
     surfaced loudly rather than swallowed.  The equivalent criterion
     g(p_n) < 1 is checked at every n, on its own sums, as a dual condition.
     """
-    return serve(table, [(POINT_KINDS, _lower(table, range(LOWER.start, n_max + 1), checkpoints, escalate))])[0]
+    return serve(table, [(POINT_KINDS, _lower(table, range(LOWER.start, n_max + 1), escalate=True))])[0]
 
 
-def _lower(table: PrimeTable, indices, checkpoints: tuple[int, ...], escalate: bool):
+def _lower(table: PrimeTable, indices, escalate: bool):
     """The reader of :func:`verify_lower` over the ascending ``indices``.
 
     It decides the rows ``LOWER`` and ``DUAL`` on the point's balls, both on
     the 113-bit path if either is not HOLDS and ``escalate`` is set; a point
-    where they disagree is a ``dual_mismatch``.  Each checkpoint's margin
-    must be certified below the one before.
+    where they disagree is a ``dual_mismatch``.  Each of the
+    :data:`CHECKPOINTS` among the indices reports its margin, which must be
+    certified below the one before.
     """
     if not indices or indices[0] < LOWER.start:
         raise RangeError(f"lower: the scan needs n_max >= {LOWER.start}, and indices from n = {LOWER.start} on")
@@ -429,7 +425,7 @@ def _lower(table: PrimeTable, indices, checkpoints: tuple[int, ...], escalate: b
         if dual is not status:
             dual_mismatch.append(n)
         scan.record(n, status, ball_endpoints(margin)[0], escalated)
-        if n in checkpoints:
+        if n in CHECKPOINTS:
             margins[n] = margin
     at = list(margins)
     drops = (ball_status(sub_ball(margins[b], margins[a]), "<") for a, b in zip(at, at[1:]))
@@ -449,22 +445,27 @@ def _lower(table: PrimeTable, indices, checkpoints: tuple[int, ...], escalate: b
     )
 
 
-def mertens_limit_trend(table: PrimeTable, checkpoints: tuple[int, ...] = CHECKPOINTS) -> ClaimResult:
-    """Margins R(N_n) - e^gamma/zeta(2) at ascending geometric checkpoints.
+def mertens_limit_trend(table: PrimeTable, n_max: int) -> ClaimResult:
+    """Margins R(N_n) - e^gamma/zeta(2) at the :data:`CHECKPOINTS` up to ``n_max``.
 
     Asserts each margin is certified positive, with its dual g(p_n) < 1, and
     the sequence strictly decreases; a trend consistent with the limit, not
     a proof of it.  Only the checkpoints are evaluated.
     """
-    return serve(table, [(POINT_KINDS, _mertens(table, checkpoints))])[0]
+    return serve(table, [_mertens(table, VerifyConfig(n_max=n_max))])[0]
 
 
-def _mertens(table: PrimeTable, checkpoints: tuple[int, ...]):
-    """The reader of :func:`mertens_limit_trend`: ``lower``'s reader at the checkpoints, not escalated."""
-    live = tuple(c for c in checkpoints if c <= table.count)
+def _mertens(table: PrimeTable, config: VerifyConfig) -> Reader:
+    """The reader of ``mertens-trend`` at the live checkpoints; raises before any pass if there is none."""
+    live = config.live_checkpoints()
     if not live:
-        raise RangeError("mertens_limit_trend: no checkpoint within table range")
-    lower = yield from _lower(table, live, live, escalate=False)
+        raise RangeError(f"mertens-trend: n_max={config.n_max} is below the first checkpoint, {CHECKPOINTS[0]}")
+    return POINT_KINDS, _mertens_result(table, live)
+
+
+def _mertens_result(table: PrimeTable, live: tuple[int, ...]):
+    """``lower``'s reader at the live checkpoints, not escalated, reported as ``mertens-trend``."""
+    lower = yield from _lower(table, live, escalate=False)
     margins = lower.details["checkpoint_margins"]
     return ClaimResult("mertens-trend", {"checkpoints": list(live)}, lower.counterexamples, {"margins": margins})
 
@@ -496,12 +497,6 @@ def _bound_result(name: str, scan_reader):
     return ClaimResult(name, covered, settled, details)
 
 
-def _mertens_claim(table: PrimeTable, config: VerifyConfig) -> Reader:
-    if not config.live_checkpoints():
-        raise RangeError(f"mertens-trend: n_max={config.n_max} is below the first checkpoint, {CHECKPOINTS[0]}")
-    return POINT_KINDS, _mertens(table, config.live_checkpoints())
-
-
 class _Claim(NamedTuple):
     description: str
     # the ClaimResult of an exact claim, or the reader of a claim that reads prefix sums
@@ -528,10 +523,10 @@ _CLAIMS: dict[str, _Claim] = {
         "R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)",
         lambda table, config: (
             POINT_KINDS,
-            _lower(table, range(LOWER.start, min(config.n_max, table.count) + 1), CHECKPOINTS, config.escalate),
+            _lower(table, range(LOWER.start, min(config.n_max, table.count) + 1), config.escalate),
         ),
     ),
-    "mertens-trend": _Claim("margin to e^gamma/zeta(2) positive and decreasing at checkpoints", _mertens_claim),
+    "mertens-trend": _Claim("margin to e^gamma/zeta(2) positive and decreasing at checkpoints", _mertens),
     "rs-product": _bound_entry("partial Euler product bound e^gamma(log x + 1/log x)", "rs-product"),
     "zeta-tail": _bound_entry("tail bound zeta(2) prod(1-1/p^2) <= exp(2/p_n)", "zeta-tail"),
     "psi-bound": _bound_entry("psi(N_n)/N_n composite bound for p_n >= 20000", "psi-bound"),

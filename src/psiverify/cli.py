@@ -11,10 +11,10 @@ Settings resolve as flags > environment > config file > defaults.  The
 environment knows ``PSIVERIFY_CACHE_DIR`` (prime-table cache directory) and
 ``PSIVERIFY_CONFIG`` (path to a JSON config file with keys ``cache_dir``,
 ``n_max``, ``champion_limit``, ``format``); the defaults are those of
-``VerifyConfig`` and ``StridePolicy``.  Malformed settings are usage errors
-and exit 2 with a ``psiverify: error:`` message: a ``--ratio`` that is not a
-finite number > 0, a ``--dense-until`` below 0, a ``--samples`` or
-``--workers`` below 1, a config value of the wrong type, or a config
+``VerifyConfig``.  ``scan bounds`` reads the stride of ``bounds.DENSE_UNTIL``
+and ``bounds.STRIDE_RATIO``, which no flag sets.  Malformed settings are
+usage errors and exit 2 with a ``psiverify: error:`` message: a ``--samples``
+or ``--workers`` below 1, a config value of the wrong type, or a config
 ``format`` that the subcommand's ``--format`` does not offer.
 
 ``verify`` runs its claims on one prefix pass; ``--workers`` has no effect yet.
@@ -26,13 +26,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .arith import factorize, phi_from_factors, psi_from_factors, robin_ratio_from_factors, sigma_from_factors
-from .bounds import BOUND_NAMES, StridePolicy, scan_bound
+from .bounds import BOUND_NAMES, scan_bound
 from .claims import (
     CLAIM_IDS,
     VerifyConfig,
@@ -202,8 +201,7 @@ def _cmd_scan(args, file_cfg: dict) -> int:
 
     # bound scan; scan_bound checks the name and the range
     table = build_table(required_table_limit(args.stop), cache_dir=cache)
-    policy = StridePolicy(args.dense_until, args.ratio)
-    scan = scan_bound(table, args.name, args.start, args.stop, policy=policy, escalate=not args.no_escalate)
+    scan = scan_bound(table, args.name, args.start, args.stop, escalate=not args.no_escalate)
     _emit(_json_dumps(scan.to_dict()), args.output)
     return 0 if scan.all_hold else 1
 
@@ -285,19 +283,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"psiverify: error: {message}\n")
 
 
-def _number(kind: type, valid: Callable, requirement: str) -> Callable[[str], int | float]:
-    """An argparse type: ``kind(text)``, rejected unless ``valid`` accepts it."""
-
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = None
-        if value is None or not valid(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
-        return value
-
-    return parse
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -327,10 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--name", required=True, help=f"one of: {', '.join(BOUND_NAMES)}")
     q.add_argument("--from", dest="start", type=int, required=True)
     q.add_argument("--to", dest="stop", type=int, required=True)
-    natural = _number(int, lambda d: d >= 0, "an integer >= 0")
-    q.add_argument("--dense-until", dest="dense_until", type=natural, default=StridePolicy.dense_until)
-    positive_ratio = _number(float, lambda r: math.isfinite(r) and r > 0, "a finite number > 0")
-    q.add_argument("--ratio", type=positive_ratio, default=StridePolicy.ratio)
     q.add_argument("--no-escalate", action="store_true")
     q.add_argument("--output")
     q.add_argument("--cache-dir", dest="cache_dir")
@@ -339,10 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("claims", nargs="*", help=f"claims to run (default all): {', '.join(CLAIM_IDS)}")
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--champion-limit", dest="champion_limit", type=int, default=None)
-    positive = _number(int, lambda v: v >= 1, "an integer >= 1")
-    p.add_argument("--samples", type=positive, default=VerifyConfig.reduction_samples)
+    p.add_argument("--samples", type=_positive_int, default=VerifyConfig.reduction_samples)
     p.add_argument("--seed", type=int, default=VerifyConfig.seed)
-    p.add_argument("--workers", type=positive, default=1, help="no effect yet: one pass serves all claims")
+    p.add_argument("--workers", type=_positive_int, default=1, help="no effect yet: one pass serves all claims")
     p.add_argument("--no-escalate", action="store_true")
     p.add_argument("--json", help="write the full JSON report here")
     p.add_argument("--output")

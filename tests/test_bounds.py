@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+import psiverify.bounds as bounds_mod
 from psiverify.bounds import (
-    StridePolicy,
+    BoundScan,
     _interval_sides,
     criterion_gap_bound,
     primorial_psi_bound,
@@ -151,35 +152,42 @@ def test_criterion_gap_domain(table):
         criterion_gap_bound(table, 4)
 
 
-def test_stride_indices():
-    policy = StridePolicy(dense_until=10, ratio=1.5)
-    got = list(stride_indices(2, 40, policy))
+def _set_stride(monkeypatch, dense_until: int, ratio: float) -> None:
+    monkeypatch.setattr(bounds_mod, "DENSE_UNTIL", dense_until)
+    monkeypatch.setattr(bounds_mod, "STRIDE_RATIO", ratio)
+
+
+def test_stride_indices(monkeypatch):
+    _set_stride(monkeypatch, 10, 1.5)
+    got = list(stride_indices(2, 40))
     assert got[0] == 2 and got[-1] == 40
     assert got == sorted(set(got))
     dense = [g for g in got if g <= 10]
     assert dense == list(range(2, 11))
-    assert list(stride_indices(5, 5, policy)) == [5]
-    assert list(stride_indices(6, 5, policy)) == []
+    assert list(stride_indices(5, 5)) == [5]
+    assert list(stride_indices(6, 5)) == []
     # a step past the stop goes to the stop, also when n * ratio overflows
-    assert list(stride_indices(2, 5, StridePolicy(dense_until=0, ratio=1e308))) == [2, 5]
+    _set_stride(monkeypatch, 0, 1e308)
+    assert list(stride_indices(2, 5)) == [2, 5]
 
 
 @pytest.mark.parametrize(
     "start,stop,dense_until,ratio", [(2, 40, 10, 1.5), (1, 10**6, 100, 1.01), (3, 5000, 0, 0.5), (7, 10**5, 50, 3e5)]
 )
-def test_stride_indices_follow_the_geometric_rule(start, stop, dense_until, ratio):
+def test_stride_indices_follow_the_geometric_rule(monkeypatch, start, stop, dense_until, ratio):
     # reference: the step rule min(max(n + 1, int(n * ratio)), stop) past dense_until
     expected, n = [start], start
     while n < stop:
         n = min(n + 1 if n < dense_until else max(n + 1, int(n * ratio)), stop)
         expected.append(n)
-    assert list(stride_indices(start, stop, StridePolicy(dense_until, ratio))) == expected
+    _set_stride(monkeypatch, dense_until, ratio)
+    assert list(stride_indices(start, stop)) == expected
 
 
-def test_scan_counts_match_stride(table):
-    policy = StridePolicy(dense_until=50, ratio=1.1)
-    scan = scan_bound(table, "zeta-tail", 2, 300, policy=policy)
-    assert scan.points_checked == len(list(stride_indices(2, 300, policy)))
+def test_scan_counts_match_stride(table, monkeypatch):
+    _set_stride(monkeypatch, 50, 1.1)
+    scan = scan_bound(table, "zeta-tail", 2, 300)
+    assert scan.points_checked == len(list(stride_indices(2, 300)))
     assert scan.all_hold
     assert scan.worst_slack > 0
 
@@ -193,6 +201,17 @@ def test_scan_json_shape(table):
     assert set(payload["verdicts"]) == {"holds", "inconclusive", "fails"}
     assert payload["points_checked"] == payload["verdicts"]["holds"]
     assert payload["worst_at"] is not None
+
+
+def test_scan_over_given_indices_serializes_with_the_report_stride():
+    # lower's and upper (b)'s scans are booked over indices the claim picks;
+    # every scan and the report config write one stride
+    from psiverify.claims import VerifyConfig
+
+    payload = BoundScan("lower", 3, 10).to_dict()
+    json.dumps(payload)
+    assert payload["range"] == [3, 10]
+    assert payload["stride"] == VerifyConfig().to_dict()["stride"] == {"dense_until": 10**4, "ratio": 1.01}
 
 
 def test_scan_validation(table):
@@ -323,7 +342,7 @@ def test_bound_formulas_bit_identical_to_certified_value_chain(table):
     from psiverify.series import prefix_sums
 
     reference = _kernel_sides()
-    stop = StridePolicy().dense_until
+    stop = bounds_mod.DENSE_UNTIL
     kinds = ("plus", "inv", "phi", "sq")
     checked = 0
     for n, theta, totals in prefix_sums(table, kinds, range(1, stop + 1)):

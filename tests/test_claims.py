@@ -169,7 +169,7 @@ def test_upper_monotone_steps_follow_n_max_not_the_table(table):
 
 
 def test_verify_lower_shallow(table):
-    res = verify_lower(table, 2000, checkpoints=(10, 100, 1000))
+    res = verify_lower(table, 2000)
     assert res.holds
     assert res.details["dual_mismatch"] == []
     assert res.details["margins_decreasing"] is True
@@ -203,7 +203,7 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
         return status
 
     monkeypatch.setattr(claims_mod, "ball_status", flaky_status)
-    res = verify_lower(table, 50, checkpoints=(10,))
+    res = verify_lower(table, 50)
     assert res.details["escalated_at"] == [3]
     assert res.details["dual_mismatch"] == []
     assert res.holds
@@ -230,7 +230,7 @@ def test_verify_lower_reports_an_escalated_dual_that_disagrees(table, monkeypatc
 
     monkeypatch.setattr(claims_mod, "ball_status", flaky_status)
     monkeypatch.setattr(claims_mod, "_interval_sides", shifted_sides)
-    res = verify_lower(table, 50, checkpoints=(10,))
+    res = verify_lower(table, 50)
     assert res.details["escalated_at"] == [3]
     assert res.details["dual_mismatch"] == [3]
     assert res.counterexamples == [3]
@@ -292,7 +292,7 @@ def test_no_certified_value_per_bound_scan_point(table, monkeypatch):
 
 
 def test_mertens_trend(table):
-    res = mertens_limit_trend(table, (10, 100, 1000))
+    res = mertens_limit_trend(table, 1000)
     assert res.holds
     m = res.details["margins"]
     assert m["10"][0] > m["100"][0] > m["1000"][0] > 0
@@ -302,7 +302,7 @@ def test_mertens_trend(table):
 
 def test_mertens_trend_validation(table):
     with pytest.raises(RangeError):
-        mertens_limit_trend(table, (table.count * 2,))
+        mertens_limit_trend(table, 10**7)
     # n_max, not the table, filters out every checkpoint: the message says so
     with pytest.raises(RangeError, match=r"n_max=9 is below the first checkpoint, 10"):
         run_claims(["mertens-trend"], table, VerifyConfig(n_max=9))
