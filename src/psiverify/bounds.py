@@ -138,7 +138,6 @@ class BoundScan:
     bound: str
     start: int
     stop: int
-    points_checked: int = 0
     holds: int = 0
     fails: int = 0
     inconclusive: int = 0
@@ -149,7 +148,6 @@ class BoundScan:
 
     def record(self, at: int, status: VerdictStatus, slack: float, escalated: bool) -> None:
         """Count one evaluated point: its status, its slack and whether it escalated."""
-        self.points_checked += 1
         if status is _HOLDS:
             self.holds += 1
         elif status is _FAILS:
@@ -163,6 +161,10 @@ class BoundScan:
         if slack < self.worst_slack:
             self.worst_slack = slack
             self.worst_at = at
+
+    @property
+    def points_checked(self) -> int:
+        return self.holds + self.fails + self.inconclusive
 
     @property
     def all_hold(self) -> bool:
@@ -358,18 +360,17 @@ def stride_indices(start: int, stop: int) -> Iterable[int]:
             n = stop if grown >= stop else max(n + 1, int(grown))
 
 
-def scan_bound(table: PrimeTable, name: str, start: int, stop: int, *, escalate: bool = True) -> BoundScan:
+def scan_bound(table: PrimeTable, name: str, start: int, stop: int) -> BoundScan:
     """Evaluate one bound over [start, stop] in a single streaming pass.
 
     ``start``/``stop`` are primorial indices n (the x-parameterized bounds
-    are evaluated at x = p_n).  INCONCLUSIVE points are retried on the
-    113-bit interval path when ``escalate`` is set.  The indices are those
-    of :func:`stride_indices`.
+    are evaluated at x = p_n) at the indices of :func:`stride_indices`.  An
+    INCONCLUSIVE point is retried on the 113-bit interval path.
     """
-    return serve(table, [bound_reader(table, name, start, stop, escalate=escalate)])[0]
+    return serve(table, [bound_reader(table, name, start, stop)])[0]
 
 
-def bound_reader(table: PrimeTable, name: str, start: int, stop: int, *, escalate: bool = True) -> Reader:
+def bound_reader(table: PrimeTable, name: str, start: int, stop: int) -> Reader:
     """:func:`scan_bound` as a :func:`series.serve` reader; checks its arguments before any pass runs."""
     if name not in BOUNDS:
         raise ValueError(f"unknown bound {name!r}; known: {', '.join(BOUND_NAMES)}")
@@ -381,21 +382,21 @@ def bound_reader(table: PrimeTable, name: str, start: int, stop: int, *, escalat
     if stop > table.count:
         raise RangeError(f"scan_bound: stop={stop} beyond table ({table.count} primes)")
     scan = BoundScan(bound=name, start=start, stop=stop)
-    return bound.sums, _read_bound(table, bound, scan, stride_indices(start, stop), escalate)
+    return bound.sums, _read_bound(table, bound, scan, stride_indices(start, stop))
 
 
-def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Iterable[int], escalate: bool):
+def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Iterable[int]):
     """The :func:`series.serve` generator that decides ``bound`` at the ascending ``indices``.
 
     It books each point in ``scan`` (at x = p_n for an x-parameterized bound),
-    re-decides an INCONCLUSIVE one on the 113-bit path if ``escalate``, and returns ``scan``.
+    re-decides an INCONCLUSIVE one on the 113-bit path, and returns ``scan``.
     """
     for n in indices:
         theta, sums = yield n
         x = table.nth_prime(n)
         margin = sub_ball(*bound.sides(_BALL, x, theta, *sums))
         status = ball_status(margin, bound.claim)
-        escalated = escalate and status is _INCONCLUSIVE
+        escalated = status is _INCONCLUSIVE
         if escalated:
             margin = sub_ball(*_interval_sides(table, bound, n))
             status = ball_status(margin, bound.claim)

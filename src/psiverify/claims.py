@@ -2,12 +2,11 @@
 
 Each claim reads a shared immutable prime table and returns a
 :class:`ClaimResult` that serializes to JSON.  Results are a pure function of
-(table, config): sampling is seeded; the proof's seams and the checkpoints
-are constants here, and the scan stride is two constants in ``bounds``, so
-the code, not a caller, picks the indices each claim reads; and floats
-serialize as shortest round-trip decimals.  Reports are byte-identical from
-run to run.
-``run_claims`` reports the claims in claim-table order.
+(table, config), and a config is two depths and a seed: the proof's seams,
+the checkpoints and the reduction sampling are constants here, the stride is
+two in ``bounds``, and each row re-decides a point on the 113-bit path by a
+fixed rule.  Floats serialize as shortest round-trip decimals, so reports
+are byte-identical from run to run.  ``run_claims`` reports the claims in claim-table order.
 
 One table maps each claim id to its description and its runner; ``run_claims``
 and the CLI take ids, descriptions and report order from it.  The ids:
@@ -26,12 +25,14 @@ sums from ``series``.  Each is a reader of :func:`series.serve`: a generator
 that yields the ascending indices it reads, is sent the totals there and
 returns its :class:`ClaimResult`.  ``run_claims`` runs the exact claims
 first and then serves every selected reader from one pass; a claim run
-alone, and each public claim function, is that same call with one reader.
-``bounds._read_bound`` decides the six bound scans and ``upper`` (b), the row
-``UPPER``.  ``lower`` decides the rows ``LOWER`` and ``DUAL`` in its own
-loop, on points that take log theta once for both, and books a
+alone, and each public claim function, is that call on the reader its
+claim-table entry builds; an entry whose indices pass the table raises
+:class:`RangeError` before the pass.  ``bounds._read_bound`` decides the six
+bound scans and ``upper`` (b), the row ``UPPER``, and re-decides an
+INCONCLUSIVE point.  ``lower`` decides the rows ``LOWER`` and ``DUAL`` in its
+own loop, re-deciding both where either is not HOLDS, and books a
 ``BoundScan`` like every scan.  ``mertens-trend`` is ``lower``'s reader at
-the live checkpoints alone (those up to ``n_max``), not escalated.
+the live checkpoints alone (those up to ``n_max``).
 """
 
 from __future__ import annotations
@@ -95,21 +96,21 @@ UPPER_SMALL_STOP = 210
 UPPER_PRIMORIAL_STOP = FIRST_INDEX_AT_20000 - 1
 # (c) checks the threshold's monotone step n -> n+1 at these n, up to n_max
 UPPER_MONOTONE_AT = (FIRST_INDEX_AT_20000, 2500, 5000, 10**4)
-# ``reduction`` checks the block [N_n, N_{n+1}) whole for n <= 5, by samples for 5 < n <= 8
+# ``reduction`` checks the block [N_n, N_{n+1}) whole for n <= 5, by seeded samples for 5 < n <= 8
 REDUCTION_EXHAUSTIVE_MAX = 5
 REDUCTION_SAMPLED_MAX = 8
+REDUCTION_SAMPLES = 2000
 CHECKPOINTS = (10, 100, 1000, 10**4, 10**5, 10**6, 10**7)  # where lower and mertens-trend report margins
+_AT_CHECKPOINT = frozenset(CHECKPOINTS)  # the membership test of lower's per-index loop
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """The settings of one verify run: depths, sampling, seed, escalation."""
+    """The settings of one verify run: its two depths and its seed."""
 
     champion_limit: int = 10**6
     n_max: int = 10**5
-    reduction_samples: int = 2000
     seed: int = 1018
-    escalate: bool = True
 
     def live_checkpoints(self) -> tuple[int, ...]:
         return tuple(c for c in CHECKPOINTS if c <= self.n_max)
@@ -118,6 +119,8 @@ class VerifyConfig:
         """The run's settings and the fixed ones it ran with."""
         return {
             **asdict(self),
+            "escalate": True,
+            "reduction_samples": REDUCTION_SAMPLES,
             "upper_small_stop": UPPER_SMALL_STOP,
             "upper_primorial_stop": UPPER_PRIMORIAL_STOP,
             "reduction_exhaustive_max": REDUCTION_EXHAUSTIVE_MAX,
@@ -158,13 +161,7 @@ def required_table_limit(n_max: int) -> int:
 
 
 def build_default_table(config: VerifyConfig, cache_dir=None) -> PrimeTable:
-    table = build_table(required_table_limit(config.n_max), cache_dir=cache_dir)
-    if table.count < config.n_max:
-        raise RangeError(
-            f"table holds {table.count} primes but n_max={config.n_max}; "
-            "the size estimate should not allow this"
-        )
-    return table
+    return build_table(required_table_limit(config.n_max), cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +239,15 @@ def _primorial_ratio_ints(table: PrimeTable, n_index: int) -> tuple[int, int]:
     return num, den
 
 
-def reduction_check(
-    n_index: int,
-    samples: int | None = None,
-    *,
-    table: PrimeTable,
-    seed: int = VerifyConfig.seed,
-) -> ClaimResult:
+def reduction_check(n_index: int, *, table: PrimeTable, seed: int = VerifyConfig.seed) -> ClaimResult:
     """Check R(m) <= R(N_n) for m in [N_n, N_{n+1}), exactly.
 
     Since psi(m)/m <= psi(N_n)/N_n (exact rational comparison) and
     log log m >= log log N_n > 0 for m >= N_n >= 6, the ratio inequality
-    follows with no floating point at all.  ``samples=None`` checks the
-    whole block; otherwise ``samples`` seeded random points.  A ``table``
-    without p_{n+1} raises RangeError.
+    follows with no floating point at all.  A block with n_index up to
+    :data:`REDUCTION_EXHAUSTIVE_MAX` is checked whole, a later one at
+    :data:`REDUCTION_SAMPLES` random points drawn from ``seed``.  A
+    ``table`` without p_{n+1} raises RangeError.
     """
     if n_index < 2:
         raise RangeError(f"reduction_check: n_index must be >= 2, got {n_index}")
@@ -264,7 +256,8 @@ def reduction_check(
     hi = best_den * table.nth_prime(n_index + 1)  # N_{n+1}
 
     bad: list[int] = []
-    if samples is None:
+    exhaustive = n_index <= REDUCTION_EXHAUSTIVE_MAX
+    if exhaustive:
         num, den = psi_ratio_tables(hi - 1)
         seg_n = num[lo:hi].astype(object)
         seg_d = den[lo:hi].astype(object)
@@ -273,7 +266,7 @@ def reduction_check(
         checked = hi - lo
     else:
         rng = random.Random(seed)
-        points = sorted({lo} | {rng.randrange(lo, hi) for _ in range(samples)})
+        points = sorted({lo} | {rng.randrange(lo, hi) for _ in range(REDUCTION_SAMPLES)})
         for m in points:
             fz = factorize(m, table)
             if psi_from_factors(fz) * best_den > best_num * m:
@@ -281,7 +274,7 @@ def reduction_check(
         checked = len(points)
     return ClaimResult(
         claim_id=f"reduction-{n_index}",
-        covered={"m": [lo, hi - 1], "exhaustive": samples is None, "checked": checked},
+        covered={"m": [lo, hi - 1], "exhaustive": exhaustive, "checked": checked},
         counterexamples=bad,
         details={"n_index": n_index, "psi_ratio": [best_num, best_den]},
     )
@@ -292,8 +285,7 @@ def _reduction_claim(table: PrimeTable, config: VerifyConfig) -> ClaimResult:
     bad: list[int] = []
     checked = 0
     for idx in range(2, REDUCTION_SAMPLED_MAX + 1):
-        samples = None if idx <= REDUCTION_EXHAUSTIVE_MAX else config.reduction_samples
-        sub = reduction_check(idx, samples, table=table, seed=config.seed + idx)
+        sub = reduction_check(idx, table=table, seed=config.seed + idx)
         blocks.append(sub.to_dict())
         bad.extend(sub.counterexamples)
         checked += sub.covered["checked"]
@@ -320,11 +312,17 @@ def verify_upper(table: PrimeTable, n_max: int = VerifyConfig.n_max) -> ClaimRes
         steps, which covers every n >= 2263.  The steps depend on ``n_max``
         alone, never on how many primes the table holds.
     """
-    return serve(table, [(UPPER.sums, _upper(table, n_max))])[0]
+    return _run_alone("upper", table, n_max)
 
 
-def _upper(table: PrimeTable, n_max: int):
-    """The reader of :func:`verify_upper`."""
+def _upper_claim(table: PrimeTable, config: VerifyConfig) -> Reader:
+    monotone_at = [n for n in UPPER_MONOTONE_AT if n + 1 <= max(config.n_max, FIRST_INDEX_AT_20000 + 1)]
+    _check_reach("upper", table, config, monotone_at[-1] + 1)
+    return UPPER.sums, _upper(table, monotone_at)
+
+
+def _upper(table: PrimeTable, monotone_at: list[int]):
+    """The reader of :func:`verify_upper`, stepping the threshold at ``monotone_at``."""
     # (a) exhaustive small range, certified; witnesses below 31
     a_bad: list[int] = []
     witnesses: list[int] = []
@@ -337,19 +335,18 @@ def _upper(table: PrimeTable, n_max: int):
 
     # (b) primorial scan 4..2262, the UPPER row
     b = BoundScan("upper", UPPER.start, UPPER_PRIMORIAL_STOP)
-    yield from _read_bound(table, UPPER, b, range(b.start, b.stop + 1), escalate=False)
+    yield from _read_bound(table, UPPER, b, range(b.start, b.stop + 1))
     # R(N_3) = R(30) >= e^gamma: the bound genuinely starts at n = 4
     r30_high = compare(robin_ratio(30, table), E_GAMMA, ">").status is VerdictStatus.HOLDS
 
     # (c) the threshold at the first valid index, then monotone steps: its lhs
-    # decreases, certified, from n to n + 1; checked up to n_max, and always at 2263
+    # decreases, certified, from n to n + 1
     threshold = BOUNDS["threshold"]
     c_bad: list[int] = []
     theta, _ = yield FIRST_INDEX_AT_20000
     first_margin = sub_ball(*threshold.sides(_BALL, table.nth_prime(FIRST_INDEX_AT_20000), theta))
     if ball_status(first_margin, threshold.claim) is not VerdictStatus.HOLDS:
         c_bad.append(FIRST_INDEX_AT_20000)
-    monotone_at = [n for n in UPPER_MONOTONE_AT if n + 1 <= max(n_max, FIRST_INDEX_AT_20000 + 1)]
     for n in monotone_at:
         theta, _ = yield n
         lhs, _ = threshold.sides(_BALL, table.nth_prime(n), theta)
@@ -392,17 +389,21 @@ def verify_lower(table: PrimeTable, n_max: int) -> ClaimResult:
     surfaced loudly rather than swallowed.  The equivalent criterion
     g(p_n) < 1 is checked at every n, on its own sums, as a dual condition.
     """
-    return serve(table, [(POINT_KINDS, _lower(table, range(LOWER.start, n_max + 1), escalate=True))])[0]
+    return _run_alone("lower", table, n_max)
 
 
-def _lower(table: PrimeTable, indices, escalate: bool):
+def _lower_claim(table: PrimeTable, config: VerifyConfig) -> Reader:
+    _check_reach("lower", table, config, config.n_max)
+    return POINT_KINDS, _lower(table, range(LOWER.start, config.n_max + 1))
+
+
+def _lower(table: PrimeTable, indices):
     """The reader of :func:`verify_lower` over the ascending ``indices``.
 
     It decides the rows ``LOWER`` and ``DUAL`` on the point's balls, both on
-    the 113-bit path if either is not HOLDS and ``escalate`` is set; a point
-    where they disagree is a ``dual_mismatch``.  Each of the
-    :data:`CHECKPOINTS` among the indices reports its margin, which must be
-    certified below the one before.
+    the 113-bit path if either is not HOLDS; a point where they disagree is
+    a ``dual_mismatch``.  Each of the :data:`CHECKPOINTS` among the indices
+    reports its margin, which must be certified below the one before.
     """
     if not indices or indices[0] < LOWER.start:
         raise RangeError(f"lower: the scan needs n_max >= {LOWER.start}, and indices from n = {LOWER.start} on")
@@ -417,7 +418,7 @@ def _lower(table: PrimeTable, indices, escalate: bool):
         margin = point.margin_ball
         status = ball_status(margin, ">")
         dual = ball_status(sub_ball(point.g_ball, (1.0, 0.0)), "<")
-        escalated = escalate and (status is not holds or dual is not holds)
+        escalated = status is not holds or dual is not holds
         if escalated:
             margin = sub_ball(*_interval_sides(table, LOWER, n))
             status = ball_status(margin, ">")
@@ -425,7 +426,7 @@ def _lower(table: PrimeTable, indices, escalate: bool):
         if dual is not status:
             dual_mismatch.append(n)
         scan.record(n, status, ball_endpoints(margin)[0], escalated)
-        if n in CHECKPOINTS:
+        if n in _AT_CHECKPOINT:
             margins[n] = margin
     at = list(margins)
     drops = (ball_status(sub_ball(margins[b], margins[a]), "<") for a, b in zip(at, at[1:]))
@@ -450,9 +451,9 @@ def mertens_limit_trend(table: PrimeTable, n_max: int) -> ClaimResult:
 
     Asserts each margin is certified positive, with its dual g(p_n) < 1, and
     the sequence strictly decreases; a trend consistent with the limit, not
-    a proof of it.  Only the checkpoints are evaluated.
+    a proof of it.  Only the checkpoints are evaluated, and escalated as in ``lower``.
     """
-    return serve(table, [_mertens(table, VerifyConfig(n_max=n_max))])[0]
+    return _run_alone("mertens-trend", table, n_max)
 
 
 def _mertens(table: PrimeTable, config: VerifyConfig) -> Reader:
@@ -460,12 +461,13 @@ def _mertens(table: PrimeTable, config: VerifyConfig) -> Reader:
     live = config.live_checkpoints()
     if not live:
         raise RangeError(f"mertens-trend: n_max={config.n_max} is below the first checkpoint, {CHECKPOINTS[0]}")
+    _check_reach("mertens-trend", table, config, live[-1])
     return POINT_KINDS, _mertens_result(table, live)
 
 
 def _mertens_result(table: PrimeTable, live: tuple[int, ...]):
-    """``lower``'s reader at the live checkpoints, not escalated, reported as ``mertens-trend``."""
-    lower = yield from _lower(table, live, escalate=False)
+    """``lower``'s reader at the live checkpoints, reported as ``mertens-trend``."""
+    lower = yield from _lower(table, live)
     margins = lower.details["checkpoint_margins"]
     return ClaimResult("mertens-trend", {"checkpoints": list(live)}, lower.counterexamples, {"margins": margins})
 
@@ -475,11 +477,22 @@ def _mertens_result(table: PrimeTable, live: tuple[int, ...]):
 # ---------------------------------------------------------------------------
 
 
+def _check_reach(cid: str, table: PrimeTable, config: VerifyConfig, top: int) -> None:
+    """Raise, before any pass, if claim ``cid`` would read an index past the table."""
+    if top > table.count:
+        raise RangeError(f"{cid}: n_max={config.n_max} reads index {top}, past the table's {table.count} primes")
+
+
+def _run_alone(cid: str, table: PrimeTable, n_max: int) -> ClaimResult:
+    """The prefix claim ``cid`` alone: one pass serving the reader its claim-table entry builds."""
+    return serve(table, [_CLAIMS[cid].run(table, VerifyConfig(n_max=n_max))])[0]
+
+
 def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str) -> Reader:
     start = BOUNDS[name].start
-    # a bound claim always checks its first valid index, however small n_max is
-    stop = max(start, min(config.n_max, table.count))
-    kinds, scan = bound_reader(table, name, start, stop, escalate=config.escalate)
+    stop = max(start, config.n_max)  # always the first valid index, however small n_max is
+    _check_reach(name, table, config, stop)
+    kinds, scan = bound_reader(table, name, start, stop)
     return kinds, _bound_result(name, scan)
 
 
@@ -515,17 +528,8 @@ _CLAIMS: dict[str, _Claim] = {
         lambda table, config: champion_scan(config.champion_limit, table),
     ),
     "reduction": _Claim("R(m) <= R(N_n) for N_n <= m < N_{n+1} (exact)", _reduction_claim),
-    "upper": _Claim(
-        "R(n) < e^gamma for n > 30 (three-part certified argument)",
-        lambda table, config: (UPPER.sums, _upper(table, config.n_max)),
-    ),
-    "lower": _Claim(
-        "R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)",
-        lambda table, config: (
-            POINT_KINDS,
-            _lower(table, range(LOWER.start, min(config.n_max, table.count) + 1), config.escalate),
-        ),
-    ),
+    "upper": _Claim("R(n) < e^gamma for n > 30 (three-part certified argument)", _upper_claim),
+    "lower": _Claim("R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)", _lower_claim),
     "mertens-trend": _Claim("margin to e^gamma/zeta(2) positive and decreasing at checkpoints", _mertens),
     "rs-product": _bound_entry("partial Euler product bound e^gamma(log x + 1/log x)", "rs-product"),
     "zeta-tail": _bound_entry("tail bound zeta(2) prod(1-1/p^2) <= exp(2/p_n)", "zeta-tail"),

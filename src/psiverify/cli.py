@@ -11,11 +11,11 @@ Settings resolve as flags > environment > config file > defaults.  The
 environment knows ``PSIVERIFY_CACHE_DIR`` (prime-table cache directory) and
 ``PSIVERIFY_CONFIG`` (path to a JSON config file with keys ``cache_dir``,
 ``n_max``, ``champion_limit``, ``format``); the defaults are those of
-``VerifyConfig``.  ``scan bounds`` reads the stride of ``bounds.DENSE_UNTIL``
-and ``bounds.STRIDE_RATIO``, which no flag sets.  Malformed settings are
-usage errors and exit 2 with a ``psiverify: error:`` message: a ``--samples``
-or ``--workers`` below 1, a config value of the wrong type, or a config
-``format`` that the subcommand's ``--format`` does not offer.
+``VerifyConfig``: two depths and a seed.  The code, not a flag, sets the
+stride of ``scan bounds``, the reduction sampling and the escalation.
+Malformed settings are usage errors and exit 2 with a ``psiverify: error:``
+message: a ``--workers`` below 1, a config value of the wrong type, or a
+config ``format`` that the subcommand's ``--format`` does not offer.
 
 ``verify`` runs its claims on one prefix pass; ``--workers`` has no effect yet.
 """
@@ -201,7 +201,7 @@ def _cmd_scan(args, file_cfg: dict) -> int:
 
     # bound scan; scan_bound checks the name and the range
     table = build_table(required_table_limit(args.stop), cache_dir=cache)
-    scan = scan_bound(table, args.name, args.start, args.stop, escalate=not args.no_escalate)
+    scan = scan_bound(table, args.name, args.start, args.stop)
     _emit(_json_dumps(scan.to_dict()), args.output)
     return 0 if scan.all_hold else 1
 
@@ -220,9 +220,7 @@ def _cmd_verify(args, file_cfg: dict) -> int:
             args.champion_limit, file_cfg, "champion_limit", None, VerifyConfig.champion_limit, int
         ),
         n_max=_setting(args.n_max, file_cfg, "n_max", None, VerifyConfig.n_max, int),
-        reduction_samples=args.samples,
         seed=args.seed,
-        escalate=not args.no_escalate,
     )
     table = build_default_table(config, cache_dir=_cache_dir(args, file_cfg))
     report = run_claims(ids, table, config)
@@ -321,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--name", required=True, help=f"one of: {', '.join(BOUND_NAMES)}")
     q.add_argument("--from", dest="start", type=int, required=True)
     q.add_argument("--to", dest="stop", type=int, required=True)
-    q.add_argument("--no-escalate", action="store_true")
     q.add_argument("--output")
     q.add_argument("--cache-dir", dest="cache_dir")
 
@@ -329,10 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("claims", nargs="*", help=f"claims to run (default all): {', '.join(CLAIM_IDS)}")
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--champion-limit", dest="champion_limit", type=int, default=None)
-    p.add_argument("--samples", type=_positive_int, default=VerifyConfig.reduction_samples)
     p.add_argument("--seed", type=int, default=VerifyConfig.seed)
     p.add_argument("--workers", type=_positive_int, default=1, help="no effect yet: one pass serves all claims")
-    p.add_argument("--no-escalate", action="store_true")
     p.add_argument("--json", help="write the full JSON report here")
     p.add_argument("--output")
     p.add_argument("--cache-dir", dest="cache_dir")

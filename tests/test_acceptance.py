@@ -247,8 +247,6 @@ def test_criterion_9_determinism(table, tmp_path):
         "100000",
         "--n-max",
         "3000",
-        "--samples",
-        "500",
     ]
     out1 = tmp_path / "r1.json"
     out4 = tmp_path / "r4.json"

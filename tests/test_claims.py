@@ -29,6 +29,7 @@ from psiverify.claims import (
 )
 from psiverify.errors import RangeError, UnknownClaimError
 from psiverify.numerics import VerdictStatus
+from psiverify.primes import build_table
 from psiverify.series import TERMS
 
 
@@ -112,7 +113,7 @@ def test_champions_equal_primorials_to_1e4():
 
 
 def test_reduction_exhaustive_n3(table):
-    res = reduction_check(3, None, table=table)
+    res = reduction_check(3, table=table)
     assert res.holds
     assert res.covered["checked"] == 180  # all of [30, 210)
     assert res.covered["m"] == [30, 209]
@@ -121,15 +122,17 @@ def test_reduction_exhaustive_n3(table):
 
 def test_reduction_equality_branch(table):
     # m = N_n itself is included and holds with equality
-    res = reduction_check(2, None, table=table)
+    res = reduction_check(2, table=table)
     assert res.covered["m"][0] == 6
     assert res.holds
 
 
 def test_reduction_sampled_deterministic(table):
-    a = reduction_check(5, 10**4, table=table, seed=7)
-    b = reduction_check(5, 10**4, table=table, seed=7)
+    # n_index 6 is the first block past REDUCTION_EXHAUSTIVE_MAX, so it is sampled
+    a = reduction_check(6, table=table, seed=7)
+    b = reduction_check(6, table=table, seed=7)
     assert a.holds and b.holds
+    assert a.covered["exhaustive"] is False
     assert a.to_dict() == b.to_dict()
 
 
@@ -137,12 +140,12 @@ def test_reduction_oracle_on_block(table):
     # independent: exhaustive Fractions over [N_4, N_5)
     best = brute_psi_ratio(210)
     assert all(brute_psi_ratio(m) <= best for m in range(210, 2310))
-    assert reduction_check(4, None, table=table).holds
+    assert reduction_check(4, table=table).holds
 
 
 def test_reduction_validation(table):
     with pytest.raises(RangeError):
-        reduction_check(1, None, table=table)
+        reduction_check(1, table=table)
 
 
 def test_verify_upper(table):
@@ -179,22 +182,11 @@ def test_verify_lower_shallow(table):
     assert margins["10"][0] > margins["100"][0] > margins["1000"][0] > 0
 
 
-def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
-    """Force one INCONCLUSIVE so the 113-bit recompute must decide n = 3."""
-    import psiverify.claims as claims_mod
-    from psiverify.bounds import _interval_sides
-    from psiverify.numerics import VerdictStatus
-    from psiverify.series import stream_points
-
-    point = next(p for p in stream_points(table, 25) if p.n == 25)
-    (ratio, radius), _ = _interval_sides(table, LOWER, 25)
-    assert abs(ratio - point.ratio.value) <= radius + point.ratio.radius
-    assert radius <= point.ratio.radius
-
-    real_status = claims_mod.ball_status
+def _first_status_inconclusive(monkeypatch, module) -> None:
+    """Make the first ``ball_status`` call in ``module`` INCONCLUSIVE, as a thin margin would."""
+    real_status = module.ball_status
     state = {"first": True}
 
-    # the scan decides each point on its pairs with the float verdict core
     def flaky_status(margin, claim):
         status = real_status(margin, claim)
         if state["first"]:
@@ -202,7 +194,22 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
             return VerdictStatus.INCONCLUSIVE
         return status
 
-    monkeypatch.setattr(claims_mod, "ball_status", flaky_status)
+    monkeypatch.setattr(module, "ball_status", flaky_status)
+
+
+def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
+    """Force one INCONCLUSIVE so the 113-bit recompute must decide n = 3."""
+    import psiverify.claims as claims_mod
+    from psiverify.bounds import _interval_sides
+    from psiverify.series import stream_points
+
+    point = next(p for p in stream_points(table, 25) if p.n == 25)
+    (ratio, radius), _ = _interval_sides(table, LOWER, 25)
+    assert abs(ratio - point.ratio.value) <= radius + point.ratio.radius
+    assert radius <= point.ratio.radius
+
+    # the scan decides each point on its pairs with the float verdict core
+    _first_status_inconclusive(monkeypatch, claims_mod)
     res = verify_lower(table, 50)
     assert res.details["escalated_at"] == [3]
     assert res.details["dual_mismatch"] == []
@@ -214,21 +221,11 @@ def test_verify_lower_reports_an_escalated_dual_that_disagrees(table, monkeypatc
     import psiverify.claims as claims_mod
     from psiverify.bounds import _interval_sides
 
-    real_status = claims_mod.ball_status
-    state = {"first": True}
-
-    def flaky_status(margin, claim):
-        status = real_status(margin, claim)
-        if state["first"]:
-            state["first"] = False
-            return VerdictStatus.INCONCLUSIVE
-        return status
-
     def shifted_sides(table, bound, n):
         (lhs, radius), rhs = _interval_sides(table, bound, n)
         return ((lhs + 1.0, radius) if bound is DUAL else (lhs, radius)), rhs
 
-    monkeypatch.setattr(claims_mod, "ball_status", flaky_status)
+    _first_status_inconclusive(monkeypatch, claims_mod)
     monkeypatch.setattr(claims_mod, "_interval_sides", shifted_sides)
     res = verify_lower(table, 50)
     assert res.details["escalated_at"] == [3]
@@ -240,6 +237,35 @@ def test_verify_lower_reports_an_escalated_dual_that_disagrees(table, monkeypatc
 def test_verify_lower_validation(table):
     with pytest.raises(RangeError):
         verify_lower(table, 2)
+
+
+def test_upper_escalates_an_inconclusive_primorial_point(table, monkeypatch):
+    # the first ball comparison in bounds is (b)'s UPPER row at n = 4; the 113-bit path decides it
+    import psiverify.bounds as bounds_mod
+
+    _first_status_inconclusive(monkeypatch, bounds_mod)
+    res = run_claims(["upper"], table, VerifyConfig(n_max=3000))["claims"]["upper"]
+    assert res["holds"], res["counterexamples"]
+    assert res["details"]["b"]["counterexamples"] == []
+
+
+def test_mertens_trend_escalates_an_inconclusive_checkpoint(table, monkeypatch):
+    # the first ball comparison in claims decides LOWER at the checkpoint n = 10
+    import psiverify.claims as claims_mod
+
+    _first_status_inconclusive(monkeypatch, claims_mod)
+    res = run_claims(["mertens-trend"], table, VerifyConfig(n_max=1000))["claims"]["mertens-trend"]
+    assert res["holds"], res["counterexamples"]
+
+
+@pytest.mark.parametrize("cid", ["lower", "zeta-tail", "mertens-trend", "upper"])
+def test_a_prefix_claim_past_the_table_raises_before_the_pass(monkeypatch, cid):
+    # 168 primes, n_max 10^4: each claim reads past p_168, and says so before it sums a prime
+    short = build_table(1000)
+    passes = _start_spy(monkeypatch)
+    with pytest.raises(RangeError, match=rf"^{cid}: n_max=10000 reads index \d+, past the table's 168 primes$"):
+        run_claims([cid], short, VerifyConfig(n_max=10**4))
+    assert passes == []
 
 
 def _certified_values_built(monkeypatch, run) -> int:
@@ -341,7 +367,7 @@ def test_run_claims_subset_and_json(table):
 
 
 def test_run_claims_worker_count_invariance(table):
-    config = VerifyConfig(champion_limit=10**4, n_max=3000, reduction_samples=200)
+    config = VerifyConfig(champion_limit=10**4, n_max=3000)
     r1 = run_claims(None, table, config)
     r2 = run_claims(None, table, config)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
@@ -354,10 +380,8 @@ def test_upper_seams_follow_the_proof():
     assert UPPER_PRIMORIAL_STOP + 1 == FIRST_INDEX_AT_20000
 
 
-def test_verify_config_has_five_settings_and_reports_the_fixed_ones():
-    assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
-        "champion_limit", "n_max", "reduction_samples", "seed", "escalate",
-    ]
+def test_verify_config_has_three_settings_and_reports_the_fixed_ones():
+    assert [f.name for f in dataclasses.fields(VerifyConfig)] == ["champion_limit", "n_max", "seed"]
     assert VerifyConfig(n_max=500).to_dict() == {
         "champion_limit": 10**6,
         "n_max": 500,
@@ -398,7 +422,7 @@ def _start_spy(monkeypatch) -> list:
 def test_claims_run_alone_equal_their_entries_in_the_shared_run(table, n_max):
     # at 1000, psi-bound and threshold scan only 2263 and the upper (c)
     # steps lie past n_max, so the shared pass records past the lower scan
-    config = VerifyConfig(champion_limit=10**4, n_max=n_max, reduction_samples=200)
+    config = VerifyConfig(champion_limit=10**4, n_max=n_max)
     full = run_claims(None, table, config)["claims"]
     for cid in CLAIM_IDS:
         alone = run_claims([cid], table, config)["claims"][cid]
@@ -411,7 +435,7 @@ def test_claims_run_alone_equal_their_entries_in_the_shared_run(table, n_max):
 
 def test_one_prefix_pass_per_verify_run(table, monkeypatch):
     passes = _start_spy(monkeypatch)
-    report = run_claims(None, table, VerifyConfig(champion_limit=10**4, n_max=3000, reduction_samples=200))
+    report = run_claims(None, table, VerifyConfig(champion_limit=10**4, n_max=3000))
     claims = report["claims"]
     assert report["all_hold"]
     assert claims["lower"]["details"]["escalated_at"] == []
@@ -451,6 +475,6 @@ def test_upper_factors_on_the_run_table(table, monkeypatch):
 @pytest.mark.parametrize("cid", CLAIM_IDS)
 def test_one_prefix_pass_per_claim_run_alone(table, monkeypatch, cid):
     passes = _start_spy(monkeypatch)
-    report = run_claims([cid], table, VerifyConfig(champion_limit=10**4, n_max=20000, reduction_samples=200))
+    report = run_claims([cid], table, VerifyConfig(champion_limit=10**4, n_max=20000))
     assert report["all_hold"]
     assert len(passes) <= 1

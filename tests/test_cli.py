@@ -280,18 +280,19 @@ def test_stale_temp_directory_does_not_block_the_cache(capsys, tmp_path):
         (["scan", "lower", "--n-max", "5"], {"format": "xml"}),
         (["scan", "points", "--n-max", "5"], {"format": "table"}),
         (["compute", "30"], {"format": "xml"}),
-        (["verify", "reduction", "--samples", "-3"], None),
-        (["verify", "reduction", "--samples", "0"], None),
         (["verify", "champions", "--champion-limit", str(MAX_LIMIT + 1)], None),
         (["verify", "champions", "--champion-limit", "1000"], None),  # the tables fail to allocate
         (["verify", "mertens-trend", "--n-max", "9"], None),
+        # the code, not a flag, sets the reduction sampling and the escalation
+        (["verify", "reduction", "--samples", "5"], None),
+        (["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "50", "--no-escalate"], None),
     ],
     ids=[
         "workers-0", "workers-negative",
         "config-n_max-list", "config-champion_limit-float", "config-n_max-string", "config-cache_dir-int",
         "config-format-scan-lower", "config-format-scan-points", "config-format-compute",
-        "samples-negative", "samples-0",
         "champion_limit-above-sieve-cap", "champion_limit-out-of-memory", "n_max-below-first-checkpoint",
+        "samples-removed", "scan-bounds-no-escalate-removed",
     ],
 )
 def test_malformed_numbers_exit_2(capsys, tmp_path, monkeypatch, request, argv, config):
@@ -340,27 +341,28 @@ def first_ball_comparison_inconclusive(monkeypatch):
     monkeypatch.setattr(claims_mod, "ball_status", flaky_status)
 
 
-@pytest.mark.parametrize("no_escalate,code", [(True, 1), (False, 0)], ids=["no-escalate", "escalate"])
-def test_scan_bounds_no_escalate_leaves_the_point_inconclusive(
-    capsys, first_ball_comparison_inconclusive, no_escalate, code
-):
-    argv = ["scan", "bounds", "--name", "zeta-tail", "--from", "25", "--to", "25"]
-    got, out, err = run_cli(capsys, *argv, *(["--no-escalate"] if no_escalate else []))
-    assert got == code, err
+def test_scan_bounds_escalates_an_inconclusive_point(capsys, first_ball_comparison_inconclusive):
+    got, out, err = run_cli(capsys, "scan", "bounds", "--name", "zeta-tail", "--from", "25", "--to", "25")
+    assert got == 0, err
     report = json.loads(out)
-    assert report["verdicts"] == {"holds": int(not no_escalate), "inconclusive": int(no_escalate), "fails": 0}
-    assert report["escalated_at"] == ([] if no_escalate else [25])
+    assert report["verdicts"] == {"holds": 1, "inconclusive": 0, "fails": 0}
+    assert report["escalated_at"] == [25]
 
 
 def test_verify_no_escalate_fails_on_an_inconclusive_point(capsys, tmp_path, first_ball_comparison_inconclusive):
+    """``--no-escalate`` is gone: the code escalates the inconclusive point, and the claim holds."""
     report = tmp_path / "report.json"
-    code, _, _ = run_cli(capsys, "verify", "lower", "--n-max", "50", "--no-escalate", "--json", str(report))
-    assert code == 1
+    with pytest.raises(SystemExit) as refused:  # argparse rejects the flag at parse time
+        main(["verify", "lower", "--n-max", "50", "--no-escalate", "--json", str(report)])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --no-escalate" in capsys.readouterr().err
+    assert not report.exists()
+    code, _, err = run_cli(capsys, "verify", "lower", "--n-max", "50", "--json", str(report))
+    assert code == 0, err
     rep = json.loads(report.read_text())
-    assert rep["config"]["escalate"] is False
-    assert 3 in rep["claims"]["lower"]["counterexamples"]
-    assert rep["claims"]["lower"]["counterexamples"] == [3]
-    assert rep["claims"]["lower"]["details"]["escalated_at"] == []
+    assert rep["config"]["escalate"] is True
+    assert rep["claims"]["lower"]["counterexamples"] == []
+    assert rep["claims"]["lower"]["details"]["escalated_at"] == [3]
 
 
 def test_cache_requires_directory(capsys, monkeypatch):
