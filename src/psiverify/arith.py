@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapabilityError, DomainError, ResourceError
 from .numerics import CertifiedValue, div_ball, log_ball, log_int_ball, ratio_ball
 from .primes import MAX_LIMIT, PrimeTable, build_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_FACTOR_LIMIT",
@@ -216,12 +218,15 @@ def psi_ratio_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     int64 is exact here: below the sieve cap m has at most 9 distinct primes
     (N_10 > 2^31), and the largest numerator stays far below 2^63 (checked
     before returning).  A limit above the sieve cap raises ResourceError
-    before anything is allocated.
+    before anything is allocated.  numpy is imported here, by the exact
+    claims that need it, and not by a command that runs none of them.
     """
     if limit < 1:
         raise DomainError("psi_ratio_tables: limit must be >= 1")
     if limit > MAX_LIMIT:
         raise ResourceError(f"psi_ratio_tables: limit {limit} exceeds the sieve cap {MAX_LIMIT}")
+    import numpy as np
+
     num = np.ones(limit + 1, dtype=np.int64)
     den = np.ones(limit + 1, dtype=np.int64)
     primes = np.frombuffer(build_table(max(limit, 2)).primes, dtype=np.int64)

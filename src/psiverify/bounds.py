@@ -38,8 +38,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterable
 
-from mpmath.ctx_iv import MPIntervalContext
-
 from .errors import DomainError, RangeError
 from .numerics import (
     E_GAMMA,
@@ -247,7 +245,12 @@ _BALL = SimpleNamespace(
 
 
 def _interval_arithmetic(prec: int) -> SimpleNamespace:
-    """Outward-rounded mpmath intervals at ``prec`` bits, with the names of _BALL."""
+    """Outward-rounded mpmath intervals at ``prec`` bits, with the names of _BALL.
+
+    mpmath is imported here, on the escalation path, and not by a run that never escalates.
+    """
+    from mpmath.ctx_iv import MPIntervalContext
+
     ctx = MPIntervalContext()
     ctx.prec = prec
     gamma = +ctx.euler

@@ -29,10 +29,11 @@ alone, and each public claim function, is that call on the reader its
 claim-table entry builds; an entry whose indices pass the table raises
 :class:`RangeError` before the pass.  ``bounds._read_bound`` decides the six
 bound scans and ``upper`` (b), the row ``UPPER``, and re-decides an
-INCONCLUSIVE point.  ``lower`` decides the rows ``LOWER`` and ``DUAL`` in its
-own loop, re-deciding both where either is not HOLDS, and books a
-``BoundScan`` like every scan.  ``mertens-trend`` is ``lower``'s reader at
-the live checkpoints alone (those up to ``n_max``).
+INCONCLUSIVE point; ``upper`` (c) re-decides a threshold point or step that
+is not HOLDS on the ``threshold`` row's 113-bit path.  ``lower`` decides the
+rows ``LOWER`` and ``DUAL`` in its own loop, re-deciding both where either
+is not HOLDS, and books a ``BoundScan`` like every scan.  ``mertens-trend``
+is ``lower``'s reader at the live checkpoints alone (those up to ``n_max``).
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .arith import factorize, primorials_up_to, psi_from_factors, psi_ratio_tables, robin_ratio
 from .bounds import (
@@ -193,6 +192,8 @@ def champion_scan(limit: int, table: PrimeTable | None = None) -> ClaimResult:
     The candidates are decided in increasing order, so the exact running
     maximum they see is the one the full loop over [2, limit] would see.
     """
+    import numpy as np
+
     num, den = psi_ratio_tables(limit)
     r = num / den
     r[0] = 0.0
@@ -258,6 +259,8 @@ def reduction_check(n_index: int, *, table: PrimeTable, seed: int = VerifyConfig
     bad: list[int] = []
     exhaustive = n_index <= REDUCTION_EXHAUSTIVE_MAX
     if exhaustive:
+        import numpy as np
+
         num, den = psi_ratio_tables(hi - 1)
         seg_n = num[lo:hi].astype(object)
         seg_d = den[lo:hi].astype(object)
@@ -311,6 +314,9 @@ def verify_upper(table: PrimeTable, n_max: int = VerifyConfig.n_max) -> ClaimRes
     (c) the threshold condition at index 2263 plus certified monotonicity
         steps, which covers every n >= 2263.  The steps depend on ``n_max``
         alone, never on how many primes the table holds.
+
+    (b) re-decides an INCONCLUSIVE point, and (c) a threshold point or step
+    that is not HOLDS, on the 113-bit path.
     """
     return _run_alone("upper", table, n_max)
 
@@ -340,20 +346,25 @@ def _upper(table: PrimeTable, monotone_at: list[int]):
     r30_high = compare(robin_ratio(30, table), E_GAMMA, ">").status is VerdictStatus.HOLDS
 
     # (c) the threshold at the first valid index, then monotone steps: its lhs
-    # decreases, certified, from n to n + 1
+    # decreases, certified, from n to n + 1.  A part that is not HOLDS is
+    # re-decided on the 113-bit path.
     threshold = BOUNDS["threshold"]
     c_bad: list[int] = []
     theta, _ = yield FIRST_INDEX_AT_20000
     first_margin = sub_ball(*threshold.sides(_BALL, table.nth_prime(FIRST_INDEX_AT_20000), theta))
     if ball_status(first_margin, threshold.claim) is not VerdictStatus.HOLDS:
-        c_bad.append(FIRST_INDEX_AT_20000)
+        first_margin = sub_ball(*_interval_sides(table, threshold, FIRST_INDEX_AT_20000))
+        if ball_status(first_margin, threshold.claim) is not VerdictStatus.HOLDS:
+            c_bad.append(FIRST_INDEX_AT_20000)
     for n in monotone_at:
         theta, _ = yield n
         lhs, _ = threshold.sides(_BALL, table.nth_prime(n), theta)
         theta, _ = yield n + 1
         lhs_next, _ = threshold.sides(_BALL, table.nth_prime(n + 1), theta)
         if ball_status(sub_ball(lhs_next, lhs), "<") is not VerdictStatus.HOLDS:
-            c_bad.append(n)
+            (lhs, _), (lhs_next, _) = (_interval_sides(table, threshold, k) for k in (n, n + 1))
+            if ball_status(sub_ball(lhs_next, lhs), "<") is not VerdictStatus.HOLDS:
+                c_bad.append(n)
 
     bad = a_bad + b.failed_at + c_bad
     return ClaimResult(

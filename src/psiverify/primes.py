@@ -1,11 +1,14 @@
 """Segmented prime sieve, a primes-only table, and its binary disk cache.
 
-The sieve produces every prime up to a limit in bounded memory (one segment
-of flags at a time) and appends each segment's primes in ascending order,
-so the table is identical for any segment size.  The table holds only the
-limit and the primes; every sum over them, theta(p_n) = log N_n included,
-is accumulated by the one prefix pass in :mod:`psiverify.series`.  After
-construction the table is immutable and safe to share across threads.
+The sieve produces every prime up to a limit in bounded memory: it finds
+the primes up to the square root of the limit, then sieves the rest in
+segments, each a ``bytearray`` with one flag per odd number, and appends
+each segment's primes in ascending order, so the table is identical for
+any segment size.  Sieve, cache and loader use the standard library alone.
+The table holds only the limit and the primes; every sum over them,
+theta(p_n) = log N_n included, is accumulated by the one prefix pass in
+:mod:`psiverify.series`.  After construction the table is immutable and
+safe to share across threads.
 
 Cache file layout (little-endian throughout)::
 
@@ -33,6 +36,7 @@ never share a temporary file.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 import sys
@@ -41,14 +45,15 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import compress, islice, repeat
+from typing import Iterator
 
 from .errors import RangeError, ResourceError
 
 __all__ = ["PrimeTable", "build_table", "save_table", "load_table", "inspect_cache"]
 
-DEFAULT_SEGMENT_FLAGS = 1 << 20  # sieve flags per segment; the table does not depend on it
+DEFAULT_SEGMENT_FLAGS = 1 << 20  # numbers per segment, a flag for each odd one; the table does not depend on it
+_CHUNK_FLAGS = 1 << 14  # flags read into primes per step; the table does not depend on it
 MAX_LIMIT = 1 << 31  # sieve cap: the largest table limit built or loaded
 # The maximal prime gap below 2^31 is 292, after 1,453,168,141 (the next record,
 # 320, follows 2,300,942,549), so a complete table ends within 292 of its limit.
@@ -93,23 +98,38 @@ class PrimeTable:
         return i < self.count and self.primes[i] == x
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
+def _small_primes(limit: int) -> list[int]:
+    """Every prime <= ``limit``, for the short ranges of the base primes."""
+    flags = bytearray(b"\x01") * (limit + 1)
+    flags[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0]
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), flags))
 
 
-def _sieve_segment(lo: int, hi: int, base) -> np.ndarray:
-    """The primes in [lo, hi), for 2 <= lo, given ``base``: every prime <= isqrt(hi - 1)."""
-    flags = np.ones(hi - lo, dtype=bool)
+def _odd_primes(lo: int, hi: int, base: list[int]) -> Iterator[list[int]]:
+    """The odd primes in [lo, hi), ascending, in one list per chunk of flags.
+
+    Needs 3 <= lo and ``base``: every odd prime <= isqrt(hi - 1).
+    """
+    lo |= 1  # flags[i] is the odd number lo + 2i
+    size = (hi - lo + 1) // 2
+    flags = bytearray(b"\x01") * size
     for p in base:
-        first = max(p * p, ((lo + p - 1) // p) * p)
-        if first < hi:
-            flags[first - lo :: p] = False
-    return np.nonzero(flags)[0] + lo
+        first = max(p * p, -(-lo // p) * p)
+        if not first & 1:
+            first += p  # the first odd multiple: the even ones have no flag
+        start = (first - lo) // 2
+        if start < size:
+            flags[start::p] = bytes((size - 1 - start) // p + 1)
+    # each chunk's primes are its flagged offsets plus its first number, so only
+    # the primes, not every odd number, become int objects
+    offsets = list(range(0, 2 * min(size, _CHUNK_FLAGS), 2))
+    return (
+        list(map(operator.add, compress(offsets, flags[c : c + _CHUNK_FLAGS]), repeat(lo + 2 * c)))
+        for c in range(0, size, _CHUNK_FLAGS)
+    )
 
 
 def build_table(limit: int, *, cache_dir: str | os.PathLike | None = None) -> PrimeTable:
@@ -133,14 +153,16 @@ def build_table(limit: int, *, cache_dir: str | os.PathLike | None = None) -> Pr
         if cached is not None and cached.limit >= limit:
             return cached
 
-    # the base primes are all primes <= isqrt(limit); the segments cover the rest
-    root = math.isqrt(limit)
-    base = _simple_sieve(root).tolist()
+    # the base primes are all primes <= isqrt(limit), and 2; the segments cover the rest
+    root = max(math.isqrt(limit), 2)
+    base = _small_primes(root)
     primes = array("q", base)
+    odd_base = base[1:]
     lo = root + 1
     while lo <= limit:
         hi = min(lo + DEFAULT_SEGMENT_FLAGS, limit + 1)
-        primes.extend(_sieve_segment(lo, hi, base).tolist())
+        for chunk in _odd_primes(lo, hi, odd_base):
+            primes.fromlist(chunk)
         lo = hi
 
     table = PrimeTable(limit=limit, primes=primes)
@@ -152,7 +174,11 @@ def build_table(limit: int, *, cache_dir: str | os.PathLike | None = None) -> Pr
 
 def save_table(table: PrimeTable, path: str | os.PathLike) -> None:
     path = os.fspath(path)
-    body = np.asarray(table.primes, dtype="<i8").tobytes()
+    primes = table.primes
+    if sys.byteorder == "big":
+        primes = array("q", primes)
+        primes.byteswap()
+    body = primes.tobytes()
     header = _HEADER.pack(_MAGIC, _VERSION, 0, table.limit, table.count)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".")
     try:
@@ -186,19 +212,19 @@ def load_table(path: str | os.PathLike) -> PrimeTable:
     table.primes.frombytes(body)  # the one copy of the primes
     if sys.byteorder == "big":
         table.primes.byteswap()
-    primes = np.frombuffer(table.primes, dtype=np.int64)
+    primes = table.primes
     if count == 0 or primes[0] != 2:
         raise ValueError("prime cache does not start at the prime 2")
-    if not np.all(primes[1:] > primes[:-1]):
+    if not all(map(operator.lt, primes, islice(primes, 1, None))):
         raise ValueError("prime cache primes do not strictly increase")
-    last = int(primes[-1])
+    last = primes[-1]
     if last > limit:
         raise ValueError(f"prime cache holds prime {last} above its limit {limit}")
     if limit > MAX_LIMIT:
         raise ValueError(f"prime cache limit {limit} exceeds the sieve cap {MAX_LIMIT}")
     # the file holds every prime up to its limit only if (last, limit] holds none
-    base = _simple_sieve(math.isqrt(limit)).tolist()
-    if limit - last > _MAX_PRIME_GAP or _sieve_segment(last + 1, limit + 1, base).size:
+    base = _small_primes(math.isqrt(limit))[1:]
+    if limit - last > _MAX_PRIME_GAP or any(_odd_primes(last + 1, limit + 1, base)):
         raise ValueError(f"prime cache claims limit {limit} but lacks the primes between {last} and it")
     return table
 

@@ -182,15 +182,15 @@ def test_verify_lower_shallow(table):
     assert margins["10"][0] > margins["100"][0] > margins["1000"][0] > 0
 
 
-def _first_status_inconclusive(monkeypatch, module) -> None:
-    """Make the first ``ball_status`` call in ``module`` INCONCLUSIVE, as a thin margin would."""
+def _first_status_inconclusive(monkeypatch, module, nth: int = 1) -> None:
+    """Make the ``nth`` ``ball_status`` call in ``module`` INCONCLUSIVE, as a thin margin would."""
     real_status = module.ball_status
-    state = {"first": True}
+    state = {"calls": 0}
 
     def flaky_status(margin, claim):
         status = real_status(margin, claim)
-        if state["first"]:
-            state["first"] = False
+        state["calls"] += 1
+        if state["calls"] == nth:
             return VerdictStatus.INCONCLUSIVE
         return status
 
@@ -247,6 +247,19 @@ def test_upper_escalates_an_inconclusive_primorial_point(table, monkeypatch):
     res = run_claims(["upper"], table, VerifyConfig(n_max=3000))["claims"]["upper"]
     assert res["holds"], res["counterexamples"]
     assert res["details"]["b"]["counterexamples"] == []
+
+
+@pytest.mark.parametrize("nth", [1, 2], ids=["threshold", "monotone-step"])
+def test_upper_escalates_an_inconclusive_threshold_part(table, monkeypatch, nth):
+    # the first ball comparison in claims is (c)'s threshold at n = 2263, the second
+    # its monotone step from 2263 to 2264; the 113-bit path re-decides either
+    import psiverify.claims as claims_mod
+
+    _first_status_inconclusive(monkeypatch, claims_mod, nth)
+    res = run_claims(["upper"], table, VerifyConfig(n_max=3000))["claims"]["upper"]
+    assert res["holds"], res["counterexamples"]
+    assert res["details"]["c"]["counterexamples"] == []
+    assert res["details"]["c"]["monotone_checked_at"] == [2263, 2500]
 
 
 def test_mertens_trend_escalates_an_inconclusive_checkpoint(table, monkeypatch):

@@ -7,6 +7,7 @@ import os
 import struct
 import tracemalloc
 import zlib
+from bisect import bisect_right
 
 import mpmath as mp
 import pytest
@@ -122,11 +123,30 @@ def test_theta_matches_exact_primorial_logs(table):
         assert abs(th[0] - ln) <= th[1] + ln_radius
 
 
-def test_sieve_matches_trial_division_to_1e5():
-    t = build_table(10**5)
-    sieved = set(t.primes)
-    for n in range(2, 10**5 + 1):
-        assert (n in sieved) == trial_is_prime(n)
+# p^2 - 1, p^2 and p^2 + 1 for every p <= 31: the first multiple a base prime crosses out
+_AT_PRIME_SQUARES = sorted({p * p + d for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize(
+    "limits,segment",
+    [
+        ((10**5,), None),
+        (range(2, 2001), None),
+        (_AT_PRIME_SQUARES, None),
+        # an odd segment length starts segments on both parities, an even one on one
+        ((*range(2, 300), *_AT_PRIME_SQUARES, 10**4), 7),
+        ((*range(2, 300), *_AT_PRIME_SQUARES, 10**4), 8),
+    ],
+    ids=["1e5", "every-limit-to-2000", "prime-squares", "segment-7", "segment-8"],
+)
+def test_sieve_matches_trial_division_to_1e5(monkeypatch, limits, segment):
+    import psiverify.primes as primes_mod
+
+    if segment is not None:
+        monkeypatch.setattr(primes_mod, "DEFAULT_SEGMENT_FLAGS", segment)
+    trial = [n for n in range(2, max(limits) + 1) if trial_is_prime(n)]
+    for limit in limits:
+        assert list(build_table(limit).primes) == trial[: bisect_right(trial, limit)], limit
 
 
 def test_segment_size_does_not_change_anything(monkeypatch):
