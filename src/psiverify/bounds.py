@@ -12,7 +12,16 @@ one prefix pass that stops at the point.  One :func:`series.serve` reader,
 in a :class:`BoundScan`, building no object per point; a range scan is that
 reader at the indices of :func:`stride_indices`: every index up to
 :data:`DENSE_UNTIL`, then steps of ratio :data:`STRIDE_RATIO`.  The code, not
-the caller, picks them.  The rows of :data:`BOUNDS`:
+the caller, picks them.
+
+The reader decides a row by brackets.  theta(p_n), p_n and every prefix sum
+are monotone in n, so at each index of a run the atoms lie in the hulls of
+their balls at the run's two ends, and the ball kernels enclose.  So the
+sides evaluated once on those hulls, in the arithmetic :data:`_HULL`,
+enclose the row at every index of the run, and a HOLDS there proves them
+all.  A hull that is not HOLDS is bisected down to points decided alone on
+their own balls, as are the first and last index and the index that ends
+each run.  The rows of :data:`BOUNDS`:
 
 * ``rs-product``     prod_{p<=x} (1-1/p)^(-1)  <=  e^gamma (log x + 1/log x)   (x >= 2)
 * ``zeta-tail``      zeta(2) prod_{p<=p_n} (1-1/p^2)  <=  exp(2/p_n)           (n >= 2)
@@ -56,6 +65,7 @@ from .numerics import (
     exact_ball,
     exp_ball,
     from_mp_interval,
+    hull_ball,
     int_ball,
     log_ball,
     mul_ball,
@@ -75,6 +85,7 @@ __all__ = [
     "Bound",
     "BoundReport",
     "BoundScan",
+    "BRACKET_MAX",
     "DENSE_UNTIL",
     "STRIDE_RATIO",
     "rosser_schoenfeld_bound",
@@ -95,6 +106,9 @@ FIRST_INDEX_AT_20000 = 2263  # p_2263 is the first prime >= 20000
 # a range scan evaluates every index up to DENSE_UNTIL, and geometric steps of STRIDE_RATIO beyond
 DENSE_UNTIL = 10**4
 STRIDE_RATIO = 1.01
+
+# the widest run of indices one hull decides (see _read_bound); the reader buffers that many balls
+BRACKET_MAX = 2**10
 
 # read once per point, so bound once here: a module global is cheaper than an Enum member lookup
 _HOLDS = VerdictStatus.HOLDS
@@ -131,7 +145,13 @@ def _stride() -> dict:
 
 @dataclass
 class BoundScan:
-    """The worst margin, the failures and the escalations of one row over its indices."""
+    """The worst margin, the failures and the escalations of one row over its indices.
+
+    ``holds`` (``verdicts.holds``, and so ``points_checked``) counts the
+    indices proven, alone or inside a held bracket (see :func:`_read_bound`).
+    ``worst_slack``, ``worst_at``, ``escalated_at``, ``fails``,
+    ``inconclusive`` and ``failed_at`` come from the points decided alone.
+    """
 
     bound: str
     start: int
@@ -242,6 +262,14 @@ _BALL = SimpleNamespace(
     gamma=EULER_GAMMA.ball, e_gamma=E_GAMMA.ball, zeta2=ZETA2.ball,
     e_gamma_over_zeta2=E_GAMMA_OVER_ZETA2.ball,
 )
+
+# _BALL on the hulls of a run's end atoms: x is the pair (p_a, p_b) of its end primes, and
+# num/p is monotone in p, so the hull of the two ends' balls holds it at every p between them
+_HULL = SimpleNamespace(**{
+    **vars(_BALL),
+    "integer": lambda x: hull_ball(int_ball(x[0]), int_ball(x[1])),
+    "ratio": lambda num, x: hull_ball(ratio_ball(num, x[0]), ratio_ball(num, x[1])),
+})
 
 
 def _interval_arithmetic(prec: int) -> SimpleNamespace:
@@ -391,20 +419,77 @@ def bound_reader(table: PrimeTable, name: str, start: int, stop: int) -> Reader:
 def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Iterable[int]):
     """The :func:`series.serve` generator that decides ``bound`` at the ascending ``indices``.
 
-    It books each point in ``scan`` (at x = p_n for an x-parameterized bound),
-    re-decides an INCONCLUSIVE one on the 113-bit path, and returns ``scan``.
+    It decides the row by brackets and returns ``scan``.  It buffers the
+    ``(n, theta, sums)`` it is sent; when ``width`` are buffered, the next
+    index ends the run.  :func:`_bracket` decides the run on the hulls of
+    its end atoms: theta(p_n), p_n and every prefix sum are monotone in n,
+    and the ball kernels enclose, so a hull that HOLDS proves the row at
+    every index of the run.  :func:`_decide` decides the index that ends
+    each run alone, and the first and the last index.  A held bracket
+    doubles the width, up to :data:`BRACKET_MAX`, and a failed one halves
+    it; below two, the row decides a stretch of points alone, which doubles
+    while its hulls keep failing, and then brackets again.
     """
+    run: list = []  # the (n, theta, sums) buffered since the last point decided alone
+    width, alone, stretch = 2, 1, 1  # the next bracket's width; points left to decide alone first
     for n in indices:
         theta, sums = yield n
-        x = table.nth_prime(n)
-        margin = sub_ball(*bound.sides(_BALL, x, theta, *sums))
-        status = ball_status(margin, bound.claim)
-        escalated = status is _INCONCLUSIVE
-        if escalated:
-            margin = sub_ball(*_interval_sides(table, bound, n))
-            status = ball_status(margin, bound.claim)
-        scan.record(x if bound.at_x else n, status, _slack(bound.claim, margin), escalated)
+        if alone:
+            alone -= 1
+        elif len(run) < width:
+            run.append((n, theta, sums))
+            continue
+        elif _bracket(table, bound, scan, run):
+            width, stretch = min(2 * width, BRACKET_MAX), 1
+        elif width > 2:
+            width //= 2
+        else:
+            width, alone, stretch = 2, stretch, 2 * stretch
+        run = []
+        _decide(table, bound, scan, n, theta, sums)
+    if run:  # the indices ended inside a run: its last index is decided alone
+        _bracket(table, bound, scan, run[:-1])
+        _decide(table, bound, scan, *run[-1])
     return scan
+
+
+def _decide(table: PrimeTable, bound: Bound, scan: BoundScan, n: int, theta: Ball, sums: list[Ball]) -> None:
+    """Decide ``bound`` at index n alone, re-deciding an INCONCLUSIVE point on the 113-bit path; book it in ``scan``."""
+    x = table.nth_prime(n)
+    margin = sub_ball(*bound.sides(_BALL, x, theta, *sums))
+    status = ball_status(margin, bound.claim)
+    escalated = status is _INCONCLUSIVE
+    if escalated:
+        margin = sub_ball(*_interval_sides(table, bound, n))
+        status = ball_status(margin, bound.claim)
+    scan.record(x if bound.at_x else n, status, _slack(bound.claim, margin), escalated)
+
+
+def _bracket(table: PrimeTable, bound: Bound, scan: BoundScan, run: list) -> bool:
+    """Book the buffered ``run`` in ``scan`` and return whether the hull of its ends HOLDS.
+
+    A hull that HOLDS books every index of the run as held.  A hull that
+    does not, or that a kernel rejects with :class:`DomainError`, is
+    bisected over the buffered balls, down to points decided alone.
+    """
+    if len(run) < 2:
+        for point in run:
+            _decide(table, bound, scan, *point)
+        return False
+    (a, theta_a, sums_a), (b, theta_b, sums_b) = run[0], run[-1]
+    x = table.nth_prime(a), table.nth_prime(b)
+    try:
+        margin = sub_ball(*bound.sides(_HULL, x, hull_ball(theta_a, theta_b), *map(hull_ball, sums_a, sums_b)))
+        held = ball_status(margin, bound.claim) is _HOLDS
+    except DomainError:  # a hull wider than a kernel's domain proves nothing
+        held = False
+    if held:
+        scan.holds += len(run)
+    else:
+        half = len(run) // 2
+        _bracket(table, bound, scan, run[:half])
+        _bracket(table, bound, scan, run[half:])
+    return held
 
 
 def _interval_sides(table: PrimeTable, bound: Bound, n: int):

@@ -4,8 +4,10 @@ Exit codes are a stable contract for CI:
 
     0   everything requested holds
     1   a mathematical claim FAILS or stays INCONCLUSIVE
-    2   usage, configuration, domain, or range errors, and requests beyond
-        the sieve cap or the available memory
+    2   usage, configuration, domain, or range errors, requests beyond the
+        sieve cap or the available memory, and a library the run needs that
+        does not import (numpy for ``champions`` and ``reduction``, mpmath
+        for a point re-decided at 113 bits)
 
 Settings resolve as flags > environment > config file > defaults.  The
 environment knows ``PSIVERIFY_CACHE_DIR`` (prime-table cache directory) and
@@ -355,6 +357,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_cache(args, file_cfg)
     except (PsiverifyError, ValueError, OSError, MemoryError) as exc:
         print(f"psiverify: error: {exc}", file=sys.stderr)
+        return 2
+    except ImportError as exc:
+        print(
+            f"psiverify: error: {exc} (the champions and reduction claims need numpy,"
+            " a point re-decided at 113 bits needs mpmath)",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -10,11 +10,11 @@ balls: :func:`add_ball`, :func:`sub_ball`, :func:`neg_ball`,
 :func:`exp_ball`, :func:`log_int_ball` for the log of an exact integer of
 any size, the exact inputs :func:`exact_ball`, :func:`int_ball` and
 :func:`ratio_ball`, :func:`sum_ball` for an exact sum held as integer
-multiples of ``1/SUM_SCALE``, and :func:`from_mp_interval` for an mpmath
-interval.  A kernel is the only home of its value formula, its radius
-formula and its domain guard (it raises :class:`DomainError`), and it
-checks its own output as :class:`CertifiedValue` does: a finite value and
-a finite radius >= 0.  :func:`ball_endpoints` and :func:`ball_status`
+multiples of ``1/SUM_SCALE``, :func:`hull_ball` for the hull of two balls,
+and :func:`from_mp_interval` for an mpmath interval.  A kernel is the only
+home of its value formula, its radius formula and its domain guard (it
+raises :class:`DomainError`), and it checks its own output as
+:class:`CertifiedValue` does: a finite value and a finite radius >= 0.  :func:`ball_endpoints` and :func:`ball_status`
 decide on a ball.  :class:`CertifiedValue`, :class:`Verdict` and
 :func:`compare` (the :func:`ball_status` of a difference) are report types
 over the same pairs; they add no arithmetic.
@@ -62,6 +62,7 @@ __all__ = [
     "ball_endpoints",
     "ball_status",
     "compare",
+    "hull_ball",
     "from_mp_interval",
     "EULER_GAMMA",
     "E_GAMMA",
@@ -334,13 +335,21 @@ def compare(lhs: CertifiedValue, rhs: CertifiedValue, claim: str) -> Verdict:
     return Verdict(ball_status(margin, claim), CertifiedValue(*margin))
 
 
+def _interval_ball(lo: float, hi: float) -> Ball:
+    """The ball that encloses the float interval ``[lo, hi]``."""
+    mid = 0.5 * (lo + hi)
+    return mid, max(hi - mid, mid - lo) * _INFLATE
+
+
+def hull_ball(a: Ball, b: Ball) -> Ball:
+    """Enclosure of the hull of two balls: every real between a point of ``a`` and a point of ``b``."""
+    (a_lo, a_hi), (b_lo, b_hi) = ball_endpoints(a), ball_endpoints(b)
+    return _interval_ball(min(a_lo, b_lo), max(a_hi, b_hi))
+
+
 def from_mp_interval(ival) -> Ball:
     """Convert an mpmath interval (``iv.mpf``) to an enclosing ball."""
-    lo = math.nextafter(float(ival.a), -math.inf)
-    hi = math.nextafter(float(ival.b), math.inf)
-    mid = 0.5 * (lo + hi)
-    r = max(hi - mid, mid - lo) * _INFLATE
-    return mid, r
+    return _interval_ball(math.nextafter(float(ival.a), -math.inf), math.nextafter(float(ival.b), math.inf))
 
 
 # 50-digit decimal literals; float() rounds correctly, radius 1 ulp.

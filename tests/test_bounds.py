@@ -384,3 +384,98 @@ def test_claim_rows_bit_identical_to_the_points(table):
                 assert sub_ball(*row.sides(_BALL, point.p, theta, *args)) == margin, (row.sides.__name__, n)
                 checked += 1
     assert checked == 3 * (2 * 10**4 - 2) - 1
+
+
+# ---------------------------------------------------------------------------
+# brackets: one hull decision proves a run of indices
+# ---------------------------------------------------------------------------
+
+
+def _dense_scan(table, row, name, start, stop):
+    """The per-index reference: every index decided alone on its balls, escalated if INCONCLUSIVE.
+
+    Returns the scan and each index's status.
+    """
+    from psiverify.bounds import _BALL, _slack
+    from psiverify.numerics import ball_status, sub_ball
+    from psiverify.series import prefix_sums
+
+    scan, statuses = BoundScan(name, start, stop), {}
+    for n, theta, sums in prefix_sums(table, row.sums, stride_indices(start, stop)):
+        x = table.nth_prime(n)
+        margin = sub_ball(*row.sides(_BALL, x, theta, *sums))
+        status = ball_status(margin, row.claim)
+        escalated = status is VerdictStatus.INCONCLUSIVE
+        if escalated:
+            margin = sub_ball(*_interval_sides(table, row, n))
+            status = ball_status(margin, row.claim)
+        scan.record(x if row.at_x else n, status, _slack(row.claim, margin), escalated)
+        statuses[n] = status
+    return scan, statuses
+
+
+def _bracketed_scan(table, row, name, start, stop):
+    from psiverify.series import serve
+
+    scan = BoundScan(name, start, stop)
+    return serve(table, [(row.sums, bounds_mod._read_bound(table, row, scan, stride_indices(start, stop)))])[0]
+
+
+_ROWS = [*bounds_mod.BOUNDS.items(), ("upper", bounds_mod.UPPER)]
+
+
+@pytest.mark.parametrize("stop", [3000, 20000])
+@pytest.mark.parametrize("name,row", _ROWS, ids=[name for name, _ in _ROWS])
+def test_brackets_prove_only_what_each_point_proves(table, monkeypatch, name, row, stop):
+    # every index booked inside a held bracket HOLDS when decided alone, and the
+    # bracketed scan books what the per-index scan books
+    held = []
+    real_bracket = bounds_mod._bracket
+
+    def spy(table, bound, scan, run):
+        ok = real_bracket(table, bound, scan, run)
+        if ok:
+            held.extend(n for n, _, _ in run)
+        return ok
+
+    monkeypatch.setattr(bounds_mod, "_bracket", spy)
+    got = _bracketed_scan(table, row, name, row.start, stop)
+    dense, statuses = _dense_scan(table, row, name, row.start, stop)
+    assert bool(held) is (name != "criterion-gap")  # its sides share log log theta, so its hulls never hold
+    assert all(statuses[n] is VerdictStatus.HOLDS for n in held)
+    assert got.to_dict() == dense.to_dict()
+
+
+def _raise_domain_error(*args):
+    raise DomainError("forced")
+
+
+@pytest.mark.parametrize(
+    "hull_exp",
+    [_raise_domain_error, lambda a: (bounds_mod.exp_ball(a)[0], 1.0)],
+    ids=["domain-error", "inconclusive"],
+)
+def test_a_failed_hull_falls_back_to_points(table, monkeypatch, hull_exp):
+    # with every hull rejected or INCONCLUSIVE, the scan decides every point alone
+    monkeypatch.setattr(bounds_mod._HULL, "exp", hull_exp)
+    row = bounds_mod.BOUNDS["zeta-tail"]
+    dense, _ = _dense_scan(table, row, "zeta-tail", 2, 3000)
+    assert scan_bound(table, "zeta-tail", 2, 3000).to_dict() == dense.to_dict()
+
+
+def test_zeta_tail_decides_few_points_alone(table, monkeypatch):
+    import dataclasses
+
+    row = bounds_mod.BOUNDS["zeta-tail"]
+    alone = []
+
+    def counting_sides(A, x, *atoms):
+        if A is bounds_mod._BALL:
+            alone.append(x)
+        return row.sides(A, x, *atoms)
+
+    monkeypatch.setitem(bounds_mod.BOUNDS, "zeta-tail", dataclasses.replace(row, sides=counting_sides))
+    scan = scan_bound(table, "zeta-tail", 2, 20000)
+    assert scan.points_checked == len(list(stride_indices(2, 20000)))
+    assert scan.all_hold
+    assert len(alone) <= 64

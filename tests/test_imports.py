@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _LEAN_COMMANDS = """
@@ -71,3 +73,19 @@ def test_an_escalated_lower_point_imports_mpmath_when_it_needs_it(tmp_path):
     lower = json.loads(report.read_text())["claims"]["lower"]
     assert lower["details"]["escalated_at"] == [3]
     assert lower["counterexamples"] == []
+
+
+@pytest.mark.parametrize("claims", [["champions"], []], ids=["champions", "all"])
+def test_a_claim_that_needs_numpy_exits_2_and_names_it(tmp_path, claims):
+    # a numpy that does not import: the run ends in a message and exit 2, not a traceback and exit 1
+    shim = tmp_path / "numpy"
+    shim.mkdir()
+    (shim / "__init__.py").write_text('raise ImportError("shimmed out")\n')
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PSIVERIFY_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), str(SRC), env.get("PYTHONPATH")]))
+    argv = ["verify", *claims, "--n-max", "3000", "--champion-limit", "1000"]
+    res = subprocess.run(
+        [sys.executable, "-m", "psiverify.cli", *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 2, res.stderr
+    assert "numpy" in res.stderr and "Traceback" not in res.stderr

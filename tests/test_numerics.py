@@ -22,11 +22,13 @@ from psiverify.numerics import (
     CertifiedValue,
     VerdictStatus,
     add_ball,
+    ball_endpoints,
     ball_status,
     compare,
     div_ball,
     exp_ball,
     from_mp_interval,
+    hull_ball,
     int_ball,
     log1p_ball,
     log_ball,
@@ -303,6 +305,14 @@ def test_from_mp_interval_encloses():
     value, radius = from_mp_interval(iv)
     assert value - radius <= 1 / 3 <= value + radius
     assert value - radius <= 2 / 3 <= value + radius
+
+
+@given(st.floats(-1e300, 1e300), st.floats(0, 1e300), st.floats(-1e300, 1e300), st.floats(0, 1e300))
+def test_hull_ball_contains_both_balls_outward_endpoints(av, ar, bv, br):
+    value, radius = hull_ball((av, ar), (bv, br))
+    lo, hi = Fraction(value) - Fraction(radius), Fraction(value) + Fraction(radius)
+    for end in (*ball_endpoints((av, ar)), *ball_endpoints((bv, br))):
+        assert lo <= Fraction(end) <= hi
 
 
 def test_neg_is_exact():
