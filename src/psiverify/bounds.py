@@ -9,10 +9,14 @@ once, against the named operations and constants of an arithmetic ``A``:
 interval operations.  A point evaluator returns a :class:`BoundReport` from
 one prefix pass that stops at the point.  One :func:`series.serve` reader,
 :func:`_read_bound`, decides a row at the indices it is given and books each
-in a :class:`BoundScan`, building no object per point; a range scan is that
-reader at the indices of :func:`stride_indices`: every index up to
-:data:`DENSE_UNTIL`, then steps of ratio :data:`STRIDE_RATIO`.  The code, not
-the caller, picks them.
+in a :class:`BoundScan`, building no object per point; :func:`_decide`,
+which it calls, decides and escalates every point that a ball decides in
+any prefix claim.  A range scan is that reader at the indices of
+:func:`stride_indices`: every index up to :data:`DENSE_UNTIL`, then steps
+of ratio :data:`STRIDE_RATIO`.  The code, not the caller, picks them.
+:func:`_read_rows` drives several rows in lockstep as one reader, each sent
+its own sums: ``lower``'s ``LOWER`` and ``DUAL``, and ``upper`` (c), the
+``threshold`` row, inside a reader served ``plus``.
 
 The reader decides a row by brackets.  theta(p_n), p_n and every prefix sum
 are monotone in n, so at each index of a run the atoms lie in the hulls of
@@ -34,9 +38,10 @@ each run.  The rows of :data:`BOUNDS`:
 
 The claims' rows, not scannable bounds: :data:`LOWER` R(N_n) > e^gamma/zeta(2)
 and :data:`DUAL` g(p_n) < 1 (n >= 3), one criterion from the ``plus`` and the
-``inv`` sums, and :data:`UPPER` R(N_n) < e^gamma (n >= 4).  An INCONCLUSIVE
-point is retried at 113-bit precision (about 34 digits) by
-:func:`_interval_sides`, the interval arithmetic path, which re-decides any row.
+``inv`` sums, and :data:`UPPER` R(N_n) < e^gamma (n >= 4).  Every row
+re-decides its own INCONCLUSIVE point at 113-bit precision (about 34
+digits) by :func:`_interval_sides`, the interval arithmetic path; a ball
+FAILS is certified and is not re-decided.
 """
 
 from __future__ import annotations
@@ -151,6 +156,8 @@ class BoundScan:
     indices proven, alone or inside a held bracket (see :func:`_read_bound`).
     ``worst_slack``, ``worst_at``, ``escalated_at``, ``fails``,
     ``inconclusive`` and ``failed_at`` come from the points decided alone.
+    ``margins`` holds the margin balls at the indices the reader was told
+    to keep, and is not part of the report.
     """
 
     bound: str
@@ -163,6 +170,7 @@ class BoundScan:
     worst_at: int | None = None
     escalated_at: list[int] = field(default_factory=list)
     failed_at: list[int] = field(default_factory=list)
+    margins: dict[int, Ball] = field(default_factory=dict)
 
     def record(self, at: int, status: VerdictStatus, slack: float, escalated: bool) -> None:
         """Count one evaluated point: its status, its slack and whether it escalated."""
@@ -416,7 +424,7 @@ def bound_reader(table: PrimeTable, name: str, start: int, stop: int) -> Reader:
     return bound.sums, _read_bound(table, bound, scan, stride_indices(start, stop))
 
 
-def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Iterable[int]):
+def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Iterable[int], keep=()):
     """The :func:`series.serve` generator that decides ``bound`` at the ascending ``indices``.
 
     It decides the row by brackets and returns ``scan``.  It buffers the
@@ -428,7 +436,9 @@ def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Itera
     each run alone, and the first and the last index.  A held bracket
     doubles the width, up to :data:`BRACKET_MAX`, and a failed one halves
     it; below two, the row decides a stretch of points alone, which doubles
-    while its hulls keep failing, and then brackets again.
+    while its hulls keep failing, and then brackets again.  An index in
+    ``keep`` ends the current run too, and its margin ball goes to
+    ``scan.margins``.
     """
     run: list = []  # the (n, theta, sums) buffered since the last point decided alone
     width, alone, stretch = 2, 1, 1  # the next bracket's width; points left to decide alone first
@@ -436,7 +446,7 @@ def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Itera
         theta, sums = yield n
         if alone:
             alone -= 1
-        elif len(run) < width:
+        elif len(run) < width and n not in keep:
             run.append((n, theta, sums))
             continue
         elif _bracket(table, bound, scan, run):
@@ -446,15 +456,42 @@ def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Itera
         else:
             width, alone, stretch = 2, stretch, 2 * stretch
         run = []
-        _decide(table, bound, scan, n, theta, sums)
+        margin = _decide(table, bound, scan, n, theta, sums)
+        if n in keep:
+            scan.margins[n] = margin
     if run:  # the indices ended inside a run: its last index is decided alone
         _bracket(table, bound, scan, run[:-1])
         _decide(table, bound, scan, *run[-1])
     return scan
 
 
-def _decide(table: PrimeTable, bound: Bound, scan: BoundScan, n: int, theta: Ball, sums: list[Ball]) -> None:
-    """Decide ``bound`` at index n alone, re-deciding an INCONCLUSIVE point on the 113-bit path; book it in ``scan``."""
+def _read_rows(table: PrimeTable, kinds: tuple[str, ...], rows: list[tuple[Bound, BoundScan]], indices, keep=()):
+    """A :func:`series.serve` reader, served ``kinds``, that drives a :func:`_read_bound` per row in lockstep.
+
+    Each ``(bound, scan)`` of ``rows`` is decided at the same ascending
+    ``indices``, an iterable it reads once per row and once more, and is sent theta and its own
+    sums alone, picked from the served ``kinds``.  The scans are filled in
+    place; the reader returns nothing.
+    """
+    readers = []
+    for bound, scan in rows:
+        reader = _read_bound(table, bound, scan, indices, keep)
+        next(reader)
+        readers.append((reader, [kinds.index(kind) for kind in bound.sums]))
+    for n in indices:
+        theta, totals = yield n
+        for reader, at in readers:
+            try:
+                reader.send((theta, [totals[i] for i in at]))
+            except StopIteration:  # the last index: the row has booked it
+                pass
+
+
+def _decide(table: PrimeTable, bound: Bound, scan: BoundScan, n: int, theta: Ball, sums: list[Ball]) -> Ball:
+    """Decide ``bound`` at index n alone, re-deciding an INCONCLUSIVE point on the 113-bit path.
+
+    The point is booked in ``scan``; the margin ball is returned.
+    """
     x = table.nth_prime(n)
     margin = sub_ball(*bound.sides(_BALL, x, theta, *sums))
     status = ball_status(margin, bound.claim)
@@ -463,6 +500,7 @@ def _decide(table: PrimeTable, bound: Bound, scan: BoundScan, n: int, theta: Bal
         margin = sub_ball(*_interval_sides(table, bound, n))
         status = ball_status(margin, bound.claim)
     scan.record(x if bound.at_x else n, status, _slack(bound.claim, margin), escalated)
+    return margin
 
 
 def _bracket(table: PrimeTable, bound: Bound, scan: BoundScan, run: list) -> bool:
@@ -498,8 +536,8 @@ def _interval_sides(table: PrimeTable, bound: Bound, n: int):
     theta and the row's prefix sums are summed again from p_1 at
     :data:`ESCALATION_PREC_BITS`, and nothing is shared between points or
     rows: about 90 us per prime, so about 90 s per escalated row at
-    n = 10^6.  An escalated ``lower`` point re-decides ``LOWER`` and
-    ``DUAL``, two passes: about 180 s at 10^6.  No run so far has escalated.
+    n = 10^6.  Each row of ``lower`` re-decides its own INCONCLUSIVE point,
+    one pass each.  No run so far has escalated.
     """
     A = _interval_arithmetic(ESCALATION_PREC_BITS)
     primes = table.primes[:n]

@@ -27,13 +27,14 @@ returns its :class:`ClaimResult`.  ``run_claims`` runs the exact claims
 first and then serves every selected reader from one pass; a claim run
 alone, and each public claim function, is that call on the reader its
 claim-table entry builds; an entry whose indices pass the table raises
-:class:`RangeError` before the pass.  ``bounds._read_bound`` decides the six
-bound scans and ``upper`` (b), the row ``UPPER``, and re-decides an
-INCONCLUSIVE point; ``upper`` (c) re-decides a threshold point or step that
-is not HOLDS on the ``threshold`` row's 113-bit path.  ``lower`` decides the
-rows ``LOWER`` and ``DUAL`` in its own loop, re-deciding both where either
-is not HOLDS, and books a ``BoundScan`` like every scan.  ``mertens-trend``
-is ``lower``'s reader at the live checkpoints alone (those up to ``n_max``).
+:class:`RangeError` before the pass.  No claim here decides a point:
+``bounds._read_bound`` decides every ball-decided row by brackets and
+re-decides an INCONCLUSIVE point on the 113-bit path.  It reads the six
+bound scans, ``upper`` (b), the row ``UPPER``, and ``upper`` (c), the
+``threshold`` row at index 2263.  ``lower`` is the rows ``LOWER`` and
+``DUAL``, driven in lockstep by ``bounds._read_rows``, each booking its own
+``BoundScan``.  ``mertens-trend`` is ``lower``'s reader at the live
+checkpoints alone (those up to ``n_max``).
 """
 
 from __future__ import annotations
@@ -46,30 +47,21 @@ from typing import Callable, NamedTuple
 
 from .arith import factorize, primorials_up_to, psi_from_factors, psi_ratio_tables, robin_ratio
 from .bounds import (
-    _BALL,
     BOUNDS,
     DUAL,
     FIRST_INDEX_AT_20000,
     LOWER,
     UPPER,
     BoundScan,
-    _interval_sides,
     _read_bound,
+    _read_rows,
     _stride,
     bound_reader,
 )
 from .errors import RangeError, UnknownClaimError
-from .numerics import (
-    E_GAMMA,
-    Ball,
-    VerdictStatus,
-    ball_endpoints,
-    ball_status,
-    compare,
-    sub_ball,
-)
+from .numerics import E_GAMMA, VerdictStatus, ball_status, compare, sub_ball
 from .primes import PrimeTable, build_table
-from .series import POINT_KINDS, Reader, _primorial_point, serve
+from .series import Reader, serve
 
 __all__ = [
     "ClaimResult",
@@ -93,14 +85,13 @@ __all__ = [
 # p_n >= 20000, takes over.
 UPPER_SMALL_STOP = 210
 UPPER_PRIMORIAL_STOP = FIRST_INDEX_AT_20000 - 1
-# (c) checks the threshold's monotone step n -> n+1 at these n, up to n_max
-UPPER_MONOTONE_AT = (FIRST_INDEX_AT_20000, 2500, 5000, 10**4)
 # ``reduction`` checks the block [N_n, N_{n+1}) whole for n <= 5, by seeded samples for 5 < n <= 8
 REDUCTION_EXHAUSTIVE_MAX = 5
 REDUCTION_SAMPLED_MAX = 8
 REDUCTION_SAMPLES = 2000
 CHECKPOINTS = (10, 100, 1000, 10**4, 10**5, 10**6, 10**7)  # where lower and mertens-trend report margins
-_AT_CHECKPOINT = frozenset(CHECKPOINTS)  # the membership test of lower's per-index loop
+_AT_CHECKPOINT = frozenset(CHECKPOINTS)  # the indices whose margins lower's row reader keeps
+_LOWER_KINDS = LOWER.sums + DUAL.sums  # the sums lower and mertens-trend are served: plus, then inv
 
 
 @dataclass(frozen=True)
@@ -118,7 +109,6 @@ class VerifyConfig:
         """The run's settings and the fixed ones it ran with."""
         return {
             **asdict(self),
-            "escalate": True,
             "reduction_samples": REDUCTION_SAMPLES,
             "upper_small_stop": UPPER_SMALL_STOP,
             "upper_primorial_stop": UPPER_PRIMORIAL_STOP,
@@ -311,24 +301,24 @@ def verify_upper(table: PrimeTable, n_max: int = VerifyConfig.n_max) -> ClaimRes
     (a) exhaustive certified R(n) < e^gamma on 31..210 (plus the witness
         list of n <= 30 where R(n) >= e^gamma, showing 30 is sharp);
     (b) R(N_n) < e^gamma along primorials for 4 <= n <= 2262 (row ``UPPER``);
-    (c) the threshold condition at index 2263 plus certified monotonicity
-        steps, which covers every n >= 2263.  The steps depend on ``n_max``
-        alone, never on how many primes the table holds.
+    (c) the ``threshold`` row at index 2263, which covers every n >= 2263.
+        Its lhs exp(2/p_n) (1 + 1.125/(log p_n log theta(p_n))) strictly
+        decreases in n: p_n and theta(p_n) increase, and log p_n and
+        log theta(p_n) are positive there.  So the threshold at 2263 holds
+        at every later index, whatever ``n_max`` is.
 
-    (b) re-decides an INCONCLUSIVE point, and (c) a threshold point or step
-    that is not HOLDS, on the 113-bit path.
+    (b) and (c) re-decide an INCONCLUSIVE point on the 113-bit path.
     """
     return _run_alone("upper", table, n_max)
 
 
 def _upper_claim(table: PrimeTable, config: VerifyConfig) -> Reader:
-    monotone_at = [n for n in UPPER_MONOTONE_AT if n + 1 <= max(config.n_max, FIRST_INDEX_AT_20000 + 1)]
-    _check_reach("upper", table, config, monotone_at[-1] + 1)
-    return UPPER.sums, _upper(table, monotone_at)
+    _check_reach("upper", table, config, FIRST_INDEX_AT_20000)
+    return UPPER.sums, _upper(table)
 
 
-def _upper(table: PrimeTable, monotone_at: list[int]):
-    """The reader of :func:`verify_upper`, stepping the threshold at ``monotone_at``."""
+def _upper(table: PrimeTable):
+    """The reader of :func:`verify_upper`."""
     # (a) exhaustive small range, certified; witnesses below 31
     a_bad: list[int] = []
     witnesses: list[int] = []
@@ -345,28 +335,11 @@ def _upper(table: PrimeTable, monotone_at: list[int]):
     # R(N_3) = R(30) >= e^gamma: the bound genuinely starts at n = 4
     r30_high = compare(robin_ratio(30, table), E_GAMMA, ">").status is VerdictStatus.HOLDS
 
-    # (c) the threshold at the first valid index, then monotone steps: its lhs
-    # decreases, certified, from n to n + 1.  A part that is not HOLDS is
-    # re-decided on the 113-bit path.
-    threshold = BOUNDS["threshold"]
-    c_bad: list[int] = []
-    theta, _ = yield FIRST_INDEX_AT_20000
-    first_margin = sub_ball(*threshold.sides(_BALL, table.nth_prime(FIRST_INDEX_AT_20000), theta))
-    if ball_status(first_margin, threshold.claim) is not VerdictStatus.HOLDS:
-        first_margin = sub_ball(*_interval_sides(table, threshold, FIRST_INDEX_AT_20000))
-        if ball_status(first_margin, threshold.claim) is not VerdictStatus.HOLDS:
-            c_bad.append(FIRST_INDEX_AT_20000)
-    for n in monotone_at:
-        theta, _ = yield n
-        lhs, _ = threshold.sides(_BALL, table.nth_prime(n), theta)
-        theta, _ = yield n + 1
-        lhs_next, _ = threshold.sides(_BALL, table.nth_prime(n + 1), theta)
-        if ball_status(sub_ball(lhs_next, lhs), "<") is not VerdictStatus.HOLDS:
-            (lhs, _), (lhs_next, _) = (_interval_sides(table, threshold, k) for k in (n, n + 1))
-            if ball_status(sub_ball(lhs_next, lhs), "<") is not VerdictStatus.HOLDS:
-                c_bad.append(n)
+    # (c) the threshold at the first valid index; its lhs decreases in n
+    c = BoundScan("threshold", FIRST_INDEX_AT_20000, FIRST_INDEX_AT_20000)
+    yield from _read_rows(table, UPPER.sums, [(BOUNDS["threshold"], c)], (c.start,), keep=(c.start,))
 
-    bad = a_bad + b.failed_at + c_bad
+    bad = a_bad + b.failed_at + c.failed_at
     return ClaimResult(
         claim_id="upper",
         covered={
@@ -378,11 +351,7 @@ def _upper(table: PrimeTable, monotone_at: list[int]):
         details={
             "a": {"counterexamples": a_bad, "witnesses_below_31": witnesses, "witness_30": r30_high},
             "b": {"counterexamples": b.failed_at, "worst_margin": b.worst_slack, "worst_at": b.worst_at},
-            "c": {
-                "counterexamples": c_bad,
-                "threshold_margin": first_margin,
-                "monotone_checked_at": monotone_at,
-            },
+            "c": {"counterexamples": c.failed_at, "threshold_margin": c.margins[c.start]},
         },
     )
 
@@ -395,53 +364,39 @@ def _upper(table: PrimeTable, monotone_at: list[int]):
 def verify_lower(table: PrimeTable, n_max: int) -> ClaimResult:
     """Certified scan of R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max.
 
-    Any FAILS here would contradict a scan range where the criterion is
-    known to hold, so failures are re-verified on the interval path and
-    surfaced loudly rather than swallowed.  The equivalent criterion
-    g(p_n) < 1 is checked at every n, on its own sums, as a dual condition.
+    The rows ``LOWER`` (on the ``plus`` sums) and ``DUAL``, the equivalent
+    criterion g(p_n) < 1 on its own ``inv`` sums, are each decided by
+    brackets at every n.  Each row re-decides its own INCONCLUSIVE point on
+    the 113-bit path; a ball FAILS is certified and stays.  Any failure
+    would contradict a range where the criterion is known to hold, so it is
+    a counterexample, and an index where the rows disagree is a
+    ``dual_mismatch``.  ``min_margin`` comes from the indices decided alone.
     """
     return _run_alone("lower", table, n_max)
 
 
 def _lower_claim(table: PrimeTable, config: VerifyConfig) -> Reader:
     _check_reach("lower", table, config, config.n_max)
-    return POINT_KINDS, _lower(table, range(LOWER.start, config.n_max + 1))
+    return _LOWER_KINDS, _lower(table, range(LOWER.start, config.n_max + 1))
 
 
 def _lower(table: PrimeTable, indices):
     """The reader of :func:`verify_lower` over the ascending ``indices``.
 
-    It decides the rows ``LOWER`` and ``DUAL`` on the point's balls, both on
-    the 113-bit path if either is not HOLDS; a point where they disagree is
-    a ``dual_mismatch``.  Each of the :data:`CHECKPOINTS` among the indices
-    reports its margin, which must be certified below the one before.
+    It decides the rows ``LOWER`` and ``DUAL`` in lockstep, each by
+    ``bounds._read_bound``.  Each of the :data:`CHECKPOINTS` among the
+    indices is decided alone and reports its ``LOWER`` margin, which must be
+    certified below the one before.
     """
     if not indices or indices[0] < LOWER.start:
         raise RangeError(f"lower: the scan needs n_max >= {LOWER.start}, and indices from n = {LOWER.start} on")
-    scan = BoundScan("lower", indices[0], indices[-1])
-    dual_mismatch: list[int] = []
-    margins: dict[int, Ball] = {}
-    holds = VerdictStatus.HOLDS
-    for n in indices:
-        theta, sums = yield n
-        point = _primorial_point(table.primes, n, theta, sums)
-        # margin R(N_n) - e^gamma/zeta(2) must be > 0, and g(p_n) - 1 < 0
-        margin = point.margin_ball
-        status = ball_status(margin, ">")
-        dual = ball_status(sub_ball(point.g_ball, (1.0, 0.0)), "<")
-        escalated = status is not holds or dual is not holds
-        if escalated:
-            margin = sub_ball(*_interval_sides(table, LOWER, n))
-            status = ball_status(margin, ">")
-            dual = ball_status(sub_ball(*_interval_sides(table, DUAL, n)), "<")
-        if dual is not status:
-            dual_mismatch.append(n)
-        scan.record(n, status, ball_endpoints(margin)[0], escalated)
-        if n in _AT_CHECKPOINT:
-            margins[n] = margin
+    scan, dual = (BoundScan(name, indices[0], indices[-1]) for name in ("lower", "dual"))
+    yield from _read_rows(table, _LOWER_KINDS, [(LOWER, scan), (DUAL, dual)], indices, keep=_AT_CHECKPOINT)
+    margins = scan.margins
     at = list(margins)
     drops = (ball_status(sub_ball(margins[b], margins[a]), "<") for a, b in zip(at, at[1:]))
-    trend_bad = [b for b, drop in zip(at[1:], drops) if drop is not holds]
+    trend_bad = [b for b, drop in zip(at[1:], drops) if drop is not VerdictStatus.HOLDS]
+    dual_mismatch = sorted(set(scan.failed_at) ^ set(dual.failed_at))
     return ClaimResult(
         claim_id="lower",
         covered={"n": [scan.start, scan.stop]},
@@ -451,7 +406,7 @@ def _lower(table: PrimeTable, indices):
             "margins_decreasing": not trend_bad,
             "min_margin": scan.worst_slack,
             "min_at": scan.worst_at,
-            "escalated_at": scan.escalated_at,
+            "escalated_at": sorted(set(scan.escalated_at + dual.escalated_at)),
             "dual_mismatch": dual_mismatch,
         },
     )
@@ -462,7 +417,9 @@ def mertens_limit_trend(table: PrimeTable, n_max: int) -> ClaimResult:
 
     Asserts each margin is certified positive, with its dual g(p_n) < 1, and
     the sequence strictly decreases; a trend consistent with the limit, not
-    a proof of it.  Only the checkpoints are evaluated, and escalated as in ``lower``.
+    a proof of it.  It is ``lower``'s reader at the checkpoints alone: the
+    rows ``LOWER`` and ``DUAL`` decide each checkpoint alone and re-decide
+    an INCONCLUSIVE one on the 113-bit path.
     """
     return _run_alone("mertens-trend", table, n_max)
 
@@ -473,7 +430,7 @@ def _mertens(table: PrimeTable, config: VerifyConfig) -> Reader:
     if not live:
         raise RangeError(f"mertens-trend: n_max={config.n_max} is below the first checkpoint, {CHECKPOINTS[0]}")
     _check_reach("mertens-trend", table, config, live[-1])
-    return POINT_KINDS, _mertens_result(table, live)
+    return _LOWER_KINDS, _mertens_result(table, live)
 
 
 def _mertens_result(table: PrimeTable, live: tuple[int, ...]):

@@ -421,7 +421,12 @@ def _bracketed_scan(table, row, name, start, stop):
     return serve(table, [(row.sums, bounds_mod._read_bound(table, row, scan, stride_indices(start, stop)))])[0]
 
 
-_ROWS = [*bounds_mod.BOUNDS.items(), ("upper", bounds_mod.UPPER)]
+_ROWS = [
+    *bounds_mod.BOUNDS.items(),
+    ("upper", bounds_mod.UPPER),
+    ("lower", bounds_mod.LOWER),
+    ("dual", bounds_mod.DUAL),
+]
 
 
 @pytest.mark.parametrize("stop", [3000, 20000])

@@ -13,6 +13,7 @@ import pytest
 from psiverify.arith import primorial, psi_ratio_tables
 from psiverify.bounds import BOUNDS, DUAL, FIRST_INDEX_AT_20000, LOWER
 from psiverify.claims import (
+    CHECKPOINTS,
     CLAIM_IDS,
     UPPER_PRIMORIAL_STOP,
     UPPER_SMALL_STOP,
@@ -27,7 +28,7 @@ from psiverify.claims import (
     verify_lower,
     verify_upper,
 )
-from psiverify.errors import RangeError, UnknownClaimError
+from psiverify.errors import DomainError, RangeError, UnknownClaimError
 from psiverify.numerics import VerdictStatus
 from psiverify.primes import build_table
 from psiverify.series import TERMS
@@ -164,13 +165,6 @@ def test_verify_upper(table):
     assert c["threshold_margin"][0] < 0  # lhs - zeta(2) stays negative
 
 
-def test_upper_monotone_steps_follow_n_max_not_the_table(table):
-    # the table holds 10^5 primes; the steps stop at n_max, but 2263 is always checked
-    for n_max, steps in [(1000, [2263]), (3000, [2263, 2500]), (10**4, [2263, 2500, 5000]),
-                         (10**5, [2263, 2500, 5000, 10**4])]:
-        assert verify_upper(table, n_max).details["c"]["monotone_checked_at"] == steps, n_max
-
-
 def test_verify_lower_shallow(table):
     res = verify_lower(table, 2000)
     assert res.holds
@@ -182,24 +176,28 @@ def test_verify_lower_shallow(table):
     assert margins["10"][0] > margins["100"][0] > margins["1000"][0] > 0
 
 
-def _first_status_inconclusive(monkeypatch, module, nth: int = 1) -> None:
-    """Make the ``nth`` ``ball_status`` call in ``module`` INCONCLUSIVE, as a thin margin would."""
-    real_status = module.ball_status
-    state = {"calls": 0}
+def _first_status_inconclusive(monkeypatch, orientation: str | None = None) -> None:
+    """Make the first ``bounds.ball_status`` call INCONCLUSIVE, as a thin margin would.
+
+    With an ``orientation``, the first call on a row of that orientation.
+    """
+    import psiverify.bounds as bounds_mod
+
+    real_status = bounds_mod.ball_status
+    state = {"forced": False}
 
     def flaky_status(margin, claim):
         status = real_status(margin, claim)
-        state["calls"] += 1
-        if state["calls"] == nth:
+        if not state["forced"] and orientation in (None, claim):
+            state["forced"] = True
             return VerdictStatus.INCONCLUSIVE
         return status
 
-    monkeypatch.setattr(module, "ball_status", flaky_status)
+    monkeypatch.setattr(bounds_mod, "ball_status", flaky_status)
 
 
 def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
     """Force one INCONCLUSIVE so the 113-bit recompute must decide n = 3."""
-    import psiverify.claims as claims_mod
     from psiverify.bounds import _interval_sides
     from psiverify.series import stream_points
 
@@ -208,8 +206,8 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
     assert abs(ratio - point.ratio.value) <= radius + point.ratio.radius
     assert radius <= point.ratio.radius
 
-    # the scan decides each point on its pairs with the float verdict core
-    _first_status_inconclusive(monkeypatch, claims_mod)
+    # the first ball comparison in bounds decides LOWER at n = 3, the first index, alone
+    _first_status_inconclusive(monkeypatch)
     res = verify_lower(table, 50)
     assert res.details["escalated_at"] == [3]
     assert res.details["dual_mismatch"] == []
@@ -217,21 +215,91 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
 
 
 def test_verify_lower_reports_an_escalated_dual_that_disagrees(table, monkeypatch):
-    """An escalated point re-decides g(p_n) < 1 on its own 113-bit inv sums, so a fault there shows."""
-    import psiverify.claims as claims_mod
+    """An escalated DUAL point is re-decided on its own 113-bit inv sums, so a fault there shows."""
+    import psiverify.bounds as bounds_mod
     from psiverify.bounds import _interval_sides
 
     def shifted_sides(table, bound, n):
         (lhs, radius), rhs = _interval_sides(table, bound, n)
         return ((lhs + 1.0, radius) if bound is DUAL else (lhs, radius)), rhs
 
-    _first_status_inconclusive(monkeypatch, claims_mod)
-    monkeypatch.setattr(claims_mod, "_interval_sides", shifted_sides)
+    # DUAL is the row claimed "<": its first decision is n = 3, alone
+    _first_status_inconclusive(monkeypatch, DUAL.claim)
+    monkeypatch.setattr(bounds_mod, "_interval_sides", shifted_sides)
     res = verify_lower(table, 50)
     assert res.details["escalated_at"] == [3]
     assert res.details["dual_mismatch"] == [3]
     assert res.counterexamples == [3]
     assert not res.holds
+
+
+def test_bracketed_lower_reports_what_every_point_decided_alone_reports(table, monkeypatch):
+    # the per-index reference: each point's margin and g decided alone, as lower once did
+    import psiverify.bounds as bounds_mod
+    from psiverify.numerics import ball_endpoints, ball_status, sub_ball
+    from psiverify.series import points_at
+
+    n_max = 2 * 10**4
+    min_margin, min_at, margins = math.inf, None, {}
+    for point in points_at(table, range(LOWER.start, n_max + 1)):
+        assert ball_status(point.margin_ball, ">") is VerdictStatus.HOLDS, point.n
+        assert ball_status(sub_ball(point.g_ball, (1.0, 0.0)), "<") is VerdictStatus.HOLDS, point.n
+        low = ball_endpoints(point.margin_ball)[0]
+        if low < min_margin:
+            min_margin, min_at = low, point.n
+        if point.n in CHECKPOINTS:
+            margins[str(point.n)] = point.margin_ball
+
+    scans = []
+    real_read = bounds_mod._read_bound
+
+    def spy(table, bound, scan, *args):
+        scans.append(scan)
+        return real_read(table, bound, scan, *args)
+
+    monkeypatch.setattr(bounds_mod, "_read_bound", spy)
+    res = verify_lower(table, n_max)
+    assert res.holds
+    assert res.covered == {"n": [LOWER.start, n_max]}
+    # no margin is 0.0 or NaN, so float equality is bit equality
+    assert res.details["checkpoint_margins"] == margins
+    assert (res.details["min_margin"], res.details["min_at"]) == (min_margin, min_at)
+    assert [(scan.bound, scan.holds, scan.points_checked) for scan in scans] == [
+        ("lower", n_max - 2, n_max - 2),
+        ("dual", n_max - 2, n_max - 2),
+    ]
+
+
+def test_lower_without_brackets_reports_the_same(table, monkeypatch):
+    # every hull rejected: each index is decided alone, and the report keeps its value
+    import psiverify.bounds as bounds_mod
+
+    bracketed = verify_lower(table, 3000).to_dict()
+
+    def no_hull(a, b):
+        raise DomainError("forced")
+
+    monkeypatch.setattr(bounds_mod, "hull_ball", no_hull)
+    assert verify_lower(table, 3000).to_dict() == bracketed
+
+
+def test_a_lower_point_that_fails_is_a_counterexample_and_a_dual_mismatch(table, monkeypatch):
+    # LOWER's lhs shifted down by 1 at n = 1500, on its own ball and on every hull over it
+    import psiverify.claims as claims_mod
+
+    target = table.nth_prime(1500)
+
+    def failing_sides(A, x, theta, s_plus):
+        lhs, rhs = LOWER.sides(A, x, theta, s_plus)
+        lo, hi = x if isinstance(x, tuple) else (x, x)
+        return (A.add(lhs, A.exact(-1.0)) if lo <= target <= hi else lhs), rhs
+
+    monkeypatch.setattr(claims_mod, "LOWER", dataclasses.replace(LOWER, sides=failing_sides))
+    res = verify_lower(table, 3000)
+    assert res.counterexamples == [1500]
+    assert res.details["dual_mismatch"] == [1500]
+    assert res.details["escalated_at"] == []
+    assert res.details["min_at"] == 1500
 
 
 def test_verify_lower_validation(table):
@@ -241,32 +309,34 @@ def test_verify_lower_validation(table):
 
 def test_upper_escalates_an_inconclusive_primorial_point(table, monkeypatch):
     # the first ball comparison in bounds is (b)'s UPPER row at n = 4; the 113-bit path decides it
-    import psiverify.bounds as bounds_mod
-
-    _first_status_inconclusive(monkeypatch, bounds_mod)
+    _first_status_inconclusive(monkeypatch)
     res = run_claims(["upper"], table, VerifyConfig(n_max=3000))["claims"]["upper"]
     assert res["holds"], res["counterexamples"]
     assert res["details"]["b"]["counterexamples"] == []
 
 
-@pytest.mark.parametrize("nth", [1, 2], ids=["threshold", "monotone-step"])
-def test_upper_escalates_an_inconclusive_threshold_part(table, monkeypatch, nth):
-    # the first ball comparison in claims is (c)'s threshold at n = 2263, the second
-    # its monotone step from 2263 to 2264; the 113-bit path re-decides either
-    import psiverify.claims as claims_mod
+def test_upper_escalates_an_inconclusive_threshold_part(table, monkeypatch):
+    # (c) is the one row claimed "<=": its threshold at n = 2263, which the 113-bit path re-decides
+    import psiverify.bounds as bounds_mod
 
-    _first_status_inconclusive(monkeypatch, claims_mod, nth)
+    escalated = []
+    real_sides = bounds_mod._interval_sides
+
+    def spy(table, bound, n):
+        escalated.append(n)
+        return real_sides(table, bound, n)
+
+    monkeypatch.setattr(bounds_mod, "_interval_sides", spy)
+    _first_status_inconclusive(monkeypatch, BOUNDS["threshold"].claim)
     res = run_claims(["upper"], table, VerifyConfig(n_max=3000))["claims"]["upper"]
+    assert escalated == [FIRST_INDEX_AT_20000]
     assert res["holds"], res["counterexamples"]
     assert res["details"]["c"]["counterexamples"] == []
-    assert res["details"]["c"]["monotone_checked_at"] == [2263, 2500]
 
 
 def test_mertens_trend_escalates_an_inconclusive_checkpoint(table, monkeypatch):
-    # the first ball comparison in claims decides LOWER at the checkpoint n = 10
-    import psiverify.claims as claims_mod
-
-    _first_status_inconclusive(monkeypatch, claims_mod)
+    # the first ball comparison in bounds decides LOWER at the checkpoint n = 10
+    _first_status_inconclusive(monkeypatch)
     res = run_claims(["mertens-trend"], table, VerifyConfig(n_max=1000))["claims"]["mertens-trend"]
     assert res["holds"], res["counterexamples"]
 
@@ -406,7 +476,6 @@ def test_verify_config_has_three_settings_and_reports_the_fixed_ones():
         "seed": 1018,
         "checkpoints": [10, 100],
         "stride": {"dense_until": 10**4, "ratio": 1.01},
-        "escalate": True,
     }
 
 

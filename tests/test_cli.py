@@ -174,7 +174,7 @@ def test_verify_n_max_below_a_bound_start_checks_its_first_index(capsys, tmp_pat
 
 
 def test_verify_report_does_not_depend_on_the_cache_size(capsys, tmp_path):
-    # a cache built past what n_max needs must not add upper (c) steps
+    # a cache built past what n_max needs must not change what any claim reads
     cache = tmp_path / "cache"
     reports = []
     for run in ("cold", "cached"):
@@ -186,8 +186,6 @@ def test_verify_report_does_not_depend_on_the_cache_size(capsys, tmp_path):
         assert code == 0, err
         reports.append(out_json.read_bytes())
     assert reports[0] == reports[1]
-    upper = json.loads(reports[0])["claims"]["upper"]
-    assert upper["details"]["c"]["monotone_checked_at"] == [2263, 2500]
 
 
 def test_cache_commands(capsys, tmp_path, monkeypatch):
@@ -360,7 +358,6 @@ def test_verify_no_escalate_fails_on_an_inconclusive_point(capsys, tmp_path, fir
     code, _, err = run_cli(capsys, "verify", "lower", "--n-max", "50", "--json", str(report))
     assert code == 0, err
     rep = json.loads(report.read_text())
-    assert rep["config"]["escalate"] is True
     assert rep["claims"]["lower"]["counterexamples"] == []
     assert rep["claims"]["lower"]["details"]["escalated_at"] == [3]
 

@@ -15,7 +15,11 @@ refactors of the numeric paths kept every byte.  They were regenerated once
 since, in a commit that touches only ``golden/``, when the prefix sums
 became exact integer sums: the radii shrank by the dropped accumulator
 factor 1/(1 + 2^-20), and the bound reports gained ``escalated_at``.  Every
-value, verdict and exit code stayed the same.  To regenerate, run
+value, verdict and exit code stayed the same.  The two ``verify`` goldens
+were regenerated once more when ``upper`` (c) lost its monotone steps: they
+lost exactly ``config.escalate`` and ``upper.details.c.monotone_checked_at``;
+no other value moved, and every other golden kept its bytes.  To
+regenerate, run
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 

@@ -26,6 +26,7 @@ from psiverify.cli import main
 work = sys.argv[1]
 for argv in (
     ["verify", "lower", "--n-max", "3000"],
+    ["verify", "upper", "mertens-trend", "--n-max", "3000"],
     ["scan", "lower", "--n-max", "200"],
     ["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "3000"],
     ["cache", "build", "--limit", "100000", "--cache-dir", work],
@@ -38,17 +39,17 @@ print(sorted({"numpy", "mpmath"} & set(sys.modules)))
 
 _ESCALATED_LOWER = """
 import sys
-import psiverify.claims as claims
+import psiverify.bounds as bounds
 from psiverify.cli import main
 from psiverify.numerics import VerdictStatus
 
-real_status, calls = claims.ball_status, []
+real_status, calls = bounds.ball_status, []
 
 def first_inconclusive(margin, claim):
     calls.append(claim)
     return VerdictStatus.INCONCLUSIVE if len(calls) == 1 else real_status(margin, claim)
 
-claims.ball_status = first_inconclusive
+bounds.ball_status = first_inconclusive
 assert "mpmath" not in sys.modules
 sys.exit(main(["verify", "lower", "--n-max", "50", "--json", sys.argv[1]]))
 """
