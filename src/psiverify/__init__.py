@@ -16,17 +16,7 @@ from .arith import (
     robin_ratio,
     sigma,
 )
-from .bounds import (
-    BoundReport,
-    BoundScan,
-    criterion_gap_bound,
-    primorial_psi_bound,
-    robin_log_bound,
-    rosser_schoenfeld_bound,
-    scan_bound,
-    threshold_condition,
-    zeta_tail_bound,
-)
+from .bounds import BoundScan, scan_bound
 from .claims import (
     CLAIM_IDS,
     ClaimResult,
@@ -52,11 +42,9 @@ from .numerics import (
     EULER_GAMMA,
     ZETA2,
     CertifiedValue,
-    Verdict,
     VerdictStatus,
-    compare,
 )
 from .primes import PrimeTable, build_table
-from .series import PrimorialPoint, criterion_f, criterion_g, stream_points
+from .series import PrimorialPoint, stream_points
 
 __version__ = "0.1.0"

@@ -6,14 +6,15 @@ primorial index it is evaluated at, the prefix-sum kinds it needs from
 once, against the named operations and constants of an arithmetic ``A``:
 :data:`_BALL` names the ball kernels of ``numerics``, which take and return
 ``(value, radius)`` pairs, and :func:`_interval_arithmetic` names the mpmath
-interval operations.  A point evaluator returns a :class:`BoundReport` from
-one prefix pass that stops at the point.  One :func:`series.serve` reader,
-:func:`_read_bound`, decides a row at the indices it is given and books each
-in a :class:`BoundScan`, building no object per point; :func:`_decide`,
-which it calls, decides and escalates every point that a ball decides in
-any prefix claim.  A range scan is that reader at the indices of
-:func:`stride_indices`: every index up to :data:`DENSE_UNTIL`, then steps
-of ratio :data:`STRIDE_RATIO`.  The code, not the caller, picks them.
+interval operations.  One :func:`series.serve` reader, :func:`_read_bound`,
+is the only code that evaluates a row: it decides the row at the indices it
+is given and books each in a :class:`BoundScan`, building no object per
+point; :func:`_decide`, which it calls, decides and escalates every point
+that a ball decides in any prefix claim.  A range scan is that reader at
+the indices of :func:`stride_indices`: every index up to
+:data:`DENSE_UNTIL`, then steps of ratio :data:`STRIDE_RATIO`.  The code,
+not the caller, picks them; a bound at one index n is the scan
+``scan_bound(table, name, n, n)``.
 :func:`_read_rows` drives several rows in lockstep as one reader, each sent
 its own sums: ``lower``'s ``LOWER`` and ``DUAL``, and ``upper`` (c), the
 ``threshold`` row, inside a reader served ``plus``.
@@ -59,13 +60,10 @@ from .numerics import (
     EULER_GAMMA,
     ZETA2,
     Ball,
-    CertifiedValue,
-    Verdict,
     VerdictStatus,
     add_ball,
     ball_endpoints,
     ball_status,
-    compare,
     div_ball,
     exact_ball,
     exp_ball,
@@ -79,7 +77,7 @@ from .numerics import (
     sub_ball,
 )
 from .primes import PrimeTable
-from .series import TERMS, Reader, prefix_sums, serve
+from .series import TERMS, Reader, serve
 
 __all__ = [
     "BOUNDS",
@@ -88,17 +86,10 @@ __all__ = [
     "LOWER",
     "UPPER",
     "Bound",
-    "BoundReport",
     "BoundScan",
     "BRACKET_MAX",
     "DENSE_UNTIL",
     "STRIDE_RATIO",
-    "rosser_schoenfeld_bound",
-    "zeta_tail_bound",
-    "primorial_psi_bound",
-    "threshold_condition",
-    "robin_log_bound",
-    "criterion_gap_bound",
     "scan_bound",
     "bound_reader",
     "stride_indices",
@@ -119,22 +110,6 @@ BRACKET_MAX = 2**10
 _HOLDS = VerdictStatus.HOLDS
 _FAILS = VerdictStatus.FAILS
 _INCONCLUSIVE = VerdictStatus.INCONCLUSIVE
-
-
-@dataclass(frozen=True, slots=True)
-class BoundReport:
-    """One bound evaluated at one point, with its certified verdict."""
-
-    bound: str
-    at: int  # primorial index n, or x for the x-parameterized bounds
-    lhs: CertifiedValue
-    rhs: CertifiedValue
-    verdict: Verdict
-
-    @property
-    def slack(self) -> float:
-        """Conservative distance from violating the claim (positive = safe)."""
-        return _slack(BOUNDS[self.bound].claim, self.verdict.margin.ball)
 
 
 def _slack(claim: str, margin: Ball) -> float:
@@ -325,62 +300,6 @@ BOUND_NAMES = tuple(BOUNDS)
 LOWER = Bound(">", 3, ("plus",), False, _lower_sides)
 DUAL = Bound("<", 3, ("inv",), False, _dual_sides)
 UPPER = Bound("<", 4, ("plus",), False, _upper_sides)
-
-
-def _point(table: PrimeTable, name: str, at: int) -> BoundReport:
-    """Evaluate one bound at x (x-parameterized, x need not be prime) or at index n."""
-    bound = BOUNDS[name]
-    if bound.at_x:
-        n, x = table.prime_count(at), at
-        if n < bound.start:
-            raise DomainError(f"{name}: needs x >= p_{bound.start}, got {at}")
-    else:
-        n = at
-        if n < bound.start:
-            raise DomainError(f"{name}: needs n >= {bound.start}, got n={n}")
-        if n > table.count:
-            raise RangeError(f"{name}: n={n} beyond table ({table.count} primes)")
-        x = table.nth_prime(n)
-    _, theta, sums = next(prefix_sums(table, bound.sums, (n,)))
-    lhs, rhs = (CertifiedValue(*side) for side in bound.sides(_BALL, x, theta, *sums))
-    return BoundReport(name, at, lhs, rhs, compare(lhs, rhs, bound.claim))
-
-
-def rosser_schoenfeld_bound(table: PrimeTable, x: int) -> BoundReport:
-    """Partial Euler product against e^gamma (log x + 1/log x), for x >= 2."""
-    return _point(table, "rs-product", x)
-
-
-def zeta_tail_bound(table: PrimeTable, n: int) -> BoundReport:
-    """zeta(2) prod_{p<=p_n} (1-1/p^2) against exp(2/p_n), for n >= 2."""
-    return _point(table, "zeta-tail", n)
-
-
-def primorial_psi_bound(table: PrimeTable, n: int) -> BoundReport:
-    """psi(N_n)/N_n against the explicit Mertens-type bound, for n >= 2263.
-
-    The hypothesis is p_n >= 20000, which starts at index 2263.
-    """
-    return _point(table, "psi-bound", n)
-
-
-def threshold_condition(table: PrimeTable, n: int) -> BoundReport:
-    """exp(2/p_n)(1 + 1.125/(log p_n log log N_n)) against zeta(2), n >= 2263."""
-    return _point(table, "threshold", n)
-
-
-def robin_log_bound(table: PrimeTable, n: int) -> BoundReport:
-    """log p_n against log log N_n + 0.125/log p_n, for n >= 3.
-
-    Holds for large n; where it begins to hold is reported by scans, not
-    assumed.
-    """
-    return _point(table, "robin-log", n)
-
-
-def criterion_gap_bound(table: PrimeTable, x: int) -> BoundReport:
-    """log g(x) against log f(x) - 2/x, for x >= 5 (x need not be prime)."""
-    return _point(table, "criterion-gap", x)
 
 
 def stride_indices(start: int, stop: int) -> Iterable[int]:

@@ -59,7 +59,7 @@ from .bounds import (
     bound_reader,
 )
 from .errors import RangeError, UnknownClaimError
-from .numerics import E_GAMMA, VerdictStatus, ball_status, compare, sub_ball
+from .numerics import E_GAMMA, VerdictStatus, ball_status, sub_ball
 from .primes import PrimeTable, build_table
 from .series import Reader, serve
 
@@ -319,21 +319,19 @@ def _upper_claim(table: PrimeTable, config: VerifyConfig) -> Reader:
 
 def _upper(table: PrimeTable):
     """The reader of :func:`verify_upper`."""
+
+    def status(n: int, claim: str) -> VerdictStatus:  # of R(n) CLAIM e^gamma
+        return ball_status(sub_ball(robin_ratio(n, table).ball, E_GAMMA.ball), claim)
+
     # (a) exhaustive small range, certified; witnesses below 31
-    a_bad: list[int] = []
-    witnesses: list[int] = []
-    for n in range(3, 31):
-        if compare(robin_ratio(n, table), E_GAMMA, ">=").status is VerdictStatus.HOLDS:
-            witnesses.append(n)
-    for n in range(31, UPPER_SMALL_STOP + 1):
-        if compare(robin_ratio(n, table), E_GAMMA, "<").status is not VerdictStatus.HOLDS:
-            a_bad.append(n)
+    witnesses = [n for n in range(3, 31) if status(n, ">=") is VerdictStatus.HOLDS]
+    a_bad = [n for n in range(31, UPPER_SMALL_STOP + 1) if status(n, "<") is not VerdictStatus.HOLDS]
 
     # (b) primorial scan 4..2262, the UPPER row
     b = BoundScan("upper", UPPER.start, UPPER_PRIMORIAL_STOP)
     yield from _read_bound(table, UPPER, b, range(b.start, b.stop + 1))
     # R(N_3) = R(30) >= e^gamma: the bound genuinely starts at n = 4
-    r30_high = compare(robin_ratio(30, table), E_GAMMA, ">").status is VerdictStatus.HOLDS
+    r30_high = status(30, ">") is VerdictStatus.HOLDS
 
     # (c) the threshold at the first valid index; its lhs decreases in n
     c = BoundScan("threshold", FIRST_INDEX_AT_20000, FIRST_INDEX_AT_20000)

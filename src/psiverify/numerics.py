@@ -14,10 +14,12 @@ multiples of ``1/SUM_SCALE``, :func:`hull_ball` for the hull of two balls,
 and :func:`from_mp_interval` for an mpmath interval.  A kernel is the only
 home of its value formula, its radius formula and its domain guard (it
 raises :class:`DomainError`), and it checks its own output as
-:class:`CertifiedValue` does: a finite value and a finite radius >= 0.  :func:`ball_endpoints` and :func:`ball_status`
-decide on a ball.  :class:`CertifiedValue`, :class:`Verdict` and
-:func:`compare` (the :func:`ball_status` of a difference) are report types
-over the same pairs; they add no arithmetic.
+:class:`CertifiedValue` does: a finite value and a finite radius >= 0.
+:func:`ball_endpoints` and :func:`ball_status` decide on a ball: a
+comparison ``lhs CLAIM rhs`` is the ``ball_status(sub_ball(lhs, rhs),
+claim)`` of its margin.
+:class:`CertifiedValue` is the report type of a pair, for the constants and
+``arith.robin_ratio``; it adds no arithmetic.
 
 Rigor assumptions, stated once and stress-tested in the suite:
 
@@ -44,7 +46,6 @@ from .errors import DomainError
 __all__ = [
     "Ball",
     "CertifiedValue",
-    "Verdict",
     "VerdictStatus",
     "add_ball",
     "sub_ball",
@@ -61,7 +62,6 @@ __all__ = [
     "sum_ball",
     "ball_endpoints",
     "ball_status",
-    "compare",
     "hull_ball",
     "from_mp_interval",
     "EULER_GAMMA",
@@ -122,23 +122,6 @@ class VerdictStatus(Enum):
     HOLDS = "holds"
     FAILS = "fails"
     INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True, slots=True)
-class Verdict:
-    """Three-way outcome of a certified comparison.
-
-    ``margin`` is always left-hand side minus right-hand side; the claim
-    determines which side of zero counts as HOLDS.  HOLDS and FAILS are
-    reported only when the whole margin interval is on one side.
-    """
-
-    status: VerdictStatus
-    margin: CertifiedValue
-
-    @property
-    def holds(self) -> bool:
-        return self.status is VerdictStatus.HOLDS
 
 
 def _parse_constant(literal: str) -> CertifiedValue:
@@ -322,17 +305,6 @@ def ball_status(a: Ball, claim: str) -> VerdictStatus:
     else:
         raise ValueError(f"unknown claim orientation {claim!r}")
     return VerdictStatus.HOLDS if holds else VerdictStatus.FAILS if fails else VerdictStatus.INCONCLUSIVE
-
-
-def compare(lhs: CertifiedValue, rhs: CertifiedValue, claim: str) -> Verdict:
-    """Certified three-way comparison of two enclosures.
-
-    ``claim`` is one of ``"<"``, ``"<="``, ``">"``, ``">="`` read as
-    ``lhs CLAIM rhs``: the :func:`ball_status` of ``lhs - rhs``, whose ball
-    is the verdict's margin.
-    """
-    margin = sub_ball(lhs.ball, rhs.ball)
-    return Verdict(ball_status(margin, claim), CertifiedValue(*margin))
 
 
 def _interval_ball(lo: float, hi: float) -> Ball:

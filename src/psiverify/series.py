@@ -18,8 +18,8 @@ and the smallest term below the 2^31 sieve cap, log1p(-1/p^2) at
 p = 2147483647 (about -2^-62), has an ulp of 2^-114.  The pass checks each term.
 Its totals are then the exact sums of the terms, whatever their order or
 grouping.  The prime table holds primes only, so theta has no other source.
-The primorial points below, the criterion functions, the bounds module and
-the cache inspector consume the pass.
+The primorial points below, the bounds module and the cache inspector
+consume the pass.
 
 The loop is written once, as a cursor that only moves forward.
 :func:`prefix_sums` streams it to a single consumer.  :func:`serve` runs it
@@ -32,13 +32,14 @@ Since the totals are exact, every reader gets the bits of a pass of its own.
 The pass yields its totals as plain ``(value, radius)`` pairs, and the
 points chain them through the float kernels of ``numerics``; objects are
 built only at the edges.  A :class:`PrimorialPoint` carries its pairs and
-builds a :class:`CertifiedValue` only for a field that is read, so a scan
-that decides on the pairs builds none per point.  The points compose the
-pass's totals as
+nothing else.  The points compose the pass's totals as
 
     psi(N_n)/N_n       = exp(plus)
     R(N_n)             = psi(N_n)/N_n / log log N_n
     g(x) = (e^g / zeta(2)) * log theta(x) * exp(inv)
+
+and the ``criterion-gap`` row of ``bounds`` takes, in logs,
+
     f(x) =  e^g          * log theta(x) * exp(phi)
 
 inv equals -plus as a real number but is accumulated from differently
@@ -58,11 +59,9 @@ from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Seq
 
 from .errors import DomainError, RangeError
 from .numerics import (
-    E_GAMMA,
     E_GAMMA_OVER_ZETA2,
     SUM_SCALE,
     Ball,
-    CertifiedValue,
     div_ball,
     exp_ball,
     log1p_ball,
@@ -82,8 +81,6 @@ __all__ = [
     "serve",
     "points_at",
     "stream_points",
-    "criterion_g",
-    "criterion_f",
 ]
 
 MIN_CRITERION_X = 5
@@ -207,10 +204,8 @@ class PrimorialPoint(NamedTuple):
 
     The ``*_ball`` fields are the ``(value, radius)`` pairs the pass
     computes; ``log_theta_ball`` encloses log theta(p_n) = log log N_n, and
-    ``margin_ball`` encloses R(N_n) - e^gamma/zeta(2).  The
-    :class:`CertifiedValue` properties are built from them when read.
-    ``g`` is None at n = 2 where p_n < 5 puts it outside the criterion
-    function's domain.
+    ``margin_ball`` encloses R(N_n) - e^gamma/zeta(2).  ``g_ball`` is None
+    at n = 2, where p_n < 5 puts g outside its domain.
     """
 
     n: int
@@ -222,36 +217,19 @@ class PrimorialPoint(NamedTuple):
     g_ball: Ball | None
     margin_ball: Ball
 
-    @property
-    def theta(self) -> CertifiedValue:
-        return CertifiedValue(*self.theta_ball)
-
-    @property
-    def psi_over_n(self) -> CertifiedValue:
-        return CertifiedValue(*self.psi_over_n_ball)
-
-    @property
-    def ratio(self) -> CertifiedValue:
-        return CertifiedValue(*self.ratio_ball)
-
-    @property
-    def g(self) -> CertifiedValue | None:
-        return None if self.g_ball is None else CertifiedValue(*self.g_ball)
-
-    @property
-    def margin_lower(self) -> CertifiedValue:
-        return CertifiedValue(*self.margin_ball)
-
 
 _LOWER_LIMIT = E_GAMMA_OVER_ZETA2.ball
 
 
-def _criterion(scale: Ball, loglog: Ball, log_product: Ball) -> Ball:
-    return mul_ball(mul_ball(scale, loglog), exp_ball(log_product))
+def _primorial_point_at(primes: Sequence[int], n: int, theta: Ball, sums: list[Ball]) -> PrimorialPoint:
+    """The point at index n from the pass's theta and ``[plus, inv]`` totals there.
 
-
-def _primorial_point(primes: Sequence[int], n: int, theta: Ball, sums: list[Ball]) -> PrimorialPoint:
-    """The point at index n from the pass's theta and ``[plus, inv]`` totals there."""
+    Its margin and g are the sides of the rows ``bounds.LOWER`` and
+    ``bounds.DUAL``, written out again so that a dense scan takes
+    log theta once per point: the rows' sides take it once per side, three
+    times per point, and made ``scan lower`` measurably slower.
+    ``tests/test_bounds.py`` checks that both give the same bits.
+    """
     if n < 2:
         raise RangeError(f"points_at: primorial points start at n = 2, got {n}")
     p = primes[n - 1]  # the pass checked n against the table
@@ -259,14 +237,14 @@ def _primorial_point(primes: Sequence[int], n: int, theta: Ball, sums: list[Ball
     psi_over_n = exp_ball(plus)
     loglog = log_ball(theta)
     ratio = div_ball(psi_over_n, loglog)
-    g = _criterion(_LOWER_LIMIT, loglog, inv) if p >= MIN_CRITERION_X else None
+    g = mul_ball(mul_ball(_LOWER_LIMIT, loglog), exp_ball(inv)) if p >= MIN_CRITERION_X else None
     return PrimorialPoint._make((n, p, theta, loglog, psi_over_n, ratio, g, sub_ball(ratio, _LOWER_LIMIT)))
 
 
 def points_at(table: PrimeTable, indices: Iterable[int]) -> Iterator[PrimorialPoint]:
     """Yield PrimorialPoints at the ascending ``indices`` (each >= 2)."""
     for n, theta, sums in prefix_sums(table, POINT_KINDS, indices):
-        yield _primorial_point(table.primes, n, theta, sums)
+        yield _primorial_point_at(table.primes, n, theta, sums)
 
 
 def stream_points(table: PrimeTable, n_max: int) -> Iterator[PrimorialPoint]:
@@ -276,26 +254,3 @@ def stream_points(table: PrimeTable, n_max: int) -> Iterator[PrimorialPoint]:
     if n_max < 2:
         raise RangeError(f"stream_points: n_max={n_max} below stream start 2")
     yield from points_at(table, range(2, n_max + 1))
-
-
-def _criterion_at(table: PrimeTable, x: int, kind: str, scale: CertifiedValue) -> CertifiedValue:
-    if x < MIN_CRITERION_X:
-        raise DomainError(
-            f"criterion functions need x >= {MIN_CRITERION_X} so that log theta(x) > 0, got x={x}"
-        )
-    _, theta, (log_product,) = next(prefix_sums(table, (kind,), (table.prime_count(x),)))
-    return CertifiedValue(*_criterion(scale.ball, log_ball(theta), log_product))
-
-
-def criterion_g(table: PrimeTable, x: int) -> CertifiedValue:
-    """g(x) = (e^gamma/zeta(2)) log theta(x) prod_{p<=x} (1+1/p)^(-1), certified.
-
-    g(p_n) < 1 is equivalent to R(N_n) > e^gamma/zeta(2).  Cost is one pass
-    over the primes up to x; use the stream for dense evaluation.
-    """
-    return _criterion_at(table, x, "inv", E_GAMMA_OVER_ZETA2)
-
-
-def criterion_f(table: PrimeTable, x: int) -> CertifiedValue:
-    """f(x) = e^gamma log theta(x) prod_{p<=x} (1-1/p), certified (Nicolas)."""
-    return _criterion_at(table, x, "phi", E_GAMMA)

@@ -128,7 +128,7 @@ def test_criterion_6_identity_suite(table):
     # (i) g(p_n) R(N_n) = e^gamma/zeta(2) within combined radii, every scanned n
     identity_ok = True
     for point in stream_points(table, 10**5):
-        if point.g is None:
+        if point.g_ball is None:
             continue
         value, radius = mul_ball(point.g_ball, point.ratio_ball)
         if abs(value - E_GAMMA_OVER_ZETA2.value) > radius + E_GAMMA_OVER_ZETA2.radius:

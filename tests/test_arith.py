@@ -26,7 +26,7 @@ from psiverify.arith import (
 import psiverify.arith as arith_mod
 from psiverify.errors import CapabilityError, DomainError, ResourceError
 from psiverify.primes import MAX_LIMIT, build_table
-from psiverify.numerics import E_GAMMA, VerdictStatus, compare
+from psiverify.numerics import E_GAMMA, VerdictStatus, ball_status, sub_ball
 
 
 # independent oracles, straight from the definitions
@@ -146,12 +146,12 @@ def test_sandwich_small():
 def test_robin_ratio_examples():
     r30 = robin_ratio(30)
     assert abs(r30.value - 1.9605800214449640) < 1e-13
-    assert compare(r30, E_GAMMA, ">").status is VerdictStatus.HOLDS
+    assert ball_status(sub_ball(r30.ball, E_GAMMA.ball), ">") is VerdictStatus.HOLDS
     r31 = robin_ratio(31)
     assert abs(r31.value - 0.8367022993088898) < 1e-13
     r210 = robin_ratio(210)
     assert abs(r210.value - 1.6360071034244227) < 1e-13
-    assert compare(r210, E_GAMMA, "<").status is VerdictStatus.HOLDS
+    assert ball_status(sub_ball(r210.ball, E_GAMMA.ball), "<") is VerdictStatus.HOLDS
 
 
 def test_robin_ratio_encloses_oracle():

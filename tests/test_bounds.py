@@ -1,4 +1,4 @@
-"""Analytic bound evaluators, scan machinery, and the escalation path."""
+"""Analytic bound rows at single indices, scan machinery, and the escalation path."""
 
 from __future__ import annotations
 
@@ -8,127 +8,139 @@ import pytest
 
 import psiverify.bounds as bounds_mod
 from psiverify.bounds import (
+    _BALL,
+    BOUNDS,
     BoundScan,
     _interval_sides,
-    criterion_gap_bound,
-    primorial_psi_bound,
-    robin_log_bound,
-    rosser_schoenfeld_bound,
     scan_bound,
     stride_indices,
-    threshold_condition,
-    zeta_tail_bound,
 )
 from psiverify.errors import DomainError, RangeError
-from psiverify.numerics import VerdictStatus, compare
+from psiverify.numerics import VerdictStatus, ball_status, sub_ball
+from psiverify.series import prefix_sums
+
+
+def _sides(table, row, n):
+    """The per-index oracle: the row's ``(lhs, rhs)`` balls at index n, from one prefix pass."""
+    ((_, theta, sums),) = prefix_sums(table, row.sums, (n,))
+    return row.sides(_BALL, table.nth_prime(n), theta, *sums)
+
+
+def _at(table, name, n):
+    """The bound ``name`` decided at index n alone: the scan of [n, n]."""
+    scan = scan_bound(table, name, n, n)
+    assert scan.points_checked == 1
+    return scan
 
 
 def test_rs_product_at_2(table):
-    r = rosser_schoenfeld_bound(table, 2)
-    assert r.verdict.status is VerdictStatus.HOLDS
-    assert abs(r.lhs.value - 2.0) <= r.lhs.radius
-    assert abs(r.rhs.value - 3.8040896698015638) < 1e-12
+    assert _at(table, "rs-product", 1).holds == 1
+    lhs, rhs = _sides(table, BOUNDS["rs-product"], 1)
+    assert abs(lhs[0] - 2.0) <= lhs[1]
+    assert abs(rhs[0] - 3.8040896698015638) < 1e-12
 
 
 def test_rs_product_at_3(table):
-    r = rosser_schoenfeld_bound(table, 3)
-    assert r.verdict.status is VerdictStatus.HOLDS
-    assert abs(r.lhs.value - 3.0) <= r.lhs.radius
-    assert abs(r.rhs.value - 3.5779100257296446) < 1e-12
+    assert _at(table, "rs-product", 2).holds == 1
+    lhs, rhs = _sides(table, BOUNDS["rs-product"], 2)
+    assert abs(lhs[0] - 3.0) <= lhs[1]
+    assert abs(rhs[0] - 3.5779100257296446) < 1e-12
 
 
 def test_rs_product_at_20000(table):
-    r = rosser_schoenfeld_bound(table, 20000)
-    assert r.verdict.status is VerdictStatus.HOLDS
+    # the row is read at primes: at p_n = 19997, the largest prime <= 20000, the
+    # product is the one at 20000 and the rhs, increasing in x, is smaller
+    n = table.prime_count(20000)
+    assert table.nth_prime(n) == 19997
+    assert _at(table, "rs-product", n).holds == 1
 
 
 def test_rs_product_domain(table):
     with pytest.raises(DomainError):
-        rosser_schoenfeld_bound(table, 1)
+        scan_bound(table, "rs-product", 0, 0)
     with pytest.raises(RangeError):
-        rosser_schoenfeld_bound(table, table.limit + 1)
+        scan_bound(table, "rs-product", table.count + 1, table.count + 1)
 
 
 def test_zeta_tail_at_2(table):
-    r = zeta_tail_bound(table, 2)
-    assert r.verdict.status is VerdictStatus.HOLDS
+    assert _at(table, "zeta-tail", 2).holds == 1
     # zeta(2) (3/4)(8/9) = zeta(2) 2/3 and exp(2/3)
-    assert abs(r.lhs.value - 1.0966227112321510) < 1e-12
-    assert abs(r.rhs.value - 1.9477340410546759) < 1e-12
+    lhs, rhs = _sides(table, BOUNDS["zeta-tail"], 2)
+    assert abs(lhs[0] - 1.0966227112321510) < 1e-12
+    assert abs(rhs[0] - 1.9477340410546759) < 1e-12
 
 
 def test_zeta_tail_margin_shrinks(table):
-    r2 = zeta_tail_bound(table, 2)
-    r25 = zeta_tail_bound(table, 25)
-    r500 = zeta_tail_bound(table, 500)
-    assert r25.verdict.status is VerdictStatus.HOLDS
-    assert r500.verdict.status is VerdictStatus.HOLDS
-    assert r2.slack > r25.slack > r500.slack > 0
+    r2, r25, r500 = (_at(table, "zeta-tail", n) for n in (2, 25, 500))
+    assert r25.holds == r500.holds == 1
+    assert r2.worst_slack > r25.worst_slack > r500.worst_slack > 0
     # both sides head to 1 from above, staying ordered
-    assert 1 < r500.lhs.value < r500.rhs.value < 1.01
+    lhs, rhs = _sides(table, BOUNDS["zeta-tail"], 500)
+    assert 1 < lhs[0] < rhs[0] < 1.01
 
 
 def test_zeta_tail_domain(table):
     with pytest.raises(DomainError):
-        zeta_tail_bound(table, 1)
+        scan_bound(table, "zeta-tail", 1, 1)
 
 
 def test_psi_bound_at_first_valid_index(table):
-    r = primorial_psi_bound(table, 2263)
-    assert r.verdict.status is VerdictStatus.HOLDS
-    assert r.slack > 0.1  # regression: 0.1075 at first computation
+    r = _at(table, "psi-bound", 2263)
+    assert r.holds == 1
+    assert r.worst_slack > 0.1  # regression: 0.1075 at first computation
 
 
 @pytest.mark.parametrize("n", [5000, 10**4])
 def test_psi_bound_scan_points(table, n):
-    assert primorial_psi_bound(table, n).verdict.status is VerdictStatus.HOLDS
+    assert _at(table, "psi-bound", n).holds == 1
 
 
 def test_psi_bound_domain_cites_hypothesis(table):
     with pytest.raises(DomainError, match="2263"):
-        primorial_psi_bound(table, 2262)
+        scan_bound(table, "psi-bound", 2262, 2262)
 
 
 def test_psi_bound_margin_reproducible_bitwise(table):
-    a = primorial_psi_bound(table, 3000)
-    b = primorial_psi_bound(table, 3000)
-    assert a.verdict.margin.value == b.verdict.margin.value
-    assert a.verdict.margin.radius == b.verdict.margin.radius
-    assert a.verdict.margin.value < 0  # rhs - lhs stays positive
+    a = sub_ball(*_sides(table, BOUNDS["psi-bound"], 3000))
+    b = sub_ball(*_sides(table, BOUNDS["psi-bound"], 3000))
+    assert a == b
+    assert a[0] < 0  # rhs - lhs stays positive
+    assert _at(table, "psi-bound", 3000).worst_slack == _at(table, "psi-bound", 3000).worst_slack
     s1 = scan_bound(table, "psi-bound", 2263, 2400)
     s2 = scan_bound(table, "psi-bound", 2263, 2400)
     assert s1.worst_slack == s2.worst_slack and s1.worst_at == s2.worst_at
 
 
 def test_threshold_at_first_valid_index(table):
-    r = threshold_condition(table, 2263)
-    assert r.verdict.status is VerdictStatus.HOLDS
-    assert abs(r.rhs.value - 1.6449340668482264) < 1e-15
+    assert _at(table, "threshold", 2263).holds == 1
+    _, rhs = _sides(table, BOUNDS["threshold"], 2263)
+    assert abs(rhs[0] - 1.6449340668482264) < 1e-15
 
 
 def test_threshold_monotone_pairwise(table):
     # lhs(n+1) < lhs(n), certified, at the start of the validity range
+    row = BOUNDS["threshold"]
     for n in (2263, 2264, 5000):
-        step = compare(threshold_condition(table, n + 1).lhs, threshold_condition(table, n).lhs, "<")
-        assert step.status is VerdictStatus.HOLDS
+        step = sub_ball(_sides(table, row, n + 1)[0], _sides(table, row, n)[0])
+        assert ball_status(step, "<") is VerdictStatus.HOLDS
 
 
 def test_threshold_margin_grows(table):
-    assert threshold_condition(table, 10**5).slack > threshold_condition(table, 2263).slack
+    assert _at(table, "threshold", 10**5).worst_slack > _at(table, "threshold", 2263).worst_slack
 
 
 def test_threshold_domain(table):
     with pytest.raises(DomainError):
-        threshold_condition(table, 2262)
+        scan_bound(table, "threshold", 2262, 2262)
 
 
 def test_robin_log_points(table):
-    assert robin_log_bound(table, 2263).verdict.status is VerdictStatus.HOLDS
-    assert robin_log_bound(table, 10**4).verdict.status is VerdictStatus.HOLDS
+    assert _at(table, "robin-log", 2263).holds == 1
+    assert _at(table, "robin-log", 10**4).holds == 1
     # fails well below the validity start: the start is empirical, not assumed
-    assert robin_log_bound(table, 3).verdict.status is VerdictStatus.FAILS
+    assert _at(table, "robin-log", 3).fails == 1
     with pytest.raises(DomainError):
-        robin_log_bound(table, 2)
+        scan_bound(table, "robin-log", 2, 2)
 
 
 def test_robin_log_empirical_start(table):
@@ -143,13 +155,15 @@ def test_robin_log_empirical_start(table):
 
 @pytest.mark.parametrize("x", [5, 100, 10**4, 20011])
 def test_criterion_gap_points(table, x):
-    r = criterion_gap_bound(table, x)
-    assert r.verdict.status is VerdictStatus.HOLDS
+    # the row is read at primes: at x itself when x is prime, else at the largest prime below x
+    r = _at(table, "criterion-gap", table.prime_count(x))
+    assert r.holds == 1 and r.worst_slack > 0
 
 
 def test_criterion_gap_domain(table):
+    # x = 4 puts the index at 2, below the row's start 3 (p_3 = 5)
     with pytest.raises(DomainError):
-        criterion_gap_bound(table, 4)
+        scan_bound(table, "criterion-gap", table.prime_count(4), table.prime_count(4))
 
 
 def _set_stride(monkeypatch, dense_until: int, ratio: float) -> None:
@@ -238,23 +252,13 @@ def test_scan_validation(table):
 )
 def test_escalation_agrees_with_fast_path(table, name, n):
     """The 113-bit interval path must enclose the same reals, much tighter."""
-    from psiverify.bounds import BOUNDS, robin_log_bound
-
-    fast = {
-        "rs-product": lambda: rosser_schoenfeld_bound(table, table.nth_prime(n)),
-        "zeta-tail": lambda: zeta_tail_bound(table, n),
-        "psi-bound": lambda: primorial_psi_bound(table, n),
-        "threshold": lambda: threshold_condition(table, n),
-        "robin-log": lambda: robin_log_bound(table, n),
-        "criterion-gap": lambda: criterion_gap_bound(table, table.nth_prime(n)),
-    }[name]()
-    from psiverify.numerics import ball_status, sub_ball
-
-    lhs, rhs = _interval_sides(table, BOUNDS[name], n)
-    assert abs(lhs[0] - fast.lhs.value) <= lhs[1] + fast.lhs.radius
-    assert abs(rhs[0] - fast.rhs.value) <= rhs[1] + fast.rhs.radius
-    assert lhs[1] <= fast.lhs.radius
-    assert ball_status(sub_ball(lhs, rhs), BOUNDS[name].claim) is fast.verdict.status
+    row = BOUNDS[name]
+    fast_lhs, fast_rhs = _sides(table, row, n)
+    lhs, rhs = _interval_sides(table, row, n)
+    assert abs(lhs[0] - fast_lhs[0]) <= lhs[1] + fast_lhs[1]
+    assert abs(rhs[0] - fast_rhs[0]) <= rhs[1] + fast_rhs[1]
+    assert lhs[1] <= fast_lhs[1]
+    assert ball_status(sub_ball(lhs, rhs), row.claim) is ball_status(sub_ball(fast_lhs, fast_rhs), row.claim)
 
 
 def test_scan_escalation_branch_on_forced_inconclusive(table, monkeypatch):
@@ -337,10 +341,6 @@ def _kernel_sides():
 
 def test_bound_formulas_bit_identical_to_certified_value_chain(table):
     # every point of each default dense scan, on the pairs the pass yields
-    from psiverify.bounds import _BALL, BOUNDS
-    from psiverify.numerics import CertifiedValue, ball_status, compare, sub_ball
-    from psiverify.series import prefix_sums
-
     reference = _kernel_sides()
     stop = bounds_mod.DENSE_UNTIL
     kinds = ("plus", "inv", "phi", "sq")
@@ -355,9 +355,6 @@ def test_bound_formulas_bit_identical_to_certified_value_chain(table):
             lhs, rhs = bound.sides(_BALL, x, *args)
             ref_lhs, ref_rhs = reference[name](x, *args)
             assert (lhs, rhs) == (ref_lhs, ref_rhs), (name, n)
-            status = ball_status(sub_ball(lhs, rhs), bound.claim)
-            verdict = compare(CertifiedValue(*lhs), CertifiedValue(*rhs), bound.claim)
-            assert status is verdict.status, (name, n)
             checked += 1
     assert checked == sum(stop - bound.start + 1 for bound in BOUNDS.values())
 
@@ -365,14 +362,14 @@ def test_bound_formulas_bit_identical_to_certified_value_chain(table):
 def test_claim_rows_bit_identical_to_the_points(table):
     # LOWER, DUAL and UPPER on _BALL give the margins the lower and upper scans
     # decide on the points, so the 113-bit path re-decides the same formulas
-    from psiverify.bounds import _BALL, DUAL, LOWER, UPPER
-    from psiverify.numerics import E_GAMMA, sub_ball
-    from psiverify.series import POINT_KINDS, _primorial_point, prefix_sums
+    from psiverify.bounds import DUAL, LOWER, UPPER
+    from psiverify.numerics import E_GAMMA
+    from psiverify.series import POINT_KINDS, _primorial_point_at
 
     checked = 0
     for n, theta, totals in prefix_sums(table, POINT_KINDS, range(LOWER.start, 2 * 10**4 + 1)):
         sums = dict(zip(POINT_KINDS, totals))
-        point = _primorial_point(table.primes, n, theta, totals)
+        point = _primorial_point_at(table.primes, n, theta, totals)
         expected = [
             (LOWER, point.margin_ball),
             (DUAL, sub_ball(point.g_ball, (1.0, 0.0))),
@@ -396,9 +393,7 @@ def _dense_scan(table, row, name, start, stop):
 
     Returns the scan and each index's status.
     """
-    from psiverify.bounds import _BALL, _slack
-    from psiverify.numerics import ball_status, sub_ball
-    from psiverify.series import prefix_sums
+    from psiverify.bounds import _slack
 
     scan, statuses = BoundScan(name, start, stop), {}
     for n, theta, sums in prefix_sums(table, row.sums, stride_indices(start, stop)):

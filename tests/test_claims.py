@@ -203,8 +203,8 @@ def test_verify_lower_escalates_to_the_interval_path(table, monkeypatch):
 
     point = next(p for p in stream_points(table, 25) if p.n == 25)
     (ratio, radius), _ = _interval_sides(table, LOWER, 25)
-    assert abs(ratio - point.ratio.value) <= radius + point.ratio.radius
-    assert radius <= point.ratio.radius
+    assert abs(ratio - point.ratio_ball[0]) <= radius + point.ratio_ball[1]
+    assert radius <= point.ratio_ball[1]
 
     # the first ball comparison in bounds decides LOWER at n = 3, the first index, alone
     _first_status_inconclusive(monkeypatch)

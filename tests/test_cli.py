@@ -91,11 +91,10 @@ def test_scan_csv_roundtrip(capsys, table):
         if point.n < 3:
             continue
         row = rows[point.n]
-        assert float(row["R_value"]) == point.ratio.value
-        assert float(row["R_radius"]) == point.ratio.radius
-        assert float(row["theta"]) == point.theta.value
-        assert float(row["g_value"]) == point.g.value
-        assert float(row["margin_lower"]) == point.margin_lower.value
+        assert (float(row["R_value"]), float(row["R_radius"])) == point.ratio_ball
+        assert float(row["theta"]) == point.theta_ball[0]
+        assert float(row["g_value"]) == point.g_ball[0]
+        assert float(row["margin_lower"]) == point.margin_ball[0]
         assert int(row["p_n"]) == point.p
 
 

@@ -28,7 +28,9 @@ for argv in (
     ["verify", "lower", "--n-max", "3000"],
     ["verify", "upper", "mertens-trend", "--n-max", "3000"],
     ["scan", "lower", "--n-max", "200"],
+    ["scan", "points", "--n-max", "200"],
     ["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "3000"],
+    ["scan", "bounds", "--name", "criterion-gap", "--from", "3", "--to", "3000"],
     ["cache", "build", "--limit", "100000", "--cache-dir", work],
     ["cache", "inspect", "--cache-dir", work],
 ):

@@ -24,7 +24,6 @@ from psiverify.numerics import (
     add_ball,
     ball_endpoints,
     ball_status,
-    compare,
     div_ball,
     exp_ball,
     from_mp_interval,
@@ -158,16 +157,31 @@ def test_sum_ball_encloses_the_scaled_integers(units, radius_units):
     assert Fraction(r) >= Fraction(radius_units, 2**120) + abs(Fraction(v) - exact)
 
 
+def _compare(a: CertifiedValue, b: CertifiedValue, claim: str) -> VerdictStatus:
+    """``a CLAIM b`` decided as every row is: the ball_status of the margin ball."""
+    return ball_status(sub_ball(a.ball, b.ball), claim)
+
+
 def test_compare_is_ball_status_of_the_difference():
+    # oracle: exact rational endpoints; HOLDS only if every a - b satisfies the
+    # claim, FAILS only if none does
+    holds = {"<": lambda x, y: x < y, "<=": lambda x, y: x <= y, ">": lambda x, y: x > y, ">=": lambda x, y: x >= y}
     rng = random.Random(5)
+    seen = set()
     for _ in range(2000):
         a = CertifiedValue(rng.uniform(-2, 2), rng.choice([0.0, 1e-3, 1e-16]))
-        b = CertifiedValue(rng.uniform(-2, 2), rng.choice([0.0, 1e-3, 1e-16]))
-        for claim in ("<", "<=", ">", ">="):
-            verdict = compare(a, b, claim)
-            margin = sub_ball(a.ball, b.ball)
-            assert (verdict.margin.value, verdict.margin.radius) == margin
-            assert verdict.status is ball_status(margin, claim)
+        near = a.value + rng.uniform(-3e-3, 3e-3)  # some pairs overlap
+        b = CertifiedValue(rng.choice([rng.uniform(-2, 2), near]), rng.choice([0.0, 1e-3, 1e-16]))
+        lo = Fraction(a.value) - Fraction(a.radius) - Fraction(b.value) - Fraction(b.radius)
+        hi = Fraction(a.value) + Fraction(a.radius) - Fraction(b.value) + Fraction(b.radius)
+        for claim, test in holds.items():
+            status = _compare(a, b, claim)
+            seen.add(status)
+            if status is VerdictStatus.HOLDS:
+                assert test(lo, 0) and test(hi, 0)
+            elif status is VerdictStatus.FAILS:
+                assert not test(lo, 0) and not test(hi, 0)
+    assert seen == set(VerdictStatus)
 
 
 def test_cv_from_int_exactness():
@@ -198,31 +212,29 @@ def test_cv_log_int(n):
 
 
 def test_compare_holds():
-    v = compare(CertifiedValue(1.0, 0.1), CertifiedValue(2.0, 0.1), "<")
-    assert v.status is VerdictStatus.HOLDS
+    assert _compare(CertifiedValue(1.0, 0.1), CertifiedValue(2.0, 0.1), "<") is VerdictStatus.HOLDS
 
 
 def test_compare_overlap_is_inconclusive():
-    v = compare(CertifiedValue(1.0, 0.6), CertifiedValue(2.0, 0.6), "<")
-    assert v.status is VerdictStatus.INCONCLUSIVE
+    assert _compare(CertifiedValue(1.0, 0.6), CertifiedValue(2.0, 0.6), "<") is VerdictStatus.INCONCLUSIVE
 
 
 def test_compare_constants_sanity():
     # e^gamma = 1.781... is not below zeta(2) = 1.645...
-    assert compare(E_GAMMA, ZETA2, "<").status is VerdictStatus.FAILS
-    assert compare(E_GAMMA, ZETA2, ">").status is VerdictStatus.HOLDS
+    assert _compare(E_GAMMA, ZETA2, "<") is VerdictStatus.FAILS
+    assert _compare(E_GAMMA, ZETA2, ">") is VerdictStatus.HOLDS
 
 
 def test_compare_equality_oriented():
     a = CertifiedValue(1.0)
-    assert compare(a, a, "<=").status is VerdictStatus.HOLDS
-    assert compare(a, a, "<").status is VerdictStatus.FAILS
-    assert compare(a, a, ">=").status is VerdictStatus.HOLDS
+    assert _compare(a, a, "<=") is VerdictStatus.HOLDS
+    assert _compare(a, a, "<") is VerdictStatus.FAILS
+    assert _compare(a, a, ">=") is VerdictStatus.HOLDS
 
 
 def test_compare_unknown_claim():
     with pytest.raises(ValueError):
-        compare(CertifiedValue(1.0), CertifiedValue(2.0), "==")
+        _compare(CertifiedValue(1.0), CertifiedValue(2.0), "==")
 
 
 @given(
@@ -235,7 +247,7 @@ def test_compare_unknown_claim():
 def test_compare_antisymmetry(av, ar, bv, br, claim):
     flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[claim]
     a, b = CertifiedValue(av, ar), CertifiedValue(bv, br)
-    assert compare(a, b, claim).status is compare(b, a, flipped).status
+    assert _compare(a, b, claim) is _compare(b, a, flipped)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import mpmath as mp
 import pytest
 
 from psiverify.arith import primorial
-from psiverify.bounds import criterion_gap_bound
+from psiverify.bounds import _BALL, BOUNDS
 from psiverify.errors import RangeError, ResourceError
 from psiverify.numerics import CertifiedValue, log_int_ball
 from psiverify.primes import build_table, inspect_cache, load_table, save_table
@@ -323,14 +323,20 @@ def test_cache_rejects_a_limit_its_primes_do_not_reach(tmp_path, limit, message)
     assert load_table(path).limit == 50020
 
 
+def _criterion_gap_lhs(table, x: int) -> float:
+    """The criterion-gap row's lhs, log g, at the largest prime <= x; it depends on theta and inv only."""
+    row, n = BOUNDS["criterion-gap"], table.prime_count(x)
+    ((_, theta, sums),) = prefix_sums(table, row.sums, (n,))
+    return row.sides(_BALL, table.nth_prime(n), theta, *sums)[0][0]
+
+
 def test_build_table_replaces_a_cache_that_lacks_primes(tmp_path):
     # the short cache would serve this request, and a criterion value built on
     # it would be certified from the wrong primes
     _short_cache(tmp_path / "primes.ptab", 100000)
     table = build_table(60000, cache_dir=tmp_path)
     assert table.limit == 60000 and table.primes == build_table(60000).primes
-    lhs = criterion_gap_bound(table, 55000).lhs
-    assert abs(lhs.value - -0.00082303) < 1e-8
+    assert abs(_criterion_gap_lhs(table, 55000) - -0.00082303) < 1e-8
     assert load_table(tmp_path / "primes.ptab").limit == 60000
 
 
@@ -346,8 +352,8 @@ def test_build_table_rejects_a_cache_that_omits_a_prime(tmp_path):
     crafted = [p for p in honest.primes if p != 30011]
     (tmp_path / "primes.ptab").write_bytes(_cache_blob(60000, len(crafted), _primes_body(*crafted)))
     table = build_table(55000, cache_dir=tmp_path)
-    lhs = criterion_gap_bound(table, 55000).lhs  # -0.00080699 from the crafted file
-    assert abs(lhs.value - -0.00082303) < 1e-8
+    lhs = _criterion_gap_lhs(table, 55000)  # -0.00080699 from the crafted file
+    assert abs(lhs - -0.00082303) < 1e-8
     assert table.primes[: table.prime_count(55000)] == honest.primes[: honest.prime_count(55000)]
 
 

@@ -16,10 +16,9 @@ from psiverify.errors import DomainError, RangeError
 from psiverify.numerics import (
     E_GAMMA_OVER_ZETA2,
     SUM_SCALE,
-    CertifiedValue,
     VerdictStatus,
+    add_ball,
     ball_status,
-    compare,
     div_ball,
     exp_ball,
     log1p_ball,
@@ -31,8 +30,6 @@ from psiverify.numerics import (
 from psiverify.primes import MAX_LIMIT, PrimeTable
 from psiverify.series import (
     TERMS,
-    criterion_f,
-    criterion_g,
     prefix_sums,
     serve,
     stream_points,
@@ -202,7 +199,7 @@ def test_serve_peak_memory_is_flat_in_the_number_of_indices(table):
 
 def test_points_bit_identical_to_certified_value_chain(table):
     # reference: every point composed from the pass's pair totals with the
-    # kernels, operation for operation; the report properties wrap the same pairs
+    # kernels, operation for operation
     count = 10**4
     limit = E_GAMMA_OVER_ZETA2.ball
     points = stream_points(table, count)
@@ -213,14 +210,12 @@ def test_points_bit_identical_to_certified_value_chain(table):
         g = mul_ball(mul_ball(limit, loglog), exp_ball(inv)) if n >= 3 else None
         margin = sub_ball(ratio, limit)
         assert point.n == n
-        assert point.theta_ball == theta == point.theta.ball, n
+        assert point.theta_ball == theta, n
         assert point.log_theta_ball == loglog, n
-        assert point.psi_over_n_ball == psi_over_n == point.psi_over_n.ball, n
-        assert point.ratio_ball == ratio == point.ratio.ball, n
+        assert point.psi_over_n_ball == psi_over_n, n
+        assert point.ratio_ball == ratio, n
         assert point.g_ball == g, n
-        assert (point.g.ball if point.g else None) == point.g_ball, n
-        assert point.margin_ball == margin == point.margin_lower.ball, n
-        assert ball_status(point.margin_ball, ">") is compare(point.ratio, E_GAMMA_OVER_ZETA2, ">").status, n
+        assert point.margin_ball == margin, n
     assert next(points, None) is None and n == count
 
 
@@ -229,9 +224,9 @@ def test_point_n2():
     p2 = pts[2]
     assert p2.p == 3
     # psi(N_2)/N_2 = (3/2)(4/3) = 2 exactly
-    assert abs(p2.psi_over_n.value - 2.0) <= p2.psi_over_n.radius
-    assert abs(p2.ratio.value - 3.4293665667005870) < 1e-12
-    assert p2.g is None
+    assert abs(p2.psi_over_n_ball[0] - 2.0) <= p2.psi_over_n_ball[1]
+    assert abs(p2.ratio_ball[0] - 3.4293665667005870) < 1e-12
+    assert p2.g_ball is None
 
 
 def stream_points_table10():
@@ -243,8 +238,9 @@ def stream_points_table10():
 def test_point_n4_matches_ratio_r(table):
     p4 = next(p for p in stream_points(table, 4) if p.n == 4)
     r210 = robin_ratio_from_factors(Factorization(210, ((2, 1), (3, 1), (5, 1), (7, 1))))
-    assert abs(p4.ratio.value - r210.value) <= p4.ratio.radius + r210.radius
-    assert abs(p4.ratio.value - 1.6360071034244227) < 1e-12
+    value, radius = p4.ratio_ball
+    assert abs(value - r210.value) <= radius + r210.radius
+    assert abs(value - 1.6360071034244227) < 1e-12
 
 
 def test_stream_matches_exact_primorial_ratio(table):
@@ -255,20 +251,21 @@ def test_stream_matches_exact_primorial_ratio(table):
         exact = robin_ratio_from_factors(
             Factorization(primorial(n, table), tuple((p, 1) for p in primes[:n]))
         )
-        assert abs(point.ratio.value - exact.value) <= point.ratio.radius + exact.radius
+        value, radius = point.ratio_ball
+        assert abs(value - exact.value) <= radius + exact.radius
 
 
 def test_psi_over_n_strictly_increasing(table):
     prev = 0.0
     for point in stream_points(table, 3000):
-        assert point.psi_over_n.value > prev
-        prev = point.psi_over_n.value
+        assert point.psi_over_n_ball[0] > prev
+        prev = point.psi_over_n_ball[0]
 
 
 def test_identity_g_times_ratio(table):
     # g(p_n) * R(N_n) = e^gamma/zeta(2), two independent accumulation paths
     for point in stream_points(table, 3000):
-        if point.g is None:
+        if point.g_ball is None:
             continue
         value, radius = mul_ball(point.g_ball, point.ratio_ball)
         assert abs(value - E_GAMMA_OVER_ZETA2.value) <= radius + E_GAMMA_OVER_ZETA2.radius, point.n
@@ -276,55 +273,66 @@ def test_identity_g_times_ratio(table):
 
 def test_margins_wired_correctly(table):
     for point in stream_points(table, 50):
-        assert point.margin_lower.value == pytest.approx(
-            point.ratio.value - E_GAMMA_OVER_ZETA2.value, abs=1e-15
-        )
+        assert point.margin_ball[0] == pytest.approx(point.ratio_ball[0] - E_GAMMA_OVER_ZETA2.value, abs=1e-15)
+
+
+def _row_sides(table, row, n):
+    """The row's ``(lhs, rhs)`` balls at index n, from a prefix pass of its own kinds alone."""
+    from psiverify.bounds import _BALL
+
+    ((_, theta, sums),) = prefix_sums(table, row.sums, (n,))
+    return row.sides(_BALL, table.nth_prime(n), theta, *sums)
+
+
+def _g(table, x):
+    """g(x): the lhs of the DUAL row at the largest prime <= x (g is constant between primes)."""
+    from psiverify.bounds import DUAL
+
+    return _row_sides(table, DUAL, table.prime_count(x))[0]
 
 
 def test_criterion_g_examples(table):
-    g5 = criterion_g(table, 5)
-    assert abs(g5.value - 0.5522662586671264) < 1e-13
-    assert compare(g5, CertifiedValue(1.0), "<").status is VerdictStatus.HOLDS
+    g5 = _g(table, 5)
+    assert abs(g5[0] - 0.5522662586671264) < 1e-13
+    assert ball_status(sub_ball(g5, (1.0, 0.0)), "<") is VerdictStatus.HOLDS
     # g(x) for x = 10^4 lies in (0, 1), certified
-    g4 = criterion_g(table, 10**4)
-    assert compare(g4, CertifiedValue(1.0), "<").status is VerdictStatus.HOLDS
-    assert compare(g4, CertifiedValue(0.0), ">").status is VerdictStatus.HOLDS
+    g4 = _g(table, 10**4)
+    assert ball_status(sub_ball(g4, (1.0, 0.0)), "<") is VerdictStatus.HOLDS
+    assert ball_status(sub_ball(g4, (0.0, 0.0)), ">") is VerdictStatus.HOLDS
 
 
 def test_criterion_g_matches_stream(table):
+    # the DUAL row, served inv alone, gives the bits of the points, served plus and inv
     pts = {p.n: p for p in stream_points(table, 100)}
     for n in (3, 10, 100):
-        x = table.nth_prime(n)
-        standalone = criterion_g(table, x)
-        streamed = pts[n].g
-        assert abs(standalone.value - streamed.value) <= standalone.radius + streamed.radius
-
-
-def test_criterion_f_below_one(table):
-    for x in (5, 100, 10**4):
-        f = criterion_f(table, x)
-        assert compare(f, CertifiedValue(1.0), "<").status is VerdictStatus.HOLDS
+        assert _g(table, table.nth_prime(n)) == pts[n].g_ball, n
 
 
 def test_criterion_f_oracle(table):
+    # f enters the criterion-gap row as its rhs, log f(x) - 2/x, at x = p_n
+    from psiverify.bounds import BOUNDS
+
     with mp.workdps(60):
         for x in (5, 100, 997):
-            f = criterion_f(table, x)
-            k = sum(1 for p in table.primes if p <= x)
-            th = mp.fsum(mp.log(int(p)) for p in table.primes[:k])
-            oracle = mp.exp(mp.euler) * mp.log(th) * mp.fprod(
-                1 - mp.mpf(1) / int(p) for p in table.primes[:k]
-            )
-            assert mp.mpf(f.value) - f.radius <= oracle <= mp.mpf(f.value) + f.radius
+            k = table.prime_count(x)
+            p = table.nth_prime(k)
+            _, rhs = _row_sides(table, BOUNDS["criterion-gap"], k)
+            log_f = add_ball(rhs, ratio_ball(2, p))
+            th = mp.fsum(mp.log(int(q)) for q in table.primes[:k])
+            oracle = mp.exp(mp.euler) * mp.log(th) * mp.fprod(1 - mp.mpf(1) / int(q) for q in table.primes[:k])
+            assert mp.mpf(log_f[0]) - log_f[1] <= mp.log(oracle) <= mp.mpf(log_f[0]) + log_f[1]
 
 
 def test_criterion_domain_starts_at_5(table):
     # theta(2) = log 2 < 1, so log theta(2) < 0 there; the domain starts at 5
+    from psiverify.bounds import BOUNDS, DUAL, LOWER, scan_bound
+
+    assert DUAL.start == LOWER.start == BOUNDS["criterion-gap"].start == 3 and table.nth_prime(3) == 5
+    assert next(stream_points(table, 2)).g_ball is None
     for x in (2, 3, 4):
+        n = table.prime_count(x)
         with pytest.raises(DomainError):
-            criterion_g(table, x)
-        with pytest.raises(DomainError):
-            criterion_f(table, x)
+            scan_bound(table, "criterion-gap", n, n)
 
 
 def test_stream_range_errors(table):
@@ -339,4 +347,4 @@ def test_theta_field_matches_table(table):
     thetas = {n: th for n, th, _ in prefix_sums(table, (), range(2, 21))}
     for point in stream_points(table, 20):
         th = thetas[point.n]
-        assert point.theta.value == th[0] and point.theta.radius == th[1]
+        assert point.theta_ball == th
