@@ -33,7 +33,6 @@ __all__ = [
     "psi_from_factors",
     "phi_from_factors",
     "sigma_from_factors",
-    "squarefree_kernel",
     "robin_ratio",
     "robin_ratio_from_factors",
     "primorial",
@@ -142,14 +141,6 @@ def phi(n: int, table: PrimeTable | None = None) -> int:
 
 def sigma(n: int, table: PrimeTable | None = None) -> int:
     return sigma_from_factors(factorize(n, table))
-
-
-def squarefree_kernel(n: int, table: PrimeTable | None = None) -> int:
-    """rad(n): product of the distinct primes dividing n."""
-    out = 1
-    for p in factorize(n, table).distinct_primes:
-        out *= p
-    return out
 
 
 def robin_ratio_from_factors(fz: Factorization) -> CertifiedValue:

@@ -15,9 +15,9 @@ the indices of :func:`stride_indices`: every index up to
 :data:`DENSE_UNTIL`, then steps of ratio :data:`STRIDE_RATIO`.  The code,
 not the caller, picks them; a bound at one index n is the scan
 ``scan_bound(table, name, n, n)``.
-:func:`_read_rows` drives several rows in lockstep as one reader, each sent
-its own sums: ``lower``'s ``LOWER`` and ``DUAL``, and ``upper`` (c), the
-``threshold`` row, inside a reader served ``plus``.
+:func:`_read_rows` hands the pass one such reader per row, each served its
+own sums and its own indices: ``lower``'s ``LOWER`` and ``DUAL``, and
+``upper`` (c), the ``threshold`` row, inside a reader served ``plus``.
 
 The reader decides a row by brackets.  theta(p_n), p_n and every prefix sum
 are monotone in n, so at each index of a run the atoms lie in the hulls of
@@ -26,7 +26,9 @@ sides evaluated once on those hulls, in the arithmetic :data:`_HULL`,
 enclose the row at every index of the run, and a HOLDS there proves them
 all.  A hull that is not HOLDS is bisected down to points decided alone on
 their own balls, as are the first and last index and the index that ends
-each run.  The rows of :data:`BOUNDS`:
+each run.  So the reader reads only those points and the ends of its
+hulls, and no index inside a held run is built into balls.  The rows of
+:data:`BOUNDS`:
 
 * ``rs-product``     prod_{p<=x} (1-1/p)^(-1)  <=  e^gamma (log x + 1/log x)   (x >= 2)
 * ``zeta-tail``      zeta(2) prod_{p<=p_n} (1-1/p^2)  <=  exp(2/p_n)           (n >= 2)
@@ -49,9 +51,11 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import DomainError, RangeError
 from .numerics import (
@@ -103,7 +107,8 @@ FIRST_INDEX_AT_20000 = 2263  # p_2263 is the first prime >= 20000
 DENSE_UNTIL = 10**4
 STRIDE_RATIO = 1.01
 
-# the widest run of indices one hull decides (see _read_bound); the reader buffers that many balls
+# the widest run of indices one hull decides (see _read_bound); the pass keeps the exact ints of that
+# many indices while the run is open, and a run across stride gaps keeps that many balls
 BRACKET_MAX = 2**10
 
 # read once per point, so bound once here: a module global is cheaper than an Enum member lookup
@@ -302,20 +307,32 @@ DUAL = Bound("<", 3, ("inv",), False, _dual_sides)
 UPPER = Bound("<", 4, ("plus",), False, _upper_sides)
 
 
-def stride_indices(start: int, stop: int) -> Iterable[int]:
+class _Stride(Sequence):
+    """The indices of :func:`stride_indices`: a dense range, then the geometric steps as a list."""
+
+    def __init__(self, dense: range, steps: list[int]):
+        self.dense, self.steps = dense, steps
+
+    def __len__(self) -> int:
+        return len(self.dense) + len(self.steps)
+
+    def __getitem__(self, i: int) -> int:
+        if i < 0:
+            i += len(self)
+        return self.dense[i] if i < len(self.dense) else self.steps[i - len(self.dense)]
+
+
+def stride_indices(start: int, stop: int) -> Sequence[int]:
     """Deterministic evaluation points: dense to DENSE_UNTIL, then geometric, always stop."""
     if start > stop:
-        return
-    n = start
-    while True:
-        yield n
-        if n >= stop:
-            return
-        if n < DENSE_UNTIL:
-            n += 1
-        else:
-            grown = n * STRIDE_RATIO  # a float, infinite for a huge ratio
-            n = stop if grown >= stop else max(n + 1, int(grown))
+        return range(0)
+    dense = range(start, max(start, min(stop, DENSE_UNTIL)) + 1)
+    steps, n = [], dense[-1]
+    while n < stop:
+        grown = n * STRIDE_RATIO  # a float, infinite for a huge ratio
+        n = stop if grown >= stop else max(n + 1, int(grown))
+        steps.append(n)
+    return _Stride(dense, steps)
 
 
 def scan_bound(table: PrimeTable, name: str, start: int, stop: int) -> BoundScan:
@@ -343,67 +360,79 @@ def bound_reader(table: PrimeTable, name: str, start: int, stop: int) -> Reader:
     return bound.sums, _read_bound(table, bound, scan, stride_indices(start, stop))
 
 
-def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Iterable[int], keep=()):
-    """The :func:`series.serve` generator that decides ``bound`` at the ascending ``indices``.
+def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Sequence[int], keep=()):
+    """The :func:`series.serve` reader that decides ``bound`` at the ascending ``indices``.
 
-    It decides the row by brackets and returns ``scan``.  It buffers the
-    ``(n, theta, sums)`` it is sent; when ``width`` are buffered, the next
-    index ends the run.  :func:`_bracket` decides the run on the hulls of
-    its end atoms: theta(p_n), p_n and every prefix sum are monotone in n,
-    and the ball kernels enclose, so a hull that HOLDS proves the row at
-    every index of the run.  :func:`_decide` decides the index that ends
-    each run alone, and the first and the last index.  A held bracket
-    doubles the width, up to :data:`BRACKET_MAX`, and a failed one halves
-    it; below two, the row decides a stretch of points alone, which doubles
-    while its hulls keep failing, and then brackets again.  An index in
-    ``keep`` ends the current run too, and its margin ball goes to
+    It decides the row by brackets and returns ``scan``.  It walks
+    ``indices`` by position: when ``width`` indices follow the last point
+    decided alone, the next one ends their run.  :func:`_bracket` decides the
+    run on the hulls of its end atoms: theta(p_n), p_n and every prefix sum
+    are monotone in n, and the ball kernels enclose, so a hull that HOLDS
+    proves the row at every index of the run.  :func:`_decide` decides the
+    index that ends each run alone, and the first and the last index.  A
+    held bracket doubles the width, up to :data:`BRACKET_MAX`, and a failed
+    one halves it; below two, the row decides a stretch of points alone,
+    which doubles while its hulls keep failing, and then brackets again.  An
+    index in ``keep`` ends the current run too, and its margin ball goes to
     ``scan.margins``.
+
+    It yields a run of consecutive indices with its end as one range.
+    Across a gap in ``indices`` (the stride, the checkpoints) it yields each
+    member of the run and keeps its balls, so the pass keeps no index in
+    between.
     """
-    run: list = []  # the (n, theta, sums) buffered since the last point decided alone
+    last = len(indices) - 1
+    # the positions of the indices in keep, each of which ends a run
+    stops = [i for i in (bisect_left(indices, k) for k in sorted(keep)) if i <= last and indices[i] in keep]
     width, alone, stretch = 2, 1, 1  # the next bracket's width; points left to decide alone first
-    for n in indices:
-        theta, sums = yield n
+    i = 0  # the position of the first index not yet decided
+    while i <= last:
         if alone:
             alone -= 1
-        elif len(run) < width and n not in keep:
-            run.append((n, theta, sums))
-            continue
-        elif _bracket(table, bound, scan, run):
-            width, stretch = min(2 * width, BRACKET_MAX), 1
-        elif width > 2:
-            width //= 2
+            end = i
+            n = indices[end]
+            at = yield n
         else:
-            width, alone, stretch = 2, stretch, 2 * stretch
-        run = []
-        margin = _decide(table, bound, scan, n, theta, sums)
+            end = min(i + width, next((k for k in stops if k >= i), last + 1))
+            tail = end > last  # the indices end inside the run: its last index is decided alone
+            if tail:
+                end = last
+            n = indices[end]
+            if n - indices[i] == end - i:  # no gap: the run and its end are one window
+                at = yield range(indices[i], n + 1)
+                run, point = range(indices[i], n), at
+            else:
+                run, balls = [indices[k] for k in range(i, end)], {}
+                for m in run:
+                    at = yield m
+                    balls[m] = at(m)
+                at = yield n
+                point = balls.__getitem__
+            held = _bracket(table, bound, scan, run, point)
+            if tail:
+                _decide(table, bound, scan, n, *at(n))
+                break
+            if held:
+                width, stretch = min(2 * width, BRACKET_MAX), 1
+            elif width > 2:
+                width //= 2
+            else:
+                width, alone, stretch = 2, stretch, 2 * stretch
+        margin = _decide(table, bound, scan, n, *at(n))
         if n in keep:
             scan.margins[n] = margin
-    if run:  # the indices ended inside a run: its last index is decided alone
-        _bracket(table, bound, scan, run[:-1])
-        _decide(table, bound, scan, *run[-1])
+        i = end + 1
     return scan
 
 
-def _read_rows(table: PrimeTable, kinds: tuple[str, ...], rows: list[tuple[Bound, BoundScan]], indices, keep=()):
-    """A :func:`series.serve` reader, served ``kinds``, that drives a :func:`_read_bound` per row in lockstep.
+def _read_rows(table: PrimeTable, rows: list[tuple[Bound, BoundScan]], indices: Sequence[int], keep=()):
+    """A :func:`series.serve` reader that hands the pass one :func:`_read_bound` reader per row.
 
     Each ``(bound, scan)`` of ``rows`` is decided at the same ascending
-    ``indices``, an iterable it reads once per row and once more, and is sent theta and its own
-    sums alone, picked from the served ``kinds``.  The scans are filled in
-    place; the reader returns nothing.
+    ``indices`` by a reader served its own sums; the pass merges their index
+    streams.  The scans are filled in place; the reader returns nothing.
     """
-    readers = []
-    for bound, scan in rows:
-        reader = _read_bound(table, bound, scan, indices, keep)
-        next(reader)
-        readers.append((reader, [kinds.index(kind) for kind in bound.sums]))
-    for n in indices:
-        theta, totals = yield n
-        for reader, at in readers:
-            try:
-                reader.send((theta, [totals[i] for i in at]))
-            except StopIteration:  # the last index: the row has booked it
-                pass
+    yield [(bound.sums, _read_bound(table, bound, scan, indices, keep)) for bound, scan in rows]
 
 
 def _decide(table: PrimeTable, bound: Bound, scan: BoundScan, n: int, theta: Ball, sums: list[Ball]) -> Ball:
@@ -422,18 +451,20 @@ def _decide(table: PrimeTable, bound: Bound, scan: BoundScan, n: int, theta: Bal
     return margin
 
 
-def _bracket(table: PrimeTable, bound: Bound, scan: BoundScan, run: list) -> bool:
-    """Book the buffered ``run`` in ``scan`` and return whether the hull of its ends HOLDS.
+def _bracket(table: PrimeTable, bound: Bound, scan: BoundScan, run: Sequence[int], point: Callable) -> bool:
+    """Book the indices ``run`` in ``scan`` and return whether the hull of its ends HOLDS.
 
-    A hull that HOLDS books every index of the run as held.  A hull that
-    does not, or that a kernel rejects with :class:`DomainError`, is
-    bisected over the buffered balls, down to points decided alone.
+    ``point(n)`` gives ``(theta, sums)`` at each index n of the run.  A hull
+    that HOLDS books every index of the run as held.  A hull that does not,
+    or that a kernel rejects with :class:`DomainError`, is bisected down to
+    points decided alone.
     """
     if len(run) < 2:
-        for point in run:
-            _decide(table, bound, scan, *point)
+        for n in run:
+            _decide(table, bound, scan, n, *point(n))
         return False
-    (a, theta_a, sums_a), (b, theta_b, sums_b) = run[0], run[-1]
+    a, b = run[0], run[-1]
+    (theta_a, sums_a), (theta_b, sums_b) = point(a), point(b)
     x = table.nth_prime(a), table.nth_prime(b)
     try:
         margin = sub_ball(*bound.sides(_HULL, x, hull_ball(theta_a, theta_b), *map(hull_ball, sums_a, sums_b)))
@@ -444,8 +475,8 @@ def _bracket(table: PrimeTable, bound: Bound, scan: BoundScan, run: list) -> boo
         scan.holds += len(run)
     else:
         half = len(run) // 2
-        _bracket(table, bound, scan, run[:half])
-        _bracket(table, bound, scan, run[half:])
+        _bracket(table, bound, scan, run[:half], point)
+        _bracket(table, bound, scan, run[half:], point)
     return held
 
 

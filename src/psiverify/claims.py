@@ -32,8 +32,8 @@ claim-table entry builds; an entry whose indices pass the table raises
 re-decides an INCONCLUSIVE point on the 113-bit path.  It reads the six
 bound scans, ``upper`` (b), the row ``UPPER``, and ``upper`` (c), the
 ``threshold`` row at index 2263.  ``lower`` is the rows ``LOWER`` and
-``DUAL``, driven in lockstep by ``bounds._read_rows``, each booking its own
-``BoundScan``.  ``mertens-trend`` is ``lower``'s reader at the live
+``DUAL``, which ``bounds._read_rows`` hands the pass as two readers, each
+reading its own indices and booking its own ``BoundScan``.  ``mertens-trend`` is ``lower``'s reader at the live
 checkpoints alone (those up to ``n_max``).
 """
 
@@ -335,7 +335,7 @@ def _upper(table: PrimeTable):
 
     # (c) the threshold at the first valid index; its lhs decreases in n
     c = BoundScan("threshold", FIRST_INDEX_AT_20000, FIRST_INDEX_AT_20000)
-    yield from _read_rows(table, UPPER.sums, [(BOUNDS["threshold"], c)], (c.start,), keep=(c.start,))
+    yield from _read_rows(table, [(BOUNDS["threshold"], c)], (c.start,), keep=(c.start,))
 
     bad = a_bad + b.failed_at + c.failed_at
     return ClaimResult(
@@ -381,15 +381,15 @@ def _lower_claim(table: PrimeTable, config: VerifyConfig) -> Reader:
 def _lower(table: PrimeTable, indices):
     """The reader of :func:`verify_lower` over the ascending ``indices``.
 
-    It decides the rows ``LOWER`` and ``DUAL`` in lockstep, each by
-    ``bounds._read_bound``.  Each of the :data:`CHECKPOINTS` among the
+    It decides the rows ``LOWER`` and ``DUAL``, each a reader
+    ``bounds._read_bound`` of its own.  Each of the :data:`CHECKPOINTS` among the
     indices is decided alone and reports its ``LOWER`` margin, which must be
     certified below the one before.
     """
     if not indices or indices[0] < LOWER.start:
         raise RangeError(f"lower: the scan needs n_max >= {LOWER.start}, and indices from n = {LOWER.start} on")
     scan, dual = (BoundScan(name, indices[0], indices[-1]) for name in ("lower", "dual"))
-    yield from _read_rows(table, _LOWER_KINDS, [(LOWER, scan), (DUAL, dual)], indices, keep=_AT_CHECKPOINT)
+    yield from _read_rows(table, [(LOWER, scan), (DUAL, dual)], indices, keep=_AT_CHECKPOINT)
     margins = scan.margins
     at = list(margins)
     drops = (ball_status(sub_ball(margins[b], margins[a]), "<") for a, b in zip(at, at[1:]))

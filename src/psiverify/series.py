@@ -23,11 +23,10 @@ consume the pass.
 
 The loop is written once, as a cursor that only moves forward.
 :func:`prefix_sums` streams it to a single consumer.  :func:`serve` runs it
-once for many *readers*, each a ``(kinds, generator)`` pair: the generator
-yields the ascending indices it reads, is sent ``(theta, totals)`` for its
-own kinds at each, and returns its result.  A ``verify`` run serves all of
-its claims from one pass, and a claim run alone is a run with one reader.
-Since the totals are exact, every reader gets the bits of a pass of its own.
+once for many *readers*, each sent only the indices it yields.  A
+``verify`` run serves all of its claims from one pass, and a claim run
+alone is a run with one reader.  Since the totals are exact, every reader
+gets the bits of a pass of its own.
 
 The pass yields its totals as plain ``(value, radius)`` pairs, and the
 points chain them through the float kernels of ``numerics``; objects are
@@ -52,8 +51,9 @@ so both are restricted to x >= 5 and points leave g unset at n = 2.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heapreplace
-from itertools import islice
+from functools import partial
+from heapq import heappop, heappush
+from itertools import count, islice
 from math import ceil, log, ulp
 from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
@@ -97,46 +97,89 @@ TERMS: dict[str, tuple[int, Callable[[int], int]]] = {
 
 # (n, theta, totals), as prefix_sums yields them
 Totals = tuple[int, Ball, list[Ball]]
-# (kinds, generator), as serve takes a reader (see the module docstring)
-Reader = tuple[Sequence[str], Generator[int, tuple[Ball, list[Ball]], Any]]
+# (kinds, generator), as serve takes a reader (see serve)
+Reader = tuple[Sequence[str], Generator[Any, Any, Any]]
 
 
 class _PrefixCursor:
-    """The loop over p_1, p_2, ... that sums theta and ``kinds``, advanced by :meth:`to`."""
+    """The loop over p_1, p_2, ... that sums theta and ``kinds``, advanced by :meth:`to`.
+
+    A row is an index's exact ints in units of ``1/SUM_SCALE``: theta's sum
+    and radius, then each kind's.
+    """
 
     def __init__(self, table: PrimeTable, kinds: Sequence[str]):
         self.count = table.count
         self.primes = iter(table.primes)
-        self.work = [[kind, *TERMS[kind], 0, 0] for kind in kinds]  # kind, num, den, sum, radius
+        self.terms = [(2 * i, *TERMS[kind], kind) for i, kind in enumerate(kinds)]  # offset in sums, num, den, kind
         self.done = self.theta = self.theta_radius = 0
-        self.sums = None  # (theta, totals) at done, shared by every reader of that index
+        self.sums = [0] * (2 * len(kinds))
+        self.kept: list[tuple[int, ...]] = []  # the rows of the indices first, first + 1, ..., below done
+        self.first = 0
+        self.pairs = range(0, len(self.sums), 2)
+        self.balls: tuple[Ball, list[Ball]] | None = None  # (theta, totals) at done, once built
 
-    def to(self, n: int) -> tuple[Ball, list[Ball]]:
-        """Sum through p_n (n not below the last index) and return ``(theta, totals)`` there."""
+    def to(self, n: int, keep_from: int | None = None) -> None:
+        """Sum through p_n (n not below the current index), keeping the rows from ``keep_from`` on, below n."""
         done = self.done
-        if n == done and self.sums is not None:
-            return self.sums
+        if n == done:
+            return
         if not done <= n <= self.count:
             raise RangeError(f"prefix pass: index {n} outside [{done}, {self.count}]")
-        theta, theta_radius, work = self.theta, self.theta_radius, self.work
-        for p in islice(self.primes, n - done):
+        kept = self.kept
+        if keep_from is None or keep_from >= n:
+            if kept:
+                kept.clear()
+            self._sum(n - done)
+        else:
+            del kept[: max(0, keep_from - self.first)]
+            if keep_from <= done:
+                kept.append((self.theta, self.theta_radius, *self.sums))
+            lo = max(keep_from, done + 1)
+            self.first = lo - len(kept)
+            self._sum(lo - 1 - done)
+            self._sum(n - lo, kept.append)
+            self._sum(1)
+        self.done, self.balls = n, None
+
+    def _sum(self, count: int, keep: Callable | None = None) -> None:
+        """Add the terms of the next ``count`` primes, handing ``keep`` the row after each."""
+        theta, theta_radius, sums, terms = self.theta, self.theta_radius, self.sums, self.terms
+        for p in islice(self.primes, count):
             lp = log(p)
             scaled = lp * SUM_SCALE
             if not scaled.is_integer():
                 raise _unscaled("theta", p, lp)
             theta += int(scaled)
             theta_radius += ceil(2.0 * ulp(lp) * SUM_SCALE)
-            for w in work:
-                x = w[1] / w[2](p)
+            for j, num, den, kind in terms:
+                x = num / den(p)
                 v, r = log1p_ball((x, ulp(x)))
                 scaled = v * SUM_SCALE
                 if not scaled.is_integer():
-                    raise _unscaled(w[0], p, v)
-                w[3] += int(scaled)
-                w[4] += ceil(r * SUM_SCALE)
-        self.done, self.theta, self.theta_radius = n, theta, theta_radius
-        self.sums = sum_ball(theta, theta_radius), [sum_ball(w[3], w[4]) for w in work]
-        return self.sums
+                    raise _unscaled(kind, p, v)
+                sums[j] += int(scaled)
+                sums[j + 1] += ceil(r * SUM_SCALE)
+            if keep is not None:
+                keep((theta, theta_radius, *sums))
+        self.theta, self.theta_radius = theta, theta_radius
+
+    def current(self) -> tuple[Ball, list[Ball]]:
+        """``(theta, totals)`` at the current index, built once for all its readers."""
+        if self.balls is None:
+            sums = self.sums
+            self.balls = sum_ball(self.theta, self.theta_radius), [sum_ball(sums[j], sums[j + 1]) for j in self.pairs]
+        return self.balls
+
+    def read(self, m: int, picks: Sequence[int]) -> tuple[Ball, list[Ball]]:
+        """``(theta, totals)`` at index m, the current index or a kept one, for the kinds at positions ``picks``."""
+        if m == self.done:
+            theta, totals = self.current()
+            return theta, [totals[k] for k in picks]
+        if not 0 <= m - self.first < len(self.kept):
+            raise RangeError(f"prefix pass: index {m} is not kept (at {self.done})")
+        row = self.kept[m - self.first]
+        return sum_ball(row[0], row[1]), [sum_ball(row[2 + 2 * k], row[3 + 2 * k]) for k in picks]
 
 
 def _unscaled(kind: str, p: int, term: float) -> DomainError:
@@ -160,42 +203,92 @@ def prefix_sums(table: PrimeTable, kinds: Sequence[str], at: Iterable[int]) -> I
     """
     cursor = _PrefixCursor(table, kinds)
     for n in at:
-        yield n, *cursor.to(n)
+        cursor.to(n)
+        yield n, *cursor.current()
+
+
+class _Window:
+    """A reader of :func:`serve`: its generator, its kinds' places in the pass and the indices it may read now."""
+
+    def __init__(self, cursor: _PrefixCursor, kinds: Sequence[str], own: Sequence[str], gen, finish: Callable):
+        self.cursor, self.gen, self.finish = cursor, gen, finish
+        self.picks = [kinds.index(kind) for kind in own]
+        self.lo = self.hi = None  # the window; None while the reader waits for its readers
+
+    def at(self, m: int) -> tuple[Ball, list[Ball]]:
+        """``(theta, totals)`` of the reader's kinds at index m of its window, up to the cursor."""
+        if self.lo is None or not self.lo <= m <= min(self.hi, self.cursor.done):
+            raise RangeError(f"serve: index {m} outside the window {self.lo}..{self.hi} (pass at {self.cursor.done})")
+        return self.cursor.read(m, self.picks)
 
 
 def serve(table: PrimeTable, readers: Sequence[Reader]) -> list:
     """Run one prefix pass for every reader; return what each one returns, in order.
 
-    The pass sums the union of the readers' kinds, in :data:`TERMS` order, up
-    to the largest index any reader yields, and keeps nothing per index.  Each
-    reader is sent its own kinds at its indices, bit for bit what
-    ``prefix_sums(table, kinds, indices)`` gives it.  A step back or an index
-    past the table raises :class:`RangeError`; a reader's exception propagates.
+    A reader is a ``(kinds, generator)`` pair.  The generator yields, in
+    ascending order, only what it must see:
+
+    * an index n: it is sent an accessor ``at``, and ``at(n)`` gives
+      ``(theta, totals)`` for its own kinds at n, bit for bit what
+      ``prefix_sums(table, kinds, ...)`` gives;
+    * a ``range`` of indices: it is sent ``at`` when the pass reaches the
+      last, and ``at(m)`` reads any m of the range;
+    * a list of readers: they join the pass, and it is sent the list of what
+      they return.  Its kinds include theirs.
+
+    ``at`` raises :class:`RangeError` outside the reader's last yield.  The
+    pass sums the union of the readers' kinds, in :data:`TERMS` order, keeps
+    an index's exact ints only while a yielded range holds it, and builds an
+    index's balls once for all its readers.  A yield that steps back, passes
+    the table or is an empty range raises :class:`RangeError`; a reader's
+    exception propagates.
     """
     kinds = tuple(kind for kind in TERMS if any(kind in own for own, _ in readers))
     cursor = _PrefixCursor(table, kinds)
     results: list = [None] * len(readers)
-    due = []  # heap of (next index, reader number, generator, positions of its kinds or None)
+    due: list = []  # heap of (last index of the window, arrival, _Window)
+    arrivals = count()
+
+    def join(own, gen, finish: Callable) -> None:
+        step(_Window(cursor, kinds, own, gen, finish), None)
+
+    def step(reader: _Window, sent) -> None:
+        try:
+            got = reader.gen.send(sent)
+        except StopIteration as stop:
+            reader.finish(stop.value)
+            return
+        if isinstance(got, list):
+            reader.lo = reader.hi = None
+            waiting, found = [len(got)], [None] * len(got)
+
+            def child_done(i: int, value) -> None:
+                found[i] = value
+                waiting[0] -= 1
+                if not waiting[0]:
+                    step(reader, found)
+
+            if not got:
+                step(reader, found)
+            for i, (own, gen) in enumerate(got):
+                join(own, gen, partial(child_done, i))
+            return
+        lo, hi = (got, got) if isinstance(got, int) else (got.start, got.stop - 1)
+        for m in (lo, hi):
+            if not cursor.done <= m <= cursor.count:
+                raise RangeError(f"prefix pass: index {m} outside [{cursor.done}, {cursor.count}]")
+        if hi < lo:
+            raise RangeError(f"serve: an empty window {got}")
+        reader.lo, reader.hi = lo, hi
+        heappush(due, (hi, next(arrivals), reader))
+
     for i, (own, gen) in enumerate(readers):
-        pick = None if tuple(own) == kinds else [kinds.index(kind) for kind in own]
-        try:
-            due.append((next(gen), i, gen, pick))
-        except StopIteration as done:
-            results[i] = done.value
-    heapify(due)
+        join(own, gen, partial(results.__setitem__, i))
     while due:
-        n, i, gen, pick = due[0]
-        try:
-            if len(due) == 1 and pick is None:  # a lone reader needs no heap: the dense scan's fast path
-                while True:
-                    n = gen.send(cursor.to(n))
-            theta, totals = cursor.to(n)
-            n = gen.send((theta, totals if pick is None else [totals[j] for j in pick]))
-        except StopIteration as done:
-            results[i] = done.value
-            heappop(due)
-        else:
-            heapreplace(due, (n, i, gen, pick))
+        n, _, reader = heappop(due)
+        if n != cursor.done:
+            cursor.to(n, min([reader.lo, *(other.lo for _, _, other in due)]))
+        step(reader, reader.at)
     return results
 
 

@@ -20,7 +20,6 @@ from psiverify.arith import (
     robin_ratio,
     robin_ratio_from_factors,
     sigma,
-    squarefree_kernel,
     Factorization,
 )
 import psiverify.arith as arith_mod
@@ -128,7 +127,7 @@ def test_psi_le_sigma_with_equality_iff_squarefree():
 
 def test_psi_ratio_depends_only_on_kernel():
     for n in range(2, 10**4):
-        r = squarefree_kernel(n)
+        r = math.prod(factorize(n).distinct_primes)  # rad(n), the squarefree kernel
         assert Fraction(psi(n), n) == Fraction(psi(r), r)
 
 

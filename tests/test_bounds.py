@@ -391,7 +391,7 @@ def test_claim_rows_bit_identical_to_the_points(table):
 def _dense_scan(table, row, name, start, stop):
     """The per-index reference: every index decided alone on its balls, escalated if INCONCLUSIVE.
 
-    Returns the scan and each index's status.
+    Returns the scan, with every index's margin in ``margins``, and each index's status.
     """
     from psiverify.bounds import _slack
 
@@ -405,15 +405,15 @@ def _dense_scan(table, row, name, start, stop):
             margin = sub_ball(*_interval_sides(table, row, n))
             status = ball_status(margin, row.claim)
         scan.record(x if row.at_x else n, status, _slack(row.claim, margin), escalated)
-        statuses[n] = status
+        scan.margins[n], statuses[n] = margin, status
     return scan, statuses
 
 
-def _bracketed_scan(table, row, name, start, stop):
+def _bracketed_scan(table, row, name, start, stop, keep=()):
     from psiverify.series import serve
 
     scan = BoundScan(name, start, stop)
-    return serve(table, [(row.sums, bounds_mod._read_bound(table, row, scan, stride_indices(start, stop)))])[0]
+    return serve(table, [(row.sums, bounds_mod._read_bound(table, row, scan, stride_indices(start, stop), keep))])[0]
 
 
 _ROWS = [
@@ -432,10 +432,10 @@ def test_brackets_prove_only_what_each_point_proves(table, monkeypatch, name, ro
     held = []
     real_bracket = bounds_mod._bracket
 
-    def spy(table, bound, scan, run):
-        ok = real_bracket(table, bound, scan, run)
+    def spy(table, bound, scan, run, point):
+        ok = real_bracket(table, bound, scan, run, point)
         if ok:
-            held.extend(n for n, _, _ in run)
+            held.extend(run)
         return ok
 
     monkeypatch.setattr(bounds_mod, "_bracket", spy)
@@ -444,6 +444,33 @@ def test_brackets_prove_only_what_each_point_proves(table, monkeypatch, name, ro
     assert bool(held) is (name != "criterion-gap")  # its sides share log log theta, so its hulls never hold
     assert all(statuses[n] is VerdictStatus.HOLDS for n in held)
     assert got.to_dict() == dense.to_dict()
+
+
+@pytest.mark.parametrize("name,row", _ROWS, ids=[name for name, _ in _ROWS])
+def test_strided_rows_book_what_each_point_books(table, monkeypatch, name, row):
+    # past DENSE_UNTIL the indices have gaps, so the reader sees each member of
+    # a run as the pass reaches it; the scan books what the per-index scan books,
+    # and an index kept inside a run ends the run and keeps its margin
+    _set_stride(monkeypatch, 60, 1.01)
+    runs = []
+    real_bracket = bounds_mod._bracket
+
+    def spy(table, bound, scan, run, point):
+        ok = real_bracket(table, bound, scan, run, point)
+        runs.append((ok, list(run)))
+        return ok
+
+    monkeypatch.setattr(bounds_mod, "_bracket", spy)
+    start, stop = row.start, 20000
+    dense, _ = _dense_scan(table, row, name, start, stop)
+    assert _bracketed_scan(table, row, name, start, stop).to_dict() == dense.to_dict()
+    # the middle of the longest strided run held, or a strided index where no hull holds
+    longest = max((run for held, run in runs if held and run[0] > 200), key=len, default=None)
+    k = longest[len(longest) // 2] if longest else stride_indices(start, stop)[-10]
+    assert k in stride_indices(start, stop) and k - 1 not in stride_indices(start, stop)
+    kept = _bracketed_scan(table, row, name, start, stop, keep={k})
+    assert kept.to_dict() == dense.to_dict()
+    assert kept.margins == {k: dense.margins[k]}
 
 
 def _raise_domain_error(*args):

@@ -31,6 +31,8 @@ for argv in (
     ["scan", "points", "--n-max", "200"],
     ["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "3000"],
     ["scan", "bounds", "--name", "criterion-gap", "--from", "3", "--to", "3000"],
+    ["scan", "bounds", "--name", "rs-product", "--from", "1", "--to", "30000"],  # past DENSE_UNTIL
+    ["verify", "rs-product", "zeta-tail", "psi-bound", "threshold", "robin-log", "criterion-gap", "--n-max", "3000"],
     ["cache", "build", "--limit", "100000", "--cache-dir", work],
     ["cache", "inspect", "--cache-dir", work],
 ):

@@ -124,13 +124,26 @@ def test_prefix_sums_raise_on_a_term_finer_than_the_scale(monkeypatch):
         next(totals)
 
 
-def _recorder(at):
-    """A reader that returns every ``(n, theta, totals)`` it is sent."""
+def _recorder(indices):
+    """A reader that yields each index and returns the ``(n, theta, totals)`` it reads there."""
     got = []
-    for n in at:
-        theta, totals = yield n
-        got.append((n, theta, totals))
+    for n in indices:
+        at = yield n
+        got.append((n, *at(n)))
     return got
+
+
+def _window_recorder(windows, order=lambda window: window):
+    """A reader that yields each window and returns what it reads at every index of it, in ``order``."""
+    got = []
+    for window in windows:
+        at = yield window
+        got.append({m: at(m) for m in order(window)})
+    return got
+
+
+def _flat(reads):
+    return sorted((n, *read) for window in reads for n, read in window.items())
 
 
 def test_serve_sends_each_reader_its_own_prefix_sums(table):
@@ -151,11 +164,45 @@ def test_serve_sends_each_reader_its_own_prefix_sums(table):
     assert serve(table, []) == []
 
 
+def test_serve_answers_a_window_at_every_index_of_it(table):
+    # a range is served when the pass reaches its end, and read at any of its
+    # indices in any order, beside readers whose windows overlap it
+    windows = [range(5, 6), range(6, 300), range(300, 301), range(301, 1025)]
+    backwards = [("plus", "sq"), ("inv",)]
+    readers = [(kinds, _window_recorder(windows, reversed)) for kinds in backwards]
+    readers.append((("phi",), _window_recorder([range(1, 700), range(700, 1000)])))
+    readers.append((("plus",), _recorder([3, 450, 1024])))
+    results = serve(table, readers)
+    for (kinds, _), got in zip(readers[:2], results):
+        assert _flat(got) == list(prefix_sums(table, kinds, range(5, 1025))), kinds
+    assert _flat(results[2]) == list(prefix_sums(table, ("phi",), range(1, 1000)))
+    assert results[3] == list(prefix_sums(table, ("plus",), [3, 450, 1024]))
+
+
+def test_serve_runs_the_readers_a_reader_hands_it(table):
+    # a reader hands the pass readers of its own and is sent what they return
+    def parent():
+        head = yield from _recorder([2, 5])
+        found = yield [(("inv",), _recorder([5, 9, 200])), (("plus", "sq"), _window_recorder([range(7, 50)])), ((), _recorder([]))]
+        tail = yield from _recorder([300])
+        return head, found, tail
+
+    (head, found, tail), alone = serve(table, [(tuple(TERMS), parent()), (("plus",), _recorder([8]))])
+    assert head == list(prefix_sums(table, tuple(TERMS), [2, 5]))
+    assert found[0] == list(prefix_sums(table, ("inv",), [5, 9, 200]))
+    assert _flat(found[1]) == list(prefix_sums(table, ("plus", "sq"), range(7, 50)))
+    assert found[2] == []
+    assert tail == list(prefix_sums(table, tuple(TERMS), [300]))
+    assert alone == list(prefix_sums(table, ("plus",), [8]))
+
+
 def test_serve_builds_the_balls_of_an_index_once_for_all_its_readers(small_table):
     # readers at the same index share its balls, so a shared run does not
     # rebuild them once per reader
-    results = serve(small_table, [(tuple(TERMS), _recorder([5, 9])), (tuple(TERMS), _recorder([9, 9]))])
-    assert results[0][1][2] is results[1][0][2] is results[1][1][2]
+    results = serve(small_table, [(tuple(TERMS), _recorder([5, 9])), (("sq", "plus"), _recorder([9, 9]))])
+    (_, theta, totals), ((_, theta_b, totals_b), (_, theta_c, totals_c)) = results[0][1], results[1]
+    assert theta is theta_b is theta_c
+    assert totals_b[0] is totals_c[0] is totals[3] and totals_b[1] is totals[0]
 
 
 def test_serve_raises_on_a_step_back_or_past_the_table(small_table):
@@ -164,8 +211,31 @@ def test_serve_raises_on_a_step_back_or_past_the_table(small_table):
     # a reader behind another one's index has stepped back from its own
     with pytest.raises(RangeError, match="index 7 outside"):
         serve(small_table, [(("plus",), _recorder([10, 7])), ((), _recorder([5, 20]))])
+    with pytest.raises(RangeError, match="index 3 outside"):
+        serve(small_table, [(("plus",), _window_recorder([range(3, 8), range(3, 12)]))])
     with pytest.raises(RangeError, match=f"index {small_table.count + 1} outside"):
         serve(small_table, [((), _recorder([3, small_table.count + 1]))])
+    with pytest.raises(RangeError, match="empty window"):
+        serve(small_table, [((), _window_recorder([range(6, 6)]))])
+
+
+def test_serve_raises_on_a_read_outside_the_window(small_table):
+    def reader(reads):
+        at = yield range(5, 9)
+        at = yield range(10, 20)
+        at(reads)
+
+    for m in (9, 4, 20):  # the last window's start and before it, and past its end and the pass
+        with pytest.raises(RangeError):
+            serve(small_table, [(("plus",), reader(m)), ((), _recorder([30]))])
+
+    def waiting():  # a reader that waits for the readers it handed over has no window
+        at = yield 5
+        yield [((), _recorder([6]))]
+        at(5)
+
+    with pytest.raises(RangeError, match="outside the window"):
+        serve(small_table, [((), waiting())])
 
 
 def test_serve_propagates_an_exception_inside_a_reader(small_table):
@@ -178,23 +248,57 @@ def test_serve_propagates_an_exception_inside_a_reader(small_table):
         with pytest.raises(ValueError, match="reader failed"):
             serve(small_table, [(("plus",), _recorder(range(1, 10))), (("inv",), failing(first))])
 
+    def handing(first):  # a reader inside a reader
+        yield [(("inv",), failing(first))]
+
+    for first in (None, 3):
+        with pytest.raises(ValueError, match="reader failed"):
+            serve(small_table, [(("inv",), handing(first))])
+
 
 def test_serve_peak_memory_is_flat_in_the_number_of_indices(table):
-    # the pass stores nothing per index: a no-op dense reader peaks the same
-    # over 2*10^3 indices as over 2*10^4
-    def noop(stop):
+    # a reader that yields every index keeps nothing per index: a dense reader
+    # peaks the same over 2*10^3 indices as over 2*10^4, and so does one that
+    # reads windows of a fixed width
+    def dense(stop):
         for n in range(1, stop + 1):
-            yield n
+            at = yield n
+            at(n)
 
-    peaks = []
-    for stop in (2000, 20000):
-        tracemalloc.start()
-        try:
-            serve(table, [(("plus", "inv"), noop(stop))])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < peaks[0] + 1024, peaks
+    def windows(stop):
+        for end in range(64, stop + 1, 64):
+            at = yield range(end - 63, end + 1)
+            at(end - 63)
+
+    for reader in (dense, windows):
+        peaks = []
+        for stop in (2000, 20000):
+            tracemalloc.start()
+            try:
+                serve(table, [(("plus", "inv"), reader(stop))])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 1024, (reader.__name__, peaks)
+
+
+def test_lower_reads_fewer_balls_than_indices(table, monkeypatch):
+    # the rows of lower read the indices their brackets and points need, not
+    # every index: fewer sum_balls than indices (three per index when every
+    # index was sent to every reader)
+    from psiverify import series
+    from psiverify.claims import verify_lower
+
+    calls = []
+    real = series.sum_ball
+
+    def counting(units, radius_units):
+        calls.append(units)
+        return real(units, radius_units)
+
+    monkeypatch.setattr(series, "sum_ball", counting)
+    assert verify_lower(table, 20000).holds
+    assert len(calls) < 20000 - 2, len(calls)
 
 
 def test_points_bit_identical_to_certified_value_chain(table):
