@@ -41,7 +41,6 @@ from .numerics import (
     E_GAMMA_OVER_ZETA2,
     EULER_GAMMA,
     ZETA2,
-    CertifiedValue,
     VerdictStatus,
 )
 from .primes import PrimeTable, build_table

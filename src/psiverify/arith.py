@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CapabilityError, DomainError, ResourceError
-from .numerics import CertifiedValue, div_ball, log_ball, log_int_ball, ratio_ball
+from .numerics import Ball, div_ball, log_ball, log_int_ball, ratio_ball
 from .primes import MAX_LIMIT, PrimeTable, build_table
 
 if TYPE_CHECKING:
@@ -43,17 +43,6 @@ __all__ = [
 DEFAULT_FACTOR_LIMIT = 10**12
 # psi_ratio_tables: primes with fewer multiples than this are updated in groups
 _GROUPED_MULTIPLES = 64
-
-_shared_table: PrimeTable | None = None
-
-
-def _trial_table(min_limit: int) -> PrimeTable:
-    """Shared prime table for trial division, grown on demand."""
-    global _shared_table
-    if _shared_table is None or _shared_table.limit < min_limit:
-        _shared_table = build_table(max(min_limit, 10**6))
-    return _shared_table
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -81,8 +70,9 @@ class Factorization:
 def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
     """Factor n by trial division against the sieved prime table.
 
-    Raises CapabilityError above :data:`DEFAULT_FACTOR_LIMIT`, which keeps the
-    trial-division sieve at 10^6.
+    A ``table`` that does not reach isqrt(n), or none, is replaced by a sieve
+    to isqrt(n).  Raises CapabilityError above :data:`DEFAULT_FACTOR_LIMIT`,
+    which keeps that sieve at 10^6.
     """
     if n < 1:
         raise DomainError(f"factorize: n must be positive, got {n}")
@@ -92,7 +82,7 @@ def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
         return Factorization(1, ())
     root = math.isqrt(n)
     if table is None or table.limit < root:
-        table = _trial_table(root)
+        table = build_table(max(root, 2))
     m = n
     out: list[tuple[int, int]] = []
     for p in table.primes:
@@ -143,15 +133,15 @@ def sigma(n: int, table: PrimeTable | None = None) -> int:
     return sigma_from_factors(factorize(n, table))
 
 
-def robin_ratio_from_factors(fz: Factorization) -> CertifiedValue:
-    """Certified psi(n) / (n log log n) from a known factorization."""
+def robin_ratio_from_factors(fz: Factorization) -> Ball:
+    """Certified psi(n) / (n log log n), as a ball, from a known factorization."""
     n = fz.n
     if n < 3:
         raise DomainError(f"robin_ratio: undefined below 3, got n={n}")
-    return CertifiedValue(*div_ball(ratio_ball(psi_from_factors(fz), n), log_ball(log_int_ball(n))))
+    return div_ball(ratio_ball(psi_from_factors(fz), n), log_ball(log_int_ball(n)))
 
 
-def robin_ratio(n: int, table: PrimeTable | None = None) -> CertifiedValue:
+def robin_ratio(n: int, table: PrimeTable | None = None) -> Ball:
     """Certified enclosure of psi(n) / (n log log n) for n >= 3.
 
     The rational part psi(n)/n is exact before the single rounded
@@ -167,10 +157,10 @@ def primorial(n: int, table: PrimeTable | None = None) -> int:
     """Exact product of the first n primes."""
     if n < 1:
         raise DomainError(f"primorial: index must be >= 1, got {n}")
-    if table is None or table.count < n:
-        table = _trial_table(2)
-        while table.count < n:
-            table = _trial_table(table.limit * 4)
+    if table is None:
+        table = build_table(2)
+    while table.count < n:
+        table = build_table(table.limit * 4)
     out = 1
     for k in range(1, n + 1):
         out *= table.nth_prime(k)
@@ -180,13 +170,13 @@ def primorial(n: int, table: PrimeTable | None = None) -> int:
 def primorials_up_to(limit: int, table: PrimeTable | None = None) -> list[int]:
     """All primorial numbers <= limit, in increasing order."""
     if table is None:
-        table = _trial_table(2)
+        table = build_table(2)
     out: list[int] = []
     prod = 1
     k = 1
     while True:
         if k > table.count:
-            table = _trial_table(table.limit * 4)
+            table = build_table(table.limit * 4)
         prod *= table.nth_prime(k)
         if prod > limit:
             return out

@@ -6,29 +6,32 @@ primorial index it is evaluated at, the prefix-sum kinds it needs from
 once, against the named operations and constants of an arithmetic ``A``:
 :data:`_BALL` names the ball kernels of ``numerics``, which take and return
 ``(value, radius)`` pairs, and :func:`_interval_arithmetic` names the mpmath
-interval operations.  One :func:`series.serve` reader, :func:`_read_bound`,
-is the only code that evaluates a row: it decides the row at the indices it
-is given and books each in a :class:`BoundScan`, building no object per
+interval operations.  A formula reads theta(p_n) = log N_n only through its
+log, log log N_n, which its caller takes once and passes in; so the
+primorial points of ``series`` are the sides of :data:`LOWER` and
+:data:`DUAL`.  One :func:`series.serve` reader, :func:`_read_bound`, is the
+only code that decides a row: it decides the row at the indices it is
+given and books each in a :class:`BoundScan`, building no object per
 point; :func:`_decide`, which it calls, decides and escalates every point
 that a ball decides in any prefix claim.  A range scan is that reader at
 the indices of :func:`stride_indices`: every index up to
 :data:`DENSE_UNTIL`, then steps of ratio :data:`STRIDE_RATIO`.  The code,
 not the caller, picks them; a bound at one index n is the scan
-``scan_bound(table, name, n, n)``.
-:func:`_read_rows` hands the pass one such reader per row, each served its
-own sums and its own indices: ``lower``'s ``LOWER`` and ``DUAL``, and
-``upper`` (c), the ``threshold`` row, inside a reader served ``plus``.
+``scan_bound(table, name, n, n)``.  A claim with several rows
+(``lower``'s ``LOWER`` and ``DUAL``; ``upper`` (c), the ``threshold`` row,
+inside a reader served ``plus``) hands the pass one such reader per row,
+each served its own sums and its own indices.
 
 The reader decides a row by brackets.  theta(p_n), p_n and every prefix sum
 are monotone in n, so at each index of a run the atoms lie in the hulls of
 their balls at the run's two ends, and the ball kernels enclose.  So the
-sides evaluated once on those hulls, in the arithmetic :data:`_HULL`,
-enclose the row at every index of the run, and a HOLDS there proves them
-all.  A hull that is not HOLDS is bisected down to points decided alone on
-their own balls, as are the first and last index and the index that ends
-each run.  So the reader reads only those points and the ends of its
-hulls, and no index inside a held run is built into balls.  The rows of
-:data:`BOUNDS`:
+sides evaluated once on those hulls, with log log N_n the log of theta's
+hull, in the arithmetic :data:`_HULL`, enclose the row at every index of
+the run, and a HOLDS there proves them all.  A hull that is not HOLDS is
+bisected down to points decided alone on their own balls, as are the first
+and last index and the index that ends each run.  So the reader reads only
+those points and the ends of its hulls, and no index inside a held run is
+built into balls.  The rows of :data:`BOUNDS`:
 
 * ``rs-product``     prod_{p<=x} (1-1/p)^(-1)  <=  e^gamma (log x + 1/log x)   (x >= 2)
 * ``zeta-tail``      zeta(2) prod_{p<=p_n} (1-1/p^2)  <=  exp(2/p_n)           (n >= 2)
@@ -194,61 +197,60 @@ class BoundScan:
 
 
 # ---------------------------------------------------------------------------
-# sides: (A, x, theta, *prefix sums) -> (lhs, rhs), written once for both
+# sides: (A, x, loglog, *prefix sums) -> (lhs, rhs), written once for both
 # arithmetics.  A is _BALL or _interval_arithmetic(); x = p_n for the index
-# bounds; theta = theta(p_n) = log N_n.  A.exact takes a number that binary64
-# holds exactly.
+# bounds; loglog = log theta(p_n) = log log N_n, taken once by the caller.
+# A.exact takes a number that binary64 holds exactly, and A.one is 1.
 # ---------------------------------------------------------------------------
 
 
-def _rs_sides(A, x, theta, s_phi):
+def _rs_sides(A, x, loglog, s_phi):
     logx = A.log(A.integer(x))
-    return A.exp(A.neg(s_phi)), A.mul(A.e_gamma, A.add(logx, A.div(A.exact(1.0), logx)))
+    return A.exp(A.neg(s_phi)), A.mul(A.e_gamma, A.add(logx, A.div(A.one, logx)))
 
 
-def _zeta_tail_sides(A, p, theta, s_sq):
+def _zeta_tail_sides(A, p, loglog, s_sq):
     return A.mul(A.zeta2, A.exp(s_sq)), A.exp(A.ratio(2, p))
 
 
-def _psi_bound_sides(A, p, theta, s_plus):
-    inner = A.add(A.log(theta), A.div(A.exact(1.125), A.log(A.integer(p))))
+def _psi_bound_sides(A, p, loglog, s_plus):
+    inner = A.add(loglog, A.div(A.exact(1.125), A.log(A.integer(p))))
     return A.exp(s_plus), A.mul(A.div(A.exp(A.add(A.gamma, A.ratio(2, p))), A.zeta2), inner)
 
 
-def _threshold_sides(A, p, theta):
-    bump = A.div(A.exact(1.125), A.mul(A.log(A.integer(p)), A.log(theta)))
-    return A.mul(A.exp(A.ratio(2, p)), A.add(A.exact(1.0), bump)), A.zeta2
+def _threshold_sides(A, p, loglog):
+    bump = A.div(A.exact(1.125), A.mul(A.log(A.integer(p)), loglog))
+    return A.mul(A.exp(A.ratio(2, p)), A.add(A.one, bump)), A.zeta2
 
 
-def _robin_sides(A, p, theta):
+def _robin_sides(A, p, loglog):
     logp = A.log(A.integer(p))
-    return logp, A.add(A.log(theta), A.div(A.exact(0.125), logp))
+    return logp, A.add(loglog, A.div(A.exact(0.125), logp))
 
 
-def _gap_sides(A, x, theta, s_inv, s_phi):
-    log_loglog = A.log(A.log(theta))
+def _gap_sides(A, x, loglog, s_inv, s_phi):
+    log_loglog = A.log(loglog)
     lhs = A.add(A.add(A.log(A.e_gamma_over_zeta2), log_loglog), s_inv)
     rhs = A.add(A.add(A.add(A.log(A.e_gamma), log_loglog), s_phi), A.ratio(-2, x))
     return lhs, rhs
 
 
-def _lower_sides(A, p, theta, s_plus):
-    return A.div(A.exp(s_plus), A.log(theta)), A.e_gamma_over_zeta2
+def _lower_sides(A, p, loglog, s_plus):
+    return A.div(A.exp(s_plus), loglog), A.e_gamma_over_zeta2
 
 
-def _dual_sides(A, p, theta, s_inv):
-    return A.mul(A.mul(A.e_gamma_over_zeta2, A.log(theta)), A.exp(s_inv)), A.exact(1.0)
+def _dual_sides(A, p, loglog, s_inv):
+    return A.mul(A.mul(A.e_gamma_over_zeta2, loglog), A.exp(s_inv)), A.one
 
 
-def _upper_sides(A, p, theta, s_plus):
-    return A.div(A.exp(s_plus), A.log(theta)), A.e_gamma
+def _upper_sides(A, p, loglog, s_plus):
+    return A.div(A.exp(s_plus), loglog), A.e_gamma
 
 
 _BALL = SimpleNamespace(
     add=add_ball, mul=mul_ball, div=div_ball, neg=neg_ball, exp=exp_ball, log=log_ball,
-    exact=exact_ball, integer=int_ball, ratio=ratio_ball,
-    gamma=EULER_GAMMA.ball, e_gamma=E_GAMMA.ball, zeta2=ZETA2.ball,
-    e_gamma_over_zeta2=E_GAMMA_OVER_ZETA2.ball,
+    exact=exact_ball, integer=int_ball, ratio=ratio_ball, one=(1.0, 0.0),
+    gamma=EULER_GAMMA, e_gamma=E_GAMMA, zeta2=ZETA2, e_gamma_over_zeta2=E_GAMMA_OVER_ZETA2,
 )
 
 # _BALL on the hulls of a run's end atoms: x is the pair (p_a, p_b) of its end primes, and
@@ -273,7 +275,7 @@ def _interval_arithmetic(prec: int) -> SimpleNamespace:
     zeta2 = ctx.pi**2 / 6
     return SimpleNamespace(
         add=operator.add, mul=operator.mul, div=operator.truediv, neg=operator.neg, exp=ctx.exp, log=ctx.log,
-        exact=ctx.mpf, integer=ctx.mpf, ratio=lambda num, den: ctx.mpf(num) / den,
+        exact=ctx.mpf, integer=ctx.mpf, ratio=lambda num, den: ctx.mpf(num) / den, one=ctx.mpf(1),
         gamma=gamma, e_gamma=ctx.exp(gamma), zeta2=zeta2,
         e_gamma_over_zeta2=ctx.exp(gamma) / zeta2,
     )
@@ -285,7 +287,7 @@ class Bound:
 
     claim: str  # orientation, read as lhs CLAIM rhs
     start: int  # smallest primorial index the bound is evaluated at
-    sums: tuple[str, ...]  # prefix-sum kinds passed to ``sides`` after (A, x, theta)
+    sums: tuple[str, ...]  # prefix-sum kinds passed to ``sides`` after (A, x, loglog)
     at_x: bool  # parameterized by x (reported at x = p_n) rather than by n
     sides: Callable
 
@@ -425,23 +427,13 @@ def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Seque
     return scan
 
 
-def _read_rows(table: PrimeTable, rows: list[tuple[Bound, BoundScan]], indices: Sequence[int], keep=()):
-    """A :func:`series.serve` reader that hands the pass one :func:`_read_bound` reader per row.
-
-    Each ``(bound, scan)`` of ``rows`` is decided at the same ascending
-    ``indices`` by a reader served its own sums; the pass merges their index
-    streams.  The scans are filled in place; the reader returns nothing.
-    """
-    yield [(bound.sums, _read_bound(table, bound, scan, indices, keep)) for bound, scan in rows]
-
-
 def _decide(table: PrimeTable, bound: Bound, scan: BoundScan, n: int, theta: Ball, sums: list[Ball]) -> Ball:
     """Decide ``bound`` at index n alone, re-deciding an INCONCLUSIVE point on the 113-bit path.
 
     The point is booked in ``scan``; the margin ball is returned.
     """
     x = table.nth_prime(n)
-    margin = sub_ball(*bound.sides(_BALL, x, theta, *sums))
+    margin = sub_ball(*bound.sides(_BALL, x, log_ball(theta), *sums))
     status = ball_status(margin, bound.claim)
     escalated = status is _INCONCLUSIVE
     if escalated:
@@ -467,7 +459,8 @@ def _bracket(table: PrimeTable, bound: Bound, scan: BoundScan, run: Sequence[int
     (theta_a, sums_a), (theta_b, sums_b) = point(a), point(b)
     x = table.nth_prime(a), table.nth_prime(b)
     try:
-        margin = sub_ball(*bound.sides(_HULL, x, hull_ball(theta_a, theta_b), *map(hull_ball, sums_a, sums_b)))
+        loglog = log_ball(hull_ball(theta_a, theta_b))  # log is increasing: it holds log theta over the run
+        margin = sub_ball(*bound.sides(_HULL, x, loglog, *map(hull_ball, sums_a, sums_b)))
         held = ball_status(margin, bound.claim) is _HOLDS
     except DomainError:  # a hull wider than a kernel's domain proves nothing
         held = False
@@ -496,5 +489,5 @@ def _interval_sides(table: PrimeTable, bound: Bound, n: int):
     for kind in bound.sums:
         num, den = TERMS[kind]
         sums.append(sum((A.log(1 + A.ratio(num, den(p))) for p in primes), A.integer(0)))
-    lhs, rhs = bound.sides(A, table.nth_prime(n), theta, *sums)
+    lhs, rhs = bound.sides(A, table.nth_prime(n), A.log(theta), *sums)
     return from_mp_interval(lhs), from_mp_interval(rhs)

@@ -31,9 +31,10 @@ claim-table entry builds; an entry whose indices pass the table raises
 ``bounds._read_bound`` decides every ball-decided row by brackets and
 re-decides an INCONCLUSIVE point on the 113-bit path.  It reads the six
 bound scans, ``upper`` (b), the row ``UPPER``, and ``upper`` (c), the
-``threshold`` row at index 2263.  ``lower`` is the rows ``LOWER`` and
-``DUAL``, which ``bounds._read_rows`` hands the pass as two readers, each
-reading its own indices and booking its own ``BoundScan``.  ``mertens-trend`` is ``lower``'s reader at the live
+``threshold`` row at index 2263, as a reader of its own.  ``lower`` is
+the rows ``LOWER`` and ``DUAL``, which its reader hands the pass as two
+``_read_bound`` readers, each reading its own indices and booking its own
+``BoundScan``.  ``mertens-trend`` is ``lower``'s reader at the live
 checkpoints alone (those up to ``n_max``).
 """
 
@@ -54,7 +55,6 @@ from .bounds import (
     UPPER,
     BoundScan,
     _read_bound,
-    _read_rows,
     _stride,
     bound_reader,
 )
@@ -321,7 +321,7 @@ def _upper(table: PrimeTable):
     """The reader of :func:`verify_upper`."""
 
     def status(n: int, claim: str) -> VerdictStatus:  # of R(n) CLAIM e^gamma
-        return ball_status(sub_ball(robin_ratio(n, table).ball, E_GAMMA.ball), claim)
+        return ball_status(sub_ball(robin_ratio(n, table), E_GAMMA), claim)
 
     # (a) exhaustive small range, certified; witnesses below 31
     witnesses = [n for n in range(3, 31) if status(n, ">=") is VerdictStatus.HOLDS]
@@ -335,7 +335,8 @@ def _upper(table: PrimeTable):
 
     # (c) the threshold at the first valid index; its lhs decreases in n
     c = BoundScan("threshold", FIRST_INDEX_AT_20000, FIRST_INDEX_AT_20000)
-    yield from _read_rows(table, [(BOUNDS["threshold"], c)], (c.start,), keep=(c.start,))
+    threshold = BOUNDS["threshold"]
+    yield [(threshold.sums, _read_bound(table, threshold, c, (c.start,), keep=(c.start,)))]
 
     bad = a_bad + b.failed_at + c.failed_at
     return ClaimResult(
@@ -389,7 +390,8 @@ def _lower(table: PrimeTable, indices):
     if not indices or indices[0] < LOWER.start:
         raise RangeError(f"lower: the scan needs n_max >= {LOWER.start}, and indices from n = {LOWER.start} on")
     scan, dual = (BoundScan(name, indices[0], indices[-1]) for name in ("lower", "dual"))
-    yield from _read_rows(table, [(LOWER, scan), (DUAL, dual)], indices, keep=_AT_CHECKPOINT)
+    rows = ((LOWER, scan), (DUAL, dual))
+    yield [(row.sums, _read_bound(table, row, book, indices, _AT_CHECKPOINT)) for row, book in rows]
     margins = scan.margins
     at = list(margins)
     drops = (ball_status(sub_ball(margins[b], margins[a]), "<") for a, b in zip(at, at[1:]))

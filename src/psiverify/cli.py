@@ -133,8 +133,8 @@ def _cmd_compute(args, file_cfg: dict) -> int:
         "sigma": sigma_from_factors(fz),
     }
     if n >= 3:
-        r = robin_ratio_from_factors(fz)
-        record["R"] = {"value": r.value, "radius": r.radius}
+        value, radius = robin_ratio_from_factors(fz)
+        record["R"] = {"value": value, "radius": radius}
     else:
         record["R"] = None
     if fmt == "json":

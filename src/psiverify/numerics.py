@@ -13,13 +13,11 @@ any size, the exact inputs :func:`exact_ball`, :func:`int_ball` and
 multiples of ``1/SUM_SCALE``, :func:`hull_ball` for the hull of two balls,
 and :func:`from_mp_interval` for an mpmath interval.  A kernel is the only
 home of its value formula, its radius formula and its domain guard (it
-raises :class:`DomainError`), and it checks its own output as
-:class:`CertifiedValue` does: a finite value and a finite radius >= 0.
-:func:`ball_endpoints` and :func:`ball_status` decide on a ball: a
-comparison ``lhs CLAIM rhs`` is the ``ball_status(sub_ball(lhs, rhs),
-claim)`` of its margin.
-:class:`CertifiedValue` is the report type of a pair, for the constants and
-``arith.robin_ratio``; it adds no arithmetic.
+raises :class:`DomainError`), and it checks its own output: a finite value
+and a finite radius >= 0.  :func:`ball_endpoints` and :func:`ball_status`
+decide on a ball: a comparison ``lhs CLAIM rhs`` is the
+``ball_status(sub_ball(lhs, rhs), claim)`` of its margin.  The constants
+are balls too.
 
 Rigor assumptions, stated once and stress-tested in the suite:
 
@@ -38,14 +36,12 @@ bookkeeping operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
 
 __all__ = [
     "Ball",
-    "CertifiedValue",
     "VerdictStatus",
     "add_ball",
     "sub_ball",
@@ -84,38 +80,14 @@ Ball = tuple[float, float]  # (value, radius)
 def _invalid(value: float, radius: float) -> DomainError:
     """The error for a ball whose value is not finite or whose radius is not finite and >= 0.
 
-    Each kernel and :class:`CertifiedValue` test a ball with
-    ``math.isfinite(v) and 0.0 <= r < math.inf`` (nan fails every
-    comparison).  The test is written out in each of them, not called,
-    because a call costs about as much as the arithmetic it checks.
+    Each kernel tests its output with ``math.isfinite(v) and 0.0 <= r <
+    math.inf`` (nan fails every comparison).  The test is written out in
+    each of them, not called, because a call costs about as much as the
+    arithmetic it checks.
     """
     if not math.isfinite(value):
         return DomainError(f"certified value must be finite, got {value!r}")
     return DomainError(f"radius must be finite and >= 0, got {radius!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class CertifiedValue:
-    """A binary64 value with a rigorous absolute-error radius.
-
-    Invariant: ``radius >= 0`` and finite, and the represented exact real
-    lies in ``[value - radius, value + radius]``.  Arithmetic runs on
-    :attr:`ball` through the kernels; this class has no operators.
-    """
-
-    value: float
-    radius: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and 0.0 <= self.radius < math.inf):
-            raise _invalid(self.value, self.radius)
-
-    @property
-    def ball(self) -> Ball:
-        return self.value, self.radius
-
-    def __repr__(self) -> str:  # keep reports readable
-        return f"CertifiedValue({self.value!r}, r={self.radius:.3e})"
 
 
 class VerdictStatus(Enum):
@@ -124,10 +96,10 @@ class VerdictStatus(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _parse_constant(literal: str) -> CertifiedValue:
+def _parse_constant(literal: str) -> Ball:
     # float() parses correctly rounded; charge 1 ulp.
     v = float(literal)
-    return CertifiedValue(v, math.ulp(v))
+    return v, math.ulp(v)
 
 
 # --- float kernels on balls: each formula and guard is written here once -----
@@ -273,7 +245,7 @@ def log_int_ball(n: int) -> Ball:
     if n < (1 << 53):
         return log_ball((float(n), 0.0))
     e = n.bit_length() - 53
-    v, r = add_ball(log_ball((float(n >> e), 0.0)), mul_ball(int_ball(e), LOG_2.ball))
+    v, r = add_ball(log_ball((float(n >> e), 0.0)), mul_ball(int_ball(e), LOG_2))
     # true log n lies in [v - r, v + r + 2^-52]: the discarded remainder
     # only pushes upward; widen the ball instead of nudging the center so no
     # new rounding enters

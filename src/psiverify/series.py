@@ -31,10 +31,10 @@ gets the bits of a pass of its own.
 The pass yields its totals as plain ``(value, radius)`` pairs, and the
 points chain them through the float kernels of ``numerics``; objects are
 built only at the edges.  A :class:`PrimorialPoint` carries its pairs and
-nothing else.  The points compose the pass's totals as
+nothing else.  A point takes log theta(p_n) = log log N_n once and is the
+sides of the rows ``bounds.LOWER`` and ``bounds.DUAL`` on it:
 
-    psi(N_n)/N_n       = exp(plus)
-    R(N_n)             = psi(N_n)/N_n / log log N_n
+    R(N_n)             = exp(plus) / log log N_n
     g(x) = (e^g / zeta(2)) * log theta(x) * exp(inv)
 
 and the ``criterion-gap`` row of ``bounds`` takes, in logs,
@@ -58,18 +58,7 @@ from math import ceil, log, ulp
 from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, RangeError
-from .numerics import (
-    E_GAMMA_OVER_ZETA2,
-    SUM_SCALE,
-    Ball,
-    div_ball,
-    exp_ball,
-    log1p_ball,
-    log_ball,
-    mul_ball,
-    sub_ball,
-    sum_ball,
-)
+from .numerics import SUM_SCALE, Ball, log1p_ball, log_ball, sub_ball, sum_ball
 from .primes import PrimeTable
 
 __all__ = [
@@ -295,49 +284,36 @@ def serve(table: PrimeTable, readers: Sequence[Reader]) -> list:
 class PrimorialPoint(NamedTuple):
     """Certified snapshot of the primorial of index n (n >= 2).
 
-    The ``*_ball`` fields are the ``(value, radius)`` pairs the pass
-    computes; ``log_theta_ball`` encloses log theta(p_n) = log log N_n, and
-    ``margin_ball`` encloses R(N_n) - e^gamma/zeta(2).  ``g_ball`` is None
-    at n = 2, where p_n < 5 puts g outside its domain.
+    The ``*_ball`` fields are ``(value, radius)`` pairs: ``theta_ball`` is
+    the pass's theta(p_n), ``log_theta_ball`` encloses log theta(p_n) =
+    log log N_n, ``ratio_ball`` and ``g_ball`` are the lhs of the rows
+    ``bounds.LOWER`` and ``bounds.DUAL``, and ``margin_ball`` encloses
+    R(N_n) - e^gamma/zeta(2).  ``g_ball`` is None at n = 2, where p_n < 5
+    puts g outside its domain.
     """
 
     n: int
     p: int
     theta_ball: Ball
     log_theta_ball: Ball
-    psi_over_n_ball: Ball
     ratio_ball: Ball
     g_ball: Ball | None
     margin_ball: Ball
 
 
-_LOWER_LIMIT = E_GAMMA_OVER_ZETA2.ball
-
-
-def _primorial_point_at(primes: Sequence[int], n: int, theta: Ball, sums: list[Ball]) -> PrimorialPoint:
-    """The point at index n from the pass's theta and ``[plus, inv]`` totals there.
-
-    Its margin and g are the sides of the rows ``bounds.LOWER`` and
-    ``bounds.DUAL``, written out again so that a dense scan takes
-    log theta once per point: the rows' sides take it once per side, three
-    times per point, and made ``scan lower`` measurably slower.
-    ``tests/test_bounds.py`` checks that both give the same bits.
-    """
-    if n < 2:
-        raise RangeError(f"points_at: primorial points start at n = 2, got {n}")
-    p = primes[n - 1]  # the pass checked n against the table
-    plus, inv = sums
-    psi_over_n = exp_ball(plus)
-    loglog = log_ball(theta)
-    ratio = div_ball(psi_over_n, loglog)
-    g = mul_ball(mul_ball(_LOWER_LIMIT, loglog), exp_ball(inv)) if p >= MIN_CRITERION_X else None
-    return PrimorialPoint._make((n, p, theta, loglog, psi_over_n, ratio, g, sub_ball(ratio, _LOWER_LIMIT)))
-
-
 def points_at(table: PrimeTable, indices: Iterable[int]) -> Iterator[PrimorialPoint]:
-    """Yield PrimorialPoints at the ascending ``indices`` (each >= 2)."""
-    for n, theta, sums in prefix_sums(table, POINT_KINDS, indices):
-        yield _primorial_point_at(table.primes, n, theta, sums)
+    """Yield PrimorialPoints at the ascending ``indices`` (each >= 2), from the pass's theta, plus and inv."""
+    from .bounds import _BALL, DUAL, LOWER  # bounds imports this module
+
+    primes, lower, dual = table.primes, LOWER.sides, DUAL.sides
+    for n, theta, (plus, inv) in prefix_sums(table, POINT_KINDS, indices):
+        if n < 2:
+            raise RangeError(f"points_at: primorial points start at n = 2, got {n}")
+        p = primes[n - 1]  # the pass checked n against the table
+        loglog = log_ball(theta)
+        ratio, limit = lower(_BALL, p, loglog, plus)
+        g = dual(_BALL, p, loglog, inv)[0] if p >= MIN_CRITERION_X else None
+        yield PrimorialPoint._make((n, p, theta, loglog, ratio, g, sub_ball(ratio, limit)))
 
 
 def stream_points(table: PrimeTable, n_max: int) -> Iterator[PrimorialPoint]:

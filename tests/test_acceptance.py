@@ -67,7 +67,7 @@ def test_criterion_3_upper_bound(table):
     t0 = time.monotonic()
     res = verify_upper(table)
     r30 = div_ball(int_ball(psi(30) * 30), mul_ball(int_ball(30 * 30), log_ball(log_ball(int_ball(30)))))
-    r30_above = ball_status(sub_ball(r30, E_GAMMA.ball), ">")
+    r30_above = ball_status(sub_ball(r30, E_GAMMA), ">")
     elapsed = time.monotonic() - t0
     ok = (
         res.holds
@@ -117,7 +117,7 @@ def test_criterion_5_sandwich():
     # certified part: phi(n) psi(n) zeta(2) > n^2  <=>  prod * zeta(2) > den^2
     certified_ok = True
     for n in range(2, limit + 1):
-        margin = sub_ball(mul_ball(int_ball(int(prod[n])), ZETA2.ball), int_ball(int(den2[n])))
+        margin = sub_ball(mul_ball(int_ball(int(prod[n])), ZETA2), int_ball(int(den2[n])))
         if ball_status(margin, ">") is not VerdictStatus.HOLDS:
             certified_ok = False
             break
@@ -131,7 +131,7 @@ def test_criterion_6_identity_suite(table):
         if point.g_ball is None:
             continue
         value, radius = mul_ball(point.g_ball, point.ratio_ball)
-        if abs(value - E_GAMMA_OVER_ZETA2.value) > radius + E_GAMMA_OVER_ZETA2.radius:
+        if abs(value - E_GAMMA_OVER_ZETA2[0]) > radius + E_GAMMA_OVER_ZETA2[1]:
             identity_ok = False
             break
 

@@ -59,6 +59,23 @@ def test_factorize_examples():
     assert factorize(2**10).factors == ((2, 10),)
 
 
+def test_factorize_sieves_no_table_past_the_root(monkeypatch, tmp_path):
+    # factorize(12) and compute 12 need the primes up to isqrt(12) = 3, and sieve no further
+    from psiverify.cli import main
+
+    limits = []
+    real = arith_mod.build_table
+
+    def spy(limit, **kwargs):
+        limits.append(limit)
+        return real(limit, **kwargs)
+
+    monkeypatch.setattr(arith_mod, "build_table", spy)
+    assert factorize(12).factors == ((2, 2), (3, 1))
+    assert main(["compute", "12", "--output", str(tmp_path / "compute.out")]) == 0
+    assert limits == [3, 3]
+
+
 def test_factorize_validates():
     with pytest.raises(DomainError):
         factorize(0)
@@ -138,27 +155,27 @@ def test_sandwich_small():
     for n in range(2, 2000):
         pp = phi(n) * psi(n)
         assert n * n > pp
-        margin = sub_ball(mul_ball(int_ball(pp), ZETA2.ball), int_ball(n * n))
+        margin = sub_ball(mul_ball(int_ball(pp), ZETA2), int_ball(n * n))
         assert ball_status(margin, ">") is VerdictStatus.HOLDS, n
 
 
 def test_robin_ratio_examples():
     r30 = robin_ratio(30)
-    assert abs(r30.value - 1.9605800214449640) < 1e-13
-    assert ball_status(sub_ball(r30.ball, E_GAMMA.ball), ">") is VerdictStatus.HOLDS
+    assert abs(r30[0] - 1.9605800214449640) < 1e-13
+    assert ball_status(sub_ball(r30, E_GAMMA), ">") is VerdictStatus.HOLDS
     r31 = robin_ratio(31)
-    assert abs(r31.value - 0.8367022993088898) < 1e-13
+    assert abs(r31[0] - 0.8367022993088898) < 1e-13
     r210 = robin_ratio(210)
-    assert abs(r210.value - 1.6360071034244227) < 1e-13
-    assert ball_status(sub_ball(r210.ball, E_GAMMA.ball), "<") is VerdictStatus.HOLDS
+    assert abs(r210[0] - 1.6360071034244227) < 1e-13
+    assert ball_status(sub_ball(r210, E_GAMMA), "<") is VerdictStatus.HOLDS
 
 
 def test_robin_ratio_encloses_oracle():
     with mp.workdps(60):
         for n in (3, 4, 30, 31, 210, 104729, 2 * 3 * 5 * 7 * 11 * 13):
-            r = robin_ratio(n)
+            value, radius = robin_ratio(n)
             oracle = mp.mpf(psi(n)) / (n * mp.log(mp.log(n)))
-            assert mp.mpf(r.value) - r.radius <= oracle <= mp.mpf(r.value) + r.radius
+            assert mp.mpf(value) - radius <= oracle <= mp.mpf(value) + radius
 
 
 def test_robin_ratio_domain():
@@ -167,8 +184,8 @@ def test_robin_ratio_domain():
     with pytest.raises(DomainError):
         robin_ratio(1)
     # n = 3 and 4 are legal even though log log n is tiny
-    assert robin_ratio(3).value > 14
-    assert robin_ratio(4).value > 4
+    assert robin_ratio(3)[0] > 14
+    assert robin_ratio(4)[0] > 4
 
 
 def test_robin_ratio_big_integer_path():
@@ -176,10 +193,10 @@ def test_robin_ratio_big_integer_path():
     n15 = primorial(15)
     assert n15 == 614889782588491410
     fz = Factorization(n15, tuple((p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)))
-    r = robin_ratio_from_factors(fz)
+    value, radius = robin_ratio_from_factors(fz)
     with mp.workdps(60):
         oracle = mp.mpf(psi_exact_primorial(15)) / (mp.mpf(n15) * mp.log(mp.log(n15)))
-        assert mp.mpf(r.value) - r.radius <= oracle <= mp.mpf(r.value) + r.radius
+        assert mp.mpf(value) - radius <= oracle <= mp.mpf(value) + radius
 
 
 def psi_exact_primorial(k: int) -> int:

@@ -16,14 +16,14 @@ from psiverify.bounds import (
     stride_indices,
 )
 from psiverify.errors import DomainError, RangeError
-from psiverify.numerics import VerdictStatus, ball_status, sub_ball
+from psiverify.numerics import VerdictStatus, ball_status, log_ball, sub_ball
 from psiverify.series import prefix_sums
 
 
 def _sides(table, row, n):
     """The per-index oracle: the row's ``(lhs, rhs)`` balls at index n, from one prefix pass."""
     ((_, theta, sums),) = prefix_sums(table, row.sums, (n,))
-    return row.sides(_BALL, table.nth_prime(n), theta, *sums)
+    return row.sides(_BALL, table.nth_prime(n), log_ball(theta), *sums)
 
 
 def _at(table, name, n):
@@ -295,36 +295,35 @@ def _kernel_sides():
         div_ball,
         exp_ball,
         int_ball,
-        log_ball,
         mul_ball,
         neg_ball,
         ratio_ball,
     )
 
     one, c1125, c0125 = (1.0, 0.0), (1.125, 0.0), (0.125, 0.0)
-    gamma, e_gamma, zeta2, limit = (c.ball for c in (EULER_GAMMA, E_GAMMA, ZETA2, E_GAMMA_OVER_ZETA2))
+    gamma, e_gamma, zeta2, limit = EULER_GAMMA, E_GAMMA, ZETA2, E_GAMMA_OVER_ZETA2
 
-    def rs(x, theta, s_phi):
+    def rs(x, loglog, s_phi):
         logx = log_ball(int_ball(x))
         return exp_ball(neg_ball(s_phi)), mul_ball(e_gamma, add_ball(logx, div_ball(one, logx)))
 
-    def zeta_tail(p, theta, s_sq):
+    def zeta_tail(p, loglog, s_sq):
         return mul_ball(zeta2, exp_ball(s_sq)), exp_ball(ratio_ball(2, p))
 
-    def psi_bound(p, theta, s_plus):
-        inner = add_ball(log_ball(theta), div_ball(c1125, log_ball(int_ball(p))))
+    def psi_bound(p, loglog, s_plus):
+        inner = add_ball(loglog, div_ball(c1125, log_ball(int_ball(p))))
         return exp_ball(s_plus), mul_ball(div_ball(exp_ball(add_ball(gamma, ratio_ball(2, p))), zeta2), inner)
 
-    def threshold(p, theta):
-        bump = div_ball(c1125, mul_ball(log_ball(int_ball(p)), log_ball(theta)))
+    def threshold(p, loglog):
+        bump = div_ball(c1125, mul_ball(log_ball(int_ball(p)), loglog))
         return mul_ball(exp_ball(ratio_ball(2, p)), add_ball(one, bump)), zeta2
 
-    def robin(p, theta):
+    def robin(p, loglog):
         logp = log_ball(int_ball(p))
-        return logp, add_ball(log_ball(theta), div_ball(c0125, logp))
+        return logp, add_ball(loglog, div_ball(c0125, logp))
 
-    def gap(x, theta, s_inv, s_phi):
-        log_loglog = log_ball(log_ball(theta))
+    def gap(x, loglog, s_inv, s_phi):
+        log_loglog = log_ball(loglog)
         lhs = add_ball(add_ball(log_ball(limit), log_loglog), s_inv)
         rhs = add_ball(add_ball(add_ball(log_ball(e_gamma), log_loglog), s_phi), ratio_ball(-2, x))
         return lhs, rhs
@@ -339,7 +338,7 @@ def _kernel_sides():
     }
 
 
-def test_bound_formulas_bit_identical_to_certified_value_chain(table):
+def test_bound_formulas_bit_identical_to_kernel_chain(table):
     # every point of each default dense scan, on the pairs the pass yields
     reference = _kernel_sides()
     stop = bounds_mod.DENSE_UNTIL
@@ -351,7 +350,7 @@ def test_bound_formulas_bit_identical_to_certified_value_chain(table):
         for name, bound in BOUNDS.items():
             if n < bound.start:
                 continue
-            args = [theta, *(sums[kind] for kind in bound.sums)]
+            args = [log_ball(theta), *(sums[kind] for kind in bound.sums)]
             lhs, rhs = bound.sides(_BALL, x, *args)
             ref_lhs, ref_rhs = reference[name](x, *args)
             assert (lhs, rhs) == (ref_lhs, ref_rhs), (name, n)
@@ -364,21 +363,21 @@ def test_claim_rows_bit_identical_to_the_points(table):
     # decide on the points, so the 113-bit path re-decides the same formulas
     from psiverify.bounds import DUAL, LOWER, UPPER
     from psiverify.numerics import E_GAMMA
-    from psiverify.series import POINT_KINDS, _primorial_point_at
+    from psiverify.series import POINT_KINDS, points_at
 
     checked = 0
-    for n, theta, totals in prefix_sums(table, POINT_KINDS, range(LOWER.start, 2 * 10**4 + 1)):
+    indices = range(LOWER.start, 2 * 10**4 + 1)
+    for (n, theta, totals), point in zip(prefix_sums(table, POINT_KINDS, indices), points_at(table, indices)):
         sums = dict(zip(POINT_KINDS, totals))
-        point = _primorial_point_at(table.primes, n, theta, totals)
         expected = [
             (LOWER, point.margin_ball),
             (DUAL, sub_ball(point.g_ball, (1.0, 0.0))),
-            (UPPER, sub_ball(point.ratio_ball, E_GAMMA.ball)),
+            (UPPER, sub_ball(point.ratio_ball, E_GAMMA)),
         ]
         for row, margin in expected:
             if n >= row.start:
                 args = [sums[kind] for kind in row.sums]
-                assert sub_ball(*row.sides(_BALL, point.p, theta, *args)) == margin, (row.sides.__name__, n)
+                assert sub_ball(*row.sides(_BALL, point.p, log_ball(theta), *args)) == margin, (row.sides.__name__, n)
                 checked += 1
     assert checked == 3 * (2 * 10**4 - 2) - 1
 
@@ -398,7 +397,7 @@ def _dense_scan(table, row, name, start, stop):
     scan, statuses = BoundScan(name, start, stop), {}
     for n, theta, sums in prefix_sums(table, row.sums, stride_indices(start, stop)):
         x = table.nth_prime(n)
-        margin = sub_ball(*row.sides(_BALL, x, theta, *sums))
+        margin = sub_ball(*row.sides(_BALL, x, log_ball(theta), *sums))
         status = ball_status(margin, row.claim)
         escalated = status is VerdictStatus.INCONCLUSIVE
         if escalated:

@@ -235,7 +235,7 @@ def test_verify_lower_reports_an_escalated_dual_that_disagrees(table, monkeypatc
 
 def test_bracketed_lower_reports_what_every_point_decided_alone_reports(table, monkeypatch):
     # the per-index reference: each point's margin and g decided alone, as lower once did
-    import psiverify.bounds as bounds_mod
+    import psiverify.claims as claims_mod
     from psiverify.numerics import ball_endpoints, ball_status, sub_ball
     from psiverify.series import points_at
 
@@ -251,13 +251,13 @@ def test_bracketed_lower_reports_what_every_point_decided_alone_reports(table, m
             margins[str(point.n)] = point.margin_ball
 
     scans = []
-    real_read = bounds_mod._read_bound
+    real_read = claims_mod._read_bound
 
     def spy(table, bound, scan, *args):
         scans.append(scan)
         return real_read(table, bound, scan, *args)
 
-    monkeypatch.setattr(bounds_mod, "_read_bound", spy)
+    monkeypatch.setattr(claims_mod, "_read_bound", spy)
     res = verify_lower(table, n_max)
     assert res.holds
     assert res.covered == {"n": [LOWER.start, n_max]}
@@ -289,8 +289,8 @@ def test_a_lower_point_that_fails_is_a_counterexample_and_a_dual_mismatch(table,
 
     target = table.nth_prime(1500)
 
-    def failing_sides(A, x, theta, s_plus):
-        lhs, rhs = LOWER.sides(A, x, theta, s_plus)
+    def failing_sides(A, x, loglog, s_plus):
+        lhs, rhs = LOWER.sides(A, x, loglog, s_plus)
         lo, hi = x if isinstance(x, tuple) else (x, x)
         return (A.add(lhs, A.exact(-1.0)) if lo <= target <= hi else lhs), rhs
 
@@ -349,55 +349,6 @@ def test_a_prefix_claim_past_the_table_raises_before_the_pass(monkeypatch, cid):
     with pytest.raises(RangeError, match=rf"^{cid}: n_max=10000 reads index \d+, past the table's 168 primes$"):
         run_claims([cid], short, VerifyConfig(n_max=10**4))
     assert passes == []
-
-
-def _certified_values_built(monkeypatch, run) -> int:
-    """How many CertifiedValues ``run()`` constructs."""
-    from psiverify.numerics import CertifiedValue
-
-    real = CertifiedValue.__post_init__
-    built = [0]
-
-    def counting(self):
-        built[0] += 1
-        real(self)
-
-    monkeypatch.setattr(CertifiedValue, "__post_init__", counting)
-    try:
-        run()
-    finally:
-        monkeypatch.undo()
-    return built[0]
-
-
-def test_no_certified_value_per_point(table, monkeypatch, tmp_path):
-    # the lower scan and the scan rows decide on (value, radius) pairs: the
-    # number of objects built must not grow with the depth of the scan
-    from psiverify.cli import main
-
-    def lower(n_max):
-        return _certified_values_built(monkeypatch, lambda: verify_lower(table, n_max))
-
-    def rows(n_max):
-        out = tmp_path / f"rows{n_max}.csv"
-        return _certified_values_built(
-            monkeypatch, lambda: main(["scan", "lower", "--n-max", str(n_max), "--output", str(out)])
-        )
-
-    assert lower(3000) == lower(6000) < 3000
-    assert rows(3000) == rows(6000) < 3000
-
-
-def test_no_certified_value_per_bound_scan_point(table, monkeypatch):
-    # the six bound scans decide on (value, radius) pairs too
-    from psiverify.bounds import BOUNDS, scan_bound
-
-    def scans(stop):
-        return _certified_values_built(
-            monkeypatch, lambda: [scan_bound(table, name, bound.start, stop) for name, bound in BOUNDS.items()]
-        )
-
-    assert scans(3000) == scans(6000)
 
 
 def test_mertens_trend(table):
@@ -543,13 +494,13 @@ def test_upper_factors_on_the_run_table(table, monkeypatch):
     import psiverify.arith as arith_mod
 
     calls = []
-    real = arith_mod._trial_table
+    real = arith_mod.build_table
 
-    def spy(min_limit):
-        calls.append(min_limit)
-        return real(min_limit)
+    def spy(limit, **kwargs):
+        calls.append(limit)
+        return real(limit, **kwargs)
 
-    monkeypatch.setattr(arith_mod, "_trial_table", spy)
+    monkeypatch.setattr(arith_mod, "build_table", spy)
     assert run_claims(["upper"], table, VerifyConfig(n_max=3000))["all_hold"]
     assert calls == []
 

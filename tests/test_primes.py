@@ -15,7 +15,7 @@ import pytest
 from psiverify.arith import primorial
 from psiverify.bounds import _BALL, BOUNDS
 from psiverify.errors import RangeError, ResourceError
-from psiverify.numerics import CertifiedValue, log_int_ball
+from psiverify.numerics import log_ball, log_int_ball
 from psiverify.primes import build_table, inspect_cache, load_table, save_table
 from psiverify.series import prefix_sums
 
@@ -62,27 +62,27 @@ def test_nth_prime_2263_is_first_at_20000(table):
 def theta_at(table, x: int):
     """Certified theta(x), the sum of log p over primes p <= x, from the prefix pass."""
     _, theta, _ = next(prefix_sums(table, (), (table.prime_count(x),)))
-    return CertifiedValue(*theta)
+    return theta
 
 
 def test_theta_examples():
     t = build_table(30)
-    th2 = theta_at(t, 2)
-    assert abs(th2.value - math.log(2)) <= th2.radius + 1e-15
-    th7 = theta_at(t, 7)
+    value, radius = theta_at(t, 2)
+    assert abs(value - math.log(2)) <= radius + 1e-15
+    value, radius = th7 = theta_at(t, 7)
     # log(210) = 5.34710753..., oracle: sum of four logs at 100 digits
     with mp.workdps(100):
         oracle = mp.fsum(mp.log(p) for p in (2, 3, 5, 7))
-        assert mp.mpf(th7.value) - th7.radius <= oracle <= mp.mpf(th7.value) + th7.radius
-    assert abs(th7.value - 5.347107530717469) < 1e-12
+        assert mp.mpf(value) - radius <= oracle <= mp.mpf(value) + radius
+    assert abs(value - 5.347107530717469) < 1e-12
     # no prime in (7, 10]
-    assert theta_at(t, 10).value == th7.value
+    assert theta_at(t, 10)[0] == th7[0]
     # ten logs: 22.59039453011566 (high-precision summation oracle)
-    th30 = theta_at(t, 30)
+    value, radius = theta_at(t, 30)
     with mp.workdps(100):
         oracle = mp.fsum(mp.log(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
-        assert mp.mpf(th30.value) - th30.radius <= oracle <= mp.mpf(th30.value) + th30.radius
-    assert abs(th30.value - 22.590394530115656) < 1e-12
+        assert mp.mpf(value) - radius <= oracle <= mp.mpf(value) + radius
+    assert abs(value - 22.590394530115656) < 1e-12
 
 
 def test_theta_range_errors():
@@ -98,15 +98,15 @@ def test_theta_range_errors():
 
 def test_theta_recurrence():
     t = build_table(2000)
-    thetas = [CertifiedValue(*theta) for _, theta, _ in prefix_sums(t, (), range(1, t.count + 1))]
+    thetas = [theta for _, theta, _ in prefix_sums(t, (), range(1, t.count + 1))]
     prev = thetas[0]
     for x in range(3, 2001):
         cur = thetas[t.prime_count(x) - 1]
         if t.is_prime(x):
-            expected = prev.value + math.log(x)
-            assert abs(cur.value - expected) <= prev.radius + cur.radius + 4 * math.ulp(expected)
+            expected = prev[0] + math.log(x)
+            assert abs(cur[0] - expected) <= prev[1] + cur[1] + 4 * math.ulp(expected)
         else:
-            assert cur.value == prev.value and cur.radius == prev.radius
+            assert cur == prev
         prev = cur
 
 
@@ -182,7 +182,7 @@ def test_cache_roundtrip(tmp_path):
     assert info["count"] == t.count
     assert info["largest_prime"] == t.primes[-1]
     theta = theta_at(t, t.limit)
-    assert (info["theta_at_limit"], info["theta_radius_at_limit"]) == (theta.value, theta.radius)
+    assert (info["theta_at_limit"], info["theta_radius_at_limit"]) == theta
 
 
 def test_load_table_holds_one_copy_of_the_primes(tmp_path):
@@ -327,7 +327,7 @@ def _criterion_gap_lhs(table, x: int) -> float:
     """The criterion-gap row's lhs, log g, at the largest prime <= x; it depends on theta and inv only."""
     row, n = BOUNDS["criterion-gap"], table.prime_count(x)
     ((_, theta, sums),) = prefix_sums(table, row.sums, (n,))
-    return row.sides(_BALL, table.nth_prime(n), theta, *sums)[0][0]
+    return row.sides(_BALL, table.nth_prime(n), log_ball(theta), *sums)[0][0]
 
 
 def test_build_table_replaces_a_cache_that_lacks_primes(tmp_path):

@@ -27,7 +27,7 @@ from psiverify.numerics import (
     ratio_ball,
     sub_ball,
 )
-from psiverify.primes import MAX_LIMIT, PrimeTable
+from psiverify.primes import MAX_LIMIT, PrimeTable, build_table
 from psiverify.series import (
     TERMS,
     prefix_sums,
@@ -301,11 +301,11 @@ def test_lower_reads_fewer_balls_than_indices(table, monkeypatch):
     assert len(calls) < 20000 - 2, len(calls)
 
 
-def test_points_bit_identical_to_certified_value_chain(table):
+def test_points_bit_identical_to_kernel_chain(table):
     # reference: every point composed from the pass's pair totals with the
     # kernels, operation for operation
     count = 10**4
-    limit = E_GAMMA_OVER_ZETA2.ball
+    limit = E_GAMMA_OVER_ZETA2
     points = stream_points(table, count)
     for (n, theta, (plus, inv)), point in zip(prefix_sums(table, ("plus", "inv"), range(2, count + 1)), points):
         psi_over_n = exp_ball(plus)
@@ -316,7 +316,6 @@ def test_points_bit_identical_to_certified_value_chain(table):
         assert point.n == n
         assert point.theta_ball == theta, n
         assert point.log_theta_ball == loglog, n
-        assert point.psi_over_n_ball == psi_over_n, n
         assert point.ratio_ball == ratio, n
         assert point.g_ball == g, n
         assert point.margin_ball == margin, n
@@ -327,8 +326,10 @@ def test_point_n2():
     pts = {p.n: p for p in stream_points_table10()}
     p2 = pts[2]
     assert p2.p == 3
-    # psi(N_2)/N_2 = (3/2)(4/3) = 2 exactly
-    assert abs(p2.psi_over_n_ball[0] - 2.0) <= p2.psi_over_n_ball[1]
+    # psi(N_2)/N_2 = exp(plus) = (3/2)(4/3) = 2 exactly
+    ((_, _, (plus,)),) = prefix_sums(build_table(100), ("plus",), (2,))
+    value, radius = exp_ball(plus)
+    assert abs(value - 2.0) <= radius
     assert abs(p2.ratio_ball[0] - 3.4293665667005870) < 1e-12
     assert p2.g_ball is None
 
@@ -341,9 +342,9 @@ def stream_points_table10():
 
 def test_point_n4_matches_ratio_r(table):
     p4 = next(p for p in stream_points(table, 4) if p.n == 4)
-    r210 = robin_ratio_from_factors(Factorization(210, ((2, 1), (3, 1), (5, 1), (7, 1))))
+    r210, r210_radius = robin_ratio_from_factors(Factorization(210, ((2, 1), (3, 1), (5, 1), (7, 1))))
     value, radius = p4.ratio_ball
-    assert abs(value - r210.value) <= radius + r210.radius
+    assert abs(value - r210) <= radius + r210_radius
     assert abs(value - 1.6360071034244227) < 1e-12
 
 
@@ -352,18 +353,20 @@ def test_stream_matches_exact_primorial_ratio(table):
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
     for point in stream_points(table, 15):
         n = point.n
-        exact = robin_ratio_from_factors(
+        exact, exact_radius = robin_ratio_from_factors(
             Factorization(primorial(n, table), tuple((p, 1) for p in primes[:n]))
         )
         value, radius = point.ratio_ball
-        assert abs(value - exact.value) <= radius + exact.radius
+        assert abs(value - exact) <= radius + exact_radius
 
 
 def test_psi_over_n_strictly_increasing(table):
+    # psi(N_n)/N_n = exp(plus)
     prev = 0.0
-    for point in stream_points(table, 3000):
-        assert point.psi_over_n_ball[0] > prev
-        prev = point.psi_over_n_ball[0]
+    for _, _, (plus,) in prefix_sums(table, ("plus",), range(2, 3001)):
+        value, _ = exp_ball(plus)
+        assert value > prev
+        prev = value
 
 
 def test_identity_g_times_ratio(table):
@@ -372,12 +375,12 @@ def test_identity_g_times_ratio(table):
         if point.g_ball is None:
             continue
         value, radius = mul_ball(point.g_ball, point.ratio_ball)
-        assert abs(value - E_GAMMA_OVER_ZETA2.value) <= radius + E_GAMMA_OVER_ZETA2.radius, point.n
+        assert abs(value - E_GAMMA_OVER_ZETA2[0]) <= radius + E_GAMMA_OVER_ZETA2[1], point.n
 
 
 def test_margins_wired_correctly(table):
     for point in stream_points(table, 50):
-        assert point.margin_ball[0] == pytest.approx(point.ratio_ball[0] - E_GAMMA_OVER_ZETA2.value, abs=1e-15)
+        assert point.margin_ball[0] == pytest.approx(point.ratio_ball[0] - E_GAMMA_OVER_ZETA2[0], abs=1e-15)
 
 
 def _row_sides(table, row, n):
@@ -385,7 +388,7 @@ def _row_sides(table, row, n):
     from psiverify.bounds import _BALL
 
     ((_, theta, sums),) = prefix_sums(table, row.sums, (n,))
-    return row.sides(_BALL, table.nth_prime(n), theta, *sums)
+    return row.sides(_BALL, table.nth_prime(n), log_ball(theta), *sums)
 
 
 def _g(table, x):
