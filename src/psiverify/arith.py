@@ -12,8 +12,8 @@ Robin ratio:   psi(n) / (n log log n), defined for n >= 3
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import TYPE_CHECKING
 
 from .errors import CapabilityError, DomainError, ResourceError
@@ -68,24 +68,23 @@ class Factorization:
 
 
 def factorize(n: int, table: PrimeTable | None = None) -> Factorization:
-    """Factor n by trial division against the sieved prime table.
+    """Factor n by trial division, up to the square root of what is left.
 
-    A ``table`` that does not reach isqrt(n), or none, is replaced by a sieve
-    to isqrt(n).  Raises CapabilityError above :data:`DEFAULT_FACTOR_LIMIT`,
-    which keeps that sieve at 10^6.
+    The divisors are the primes of ``table``, or 2 and 3 when there is none,
+    then every odd number past the last of them; a composite among those
+    divides nothing, since its prime factors are already divided out.  So no
+    table is sieved, and a table that stops short of isqrt(n) is still
+    correct.  Raises CapabilityError above :data:`DEFAULT_FACTOR_LIMIT`,
+    which keeps the loop at 5 * 10^5 odd divisors.
     """
     if n < 1:
         raise DomainError(f"factorize: n must be positive, got {n}")
     if n > DEFAULT_FACTOR_LIMIT:
         raise CapabilityError(f"factorize: n={n} exceeds the factorization limit {DEFAULT_FACTOR_LIMIT}")
-    if n == 1:
-        return Factorization(1, ())
-    root = math.isqrt(n)
-    if table is None or table.limit < root:
-        table = build_table(max(root, 2))
+    primes = (table.primes if table is not None else ()) or (2, 3)
     m = n
     out: list[tuple[int, int]] = []
-    for p in table.primes:
+    for p in chain(primes, count((primes[-1] + 1) | 1, 2)):
         if p * p > m:
             break
         if m % p == 0:

@@ -18,9 +18,9 @@ the indices of :func:`stride_indices`: every index up to
 :data:`DENSE_UNTIL`, then steps of ratio :data:`STRIDE_RATIO`.  The code,
 not the caller, picks them; a bound at one index n is the scan
 ``scan_bound(table, name, n, n)``.  A claim with several rows
-(``lower``'s ``LOWER`` and ``DUAL``; ``upper`` (c), the ``threshold`` row,
-inside a reader served ``plus``) hands the pass one such reader per row,
-each served its own sums and its own indices.
+(``lower``'s ``LOWER`` and ``DUAL``; ``upper``'s (b), the ``UPPER`` row, and
+(c), the ``threshold`` row) is one such reader per row, each served its own
+sums and its own indices, and a finish over the scans they return.
 
 The reader decides a row by brackets.  theta(p_n), p_n and every prefix sum
 are monotone in n, so at each index of a run the atoms lie in the hulls of

@@ -21,21 +21,21 @@ and the CLI take ids, descriptions and report order from it.  The ids:
                     ``bounds.BOUNDS``
 
 ``lower``, ``mertens-trend``, ``upper`` and the six bound scans read prefix
-sums from ``series``.  Each is a reader of :func:`series.serve`: a generator
-that yields the ascending indices it reads, is sent the totals there and
-returns its :class:`ClaimResult`.  ``run_claims`` runs the exact claims
-first and then serves every selected reader from one pass; a claim run
-alone, and each public claim function, is that call on the reader its
-claim-table entry builds; an entry whose indices pass the table raises
-:class:`RangeError` before the pass.  No claim here decides a point:
-``bounds._read_bound`` decides every ball-decided row by brackets and
-re-decides an INCONCLUSIVE point on the 113-bit path.  It reads the six
-bound scans, ``upper`` (b), the row ``UPPER``, and ``upper`` (c), the
-``threshold`` row at index 2263, as a reader of its own.  ``lower`` is
-the rows ``LOWER`` and ``DUAL``, which its reader hands the pass as two
-``_read_bound`` readers, each reading its own indices and booking its own
-``BoundScan``.  ``mertens-trend`` is ``lower``'s reader at the live
-checkpoints alone (those up to ``n_max``).
+sums from ``series``.  Each is its rows and a finish.  A row is a
+``bounds._read_bound`` reader of :func:`series.serve`, which decides one
+ball-decided row by brackets at its own indices, re-decides an
+INCONCLUSIVE point on the 113-bit path and returns its ``BoundScan``; the
+finish turns the scans of the claim's rows into its :class:`ClaimResult`.
+``run_claims`` runs the exact claims first, then serves the rows of every
+selected claim from one pass and hands each finish its claim's scans; a
+claim run alone, and each public claim function, is its finish over one
+pass of the rows its claim-table entry builds.  An entry whose indices pass
+the table raises :class:`RangeError` before the pass.  No claim here
+decides a point.  A bound scan is one row.  ``upper`` is (b), the row
+``UPPER``, and (c), the ``threshold`` row at index 2263; its finish decides
+(a), which reads no prefix sums.  ``lower`` is the rows ``LOWER`` and
+``DUAL``, and ``mertens-trend`` is those rows at the live checkpoints alone
+(those up to ``n_max``).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from .arith import factorize, primorials_up_to, psi_from_factors, psi_ratio_tables, robin_ratio
@@ -90,8 +91,7 @@ REDUCTION_EXHAUSTIVE_MAX = 5
 REDUCTION_SAMPLED_MAX = 8
 REDUCTION_SAMPLES = 2000
 CHECKPOINTS = (10, 100, 1000, 10**4, 10**5, 10**6, 10**7)  # where lower and mertens-trend report margins
-_AT_CHECKPOINT = frozenset(CHECKPOINTS)  # the indices whose margins lower's row reader keeps
-_LOWER_KINDS = LOWER.sums + DUAL.sums  # the sums lower and mertens-trend are served: plus, then inv
+_AT_CHECKPOINT = frozenset(CHECKPOINTS)  # the indices whose margins lower's rows keep
 
 
 @dataclass(frozen=True)
@@ -312,13 +312,22 @@ def verify_upper(table: PrimeTable, n_max: int = VerifyConfig.n_max) -> ClaimRes
     return _run_alone("upper", table, n_max)
 
 
-def _upper_claim(table: PrimeTable, config: VerifyConfig) -> Reader:
+def _upper_claim(table: PrimeTable, config: VerifyConfig) -> _Prefix:
+    """The rows of :func:`verify_upper`: (b) the ``UPPER`` row, (c) the ``threshold`` row at its first index."""
     _check_reach("upper", table, config, FIRST_INDEX_AT_20000)
-    return UPPER.sums, _upper(table)
+    b = BoundScan("upper", UPPER.start, UPPER_PRIMORIAL_STOP)
+    c = BoundScan("threshold", FIRST_INDEX_AT_20000, FIRST_INDEX_AT_20000)
+    threshold = BOUNDS["threshold"]
+    rows = [
+        (UPPER.sums, _read_bound(table, UPPER, b, range(b.start, b.stop + 1))),
+        (threshold.sums, _read_bound(table, threshold, c, (c.start,), keep=(c.start,))),
+    ]
+    return rows, partial(_upper_result, table)
 
 
-def _upper(table: PrimeTable):
-    """The reader of :func:`verify_upper`."""
+def _upper_result(table: PrimeTable, scans: list[BoundScan]) -> ClaimResult:
+    """``upper`` from the scans of its rows (b) and (c); decides (a), which reads no prefix sums."""
+    b, c = scans
 
     def status(n: int, claim: str) -> VerdictStatus:  # of R(n) CLAIM e^gamma
         return ball_status(sub_ball(robin_ratio(n, table), E_GAMMA), claim)
@@ -326,17 +335,8 @@ def _upper(table: PrimeTable):
     # (a) exhaustive small range, certified; witnesses below 31
     witnesses = [n for n in range(3, 31) if status(n, ">=") is VerdictStatus.HOLDS]
     a_bad = [n for n in range(31, UPPER_SMALL_STOP + 1) if status(n, "<") is not VerdictStatus.HOLDS]
-
-    # (b) primorial scan 4..2262, the UPPER row
-    b = BoundScan("upper", UPPER.start, UPPER_PRIMORIAL_STOP)
-    yield from _read_bound(table, UPPER, b, range(b.start, b.stop + 1))
     # R(N_3) = R(30) >= e^gamma: the bound genuinely starts at n = 4
     r30_high = status(30, ">") is VerdictStatus.HOLDS
-
-    # (c) the threshold at the first valid index; its lhs decreases in n
-    c = BoundScan("threshold", FIRST_INDEX_AT_20000, FIRST_INDEX_AT_20000)
-    threshold = BOUNDS["threshold"]
-    yield [(threshold.sums, _read_bound(table, threshold, c, (c.start,), keep=(c.start,)))]
 
     bad = a_bad + b.failed_at + c.failed_at
     return ClaimResult(
@@ -374,24 +374,29 @@ def verify_lower(table: PrimeTable, n_max: int) -> ClaimResult:
     return _run_alone("lower", table, n_max)
 
 
-def _lower_claim(table: PrimeTable, config: VerifyConfig) -> Reader:
+def _lower_claim(table: PrimeTable, config: VerifyConfig) -> _Prefix:
     _check_reach("lower", table, config, config.n_max)
-    return _LOWER_KINDS, _lower(table, range(LOWER.start, config.n_max + 1))
+    return _lower_rows(table, range(LOWER.start, config.n_max + 1)), _lower_result
 
 
-def _lower(table: PrimeTable, indices):
-    """The reader of :func:`verify_lower` over the ascending ``indices``.
+def _lower_rows(table: PrimeTable, indices) -> list[Reader]:
+    """The rows ``LOWER`` and ``DUAL`` of :func:`verify_lower` at the ascending ``indices``.
 
-    It decides the rows ``LOWER`` and ``DUAL``, each a reader
-    ``bounds._read_bound`` of its own.  Each of the :data:`CHECKPOINTS` among the
-    indices is decided alone and reports its ``LOWER`` margin, which must be
-    certified below the one before.
+    Each is a reader ``bounds._read_bound`` of its own, booking its own
+    ``BoundScan``.  Each of the :data:`CHECKPOINTS` among the indices is
+    decided alone and keeps its margin.
     """
     if not indices or indices[0] < LOWER.start:
         raise RangeError(f"lower: the scan needs n_max >= {LOWER.start}, and indices from n = {LOWER.start} on")
-    scan, dual = (BoundScan(name, indices[0], indices[-1]) for name in ("lower", "dual"))
-    rows = ((LOWER, scan), (DUAL, dual))
-    yield [(row.sums, _read_bound(table, row, book, indices, _AT_CHECKPOINT)) for row, book in rows]
+    return [
+        (row.sums, _read_bound(table, row, BoundScan(name, indices[0], indices[-1]), indices, _AT_CHECKPOINT))
+        for row, name in ((LOWER, "lower"), (DUAL, "dual"))
+    ]
+
+
+def _lower_result(scans: list[BoundScan]) -> ClaimResult:
+    """``lower`` from its rows' scans; each checkpoint's ``LOWER`` margin must be certified below the one before."""
+    scan, dual = scans
     margins = scan.margins
     at = list(margins)
     drops = (ball_status(sub_ball(margins[b], margins[a]), "<") for a, b in zip(at, at[1:]))
@@ -417,25 +422,25 @@ def mertens_limit_trend(table: PrimeTable, n_max: int) -> ClaimResult:
 
     Asserts each margin is certified positive, with its dual g(p_n) < 1, and
     the sequence strictly decreases; a trend consistent with the limit, not
-    a proof of it.  It is ``lower``'s reader at the checkpoints alone: the
+    a proof of it.  It is ``lower``'s rows at the checkpoints alone: the
     rows ``LOWER`` and ``DUAL`` decide each checkpoint alone and re-decide
     an INCONCLUSIVE one on the 113-bit path.
     """
     return _run_alone("mertens-trend", table, n_max)
 
 
-def _mertens(table: PrimeTable, config: VerifyConfig) -> Reader:
-    """The reader of ``mertens-trend`` at the live checkpoints; raises before any pass if there is none."""
+def _mertens(table: PrimeTable, config: VerifyConfig) -> _Prefix:
+    """``lower``'s rows at the live checkpoints; raises before any pass if there is none."""
     live = config.live_checkpoints()
     if not live:
         raise RangeError(f"mertens-trend: n_max={config.n_max} is below the first checkpoint, {CHECKPOINTS[0]}")
     _check_reach("mertens-trend", table, config, live[-1])
-    return _LOWER_KINDS, _mertens_result(table, live)
+    return _lower_rows(table, live), partial(_mertens_result, live)
 
 
-def _mertens_result(table: PrimeTable, live: tuple[int, ...]):
-    """``lower``'s reader at the live checkpoints, reported as ``mertens-trend``."""
-    lower = yield from _lower(table, live)
+def _mertens_result(live: tuple[int, ...], scans: list[BoundScan]) -> ClaimResult:
+    """``lower``'s result at the live checkpoints, reported as ``mertens-trend``."""
+    lower = _lower_result(scans)
     margins = lower.details["checkpoint_margins"]
     return ClaimResult("mertens-trend", {"checkpoints": list(live)}, lower.counterexamples, {"margins": margins})
 
@@ -452,20 +457,20 @@ def _check_reach(cid: str, table: PrimeTable, config: VerifyConfig, top: int) ->
 
 
 def _run_alone(cid: str, table: PrimeTable, n_max: int) -> ClaimResult:
-    """The prefix claim ``cid`` alone: one pass serving the reader its claim-table entry builds."""
-    return serve(table, [_CLAIMS[cid].run(table, VerifyConfig(n_max=n_max))])[0]
+    """The prefix claim ``cid`` alone: one pass serving the rows its claim-table entry builds, then its finish."""
+    rows, finish = _CLAIMS[cid].run(table, VerifyConfig(n_max=n_max))
+    return finish(serve(table, rows))
 
 
-def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str) -> Reader:
+def _bound_claim(table: PrimeTable, config: VerifyConfig, name: str) -> _Prefix:
     start = BOUNDS[name].start
     stop = max(start, config.n_max)  # always the first valid index, however small n_max is
     _check_reach(name, table, config, stop)
-    kinds, scan = bound_reader(table, name, start, stop)
-    return kinds, _bound_result(name, scan)
+    return [bound_reader(table, name, start, stop)], partial(_bound_result, name)
 
 
-def _bound_result(name: str, scan_reader):
-    scan = yield from scan_reader
+def _bound_result(name: str, scans: list[BoundScan]) -> ClaimResult:
+    (scan,) = scans
     failed = list(scan.failed_at)
     covered = {"n": [scan.start, scan.stop], "points_checked": scan.points_checked}
     if name != "robin-log":
@@ -478,10 +483,14 @@ def _bound_result(name: str, scan_reader):
     return ClaimResult(name, covered, settled, details)
 
 
+# a prefix claim: its rows, served by one pass, and the finish that turns their returns into its result
+_Prefix = tuple[list[Reader], Callable[[list], ClaimResult]]
+
+
 class _Claim(NamedTuple):
     description: str
-    # the ClaimResult of an exact claim, or the reader of a claim that reads prefix sums
-    run: Callable[[PrimeTable, VerifyConfig], ClaimResult | Reader]
+    # the ClaimResult of an exact claim, or the rows and the finish of a claim that reads prefix sums
+    run: Callable[[PrimeTable, VerifyConfig], ClaimResult | _Prefix]
 
 
 def _bound_entry(description: str, name: str) -> _Claim:
@@ -525,16 +534,18 @@ def run_claims(claim_ids: list[str] | None, table: PrimeTable, config: VerifyCon
     """Run claims (default: all) and assemble the deterministic report.
 
     Each claim runs once, and the report lists them in claim-table order.
-    The exact claims run first; then one :func:`series.serve` pass feeds
-    every selected claim that reads prefix sums.
+    The exact claims run first; then one :func:`series.serve` pass serves
+    the rows of every selected claim that reads prefix sums, and each
+    claim's finish turns its rows' scans into its result.
     """
     config = config or VerifyConfig()
     ids = CLAIM_IDS if claim_ids is None else claim_ids
     check_claim_ids(ids)
     selected = [cid for cid in _CLAIMS if cid in ids]
     results = {cid: _CLAIMS[cid].run(table, config) for cid in selected}
-    readers = {cid: made for cid, made in results.items() if not isinstance(made, ClaimResult)}
-    results.update(zip(readers, serve(table, list(readers.values()))))
+    prefix = {cid: made for cid, made in results.items() if not isinstance(made, ClaimResult)}
+    scans = iter(serve(table, [row for rows, _ in prefix.values() for row in rows]))
+    results.update({cid: finish(list(islice(scans, len(rows)))) for cid, (rows, finish) in prefix.items()})
     return {
         "config": config.to_dict(),
         "claims": {cid: results[cid].to_dict() for cid in selected},

@@ -33,7 +33,7 @@ import sys
 from typing import Sequence
 
 from .arith import factorize, phi_from_factors, psi_from_factors, robin_ratio_from_factors, sigma_from_factors
-from .bounds import BOUND_NAMES, scan_bound
+from .bounds import BOUND_NAMES, LOWER, _interval_sides, scan_bound
 from .claims import (
     CLAIM_IDS,
     VerifyConfig,
@@ -44,7 +44,7 @@ from .claims import (
     run_claims,
 )
 from .errors import PsiverifyError
-from .numerics import ball_status
+from .numerics import VerdictStatus, ball_status, sub_ball
 from .primes import CACHE_FILENAME, build_table, inspect_cache
 from .series import points_at
 
@@ -162,7 +162,7 @@ def _cmd_compute(args, file_cfg: dict) -> int:
 
 
 def _point_rows(table, n_start: int, n_max: int):
-    # rows read the points' (value, radius) pairs; the verdict is R > e^gamma/zeta(2)
+    # rows read the points' (value, radius) pairs; the verdict is R > e^gamma/zeta(2), the row LOWER
     for point in points_at(table, range(n_start, n_max + 1)):
         g_value, g_radius = point.g_ball or (None, None)
         yield {
@@ -175,8 +175,16 @@ def _point_rows(table, n_start: int, n_max: int):
             "g_value": g_value,
             "g_radius": g_radius,
             "margin_lower": point.margin_ball[0],
-            "verdict": ball_status(point.margin_ball, ">").value if point.n >= 3 else "",
+            "verdict": _lower_verdict(table, point) if point.n >= 3 else "",
         }
+
+
+def _lower_verdict(table, point) -> str:
+    """The row ``LOWER`` at the point, an INCONCLUSIVE margin re-decided on the 113-bit path."""
+    status = ball_status(point.margin_ball, LOWER.claim)
+    if status is VerdictStatus.INCONCLUSIVE:
+        status = ball_status(sub_ball(*_interval_sides(table, LOWER, point.n)), LOWER.claim)
+    return status.value
 
 
 def _cmd_scan(args, file_cfg: dict) -> int:

@@ -23,10 +23,12 @@ consume the pass.
 
 The loop is written once, as a cursor that only moves forward.
 :func:`prefix_sums` streams it to a single consumer.  :func:`serve` runs it
-once for many *readers*, each sent only the indices it yields.  A
-``verify`` run serves all of its claims from one pass, and a claim run
-alone is a run with one reader.  Since the totals are exact, every reader
-gets the bits of a pass of its own.
+once for many *readers*, each a generator that yields an index or a
+``range`` of indices and is sent only those.  A claim is its rows, each a
+reader, and a finish over what they return: a ``verify`` run serves the
+rows of all of its claims from one pass, and a claim run alone is a pass
+over its own rows.  Since the totals are exact, every reader gets the bits
+of a pass of its own.
 
 The pass yields its totals as plain ``(value, radius)`` pairs, and the
 points chain them through the float kernels of ``numerics``; objects are
@@ -51,9 +53,8 @@ so both are restricted to x >= 5 and points leave g unset at n = 2.
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import heappop, heappush
-from itertools import count, islice
+from itertools import islice
 from math import ceil, log, ulp
 from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
@@ -199,14 +200,14 @@ def prefix_sums(table: PrimeTable, kinds: Sequence[str], at: Iterable[int]) -> I
 class _Window:
     """A reader of :func:`serve`: its generator, its kinds' places in the pass and the indices it may read now."""
 
-    def __init__(self, cursor: _PrefixCursor, kinds: Sequence[str], own: Sequence[str], gen, finish: Callable):
-        self.cursor, self.gen, self.finish = cursor, gen, finish
+    def __init__(self, cursor: _PrefixCursor, kinds: Sequence[str], own: Sequence[str], gen):
+        self.cursor, self.gen = cursor, gen
         self.picks = [kinds.index(kind) for kind in own]
-        self.lo = self.hi = None  # the window; None while the reader waits for its readers
+        self.lo = self.hi = 0  # the window
 
     def at(self, m: int) -> tuple[Ball, list[Ball]]:
         """``(theta, totals)`` of the reader's kinds at index m of its window, up to the cursor."""
-        if self.lo is None or not self.lo <= m <= min(self.hi, self.cursor.done):
+        if not self.lo <= m <= min(self.hi, self.cursor.done):
             raise RangeError(f"serve: index {m} outside the window {self.lo}..{self.hi} (pass at {self.cursor.done})")
         return self.cursor.read(m, self.picks)
 
@@ -215,52 +216,32 @@ def serve(table: PrimeTable, readers: Sequence[Reader]) -> list:
     """Run one prefix pass for every reader; return what each one returns, in order.
 
     A reader is a ``(kinds, generator)`` pair.  The generator yields, in
-    ascending order, only what it must see:
+    ascending order, only what it must see, each yield one of two kinds:
 
     * an index n: it is sent an accessor ``at``, and ``at(n)`` gives
       ``(theta, totals)`` for its own kinds at n, bit for bit what
       ``prefix_sums(table, kinds, ...)`` gives;
     * a ``range`` of indices: it is sent ``at`` when the pass reaches the
-      last, and ``at(m)`` reads any m of the range;
-    * a list of readers: they join the pass, and it is sent the list of what
-      they return.  Its kinds include theirs.
+      last, and ``at(m)`` reads any m of the range.
 
     ``at`` raises :class:`RangeError` outside the reader's last yield.  The
     pass sums the union of the readers' kinds, in :data:`TERMS` order, keeps
     an index's exact ints only while a yielded range holds it, and builds an
-    index's balls once for all its readers.  A yield that steps back, passes
+    index's balls once for all its readers.  Readers due at one index are
+    sent it in their order in ``readers``.  A yield that steps back, passes
     the table or is an empty range raises :class:`RangeError`; a reader's
     exception propagates.
     """
     kinds = tuple(kind for kind in TERMS if any(kind in own for own, _ in readers))
     cursor = _PrefixCursor(table, kinds)
     results: list = [None] * len(readers)
-    due: list = []  # heap of (last index of the window, arrival, _Window)
-    arrivals = count()
+    due: list = []  # heap of (last index of the window, position in readers, _Window)
 
-    def join(own, gen, finish: Callable) -> None:
-        step(_Window(cursor, kinds, own, gen, finish), None)
-
-    def step(reader: _Window, sent) -> None:
+    def step(i: int, reader: _Window, sent) -> None:
         try:
             got = reader.gen.send(sent)
         except StopIteration as stop:
-            reader.finish(stop.value)
-            return
-        if isinstance(got, list):
-            reader.lo = reader.hi = None
-            waiting, found = [len(got)], [None] * len(got)
-
-            def child_done(i: int, value) -> None:
-                found[i] = value
-                waiting[0] -= 1
-                if not waiting[0]:
-                    step(reader, found)
-
-            if not got:
-                step(reader, found)
-            for i, (own, gen) in enumerate(got):
-                join(own, gen, partial(child_done, i))
+            results[i] = stop.value
             return
         lo, hi = (got, got) if isinstance(got, int) else (got.start, got.stop - 1)
         for m in (lo, hi):
@@ -269,15 +250,15 @@ def serve(table: PrimeTable, readers: Sequence[Reader]) -> list:
         if hi < lo:
             raise RangeError(f"serve: an empty window {got}")
         reader.lo, reader.hi = lo, hi
-        heappush(due, (hi, next(arrivals), reader))
+        heappush(due, (hi, i, reader))
 
     for i, (own, gen) in enumerate(readers):
-        join(own, gen, partial(results.__setitem__, i))
+        step(i, _Window(cursor, kinds, own, gen), None)
     while due:
-        n, _, reader = heappop(due)
+        n, i, reader = heappop(due)
         if n != cursor.done:
             cursor.to(n, min([reader.lo, *(other.lo for _, _, other in due)]))
-        step(reader, reader.at)
+        step(i, reader, reader.at)
     return results
 
 

@@ -57,10 +57,13 @@ def test_factorize_examples():
     assert factorize(12).factors == ((2, 2), (3, 1))
     assert factorize(510510).factors == tuple((p, 1) for p in (2, 3, 5, 7, 11, 13, 17))
     assert factorize(2**10).factors == ((2, 10),)
+    # past the last prime of a table, the odd numbers divide: 1009 and 1013 lie beyond build_table(30)
+    assert factorize(1009 * 1013, build_table(30)).factors == ((1009, 1), (1013, 1))
+    assert factorize(999999999989).factors == ((999999999989, 1),)  # a prime: every odd divisor to 10^6
 
 
-def test_factorize_sieves_no_table_past_the_root(monkeypatch, tmp_path):
-    # factorize(12) and compute 12 need the primes up to isqrt(12) = 3, and sieve no further
+def test_factorize_sieves_no_table(monkeypatch, tmp_path):
+    # factorize(12) and compute 12 trial-divide by 2, 3 and the odd numbers past them, and sieve nothing
     from psiverify.cli import main
 
     limits = []
@@ -73,7 +76,7 @@ def test_factorize_sieves_no_table_past_the_root(monkeypatch, tmp_path):
     monkeypatch.setattr(arith_mod, "build_table", spy)
     assert factorize(12).factors == ((2, 2), (3, 1))
     assert main(["compute", "12", "--output", str(tmp_path / "compute.out")]) == 0
-    assert limits == [3, 3]
+    assert limits == []
 
 
 def test_factorize_validates():

@@ -346,6 +346,30 @@ def test_scan_bounds_escalates_an_inconclusive_point(capsys, first_ball_comparis
     assert report["escalated_at"] == [25]
 
 
+@pytest.mark.parametrize("kind", ["lower", "points"])
+def test_scan_rows_re_decide_an_inconclusive_margin_at_113_bits(capsys, monkeypatch, kind):
+    import psiverify.cli as cli_mod
+    from psiverify.numerics import VerdictStatus
+
+    real_status, real_sides, calls, escalated = cli_mod.ball_status, cli_mod._interval_sides, [], []
+
+    def flaky_status(margin, claim):  # the first margin, at n = 3, reads INCONCLUSIVE, as a thin one would
+        calls.append(margin)
+        return VerdictStatus.INCONCLUSIVE if len(calls) == 1 else real_status(margin, claim)
+
+    def sides(table, bound, n):
+        escalated.append(n)
+        return real_sides(table, bound, n)
+
+    monkeypatch.setattr(cli_mod, "ball_status", flaky_status)
+    monkeypatch.setattr(cli_mod, "_interval_sides", sides)
+    code, out, err = run_cli(capsys, "scan", kind, "--n-max", "20", "--format", "json")
+    assert code == 0, err
+    rows = {row["n"]: row["verdict"] for row in json.loads(out) if row["n"] >= 3}
+    assert escalated == [3]
+    assert rows[3] == "holds" and set(rows.values()) == {"holds"}
+
+
 def test_verify_no_escalate_fails_on_an_inconclusive_point(capsys, tmp_path, first_ball_comparison_inconclusive):
     """``--no-escalate`` is gone: the code escalates the inconclusive point, and the claim holds."""
     report = tmp_path / "report.json"

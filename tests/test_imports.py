@@ -33,7 +33,8 @@ for argv in (
     ["scan", "bounds", "--name", "criterion-gap", "--from", "3", "--to", "3000"],
     ["scan", "bounds", "--name", "rs-product", "--from", "1", "--to", "30000"],  # past DENSE_UNTIL
     ["verify", "rs-product", "zeta-tail", "psi-bound", "threshold", "robin-log", "criterion-gap", "--n-max", "3000"],
-    ["compute", "600851475143", "--format", "json"],  # factorize sieves its own table
+    ["compute", "600851475143", "--format", "json"],  # factorize trial-divides with no table
+    ["compute", "999999999989", "--format", "json"],  # a prime: the most odd divisors factorize tries
     ["cache", "build", "--limit", "100000", "--cache-dir", work],
     ["cache", "inspect", "--cache-dir", work],
 ):

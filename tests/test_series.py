@@ -179,23 +179,6 @@ def test_serve_answers_a_window_at_every_index_of_it(table):
     assert results[3] == list(prefix_sums(table, ("plus",), [3, 450, 1024]))
 
 
-def test_serve_runs_the_readers_a_reader_hands_it(table):
-    # a reader hands the pass readers of its own and is sent what they return
-    def parent():
-        head = yield from _recorder([2, 5])
-        found = yield [(("inv",), _recorder([5, 9, 200])), (("plus", "sq"), _window_recorder([range(7, 50)])), ((), _recorder([]))]
-        tail = yield from _recorder([300])
-        return head, found, tail
-
-    (head, found, tail), alone = serve(table, [(tuple(TERMS), parent()), (("plus",), _recorder([8]))])
-    assert head == list(prefix_sums(table, tuple(TERMS), [2, 5]))
-    assert found[0] == list(prefix_sums(table, ("inv",), [5, 9, 200]))
-    assert _flat(found[1]) == list(prefix_sums(table, ("plus", "sq"), range(7, 50)))
-    assert found[2] == []
-    assert tail == list(prefix_sums(table, tuple(TERMS), [300]))
-    assert alone == list(prefix_sums(table, ("plus",), [8]))
-
-
 def test_serve_builds_the_balls_of_an_index_once_for_all_its_readers(small_table):
     # readers at the same index share its balls, so a shared run does not
     # rebuild them once per reader
@@ -229,14 +212,6 @@ def test_serve_raises_on_a_read_outside_the_window(small_table):
         with pytest.raises(RangeError):
             serve(small_table, [(("plus",), reader(m)), ((), _recorder([30]))])
 
-    def waiting():  # a reader that waits for the readers it handed over has no window
-        at = yield 5
-        yield [((), _recorder([6]))]
-        at(5)
-
-    with pytest.raises(RangeError, match="outside the window"):
-        serve(small_table, [((), waiting())])
-
 
 def test_serve_propagates_an_exception_inside_a_reader(small_table):
     def failing(first):
@@ -247,13 +222,6 @@ def test_serve_propagates_an_exception_inside_a_reader(small_table):
     for first in (None, 3):  # before its first index, and after it
         with pytest.raises(ValueError, match="reader failed"):
             serve(small_table, [(("plus",), _recorder(range(1, 10))), (("inv",), failing(first))])
-
-    def handing(first):  # a reader inside a reader
-        yield [(("inv",), failing(first))]
-
-    for first in (None, 3):
-        with pytest.raises(ValueError, match="reader failed"):
-            serve(small_table, [(("inv",), handing(first))])
 
 
 def test_serve_peak_memory_is_flat_in_the_number_of_indices(table):
