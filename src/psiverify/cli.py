@@ -20,16 +20,22 @@ message: a ``--workers`` below 1, a config value of the wrong type, or a
 config ``format`` that the subcommand's ``--format`` does not offer.
 
 ``verify`` runs its claims on one prefix pass; ``--workers`` has no effect yet.
+``scan lower`` and ``scan points`` write each row as it is made, so their
+peak memory does not grow with ``n_max``.  Every ``--output`` (and ``--json``)
+file goes to a temporary file that is renamed into place at the end: a run
+that fails partway leaves no partial file and an earlier file unchanged.  To
+stdout the rows stream as they are made.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
+import tempfile
 from typing import Sequence
 
 from .arith import factorize, phi_from_factors, psi_from_factors, robin_ratio_from_factors, sigma_from_factors
@@ -104,12 +110,37 @@ def _cache_dir(args, file_cfg: dict) -> str | None:
     return _setting(getattr(args, "cache_dir", None), file_cfg, "cache_dir", _ENV_CACHE, None)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
+@contextlib.contextmanager
+def _output(output: str | None):
+    """Stdout, or a file that appears at ``output`` whole or not at all.
+
+    The file is written to a temporary file in the same directory and renamed
+    over ``output`` when the block ends; a block that raises leaves no partial
+    file and an earlier one unchanged.  A device or a pipe is written in place.
+    """
+    if not output:
+        yield sys.stdout
+        return
+    if os.path.exists(output) and not os.path.isfile(output):
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            yield fh
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(output) or ".", prefix=os.path.basename(output) + ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives a new file, not mkstemp's 0600
+            yield fh
+        os.replace(tmp, output)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _output(output) as out:
+        out.write(text)
 
 
 def _json_dumps(payload) -> str:
@@ -162,21 +193,21 @@ def _cmd_compute(args, file_cfg: dict) -> int:
 
 
 def _point_rows(table, n_start: int, n_max: int):
-    # rows read the points' (value, radius) pairs; the verdict is R > e^gamma/zeta(2), the row LOWER
+    # one tuple per index, in CSV_COLUMNS order; the verdict is R > e^gamma/zeta(2), the row LOWER
     for point in points_at(table, range(n_start, n_max + 1)):
         g_value, g_radius = point.g_ball or (None, None)
-        yield {
-            "n": point.n,
-            "p_n": point.p,
-            "theta": point.theta_ball[0],
-            "log_theta": point.log_theta_ball[0],
-            "R_value": point.ratio_ball[0],
-            "R_radius": point.ratio_ball[1],
-            "g_value": g_value,
-            "g_radius": g_radius,
-            "margin_lower": point.margin_ball[0],
-            "verdict": _lower_verdict(table, point) if point.n >= 3 else "",
-        }
+        yield (
+            point.n,
+            point.p,
+            point.theta_ball[0],
+            point.log_theta_ball[0],
+            point.ratio_ball[0],
+            point.ratio_ball[1],
+            g_value,
+            g_radius,
+            point.margin_ball[0],
+            _lower_verdict(table, point) if point.n >= 3 else "",
+        )
 
 
 def _lower_verdict(table, point) -> str:
@@ -185,6 +216,30 @@ def _lower_verdict(table, point) -> str:
     if status is VerdictStatus.INCONCLUSIVE:
         status = ball_status(sub_ball(*_interval_sides(table, LOWER, point.n)), LOWER.claim)
     return status.value
+
+
+def _write_rows(out, fmt: str, rows) -> bool:
+    """Write each row to ``out`` as it is made; whether every verdict is "" or "holds".
+
+    The CSV is ``csv.writer``'s: floats as repr(), None as an empty cell.  The
+    JSON array has the bytes of ``_json_dumps`` over the rows as dicts: each
+    row's own dump, every line indented one level more.
+    """
+    writer = csv.writer(out, lineterminator="\n")
+    if fmt == "csv":
+        writer.writerow(CSV_COLUMNS)
+    holds, sep = True, "[\n"
+    for row in rows:
+        if fmt == "csv":
+            writer.writerow(row)
+        else:
+            text = json.dumps(dict(zip(CSV_COLUMNS, row)), indent=2, sort_keys=True, allow_nan=False)
+            out.write(sep + "  " + text.replace("\n", "\n  "))
+            sep = ",\n"
+        holds = holds and row[-1] in ("", "holds")
+    if fmt == "json":
+        out.write("[]\n" if sep == "[\n" else "\n]\n")
+    return holds
 
 
 def _cmd_scan(args, file_cfg: dict) -> int:
@@ -196,18 +251,9 @@ def _cmd_scan(args, file_cfg: dict) -> int:
         if n_max < n_start:
             raise PsiverifyError(f"scan {args.kind}: n-max must be >= {n_start} (n starts at {n_start})")
         table = build_table(required_table_limit(n_max), cache_dir=cache)
-        rows = list(_point_rows(table, n_start, n_max))
-        if fmt == "json":
-            _emit(_json_dumps(rows), args.output)
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            # csv writes floats as repr() and None as an empty cell
-            writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
-            _emit(buf.getvalue(), args.output)
-        bad = [r for r in rows if r["verdict"] not in ("", "holds")]
-        return 1 if bad else 0
+        with _output(args.output) as out:
+            holds = _write_rows(out, fmt, _point_rows(table, n_start, n_max))
+        return 0 if holds else 1
 
     # bound scan; scan_bound checks the name and the range
     table = build_table(required_table_limit(args.stop), cache_dir=cache)

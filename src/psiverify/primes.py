@@ -27,6 +27,9 @@ last one is at most ``limit``, ``limit`` is within the sieve cap
 loader sieves that short segment), so a file cannot claim primes it does
 not hold.  A file that fails a check, or that has another version, raises
 ``ValueError``, and :func:`build_table` rebuilds it.
+The loader holds one copy of the primes: it checks the file's size against
+the header's count before it allocates, then reads the body straight into
+the table's array and takes the CRC over that array.
 A cache is reused only when its limit covers the request; a larger request
 rebuilds and overwrites it.  The file is written to a unique temporary file
 in the cache directory and renamed over the old one, so concurrent builders
@@ -178,14 +181,13 @@ def save_table(table: PrimeTable, path: str | os.PathLike) -> None:
     if sys.byteorder == "big":
         primes = array("q", primes)
         primes.byteswap()
-    body = primes.tobytes()
     header = _HEADER.pack(_MAGIC, _VERSION, 0, table.limit, table.count)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(body)
-            fh.write(struct.pack("<I", zlib.crc32(body)))
+            primes.tofile(fh)
+            fh.write(struct.pack("<I", zlib.crc32(primes)))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -194,25 +196,27 @@ def save_table(table: PrimeTable, path: str | os.PathLike) -> None:
 
 def load_table(path: str | os.PathLike) -> PrimeTable:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size + 4:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size + 4:
+            raise ValueError("prime cache truncated")
+        magic, version, _, limit, count = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != _MAGIC:
+            raise ValueError("not a psiverify prime cache")
+        if version != _VERSION:
+            raise ValueError(f"unsupported prime cache version {version}")
+        body = size - _HEADER.size - 4
+        if body != 8 * count:  # before the allocation: a header cannot ask for more than the file holds
+            raise ValueError(f"prime cache body holds {body} bytes; {count} primes need {8 * count}")
+        primes = array("q", bytes(8)) * count  # the one copy of the primes; readinto fills it
+        read = fh.readinto(primes)
+        trailer = fh.read(4)
+    if read != body or len(trailer) != 4:  # the file shrank after the fstat
         raise ValueError("prime cache truncated")
-    magic, version, _, limit, count = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise ValueError("not a psiverify prime cache")
-    if version != _VERSION:
-        raise ValueError(f"unsupported prime cache version {version}")
-    body = memoryview(blob)[_HEADER.size : -4]
-    (crc,) = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
+    (crc,) = struct.unpack("<I", trailer)
+    if zlib.crc32(primes) != crc:  # over the file's little-endian bytes
         raise ValueError("prime cache checksum mismatch")
-    if len(body) != 8 * count:
-        raise ValueError(f"prime cache body holds {len(body)} bytes; {count} primes need {8 * count}")
-    table = PrimeTable(limit=limit, primes=array("q"))
-    table.primes.frombytes(body)  # the one copy of the primes
     if sys.byteorder == "big":
-        table.primes.byteswap()
-    primes = table.primes
+        primes.byteswap()
     if count == 0 or primes[0] != 2:
         raise ValueError("prime cache does not start at the prime 2")
     if not all(map(operator.lt, primes, islice(primes, 1, None))):
@@ -226,7 +230,7 @@ def load_table(path: str | os.PathLike) -> PrimeTable:
     base = _small_primes(math.isqrt(limit))[1:]
     if limit - last > _MAX_PRIME_GAP or any(_odd_primes(last + 1, limit + 1, base)):
         raise ValueError(f"prime cache claims limit {limit} but lacks the primes between {last} and it")
-    return table
+    return PrimeTable(limit=limit, primes=primes)
 
 
 def inspect_cache(path: str | os.PathLike) -> dict:

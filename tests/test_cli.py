@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import stat
 import struct
+import tracemalloc
 import zlib
 
 import pytest
@@ -411,3 +414,116 @@ def test_output_file_option(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith(",".join(CSV_COLUMNS))
+
+
+# ---------------------------------------------------------------------------
+# streamed scans
+# ---------------------------------------------------------------------------
+
+
+_STREAMED_SCANS = [("lower", "csv"), ("points", "json")]
+
+
+@pytest.mark.parametrize("kind,fmt", _STREAMED_SCANS, ids=["lower-csv", "points-json"])
+def test_streamed_scan_writes_the_bytes_of_the_materialised_rows(capsys, tmp_path, kind, fmt):
+    # stdout and --output carry the same bytes, and they are what the whole
+    # row list gives through _json_dumps or csv.writer
+    from psiverify.cli import _json_dumps, _point_rows
+    from psiverify.claims import required_table_limit
+
+    code, out, err = run_cli(capsys, "scan", kind, "--n-max", "2000", "--format", fmt)
+    assert code == 0, err
+    target = tmp_path / f"rows.{fmt}"
+    code, printed, err = run_cli(capsys, "scan", kind, "--n-max", "2000", "--format", fmt, "--output", str(target))
+    assert code == 0 and printed == "", err
+    assert target.read_bytes() == out.encode()
+    assert list(tmp_path.iterdir()) == [target]  # no temporary file left behind
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask  # the mode open() gives, not a temp file's 0600
+
+    rows = list(_point_rows(build_table(required_table_limit(2000)), 3 if kind == "lower" else 2, 2000))
+    if fmt == "json":
+        expected = _json_dumps([dict(zip(CSV_COLUMNS, row)) for row in rows])
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(rows)
+        expected = buf.getvalue()
+    assert out == expected
+
+
+@pytest.mark.parametrize("kind,fmt", _STREAMED_SCANS, ids=["lower-csv", "points-json"])
+def test_a_failing_row_exits_1_with_every_row_written(capsys, monkeypatch, kind, fmt):
+    import psiverify.cli as cli_mod
+    from psiverify.numerics import VerdictStatus
+
+    real_status, calls = cli_mod.ball_status, []
+
+    def fails_first(margin, claim):  # the first margin, at n = 3, reads FAILS
+        calls.append(margin)
+        return VerdictStatus.FAILS if len(calls) == 1 else real_status(margin, claim)
+
+    monkeypatch.setattr(cli_mod, "ball_status", fails_first)
+    code, out, err = run_cli(capsys, "scan", kind, "--n-max", "200", "--format", fmt)
+    assert code == 1, err
+    if fmt == "json":
+        verdicts = {row["n"]: row["verdict"] for row in json.loads(out)}
+    else:
+        verdicts = {int(row["n"]): row["verdict"] for row in csv.DictReader(io.StringIO(out))}
+    assert sorted(verdicts) == list(range(3 if kind == "lower" else 2, 201))
+    assert verdicts.pop(3) == "fails"
+    assert set(verdicts.values()) - {""} == {"holds"}
+
+
+@pytest.mark.parametrize("kind,fmt", _STREAMED_SCANS, ids=["lower-csv", "points-json"])
+def test_a_scan_that_fails_partway_leaves_no_partial_output(capsys, tmp_path, monkeypatch, kind, fmt):
+    # the margin at n = 100 reads INCONCLUSIVE and its 113-bit path cannot import:
+    # exit 2, and --output holds what it held before, or nothing
+    import psiverify.cli as cli_mod
+    from psiverify.numerics import VerdictStatus
+
+    real_status, calls = cli_mod.ball_status, []
+
+    def inconclusive_at_100(margin, claim):
+        calls.append(margin)
+        return VerdictStatus.INCONCLUSIVE if len(calls) == 98 else real_status(margin, claim)
+
+    def no_mpmath(table, bound, n):
+        assert n == 100
+        raise ImportError("No module named 'mpmath'")
+
+    monkeypatch.setattr(cli_mod, "ball_status", inconclusive_at_100)
+    monkeypatch.setattr(cli_mod, "_interval_sides", no_mpmath)
+    fresh, kept = tmp_path / f"fresh.{fmt}", tmp_path / f"kept.{fmt}"
+    kept.write_text("an earlier scan\n")
+    for target in (fresh, kept):
+        calls.clear()
+        code, out, err = run_cli(capsys, "scan", kind, "--n-max", "200", "--format", fmt, "--output", str(target))
+        assert code == 2 and out == ""
+        assert "mpmath" in err
+    assert not fresh.exists()
+    assert kept.read_text() == "an earlier scan\n"
+    assert list(tmp_path.iterdir()) == [kept]
+
+
+def test_output_to_a_device_is_written_in_place(capsys):
+    # a device is not renamed over: writing to os.devnull leaves it a device
+    code, out, err = run_cli(capsys, "scan", "lower", "--n-max", "10", "--output", os.devnull)
+    assert code == 0 and out == "", err
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_scan_peak_memory_is_flat_in_n_max(tmp_path):
+    # each row is written as it is made: ten times the rows peak within 1 MB,
+    # the larger table and sieve; a scan that held its rows grew by about 15 MB
+    peaks = []
+    for n_max in (2000, 20000):
+        tracemalloc.start()
+        try:
+            assert main(["scan", "lower", "--n-max", str(n_max), "--output", str(tmp_path / "rows.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**20, peaks

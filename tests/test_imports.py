@@ -36,6 +36,8 @@ for argv in (
     ["compute", "600851475143", "--format", "json"],  # factorize trial-divides with no table
     ["compute", "999999999989", "--format", "json"],  # a prime: the most odd divisors factorize tries
     ["cache", "build", "--limit", "100000", "--cache-dir", work],
+    ["scan", "lower", "--n-max", "3000", "--cache-dir", work],  # the loader reads the cache built above
+    ["scan", "points", "--n-max", "200", "--format", "json"],  # the streamed JSON array
     ["cache", "inspect", "--cache-dir", work],
 ):
     code = main([*argv, "--output", f"{work}/{argv[0]}-{argv[1]}.out"])
