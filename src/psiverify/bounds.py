@@ -14,9 +14,7 @@ only code that decides a row: it decides the row at the indices it is
 given and books each in a :class:`BoundScan`, building no object per
 point; :func:`_decide`, which it calls, decides and escalates every point
 that a ball decides in any prefix claim.  A range scan is that reader at
-the indices of :func:`stride_indices`: every index up to
-:data:`DENSE_UNTIL`, then steps of ratio :data:`STRIDE_RATIO`.  The code,
-not the caller, picks them; a bound at one index n is the scan
+every index of its range, and a bound at one index n is the scan
 ``scan_bound(table, name, n, n)``.  A claim with several rows
 (``lower``'s ``LOWER`` and ``DUAL``; ``upper``'s (b), the ``UPPER`` row, and
 (c), the ``threshold`` row) is one such reader per row, each served its own
@@ -31,7 +29,8 @@ the run, and a HOLDS there proves them all.  A hull that is not HOLDS is
 bisected down to points decided alone on their own balls, as are the first
 and last index and the index that ends each run.  So the reader reads only
 those points and the ends of its hulls, and no index inside a held run is
-built into balls.  The rows of :data:`BOUNDS`:
+built into balls; every index of a range is one or the other, so a scan's
+``points_checked`` is the length of its range.  The rows of :data:`BOUNDS`:
 
 * ``rs-product``     prod_{p<=x} (1-1/p)^(-1)  <=  e^gamma (log x + 1/log x)   (x >= 2)
 * ``zeta-tail``      zeta(2) prod_{p<=p_n} (1-1/p^2)  <=  exp(2/p_n)           (n >= 2)
@@ -40,7 +39,9 @@ built into balls.  The rows of :data:`BOUNDS`:
 * ``threshold``      exp(2/p_n) (1 + 1.125/(log p_n log log N_n)) <= zeta(2)   (n >= 2263)
 * ``robin-log``      log p_n  <  log log N_n + 0.125/log p_n                   (validity
                      start not asserted; scans report it empirically)
-* ``criterion-gap``  log g(x) >= log f(x) - 2/x                                (x >= 5)
+* ``criterion-gap``  log g(x) >= log f(x) - 2/x                                (x >= 5),
+                     read as -(log zeta(2) + sq) >= -2/x: g/f = 1/(zeta(2) prod(1-1/p^2))
+                     exactly, so log theta, e^gamma and the ``inv`` and ``phi`` sums cancel
 
 The claims' rows, not scannable bounds: :data:`LOWER` R(N_n) > e^gamma/zeta(2)
 and :data:`DUAL` g(p_n) < 1 (n >= 3), one criterion from the ``plus`` and the
@@ -95,23 +96,16 @@ __all__ = [
     "Bound",
     "BoundScan",
     "BRACKET_MAX",
-    "DENSE_UNTIL",
-    "STRIDE_RATIO",
     "scan_bound",
     "bound_reader",
-    "stride_indices",
 ]
 
 ESCALATION_PREC_BITS = 113
 
 FIRST_INDEX_AT_20000 = 2263  # p_2263 is the first prime >= 20000
 
-# a range scan evaluates every index up to DENSE_UNTIL, and geometric steps of STRIDE_RATIO beyond
-DENSE_UNTIL = 10**4
-STRIDE_RATIO = 1.01
-
 # the widest run of indices one hull decides (see _read_bound); the pass keeps the exact ints of that
-# many indices while the run is open, and a run across stride gaps keeps that many balls
+# many indices while the run is open
 BRACKET_MAX = 2**10
 
 # read once per point, so bound once here: a module global is cheaper than an Enum member lookup
@@ -124,11 +118,6 @@ def _slack(claim: str, margin: Ball) -> float:
     """Conservative distance of the margin ``lhs - rhs`` from violating ``claim`` (positive = safe)."""
     lo, hi = ball_endpoints(margin)
     return -hi if claim in ("<", "<=") else lo
-
-
-def _stride() -> dict:
-    """The stride of every range scan, as the reports write it."""
-    return {"dense_until": DENSE_UNTIL, "ratio": STRIDE_RATIO}
 
 
 @dataclass
@@ -183,7 +172,6 @@ class BoundScan:
         return {
             "bound": self.bound,
             "range": [self.start, self.stop],
-            "stride": _stride(),
             "points_checked": self.points_checked,
             "worst_margin": self.worst_slack,
             "worst_at": self.worst_at,
@@ -228,11 +216,9 @@ def _robin_sides(A, p, loglog):
     return logp, A.add(loglog, A.div(A.exact(0.125), logp))
 
 
-def _gap_sides(A, x, loglog, s_inv, s_phi):
-    log_loglog = A.log(loglog)
-    lhs = A.add(A.add(A.log(A.e_gamma_over_zeta2), log_loglog), s_inv)
-    rhs = A.add(A.add(A.add(A.log(A.e_gamma), log_loglog), s_phi), A.ratio(-2, x))
-    return lhs, rhs
+def _gap_sides(A, x, loglog, s_sq):
+    # log g(x) - log f(x) = -log zeta(2) - sq: one monotone atom, so a hull over a run holds like the others
+    return A.neg(A.add(A.log(A.zeta2), s_sq)), A.ratio(-2, x)
 
 
 def _lower_sides(A, p, loglog, s_plus):
@@ -298,7 +284,7 @@ BOUNDS: dict[str, Bound] = {
     "psi-bound": Bound("<=", FIRST_INDEX_AT_20000, ("plus",), False, _psi_bound_sides),
     "threshold": Bound("<=", FIRST_INDEX_AT_20000, (), False, _threshold_sides),
     "robin-log": Bound("<", 3, (), False, _robin_sides),
-    "criterion-gap": Bound(">=", 3, ("inv", "phi"), True, _gap_sides),
+    "criterion-gap": Bound(">=", 3, ("sq",), True, _gap_sides),
 }
 
 BOUND_NAMES = tuple(BOUNDS)
@@ -309,40 +295,13 @@ DUAL = Bound("<", 3, ("inv",), False, _dual_sides)
 UPPER = Bound("<", 4, ("plus",), False, _upper_sides)
 
 
-class _Stride(Sequence):
-    """The indices of :func:`stride_indices`: a dense range, then the geometric steps as a list."""
-
-    def __init__(self, dense: range, steps: list[int]):
-        self.dense, self.steps = dense, steps
-
-    def __len__(self) -> int:
-        return len(self.dense) + len(self.steps)
-
-    def __getitem__(self, i: int) -> int:
-        if i < 0:
-            i += len(self)
-        return self.dense[i] if i < len(self.dense) else self.steps[i - len(self.dense)]
-
-
-def stride_indices(start: int, stop: int) -> Sequence[int]:
-    """Deterministic evaluation points: dense to DENSE_UNTIL, then geometric, always stop."""
-    if start > stop:
-        return range(0)
-    dense = range(start, max(start, min(stop, DENSE_UNTIL)) + 1)
-    steps, n = [], dense[-1]
-    while n < stop:
-        grown = n * STRIDE_RATIO  # a float, infinite for a huge ratio
-        n = stop if grown >= stop else max(n + 1, int(grown))
-        steps.append(n)
-    return _Stride(dense, steps)
-
-
 def scan_bound(table: PrimeTable, name: str, start: int, stop: int) -> BoundScan:
     """Evaluate one bound over [start, stop] in a single streaming pass.
 
     ``start``/``stop`` are primorial indices n (the x-parameterized bounds
-    are evaluated at x = p_n) at the indices of :func:`stride_indices`.  An
-    INCONCLUSIVE point is retried on the 113-bit interval path.
+    are evaluated at x = p_n), and the row is decided at every index
+    between them.  An INCONCLUSIVE point is retried on the 113-bit interval
+    path.
     """
     return serve(table, [bound_reader(table, name, start, stop)])[0]
 
@@ -359,7 +318,7 @@ def bound_reader(table: PrimeTable, name: str, start: int, stop: int) -> Reader:
     if stop > table.count:
         raise RangeError(f"scan_bound: stop={stop} beyond table ({table.count} primes)")
     scan = BoundScan(bound=name, start=start, stop=stop)
-    return bound.sums, _read_bound(table, bound, scan, stride_indices(start, stop))
+    return bound.sums, _read_bound(table, bound, scan, range(start, stop + 1))
 
 
 def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Sequence[int], keep=()):
@@ -378,10 +337,9 @@ def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Seque
     index in ``keep`` ends the current run too, and its margin ball goes to
     ``scan.margins``.
 
-    It yields a run of consecutive indices with its end as one range.
-    Across a gap in ``indices`` (the stride, the checkpoints) it yields each
-    member of the run and keeps its balls, so the pass keeps no index in
-    between.
+    It yields each run with its end as one range.  A run never spans a gap
+    in ``indices``: they are a range, or every one of them is in ``keep``
+    (the checkpoints, ``upper`` (c)'s one index), so each ends its run.
     """
     last = len(indices) - 1
     # the positions of the indices in keep, each of which ends a run
@@ -400,17 +358,8 @@ def _read_bound(table: PrimeTable, bound: Bound, scan: BoundScan, indices: Seque
             if tail:
                 end = last
             n = indices[end]
-            if n - indices[i] == end - i:  # no gap: the run and its end are one window
-                at = yield range(indices[i], n + 1)
-                run, point = range(indices[i], n), at
-            else:
-                run, balls = [indices[k] for k in range(i, end)], {}
-                for m in run:
-                    at = yield m
-                    balls[m] = at(m)
-                at = yield n
-                point = balls.__getitem__
-            held = _bracket(table, bound, scan, run, point)
+            at = yield range(indices[i], n + 1)
+            held = _bracket(table, bound, scan, range(indices[i], n), at)
             if tail:
                 _decide(table, bound, scan, n, *at(n))
                 break

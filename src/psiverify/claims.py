@@ -3,10 +3,11 @@
 Each claim reads a shared immutable prime table and returns a
 :class:`ClaimResult` that serializes to JSON.  Results are a pure function of
 (table, config), and a config is two depths and a seed: the proof's seams,
-the checkpoints and the reduction sampling are constants here, the stride is
-two in ``bounds``, and each row re-decides a point on the 113-bit path by a
-fixed rule.  Floats serialize as shortest round-trip decimals, so reports
-are byte-identical from run to run.  ``run_claims`` reports the claims in claim-table order.
+the checkpoints and the reduction sampling are constants here, each bound
+row reads every index of its range, and each row re-decides a point on the
+113-bit path by a fixed rule.  Floats serialize as shortest round-trip
+decimals, so reports are byte-identical from run to run.  ``run_claims``
+reports the claims in claim-table order.
 
 One table maps each claim id to its description and its runner; ``run_claims``
 and the CLI take ids, descriptions and report order from it.  The ids:
@@ -17,8 +18,8 @@ and the CLI take ids, descriptions and report order from it.  The ids:
     lower           R(N_n) > e^gamma/zeta(2) for 3 <= n <= n_max (RH criterion scan)
     mertens-trend   margin R(N_n) - e^gamma/zeta(2) positive and decreasing
     rs-product, zeta-tail, psi-bound, threshold, robin-log, criterion-gap
-                    the analytic bound scans, each from the domain start in
-                    ``bounds.BOUNDS``
+                    the analytic bound scans, each at every index from the
+                    domain start in ``bounds.BOUNDS`` to ``n_max``
 
 ``lower``, ``mertens-trend``, ``upper`` and the six bound scans read prefix
 sums from ``series``.  Each is its rows and a finish.  A row is a
@@ -56,7 +57,6 @@ from .bounds import (
     UPPER,
     BoundScan,
     _read_bound,
-    _stride,
     bound_reader,
 )
 from .errors import RangeError, UnknownClaimError
@@ -115,7 +115,6 @@ class VerifyConfig:
             "reduction_exhaustive_max": REDUCTION_EXHAUSTIVE_MAX,
             "reduction_sampled_max": REDUCTION_SAMPLED_MAX,
             "checkpoints": list(self.live_checkpoints()),
-            "stride": _stride(),
         }
 
 

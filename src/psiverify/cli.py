@@ -14,7 +14,8 @@ environment knows ``PSIVERIFY_CACHE_DIR`` (prime-table cache directory) and
 ``PSIVERIFY_CONFIG`` (path to a JSON config file with keys ``cache_dir``,
 ``n_max``, ``champion_limit``, ``format``); the defaults are those of
 ``VerifyConfig``: two depths and a seed.  The code, not a flag, sets the
-stride of ``scan bounds``, the reduction sampling and the escalation.
+reduction sampling and the escalation; ``scan bounds`` reads every index
+from ``--from`` to ``--to``.
 Malformed settings are usage errors and exit 2 with a ``psiverify: error:``
 message: a ``--workers`` below 1, a config value of the wrong type, or a
 config ``format`` that the subcommand's ``--format`` does not offer.
@@ -35,7 +36,6 @@ import csv
 import json
 import os
 import sys
-import tempfile
 from typing import Sequence
 
 from .arith import factorize, phi_from_factors, psi_from_factors, robin_ratio_from_factors, sigma_from_factors
@@ -51,7 +51,7 @@ from .claims import (
 )
 from .errors import PsiverifyError
 from .numerics import VerdictStatus, ball_status, sub_ball
-from .primes import CACHE_FILENAME, build_table, inspect_cache
+from .primes import CACHE_FILENAME, _whole_file, build_table, inspect_cache
 from .series import points_at
 
 __all__ = ["main"]
@@ -112,12 +112,7 @@ def _cache_dir(args, file_cfg: dict) -> str | None:
 
 @contextlib.contextmanager
 def _output(output: str | None):
-    """Stdout, or a file that appears at ``output`` whole or not at all.
-
-    The file is written to a temporary file in the same directory and renamed
-    over ``output`` when the block ends; a block that raises leaves no partial
-    file and an earlier one unchanged.  A device or a pipe is written in place.
-    """
+    """Stdout, a device or a pipe written in place, or a file that appears whole or not at all."""
     if not output:
         yield sys.stdout
         return
@@ -125,17 +120,8 @@ def _output(output: str | None):
         with open(output, "w", encoding="utf-8") as fh:
             yield fh
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(output) or ".", prefix=os.path.basename(output) + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0o022)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives a new file, not mkstemp's 0600
-            yield fh
-        os.replace(tmp, output)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _whole_file(output, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -33,11 +33,13 @@ the table's array and takes the CRC over that array.
 A cache is reused only when its limit covers the request; a larger request
 rebuilds and overwrites it.  The file is written to a unique temporary file
 in the cache directory and renamed over the old one, so concurrent builders
-never share a temporary file.
+never share a temporary file; it gets the mode ``open()`` gives a new file,
+so users who share a cache directory can read it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
@@ -175,23 +177,35 @@ def build_table(limit: int, *, cache_dir: str | os.PathLike | None = None) -> Pr
     return table
 
 
-def save_table(table: PrimeTable, path: str | os.PathLike) -> None:
+@contextlib.contextmanager
+def _whole_file(path: str | os.PathLike, mode: str, **open_args):
+    """A file opened in ``mode`` that appears at ``path`` whole, with the mode ``open()`` gives, or not at all.
+
+    A unique temporary file beside ``path`` is renamed over it when the block ends, or removed if it raises.
+    """
     path = os.fspath(path)
-    primes = table.primes
-    if sys.byteorder == "big":
-        primes = array("q", primes)
-        primes.byteswap()
-    header = _HEADER.pack(_MAGIC, _VERSION, 0, table.limit, table.count)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            primes.tofile(fh)
-            fh.write(struct.pack("<I", zlib.crc32(primes)))
+        with os.fdopen(fd, mode, **open_args) as fh:
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def save_table(table: PrimeTable, path: str | os.PathLike) -> None:
+    primes = table.primes
+    if sys.byteorder == "big":
+        primes = array("q", primes)
+        primes.byteswap()
+    with _whole_file(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, 0, table.limit, table.count))
+        primes.tofile(fh)
+        fh.write(struct.pack("<I", zlib.crc32(primes)))
 
 
 def load_table(path: str | os.PathLike) -> PrimeTable:

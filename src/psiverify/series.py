@@ -39,9 +39,12 @@ sides of the rows ``bounds.LOWER`` and ``bounds.DUAL`` on it:
     R(N_n)             = exp(plus) / log log N_n
     g(x) = (e^g / zeta(2)) * log theta(x) * exp(inv)
 
-and the ``criterion-gap`` row of ``bounds`` takes, in logs,
+The ``criterion-gap`` row of ``bounds`` compares g with
 
     f(x) =  e^g          * log theta(x) * exp(phi)
+
+through their exact ratio g/f = 1/(zeta(2) exp(sq)), so it reads ``sq``
+alone.
 
 inv equals -plus as a real number but is accumulated from differently
 rounded terms, so the identity g(p_n) * R(N_n) = e^g/zeta(2) exercises two

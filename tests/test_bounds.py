@@ -13,7 +13,6 @@ from psiverify.bounds import (
     BoundScan,
     _interval_sides,
     scan_bound,
-    stride_indices,
 )
 from psiverify.errors import DomainError, RangeError
 from psiverify.numerics import VerdictStatus, ball_status, log_ball, sub_ball
@@ -166,46 +165,6 @@ def test_criterion_gap_domain(table):
         scan_bound(table, "criterion-gap", table.prime_count(4), table.prime_count(4))
 
 
-def _set_stride(monkeypatch, dense_until: int, ratio: float) -> None:
-    monkeypatch.setattr(bounds_mod, "DENSE_UNTIL", dense_until)
-    monkeypatch.setattr(bounds_mod, "STRIDE_RATIO", ratio)
-
-
-def test_stride_indices(monkeypatch):
-    _set_stride(monkeypatch, 10, 1.5)
-    got = list(stride_indices(2, 40))
-    assert got[0] == 2 and got[-1] == 40
-    assert got == sorted(set(got))
-    dense = [g for g in got if g <= 10]
-    assert dense == list(range(2, 11))
-    assert list(stride_indices(5, 5)) == [5]
-    assert list(stride_indices(6, 5)) == []
-    # a step past the stop goes to the stop, also when n * ratio overflows
-    _set_stride(monkeypatch, 0, 1e308)
-    assert list(stride_indices(2, 5)) == [2, 5]
-
-
-@pytest.mark.parametrize(
-    "start,stop,dense_until,ratio", [(2, 40, 10, 1.5), (1, 10**6, 100, 1.01), (3, 5000, 0, 0.5), (7, 10**5, 50, 3e5)]
-)
-def test_stride_indices_follow_the_geometric_rule(monkeypatch, start, stop, dense_until, ratio):
-    # reference: the step rule min(max(n + 1, int(n * ratio)), stop) past dense_until
-    expected, n = [start], start
-    while n < stop:
-        n = min(n + 1 if n < dense_until else max(n + 1, int(n * ratio)), stop)
-        expected.append(n)
-    _set_stride(monkeypatch, dense_until, ratio)
-    assert list(stride_indices(start, stop)) == expected
-
-
-def test_scan_counts_match_stride(table, monkeypatch):
-    _set_stride(monkeypatch, 50, 1.1)
-    scan = scan_bound(table, "zeta-tail", 2, 300)
-    assert scan.points_checked == len(list(stride_indices(2, 300)))
-    assert scan.all_hold
-    assert scan.worst_slack > 0
-
-
 def test_scan_json_shape(table):
     scan = scan_bound(table, "rs-product", 1, 100)
     payload = scan.to_dict()
@@ -217,15 +176,15 @@ def test_scan_json_shape(table):
     assert payload["worst_at"] is not None
 
 
-def test_scan_over_given_indices_serializes_with_the_report_stride():
-    # lower's and upper (b)'s scans are booked over indices the claim picks;
-    # every scan and the report config write one stride
+def test_scan_over_given_indices_serializes_without_a_stride():
+    # lower's and upper (b)'s scans are booked over indices the claim picks; a
+    # row reads every index of its range, so no scan or config reports a stride
     from psiverify.claims import VerifyConfig
 
     payload = BoundScan("lower", 3, 10).to_dict()
     json.dumps(payload)
     assert payload["range"] == [3, 10]
-    assert payload["stride"] == VerifyConfig().to_dict()["stride"] == {"dense_until": 10**4, "ratio": 1.01}
+    assert "stride" not in payload and "stride" not in VerifyConfig().to_dict()
 
 
 def test_scan_validation(table):
@@ -288,7 +247,6 @@ def _kernel_sides():
     operand order of the operator chain the formulas were first written in."""
     from psiverify.numerics import (
         E_GAMMA,
-        E_GAMMA_OVER_ZETA2,
         EULER_GAMMA,
         ZETA2,
         add_ball,
@@ -301,7 +259,7 @@ def _kernel_sides():
     )
 
     one, c1125, c0125 = (1.0, 0.0), (1.125, 0.0), (0.125, 0.0)
-    gamma, e_gamma, zeta2, limit = EULER_GAMMA, E_GAMMA, ZETA2, E_GAMMA_OVER_ZETA2
+    gamma, e_gamma, zeta2 = EULER_GAMMA, E_GAMMA, ZETA2
 
     def rs(x, loglog, s_phi):
         logx = log_ball(int_ball(x))
@@ -322,11 +280,8 @@ def _kernel_sides():
         logp = log_ball(int_ball(p))
         return logp, add_ball(loglog, div_ball(c0125, logp))
 
-    def gap(x, loglog, s_inv, s_phi):
-        log_loglog = log_ball(loglog)
-        lhs = add_ball(add_ball(log_ball(limit), log_loglog), s_inv)
-        rhs = add_ball(add_ball(add_ball(log_ball(e_gamma), log_loglog), s_phi), ratio_ball(-2, x))
-        return lhs, rhs
+    def gap(x, loglog, s_sq):
+        return neg_ball(add_ball(log_ball(zeta2), s_sq)), ratio_ball(-2, x)
 
     return {
         "rs-product": rs,
@@ -339,9 +294,9 @@ def _kernel_sides():
 
 
 def test_bound_formulas_bit_identical_to_kernel_chain(table):
-    # every point of each default dense scan, on the pairs the pass yields
+    # every point of each scan to n = 10^4, on the pairs the pass yields
     reference = _kernel_sides()
-    stop = bounds_mod.DENSE_UNTIL
+    stop = 10**4
     kinds = ("plus", "inv", "phi", "sq")
     checked = 0
     for n, theta, totals in prefix_sums(table, kinds, range(1, stop + 1)):
@@ -387,15 +342,15 @@ def test_claim_rows_bit_identical_to_the_points(table):
 # ---------------------------------------------------------------------------
 
 
-def _dense_scan(table, row, name, start, stop):
+def _dense_scan(table, row, name, indices):
     """The per-index reference: every index decided alone on its balls, escalated if INCONCLUSIVE.
 
     Returns the scan, with every index's margin in ``margins``, and each index's status.
     """
     from psiverify.bounds import _slack
 
-    scan, statuses = BoundScan(name, start, stop), {}
-    for n, theta, sums in prefix_sums(table, row.sums, stride_indices(start, stop)):
+    scan, statuses = BoundScan(name, indices[0], indices[-1]), {}
+    for n, theta, sums in prefix_sums(table, row.sums, indices):
         x = table.nth_prime(n)
         margin = sub_ball(*row.sides(_BALL, x, log_ball(theta), *sums))
         status = ball_status(margin, row.claim)
@@ -408,11 +363,11 @@ def _dense_scan(table, row, name, start, stop):
     return scan, statuses
 
 
-def _bracketed_scan(table, row, name, start, stop, keep=()):
+def _bracketed_scan(table, row, name, indices, keep=()):
     from psiverify.series import serve
 
-    scan = BoundScan(name, start, stop)
-    return serve(table, [(row.sums, bounds_mod._read_bound(table, row, scan, stride_indices(start, stop), keep))])[0]
+    scan = BoundScan(name, indices[0], indices[-1])
+    return serve(table, [(row.sums, bounds_mod._read_bound(table, row, scan, indices, keep))])[0]
 
 
 _ROWS = [
@@ -423,34 +378,8 @@ _ROWS = [
 ]
 
 
-@pytest.mark.parametrize("stop", [3000, 20000])
-@pytest.mark.parametrize("name,row", _ROWS, ids=[name for name, _ in _ROWS])
-def test_brackets_prove_only_what_each_point_proves(table, monkeypatch, name, row, stop):
-    # every index booked inside a held bracket HOLDS when decided alone, and the
-    # bracketed scan books what the per-index scan books
-    held = []
-    real_bracket = bounds_mod._bracket
-
-    def spy(table, bound, scan, run, point):
-        ok = real_bracket(table, bound, scan, run, point)
-        if ok:
-            held.extend(run)
-        return ok
-
-    monkeypatch.setattr(bounds_mod, "_bracket", spy)
-    got = _bracketed_scan(table, row, name, row.start, stop)
-    dense, statuses = _dense_scan(table, row, name, row.start, stop)
-    assert bool(held) is (name != "criterion-gap")  # its sides share log log theta, so its hulls never hold
-    assert all(statuses[n] is VerdictStatus.HOLDS for n in held)
-    assert got.to_dict() == dense.to_dict()
-
-
-@pytest.mark.parametrize("name,row", _ROWS, ids=[name for name, _ in _ROWS])
-def test_strided_rows_book_what_each_point_books(table, monkeypatch, name, row):
-    # past DENSE_UNTIL the indices have gaps, so the reader sees each member of
-    # a run as the pass reaches it; the scan books what the per-index scan books,
-    # and an index kept inside a run ends the run and keeps its margin
-    _set_stride(monkeypatch, 60, 1.01)
+def _spy_bracket(monkeypatch) -> list:
+    """``(held, run)`` of every hull ``_bracket`` decides, bisected halves included."""
     runs = []
     real_bracket = bounds_mod._bracket
 
@@ -460,16 +389,82 @@ def test_strided_rows_book_what_each_point_books(table, monkeypatch, name, row):
         return ok
 
     monkeypatch.setattr(bounds_mod, "_bracket", spy)
-    start, stop = row.start, 20000
-    dense, _ = _dense_scan(table, row, name, start, stop)
-    assert _bracketed_scan(table, row, name, start, stop).to_dict() == dense.to_dict()
-    # the middle of the longest strided run held, or a strided index where no hull holds
-    longest = max((run for held, run in runs if held and run[0] > 200), key=len, default=None)
-    k = longest[len(longest) // 2] if longest else stride_indices(start, stop)[-10]
-    assert k in stride_indices(start, stop) and k - 1 not in stride_indices(start, stop)
-    kept = _bracketed_scan(table, row, name, start, stop, keep={k})
+    return runs
+
+
+@pytest.mark.parametrize("stop", [3000, 20000])
+@pytest.mark.parametrize("name,row", _ROWS, ids=[name for name, _ in _ROWS])
+def test_brackets_prove_only_what_each_point_proves(table, monkeypatch, name, row, stop):
+    # every index booked inside a held bracket HOLDS when decided alone, and the
+    # bracketed scan books what the per-index scan books
+    runs = _spy_bracket(monkeypatch)
+    indices = range(row.start, stop + 1)
+    got = _bracketed_scan(table, row, name, indices)
+    dense, statuses = _dense_scan(table, row, name, indices)
+    held = [n for ok, run in runs if ok for n in run]
+    assert held  # every row's hulls hold, criterion-gap's on its one atom too
+    assert all(statuses[n] is VerdictStatus.HOLDS for n in held)
+    assert got.to_dict() == dense.to_dict()
+
+
+@pytest.mark.parametrize("bracket_max", [bounds_mod.BRACKET_MAX, 4], ids=["default", "narrow"])
+@pytest.mark.parametrize("name,row", _ROWS, ids=[name for name, _ in _ROWS])
+def test_every_index_is_decided_alone_or_inside_a_held_run(table, monkeypatch, name, row, bracket_max):
+    # a row reports HOLDS only over indices it proved: the indices decided alone and
+    # the runs of the held hulls are exactly the range, each index once, also when
+    # narrow brackets make the reader bisect more
+    alone = []
+    real_decide = bounds_mod._decide
+
+    def decide(table, bound, scan, n, theta, sums):
+        alone.append(n)
+        return real_decide(table, bound, scan, n, theta, sums)
+
+    monkeypatch.setattr(bounds_mod, "BRACKET_MAX", bracket_max)
+    monkeypatch.setattr(bounds_mod, "_decide", decide)
+    runs = _spy_bracket(monkeypatch)
+    indices = range(row.start, 20000 + 1)
+    if name in BOUNDS:
+        scan = scan_bound(table, name, row.start, indices[-1])
+    else:
+        scan = _bracketed_scan(table, row, name, indices)
+    held = [n for ok, run in runs if ok for n in run]
+    assert sorted(alone + held) == list(indices)
+    assert scan.points_checked == len(indices)
+    assert any(not ok and len(run) > 1 for ok, run in runs) or name != "robin-log"  # robin-log's hulls bisect
+
+
+@pytest.mark.parametrize("name,row", _ROWS, ids=[name for name, _ in _ROWS])
+def test_strided_rows_book_what_each_point_books(table, monkeypatch, name, row):
+    # a row read at strided indices keeps every one of them (as mertens-trend's
+    # checkpoints and upper (c)'s one index are kept), so each ends its run and no
+    # run spans a gap: the scan books and keeps what the per-index scan does
+    strided = sorted({min(int(row.start * 1.3**k), 20000) for k in range(60)})
+    dense, _ = _dense_scan(table, row, name, strided)
+    got = _bracketed_scan(table, row, name, strided, keep=set(strided))
+    assert got.to_dict() == dense.to_dict() and got.margins == dense.margins
+    # an index kept inside a range ends its run too, and keeps its margin
+    runs = _spy_bracket(monkeypatch)
+    indices = range(row.start, 20000 + 1)
+    dense, _ = _dense_scan(table, row, name, indices)
+    assert _bracketed_scan(table, row, name, indices).to_dict() == dense.to_dict()
+    longest = max((run for ok, run in runs if ok), key=len)
+    k = longest[len(longest) // 2]
+    kept = _bracketed_scan(table, row, name, indices, keep={k})
     assert kept.to_dict() == dense.to_dict()
     assert kept.margins == {k: dense.margins[k]}
+
+
+def test_criterion_gap_sides_agree_with_the_paper_form(table, paper_gap_sides):
+    # the row on its one atom, -(log zeta(2) + sq) >= -2/x, and the paper's form,
+    # log g(x) >= log f(x) - 2/x, HOLD at every index, on overlapping margin balls
+    row = BOUNDS["criterion-gap"]
+    for n, theta, (s_inv, s_phi, s_sq) in prefix_sums(table, ("inv", "phi", "sq"), range(row.start, 20000 + 1)):
+        x, loglog = table.nth_prime(n), log_ball(theta)
+        ours = sub_ball(*row.sides(_BALL, x, loglog, s_sq))
+        paper = sub_ball(*paper_gap_sides(_BALL, x, loglog, s_inv, s_phi))
+        assert ball_status(ours, row.claim) is ball_status(paper, row.claim) is VerdictStatus.HOLDS, n
+        assert abs(ours[0] - paper[0]) <= ours[1] + paper[1], n
 
 
 def _raise_domain_error(*args):
@@ -485,14 +480,15 @@ def test_a_failed_hull_falls_back_to_points(table, monkeypatch, hull_exp):
     # with every hull rejected or INCONCLUSIVE, the scan decides every point alone
     monkeypatch.setattr(bounds_mod._HULL, "exp", hull_exp)
     row = bounds_mod.BOUNDS["zeta-tail"]
-    dense, _ = _dense_scan(table, row, "zeta-tail", 2, 3000)
+    dense, _ = _dense_scan(table, row, "zeta-tail", range(2, 3000 + 1))
     assert scan_bound(table, "zeta-tail", 2, 3000).to_dict() == dense.to_dict()
 
 
-def test_zeta_tail_decides_few_points_alone(table, monkeypatch):
+def _decided_alone(table, monkeypatch, name, stop):
+    """The scan of ``name`` from its start to ``stop``, and the x of each point it decided alone."""
     import dataclasses
 
-    row = bounds_mod.BOUNDS["zeta-tail"]
+    row = bounds_mod.BOUNDS[name]
     alone = []
 
     def counting_sides(A, x, *atoms):
@@ -500,8 +496,20 @@ def test_zeta_tail_decides_few_points_alone(table, monkeypatch):
             alone.append(x)
         return row.sides(A, x, *atoms)
 
-    monkeypatch.setitem(bounds_mod.BOUNDS, "zeta-tail", dataclasses.replace(row, sides=counting_sides))
-    scan = scan_bound(table, "zeta-tail", 2, 20000)
-    assert scan.points_checked == len(list(stride_indices(2, 20000)))
+    monkeypatch.setitem(bounds_mod.BOUNDS, name, dataclasses.replace(row, sides=counting_sides))
+    return scan_bound(table, name, row.start, stop), alone
+
+
+def test_zeta_tail_decides_few_points_alone(table, monkeypatch):
+    scan, alone = _decided_alone(table, monkeypatch, "zeta-tail", 20000)
+    assert scan.points_checked == 20000 - 1
     assert scan.all_hold
     assert len(alone) <= 64
+
+
+def test_criterion_gap_decides_few_points_alone(table, monkeypatch):
+    # at the default n_max its sides on one atom bracket like the other rows'
+    scan, alone = _decided_alone(table, monkeypatch, "criterion-gap", 10**5)
+    assert scan.points_checked == 10**5 - 2
+    assert scan.all_hold
+    assert len(alone) <= 120

@@ -426,7 +426,6 @@ def test_verify_config_has_three_settings_and_reports_the_fixed_ones():
         "reduction_samples": 2000,
         "seed": 1018,
         "checkpoints": [10, 100],
-        "stride": {"dense_until": 10**4, "ratio": 1.01},
     }
 
 

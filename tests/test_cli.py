@@ -205,6 +205,20 @@ def test_cache_commands(capsys, tmp_path, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o007], ids=["022", "007"])
+def test_cache_build_file_gets_the_mode_open_gives(capsys, tmp_path, umask):
+    # a cache shared between users is readable by them: 0o666 & ~umask, not a temp file's 0600
+    old = os.umask(umask)
+    try:
+        code, out, _ = run_cli(capsys, "cache", "build", "--limit", "1000", "--cache-dir", str(tmp_path))
+    finally:
+        os.umask(old)
+    assert code == 0
+    path = tmp_path / "primes.ptab"
+    assert json.loads(out)["path"] == str(path) and list(tmp_path.iterdir()) == [path]
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def _cache_blob(version: int, limit: int, count: int, body: bytes) -> bytes:
     header = struct.pack("<4sHHQQ", b"PSIV", version, 0, limit, count)
     return header + body + struct.pack("<I", zlib.crc32(body))

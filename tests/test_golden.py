@@ -18,8 +18,13 @@ factor 1/(1 + 2^-20), and the bound reports gained ``escalated_at``.  Every
 value, verdict and exit code stayed the same.  The two ``verify`` goldens
 were regenerated once more when ``upper`` (c) lost its monotone steps: they
 lost exactly ``config.escalate`` and ``upper.details.c.monotone_checked_at``;
-no other value moved, and every other golden kept its bytes.  To
-regenerate, run
+no other value moved, and every other golden kept its bytes.  The six bound
+goldens and the two ``verify`` goldens were regenerated again when the bound
+rows began to read every index and ``criterion-gap`` was decided on the
+``sq`` sum: every ``stride`` entry went, the bound claims' ``points_checked``
+and ``verdicts.holds`` grew to the length of their ranges, and
+``criterion-gap``'s ``worst_margin`` moved in its ninth digit, at the same
+``worst_at``; the two scan goldens kept their bytes.  To regenerate, run
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 

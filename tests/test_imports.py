@@ -31,7 +31,8 @@ for argv in (
     ["scan", "points", "--n-max", "200"],
     ["scan", "bounds", "--name", "zeta-tail", "--from", "2", "--to", "3000"],
     ["scan", "bounds", "--name", "criterion-gap", "--from", "3", "--to", "3000"],
-    ["scan", "bounds", "--name", "rs-product", "--from", "1", "--to", "30000"],  # past DENSE_UNTIL
+    ["scan", "bounds", "--name", "rs-product", "--from", "1", "--to", "30000"],  # every index, by brackets
+    ["scan", "bounds", "--name", "criterion-gap", "--from", "3", "--to", "30000"],  # the sq sum, every index
     ["verify", "rs-product", "zeta-tail", "psi-bound", "threshold", "robin-log", "criterion-gap", "--n-max", "3000"],
     ["compute", "600851475143", "--format", "json"],  # factorize trial-divides with no table
     ["compute", "999999999989", "--format", "json"],  # a prime: the most odd divisors factorize tries

@@ -13,7 +13,7 @@ import mpmath as mp
 import pytest
 
 from psiverify.arith import primorial
-from psiverify.bounds import _BALL, BOUNDS
+from psiverify.bounds import _BALL, DUAL
 from psiverify.errors import RangeError, ResourceError
 from psiverify.numerics import log_ball, log_int_ball
 from psiverify.primes import build_table, inspect_cache, load_table, save_table
@@ -326,11 +326,11 @@ def test_cache_rejects_a_limit_its_primes_do_not_reach(tmp_path, limit, message)
     assert load_table(path).limit == 50020
 
 
-def _criterion_gap_lhs(table, x: int) -> float:
-    """The criterion-gap row's lhs, log g, at the largest prime <= x; it depends on theta and inv only."""
-    row, n = BOUNDS["criterion-gap"], table.prime_count(x)
-    ((_, theta, sums),) = prefix_sums(table, row.sums, (n,))
-    return row.sides(_BALL, table.nth_prime(n), log_ball(theta), *sums)[0][0]
+def _log_g(table, x: int) -> float:
+    """log g, the log of the DUAL row's lhs, at the largest prime <= x; it depends on theta and inv only."""
+    n = table.prime_count(x)
+    ((_, theta, sums),) = prefix_sums(table, DUAL.sums, (n,))
+    return log_ball(DUAL.sides(_BALL, table.nth_prime(n), log_ball(theta), *sums)[0])[0]
 
 
 def test_build_table_replaces_a_cache_that_lacks_primes(tmp_path):
@@ -339,7 +339,7 @@ def test_build_table_replaces_a_cache_that_lacks_primes(tmp_path):
     _short_cache(tmp_path / "primes.ptab", 100000)
     table = build_table(60000, cache_dir=tmp_path)
     assert table.limit == 60000 and table.primes == build_table(60000).primes
-    assert abs(_criterion_gap_lhs(table, 55000) - -0.00082303) < 1e-8
+    assert abs(_log_g(table, 55000) - -0.00082303) < 1e-8
     assert load_table(tmp_path / "primes.ptab").limit == 60000
 
 
@@ -355,7 +355,7 @@ def test_build_table_rejects_a_cache_that_omits_a_prime(tmp_path):
     crafted = [p for p in honest.primes if p != 30011]
     (tmp_path / "primes.ptab").write_bytes(_cache_blob(60000, len(crafted), _primes_body(*crafted)))
     table = build_table(55000, cache_dir=tmp_path)
-    lhs = _criterion_gap_lhs(table, 55000)  # -0.00080699 from the crafted file
+    lhs = _log_g(table, 55000)  # -0.00080699 from the crafted file
     assert abs(lhs - -0.00082303) < 1e-8
     assert table.primes[: table.prime_count(55000)] == honest.primes[: honest.prime_count(55000)]
 

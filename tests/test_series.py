@@ -383,15 +383,16 @@ def test_criterion_g_matches_stream(table):
         assert _g(table, table.nth_prime(n)) == pts[n].g_ball, n
 
 
-def test_criterion_f_oracle(table):
-    # f enters the criterion-gap row as its rhs, log f(x) - 2/x, at x = p_n
-    from psiverify.bounds import BOUNDS
+def test_criterion_f_oracle(table, paper_gap_sides):
+    # f enters the paper form of the criterion-gap row as its rhs, log f(x) - 2/x, at x = p_n
+    from psiverify.bounds import _BALL
 
     with mp.workdps(60):
         for x in (5, 100, 997):
             k = table.prime_count(x)
             p = table.nth_prime(k)
-            _, rhs = _row_sides(table, BOUNDS["criterion-gap"], k)
+            ((_, theta, sums),) = prefix_sums(table, ("inv", "phi"), (k,))
+            _, rhs = paper_gap_sides(_BALL, p, log_ball(theta), *sums)
             log_f = add_ball(rhs, ratio_ball(2, p))
             th = mp.fsum(mp.log(int(q)) for q in table.primes[:k])
             oracle = mp.exp(mp.euler) * mp.log(th) * mp.fprod(1 - mp.mpf(1) / int(q) for q in table.primes[:k])
