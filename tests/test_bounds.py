@@ -431,7 +431,8 @@ def test_every_index_is_decided_alone_or_inside_a_held_run(table, monkeypatch, n
     held = [n for ok, run in runs if ok for n in run]
     assert sorted(alone + held) == list(indices)
     assert scan.points_checked == len(indices)
-    assert any(not ok and len(run) > 1 for ok, run in runs) or name != "robin-log"  # robin-log's hulls bisect
+    if name == "robin-log":  # it fails up to n = 2198, so hulls there fail and are bisected
+        assert any(not ok and len(run) > 1 for ok, run in runs)
 
 
 @pytest.mark.parametrize("name,row", _ROWS, ids=[name for name, _ in _ROWS])
